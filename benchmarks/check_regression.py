@@ -21,7 +21,10 @@ further from it::
         --fresh BENCH_parallel.json --update
 
 The comparison logic is importable (``load_document`` / ``compare``)
-and unit-tested in ``tests/test_bench_regression_gate.py``.
+and unit-tested in ``tests/test_bench_regression_gate.py``.  Arm
+discovery (``timing_keys``) comes from the ``repro`` package, so run
+the gate with the package installed (``pip install -e .``) or with
+``PYTHONPATH=src``.
 """
 
 from __future__ import annotations
@@ -31,21 +34,12 @@ import json
 import pathlib
 import sys
 
+from repro.observability.dashboard import timing_keys
+
 #: Historical benchmark-arm keys (kept for reference / schema checks);
 #: :func:`timing_keys` discovers arms dynamically so new documents with
 #: e.g. ``per_pair_s`` / ``batched_s`` arms are gated without edits here.
 TIMING_KEYS = ("serial_s", "parallel_s")
-
-
-def timing_keys(arms: dict) -> tuple[str, ...]:
-    """Seconds-valued arm keys of one workload entry (``*_s``, numeric)."""
-    return tuple(
-        sorted(
-            key
-            for key, value in arms.items()
-            if key.endswith("_s") and isinstance(value, (int, float))
-        )
-    )
 
 
 def load_document(path) -> dict:

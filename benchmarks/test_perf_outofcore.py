@@ -1,12 +1,12 @@
-"""Perf — out-of-core corpus engine: memmap banks and shard-and-merge.
+"""Perf — out-of-core corpus engine: memmap banks.
 
-Measures the two costs the out-of-core PR trades against each other and
-merges the numbers into ``BENCH_outofcore.json`` at the repo root::
+Measures what a memmap bank trades against an in-RAM one and merges the
+numbers into ``BENCH_outofcore.json`` at the repo root::
 
-    {workload: {inram_s | single_s, memmap_s | sharded_s, ...,
-                rss_ratio | wallclock_ratio | n_series, length}}
+    {workload: {inram_s, memmap_s, ..., rss_ratio, wallclock_ratio,
+                n_series, length}}
 
-Workloads:
+Workload:
 
 * ``bank_training_rss`` — the full training-side bank workload (build
   the bank, correlation matrix, blockwise feature extraction) run twice
@@ -17,10 +17,6 @@ Workloads:
   memmap peak RSS < 50% of in-RAM within 1.5x wall clock.  Checksums
   must match exactly — the memmap path cannot "win" by computing
   something else.
-* ``shard_merge`` — ``ShardedClustering`` vs single-shard
-  ``IncrementalClustering`` wall clock on a well-separated corpus, with
-  the parity suite's acceptance assert: identical partitions (canonical
-  relabeling) before any timing is recorded.
 
 Both timing arms are gated by ``check_regression.py`` like every other
 ``BENCH_*.json`` document.
@@ -44,18 +40,9 @@ BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_outofcore.j
 #: corpus (raw + znorm, ~400 MiB) dwarfs interpreter overhead and the
 #: RSS ratio is meaningful; tiny mode just exercises both arms.
 RSS_N, RSS_LENGTH = (32, 2048) if TINY else (96, 262_144)
-#: Shard-merge corpus: groups x size of the parity family.
-SHARD_GROUPS, SHARD_GROUP_SIZE = (20, 6) if TINY else (42, 6)
-SHARD_COUNT = 4
 #: Full-mode acceptance thresholds (ISSUE 10).
 RSS_CEILING = 0.5
 WALLCLOCK_CEILING = 1.5
-
-
-def _timed(fn):
-    start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start
 
 
 def _merge_json(results: dict) -> dict:
@@ -161,60 +148,6 @@ def test_memmap_bank_peak_rss(tmp_path):
             f"memmap wall clock is {wallclock_ratio:.2f}x of in-RAM "
             f"(must be <= {WALLCLOCK_CEILING})"
         )
-
-
-# ---------------------------------------------------------------------------
-# Shard-and-merge vs single-shard clustering
-# ---------------------------------------------------------------------------
-def _canonical(labels) -> list[int]:
-    mapping: dict = {}
-    return [mapping.setdefault(lab, len(mapping)) for lab in labels]
-
-
-def test_shard_merge_wall_clock():
-    from repro.clustering.incremental import (
-        IncrementalClustering,
-        ShardedClustering,
-    )
-    from repro.timeseries import TimeSeries
-
-    rng = np.random.default_rng(17)
-    t = np.linspace(0, 4 * np.pi, 96)
-    series = []
-    for g in range(SHARD_GROUPS):
-        base = np.sin(t * (g + 1)) + 3.0 * g
-        series.extend(
-            TimeSeries(base + 0.03 * rng.normal(size=96))
-            for _ in range(SHARD_GROUP_SIZE)
-        )
-    order = rng.permutation(len(series))
-    series = [series[i] for i in order]
-
-    single, single_s = _timed(
-        lambda: IncrementalClustering(random_state=0).fit(series)
-    )
-    sharded, sharded_s = _timed(
-        lambda: ShardedClustering(
-            n_shards=SHARD_COUNT, random_state=0
-        ).fit(series)
-    )
-    # Acceptance: identical partitions on the parity corpus.
-    assert _canonical(sharded.labels_) == _canonical(single.labels_)
-    results = {
-        "shard_merge": {
-            "single_s": round(single_s, 4),
-            "sharded_s": round(sharded_s, 4),
-            "n_series": len(series),
-            "n_shards": SHARD_COUNT,
-            "n_clusters": int(sharded.n_clusters_),
-        }
-    }
-    _merge_json(results)
-    print(
-        f"\n== outofcore shard_merge ==\n"
-        f"single {single_s:.2f}s  sharded({SHARD_COUNT}) {sharded_s:.2f}s  "
-        f"clusters {sharded.n_clusters_}"
-    )
 
 
 # ---------------------------------------------------------------------------

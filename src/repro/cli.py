@@ -179,13 +179,6 @@ def _cmd_train(args) -> int:
                 n_datasets=args.datasets_per_category,
             )
         )
-    labeler = None
-    if args.shards_train > 1 or args.bank_path:
-        from repro.clustering.labeling import ClusterLabeler
-
-        labeler = ClusterLabeler(
-            shards=max(1, args.shards_train), bank_path=args.bank_path
-        )
     engine = ADarts(
         config=ModelRaceConfig(
             n_partial_sets=args.partial_sets,
@@ -195,7 +188,6 @@ def _cmd_train(args) -> int:
         random_state=args.seed,
         observer=LoggingObserver() if args.verbose else None,
         parallel=_parallel_from_args(args),
-        labeler=labeler,
     )
     print(
         f"training on {sum(len(d) for d in datasets)} series "
@@ -241,26 +233,6 @@ def _cmd_list_imputers(args) -> int:
     for name in available_imputers():
         print(name)
     return 0
-
-
-def _cmd_worker(args) -> int:
-    """Cluster-backend worker: run one manifest, emit JSON-lines results.
-
-    Exit code is the number of failed tasks (0 = all succeeded); the
-    parent treats missing result *lines* — not a non-zero exit — as an
-    infrastructure failure.
-    """
-    from repro.parallel.cluster import run_manifest
-
-    if args.out == "-":
-        return run_manifest(args.manifest, sys.stdout)
-    out_path = pathlib.Path(args.out)
-    tmp = out_path.with_suffix(out_path.suffix + ".tmp")
-    with tmp.open("w") as fh:
-        failures = run_manifest(args.manifest, fh)
-        fh.flush()
-    tmp.replace(out_path)
-    return failures
 
 
 def _load_serving_engine(args):
@@ -730,16 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--datasets-per-category", type=int, default=2)
     train.add_argument("--partial-sets", type=int, default=3)
     train.add_argument("--seed", type=int, default=0)
-    train.add_argument(
-        "--shards-train", type=int, default=1, metavar="K",
-        help="cluster each dataset over K shards "
-        "(shard-and-merge; 1 = single-shard)",
-    )
-    train.add_argument(
-        "--bank-path", default=None, metavar="DIR",
-        help="directory for disk-backed series banks (out-of-core "
-        "training; one bank subdirectory per dataset)",
-    )
     train.set_defaults(func=_cmd_train)
 
     recommend = sub.add_parser(
@@ -1057,22 +1019,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the structured explanation as JSON",
     )
     explain.set_defaults(func=_cmd_explain)
-
-    worker = sub.add_parser(
-        "worker",
-        help="run one cluster-backend task manifest and emit JSON-lines "
-        "results (spawned by the 'cluster' parallel backend)",
-        parents=[common],
-    )
-    worker.add_argument(
-        "--manifest", required=True,
-        help="task manifest JSON written by repro.parallel.cluster",
-    )
-    worker.add_argument(
-        "--out", default="-",
-        help="result JSONL path ('-' = stdout)",
-    )
-    worker.set_defaults(func=_cmd_worker)
     return parser
 
 

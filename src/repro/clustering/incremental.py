@@ -321,18 +321,17 @@ class IncrementalClustering:
         return clusters
 
     # ------------------------------------------------------------------
-    def _cluster_members(
-        self, members: list[int], rng, m: int
-    ) -> list[list[int]]:
-        """Both phases of Algorithm 2 over one index subset.
+    def fit(self, series_list: list[TimeSeries]) -> "IncrementalClustering":
+        """Cluster the series; sets ``labels_`` and ``clusters_``."""
+        if not series_list:
+            raise ClusteringError("cannot cluster an empty series list")
+        n = len(series_list)
+        rng = ensure_rng(self.random_state)
+        self._corr = pairwise_correlation_matrix(series_list)
+        m = n  # total number of series (the `m` of Eq. 1)
 
-        ``self._corr`` must already hold the corpus correlation matrix;
-        ``members`` are (global) row indices into it.  Called with all
-        indices by :meth:`fit` and once per shard by
-        :class:`ShardedClustering`.
-        """
         # Phase 1: initial splitting (lines 2-9).
-        pending: list[list[int]] = [list(members)]
+        pending: list[list[int]] = [list(range(n))]
         final: list[list[int]] = []
         while pending:
             cluster = pending.pop()
@@ -348,9 +347,6 @@ class IncrementalClustering:
             clusters = self._refine_incremental(clusters, m)
         else:
             clusters = self._refine_legacy(clusters, m)
-        return [c for c in clusters if c]
-
-    def _finalize(self, n: int, clusters: list[list[int]]) -> None:
         clusters = [c for c in clusters if c]
         labels = np.empty(n, dtype=int)
         for cid, members in enumerate(clusters):
@@ -358,17 +354,6 @@ class IncrementalClustering:
                 labels[idx] = cid
         self.labels_ = labels
         self.clusters_ = clusters
-
-    def fit(self, series_list: list[TimeSeries]) -> "IncrementalClustering":
-        """Cluster the series; sets ``labels_`` and ``clusters_``."""
-        if not series_list:
-            raise ClusteringError("cannot cluster an empty series list")
-        n = len(series_list)
-        rng = ensure_rng(self.random_state)
-        self._corr = pairwise_correlation_matrix(series_list)
-        m = n  # total number of series (the `m` of Eq. 1)
-        clusters = self._cluster_members(list(range(n)), rng, m)
-        self._finalize(n, clusters)
         return self
 
     # ------------------------------------------------------------------
@@ -385,164 +370,3 @@ class IncrementalClustering:
             raise ClusteringError("clustering is not fitted")
         values = [self._avg_corr(c) for c in self.clusters_]
         return float(np.mean(values))
-
-
-class ShardedClustering(IncrementalClustering):
-    """Shard-and-merge variant of Algorithm 2 for corpora past one pass.
-
-    The corpus is partitioned into ``n_shards`` contiguous shards; both
-    phases of :class:`IncrementalClustering` run independently per shard
-    (the split queue and the :class:`_RefineSums` refinement never look
-    outside the shard), then shard-local clusters are merged:
-
-    1. every live cluster gets a representative (the mean of its
-       z-normed member rows);
-    2. cross-shard cluster pairs are ranked by representative NCC
-       (:func:`~repro.timeseries.batch.ncc_rowwise`) — a cheap proxy
-       that prunes the quadratic pair space;
-    3. surviving candidates are verified *exactly* with the maintained
-       correlation sums (``rho(C_i ∪ C_j)`` ≥ ``delta`` and Eq. 1 gain
-       > 0, the same acceptance rule as single-shard refinement), for at
-       most ``merge_passes`` rounds;
-    4. one final bounded refinement pass runs over the merged partition.
-
-    With ``n_shards=1`` the merge stage has no cross-shard pairs and the
-    final refinement re-runs on an already-converged partition, so the
-    result is *identical* to :class:`IncrementalClustering` — the parity
-    anchor the tests pin.  Larger shard counts trade a bounded amount of
-    label divergence for per-shard working sets.
-
-    Parameters
-    ----------
-    n_shards:
-        Number of contiguous shards (clamped to the corpus size).
-    merge_passes:
-        Maximum representative-merge rounds between per-shard clustering
-        and the final refinement pass.
-    """
-
-    def __init__(
-        self,
-        n_shards: int = 4,
-        merge_passes: int = 2,
-        **kwargs,
-    ):
-        super().__init__(**kwargs)
-        if n_shards < 1:
-            raise ValidationError(f"n_shards must be >= 1, got {n_shards}")
-        if merge_passes < 0:
-            raise ValidationError(
-                f"merge_passes must be >= 0, got {merge_passes}"
-            )
-        self.n_shards = int(n_shards)
-        self.merge_passes = int(merge_passes)
-
-    # ------------------------------------------------------------------
-    def _merge_across_shards(
-        self,
-        clusters: list[list[int]],
-        shard_of: list[int],
-        znorm: np.ndarray,
-        m: int,
-    ) -> list[list[int]]:
-        """Representative-guided exact merging of cross-shard clusters."""
-        from repro.timeseries.batch import ncc_rowwise
-
-        sums = _RefineSums(self._corr, clusters)
-        next_tag = -1  # merged clusters span shards: give each a fresh tag
-        for _ in range(self.merge_passes):
-            live = [c for c in range(len(clusters)) if clusters[c]]
-            if len(live) < 2:
-                break
-            pairs = [
-                (a, b)
-                for pos, a in enumerate(live)
-                for b in live[pos + 1:]
-                if shard_of[a] != shard_of[b]
-            ]
-            if not pairs:
-                break
-            reps = {
-                c: znorm[np.asarray(clusters[c])].mean(axis=0) for c in live
-            }
-            sims = ncc_rowwise(
-                np.vstack([reps[a] for a, _ in pairs]),
-                np.vstack([reps[b] for _, b in pairs]),
-            )
-            changed = False
-            for k in np.argsort(-sims, kind="stable"):
-                if sims[k] < self.delta:
-                    break  # descending order: every later proxy is lower
-                a, b = pairs[k]
-                if not clusters[a] or not clusters[b]:
-                    continue  # one side was already folded this pass
-                rho_union, cross = sums.rho_merge(
-                    a, b, np.asarray(clusters[a])
-                )
-                if rho_union < self.delta:
-                    continue
-                gain = correlation_gain(rho_union, sums.rho(a), sums.rho(b), m)
-                if gain <= 0.0:
-                    continue
-                sums.apply_merge(a, b, cross)
-                clusters[b].extend(clusters[a])
-                clusters[a] = []
-                shard_of[b] = next_tag
-                next_tag -= 1
-                changed = True
-            if not changed:
-                break
-        return clusters
-
-    # ------------------------------------------------------------------
-    def fit(
-        self, series_list: list[TimeSeries], *, bank=None
-    ) -> "ShardedClustering":
-        """Cluster the series shard-by-shard; sets ``labels_``/``clusters_``.
-
-        Parameters
-        ----------
-        series_list:
-            The corpus, as in :meth:`IncrementalClustering.fit`.
-        bank:
-            Optional prepared :class:`~repro.timeseries.batch.SeriesBank`
-            (possibly disk-backed) whose z-normed rows supply the merge
-            representatives; built from the series when omitted.
-        """
-        if not series_list:
-            raise ClusteringError("cannot cluster an empty series list")
-        n = len(series_list)
-        rng = ensure_rng(self.random_state)
-        self._corr = pairwise_correlation_matrix(series_list)
-        m = n
-
-        shards = max(1, min(self.n_shards, n))
-        bounds = np.linspace(0, n, shards + 1).astype(int)
-        clusters: list[list[int]] = []
-        shard_of: list[int] = []
-        for s in range(shards):
-            members = list(range(bounds[s], bounds[s + 1]))
-            if not members:
-                continue
-            for cluster in self._cluster_members(members, rng, m):
-                clusters.append(cluster)
-                shard_of.append(s)
-
-        if shards > 1 and self.merge_passes > 0:
-            if bank is None:
-                from repro.timeseries.batch import SeriesBank
-
-                bank = SeriesBank.from_series(series_list)
-            clusters = self._merge_across_shards(
-                clusters, shard_of, bank.znorm, m
-            )
-
-        # Final bounded refinement over the merged partition (a no-op
-        # when every shard-local partition already converged globally —
-        # in particular whenever shards == 1).
-        if self.incremental:
-            clusters = self._refine_incremental(clusters, m)
-        else:
-            clusters = self._refine_legacy(clusters, m)
-        self._finalize(n, clusters)
-        return self

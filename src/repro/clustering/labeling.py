@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.clustering.incremental import IncrementalClustering, ShardedClustering
+from repro.clustering.incremental import IncrementalClustering
 from repro.exceptions import ValidationError
 from repro.observability import get_logger, get_metrics, get_tracer
 from repro.observability.ledger import ClusterAtlas, get_ledger
@@ -128,17 +128,6 @@ class ClusterLabeler:
         the per-(cluster, ratio, pattern) imputer races — the dominant
         labeling cost — fan out across workers.  Results are identical
         to the serial path for a fixed seed.
-    shards:
-        When > 1, datasets are clustered with
-        :class:`~repro.clustering.incremental.ShardedClustering` over
-        this many shards (identical labels on well-separated corpora,
-        bounded divergence otherwise; ``1`` keeps the single-shard path).
-    bank_path:
-        Optional directory for disk-backed
-        :class:`~repro.timeseries.batch.SeriesBank` banks (one
-        subdirectory per dataset).  With sharded clustering the merge
-        representatives then stream from disk instead of holding the
-        corpus matrix in RAM.
     """
 
     def __init__(
@@ -150,8 +139,6 @@ class ClusterLabeler:
         tie_epsilon: float = 0.0,
         random_state: int | None = 0,
         parallel: ParallelConfig | None = None,
-        shards: int = 1,
-        bank_path=None,
     ):
         if imputer_names is None:
             imputer_names = DEFAULT_LABELING_IMPUTERS
@@ -180,10 +167,6 @@ class ClusterLabeler:
         self._clustering_template = clustering
         self.random_state = random_state
         self.parallel = parallel
-        if shards < 1:
-            raise ValidationError(f"shards must be >= 1, got {shards}")
-        self.shards = int(shards)
-        self.bank_path = bank_path
 
     @property
     def missing_ratio(self) -> float:
@@ -191,38 +174,15 @@ class ClusterLabeler:
         return self.missing_ratios[0]
 
     def _make_clustering(self) -> IncrementalClustering:
+        if self._clustering_template is None:
+            return IncrementalClustering()
         t = self._clustering_template
-        kwargs = {} if t is None else dict(
+        return IncrementalClustering(
             delta=t.delta,
             split_ratio=t.split_ratio,
             min_cluster_size=t.min_cluster_size,
             random_state=t.random_state,
         )
-        if self.shards > 1:
-            return ShardedClustering(n_shards=self.shards, **kwargs)
-        return IncrementalClustering(**kwargs)
-
-    def _fit_clustering(self, dataset_name: str, series: list):
-        """Fit the per-dataset clustering (shard-aware, bank-aware)."""
-        clustering = self._make_clustering()
-        if not isinstance(clustering, ShardedClustering):
-            return clustering.fit(series)
-        bank = None
-        if self.bank_path is not None:
-            import pathlib
-
-            from repro.timeseries.batch import SeriesBank
-
-            safe = "".join(
-                ch if ch.isalnum() or ch in "-_." else "_"
-                for ch in (dataset_name or "dataset")
-            )
-            bank_dir = pathlib.Path(self.bank_path) / safe
-            if (bank_dir / "meta.json").exists():
-                bank = SeriesBank.open(bank_dir)
-            else:
-                bank = SeriesBank.create(bank_dir, series)
-        return clustering.fit(series, bank=bank)
 
     def _imputers(self) -> list[BaseImputer]:
         return [get_imputer(name) for name in self.imputer_names]
@@ -305,8 +265,7 @@ class ClusterLabeler:
         self, dataset: TimeSeriesDataset, rank_hist, engine: ExecutionEngine
     ) -> LabeledCorpus:
         rng = ensure_rng(self.random_state)
-        dataset_label = dataset.name or "dataset"
-        clustering = self._fit_clustering(dataset_label, list(dataset.series))
+        clustering = self._make_clustering().fit(list(dataset.series))
         # Phase 1 (serial, RNG-ordered): build one job per
         # (cluster, ratio, pattern) — the injected masks and faulty
         # series are produced in a fixed order so parallel execution

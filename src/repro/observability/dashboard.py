@@ -210,16 +210,6 @@ def render_top(snapshot: dict, *, color: bool = False, width: int = 78) -> str:
             f"{name}={count}" for name, count in sorted(decisions.items())
         )
         lines.append(f"  backend decisions: {rendered}")
-    workers = {
-        name: stats["workers"]
-        for name, stats in sorted((snapshot.get("backends") or {}).items())
-        if isinstance(stats, dict) and stats.get("workers")
-    }
-    if workers:
-        rendered = "  ".join(
-            f"{name}={int(count)}" for name, count in workers.items()
-        )
-        lines.append(f"  backend workers (peak): {rendered}")
     lines.append(thin)
 
     # -- caches / mix / alerts ------------------------------------------
@@ -268,7 +258,8 @@ def render_top(snapshot: dict, *, color: bool = False, width: int = 78) -> str:
 # repro bench trend
 # ---------------------------------------------------------------------------
 
-def _timing_keys(arms: dict) -> tuple[str, ...]:
+def timing_keys(arms: dict) -> tuple[str, ...]:
+    """Seconds-valued arm keys of one workload entry (``*_s``, numeric)."""
     return tuple(
         sorted(
             key
@@ -283,18 +274,18 @@ def bench_trend_rows(
 ) -> list[dict]:
     """Per-(workload, arm) trend rows comparing fresh timings to baseline.
 
-    Mirrors the arm discovery of ``benchmarks/check_regression.py``
-    (numeric ``*_s`` keys) so the table and the CI gate always agree on
-    what is measured.  Each row carries ``ratio`` (fresh/baseline; None
-    when either side is missing) and ``noise`` (both sides under
-    ``min_seconds``, ignored by the gate).
+    Shares :func:`timing_keys` (numeric ``*_s`` keys) with
+    ``benchmarks/check_regression.py`` so the table and the CI gate
+    always agree on what is measured.  Each row carries ``ratio``
+    (fresh/baseline; None when either side is missing) and ``noise``
+    (both sides under ``min_seconds``, ignored by the gate).
     """
     rows: list[dict] = []
     for workload in sorted(set(baseline) | set(fresh)):
         base_arms = baseline.get(workload) or {}
         fresh_arms = fresh.get(workload) or {}
         arms = sorted(
-            set(_timing_keys(base_arms)) | set(_timing_keys(fresh_arms))
+            set(timing_keys(base_arms)) | set(timing_keys(fresh_arms))
         )
         for key in arms:
             base = base_arms.get(key)

@@ -1058,12 +1058,6 @@ class HealthSnapshot:
                 "repro_parallel_batches_total", "Engine batches by backend",
                 labels={"backend": backend},
             ).inc(stats.get("batches", 0))
-            if "workers" in stats:
-                registry.gauge(
-                    "repro_parallel_backend_workers",
-                    "High-water worker count by backend",
-                    labels={"backend": backend},
-                ).set(stats.get("workers", 0))
         if self.resilience:
             registry.counter(
                 "repro_serving_degraded_total", "Requests served degraded"

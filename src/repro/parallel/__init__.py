@@ -10,9 +10,6 @@ The performance substrate of the reproduction:
   instrumented into the process tracer/metrics registry;
 * :class:`FeatureCache` — content-hash keyed series→feature-vector cache
   with optional on-disk persistence under ``~/.cache/repro``;
-* the ``cluster`` backend — manifest-driven dispatch to ``repro worker``
-  subprocesses (:mod:`repro.parallel.cluster`), the fourth
-  :class:`ExecutionEngine` backend;
 * :class:`ScoreMemo` — per-race memo of (pipeline, fold-content) →
   :class:`~repro.pipeline.scoring.PipelineScore`.
 
@@ -27,13 +24,6 @@ from repro.parallel.cache import (
     default_cache_dir,
     hash_array,
     hash_arrays,
-)
-from repro.parallel.cluster import (
-    BlobStore,
-    ClusterUnavailableError,
-    dispatch,
-    run_manifest,
-    write_manifest,
 )
 from repro.parallel.config import (
     AUTO_MIN_BATCH_SECONDS,
@@ -65,8 +55,6 @@ __all__ = [
     "AUTO_PROCESS_MIN_TASKS",
     "AUTO_SERIAL_MAX_TASKS",
     "BACKENDS",
-    "BlobStore",
-    "ClusterUnavailableError",
     "TARGET_CHUNK_SECONDS",
     "ExecutionEngine",
     "FeatureCache",
@@ -79,12 +67,9 @@ __all__ = [
     "available_cpus",
     "clear_attach_cache",
     "default_cache_dir",
-    "dispatch",
     "engine_stats",
     "hash_array",
     "hash_arrays",
     "reset_engine_stats",
-    "run_manifest",
     "shm_available",
-    "write_manifest",
 ]

@@ -18,16 +18,9 @@ Backend semantics
     ``concurrent.futures.ProcessPoolExecutor``.  True multi-core
     parallelism for CPU-bound pure-Python work; pays fork/pickle
     overhead, so it is only worth it for large batches.
-``cluster``
-    Manifest-driven ``repro worker`` subprocesses (see
-    :mod:`repro.parallel.cluster`): task inputs are content-addressed to
-    a blob store and each worker is a fresh process consuming a JSON
-    manifest — the scale-out seam for running batches on machines that
-    share only a filesystem.  Never chosen by ``auto``; opt in
-    explicitly.
 ``auto``
-    Picks one of serial/thread/process from the workload size at call
-    time (see :meth:`ParallelConfig.resolve_backend`).
+    Picks one of the above from the workload size at call time (see
+    :meth:`ParallelConfig.resolve_backend`).
 """
 
 from __future__ import annotations
@@ -38,7 +31,7 @@ from dataclasses import dataclass
 from repro.exceptions import ValidationError
 
 #: Legal backend names.
-BACKENDS = ("auto", "serial", "thread", "process", "cluster")
+BACKENDS = ("auto", "serial", "thread", "process")
 
 #: ``auto`` falls back to ``serial`` below this many tasks — pool setup
 #: would cost more than it saves.

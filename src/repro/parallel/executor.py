@@ -88,15 +88,6 @@ def _record_crash(backend: str) -> None:
         stats["crashes"] = stats.get("crashes", 0) + 1
 
 
-def _record_workers(backend: str, n_workers: int) -> None:
-    """Record the high-water worker count of a backend (``repro top``)."""
-    with _STATS_LOCK:
-        stats = _BACKEND_STATS.setdefault(
-            backend, {"batches": 0, "tasks": 0, "seconds": 0.0}
-        )
-        stats["workers"] = max(stats.get("workers", 0), n_workers)
-
-
 def engine_stats() -> dict[str, dict[str, float]]:
     """Per-backend ``{batches, tasks, seconds[, crashes]}`` since process start.
 
@@ -267,8 +258,6 @@ class ExecutionEngine:
                 results = self._map_thread(fn, tail, chunk, label)
             elif backend == "process":
                 results = self._map_process(fn, tail, chunk, label)
-            elif backend == "cluster":
-                results = self._map_cluster(fn, tail, label)
             else:  # pragma: no cover - ParallelConfig validates backends
                 raise ValueError(f"unknown backend {backend!r}")
         results = head + results
@@ -501,36 +490,6 @@ class ExecutionEngine:
             # serial resubmission, where one more failure is terminal.
             self._demote("thread", "serial", exc)
             return self._map_serial(fn, items, label)
-
-    def _map_cluster(self, fn, items: list, label: str) -> list:
-        """Fan the batch out across ``repro worker`` subprocesses.
-
-        Task inputs/outputs cross the boundary through the manifest +
-        blob-store codec of :mod:`repro.parallel.cluster` (byte-exact for
-        arrays, pickle fallback otherwise).  Infrastructure failures —
-        a worker dying or producing truncated output — demote the batch
-        to the process backend, mirroring the process→thread demotion.
-        The fault injector is not forwarded to cluster workers: chaos
-        tests target in-process backends, and a real dead worker already
-        exercises this demotion path.
-        """
-        from repro.parallel import cluster as _cluster
-
-        jobs = min(self.config.effective_jobs, len(items))
-        _record_workers("cluster", jobs)
-        try:
-            return _cluster.dispatch(fn, items, jobs=jobs, label=label)
-        except _cluster.ClusterUnavailableError as exc:
-            tick("worker_crashes")
-            get_metrics().counter(
-                "repro_parallel_worker_crashes_total",
-                "Process-pool workers detected dead mid-batch",
-            ).inc()
-            self._demote("cluster", "process", exc)
-            chunk = self.config.resolve_chunk_size(
-                len(items), self._cost_ewma.get(label)
-            )
-            return self._map_process(fn, items, chunk, label)
 
     def _map_process(self, fn, items: list, chunk: int, label: str) -> list:
         pool = self._process_pool()

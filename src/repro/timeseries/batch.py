@@ -477,15 +477,34 @@ class SeriesBank:
         try:
             meta = json.loads(meta_path.read_text())
         except ValueError as exc:
-            raise ValidationError(f"unreadable bank metadata: {exc}") from None
+            raise ValidationError(
+                f"unreadable bank metadata under {path}: {exc}"
+            ) from None
+        if not isinstance(meta, dict):
+            raise ValidationError(
+                f"bank metadata under {path} is not a JSON object"
+            )
         if meta.get("version") != BANK_FORMAT_VERSION:
             raise ValidationError(
-                f"unsupported bank format version {meta.get('version')!r}"
+                f"unsupported bank format version {meta.get('version')!r} "
+                f"under {path}"
             )
-        raw = np.load(path / "raw.npy", mmap_mode="r")
-        znorm = np.load(path / "znorm.npy", mmap_mode="r")
-        norms = np.load(path / "norms.npy")
-        shape = (int(meta.get("n", -1)), int(meta.get("length", -1)))
+        try:
+            shape = (int(meta.get("n", -1)), int(meta.get("length", -1)))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"unreadable bank geometry under {path}: {exc}"
+            ) from None
+        # Truncated or missing array files surface as OSError/ValueError/
+        # EOFError from numpy; report them as a corrupt bank instead.
+        try:
+            raw = np.load(path / "raw.npy", mmap_mode="r")
+            znorm = np.load(path / "znorm.npy", mmap_mode="r")
+            norms = np.load(path / "norms.npy")
+        except (OSError, ValueError, EOFError) as exc:
+            raise ValidationError(
+                f"corrupt series bank under {path}: {exc}"
+            ) from None
         if raw.shape != shape or znorm.shape != shape or norms.shape != shape[:1]:
             raise ValidationError(
                 f"series bank files under {path} disagree with meta.json"

@@ -8,6 +8,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,27 @@ def _corpus(n=12, length=64, seed=0):
         np.sin(t * (1 + i % 3)) + 0.1 * rng.normal(size=length)
         for i in range(n)
     ]
+
+
+def _truncate(path, keep=None):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2 if keep is None else keep])
+
+
+def _set_meta(path, **fields):
+    doc = json.loads(path.read_text())
+    doc.update(fields)
+    path.write_text(json.dumps(doc))
+
+
+#: One way each of a bank's files can be damaged on disk.
+_CORRUPTIONS = {
+    "truncated-raw": lambda d: _truncate(d / "raw.npy"),
+    "truncated-norms": lambda d: _truncate(d / "norms.npy", keep=8),
+    "missing-znorm": lambda d: (d / "znorm.npy").unlink(),
+    "meta-not-object": lambda d: (d / "meta.json").write_text("[]"),
+    "meta-n-not-int": lambda d: _set_meta(d / "meta.json", n="x"),
+}
 
 
 class TestCreateOpenParity:
@@ -141,6 +163,15 @@ class TestFormatValidation:
         (tmp_path / "bank" / "meta.json").unlink()  # simulate the crash
         with pytest.raises(ValidationError, match="missing meta.json"):
             SeriesBank.open(tmp_path / "bank")
+
+    @pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
+    def test_corrupt_bank_rejected(self, tmp_path, corruption):
+        """Damaged bank files raise ValidationError naming the bank."""
+        bank_dir = tmp_path / "bank"
+        SeriesBank.create(bank_dir, _corpus(n=4, length=16))
+        _CORRUPTIONS[corruption](bank_dir)
+        with pytest.raises(ValidationError, match=re.escape(str(bank_dir))):
+            SeriesBank.open(bank_dir)
 
     def test_unknown_version_rejected(self, tmp_path):
         SeriesBank.create(tmp_path / "bank", _corpus(n=3, length=16))

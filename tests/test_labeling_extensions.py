@@ -1,8 +1,10 @@
-"""Tests for labeler extensions: varying ratios, tip patterns, tie handling."""
+"""Tests for labeler extensions: varying ratios, tip patterns, tie handling,
+clustering templates."""
 
 import numpy as np
 import pytest
 
+from repro.clustering.incremental import IncrementalClustering
 from repro.clustering.labeling import ClusterLabeler
 from repro.exceptions import ValidationError
 from repro.timeseries.patterns import detect_missing_pattern
@@ -125,3 +127,17 @@ class TestTieHandling:
             return float(-(p * np.log(p)).sum())
 
         assert entropy(clean.labels) <= entropy(noisy.labels) + 1e-9
+
+
+class TestClusteringTemplate:
+    def test_template_parameters_forwarded(self):
+        template = IncrementalClustering(
+            delta=0.6, split_ratio=0.3, min_cluster_size=2, random_state=7
+        )
+        clustering = ClusterLabeler(clustering=template)._make_clustering()
+        assert type(clustering) is IncrementalClustering
+        assert clustering is not template
+        assert clustering.delta == 0.6
+        assert clustering.split_ratio == 0.3
+        assert clustering.min_cluster_size == 2
+        assert clustering.random_state == 7
