@@ -1,12 +1,14 @@
 """Perf — SLO engine overhead on the monitored serving path.
 
-Acceptance: running :class:`InferenceMonitor` with the full SLO plane
-enabled — per-series latency recording into the mergeable quantile
-sketch, per-imputer/per-cluster slice scorecards, and one burn-rate
-evaluation per request — must cost **less than 5%** wall time versus
-the identical monitored traffic with ``enable_slo=False``.  Each arm
-runs three times and the minimum is compared (the standard noise-robust
-estimator for wall-clock microbenchmarks).
+Acceptance: running :class:`InferenceMonitor` with the stock burn-rate
+policies — windowed good/bad counts per policy, per-slice bad counts,
+and one burn-rate evaluation per request — must cost **less than 5%**
+wall time versus the identical monitored traffic with
+``slo_policies=()``.  Both arms record into the same telemetry sink
+(sketch views, mix, slice scorecards), so the gate measures the policy
+cost on top of the shared sink.  Each arm runs three times and the
+minimum is compared (the standard noise-robust estimator for wall-clock
+microbenchmarks).
 
 The instrumented arm also asserts the tracker really recorded one SLO
 event per served series and that the sketch-backed p99 is populated, so
@@ -97,10 +99,10 @@ def test_slo_overhead_under_five_percent():
     engine = _trained_engine()
     traffic = _faulty_traffic()
     # Warm caches/imports outside either timed arm.
-    _serve(InferenceMonitor(engine, enable_slo=False), traffic)
+    _serve(InferenceMonitor(engine, slo_policies=()), traffic)
 
     def bare():
-        _serve(InferenceMonitor(engine, enable_slo=False), traffic)
+        _serve(InferenceMonitor(engine, slo_policies=()), traffic)
 
     bare_s = _min_wall(bare)
 

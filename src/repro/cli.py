@@ -262,9 +262,7 @@ def _build_monitor(args, engine) -> InferenceMonitor:
             psi_threshold=args.psi_threshold,
             ks_threshold=args.ks_threshold,
         )
-    return InferenceMonitor(
-        engine, window=args.window, drift_detector=detector
-    )
+    return InferenceMonitor(engine, drift_detector=detector)
 
 
 def _replay(monitor, series_list, *, batch: int, repeat: int) -> None:
@@ -292,7 +290,7 @@ def _cmd_monitor(args) -> int:
 
     if args.watch is not None:
         # Periodic refresh: replay, clear the screen, re-render, sleep.
-        # Ctrl-C exits cleanly (the accumulated windows keep their data,
+        # Ctrl-C exits cleanly (the sink keeps its accumulated views,
         # so the final frame on screen is the freshest one).
         try:
             while True:
@@ -742,10 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="series per monitored request (1 = one request per series)",
     )
     monitor.add_argument(
-        "--window", type=int, default=512,
-        help="rolling-window capacity for latency/confidence stats",
-    )
-    monitor.add_argument(
         "--drift-window", type=int, default=256,
         help="feature vectors held by the drift detector",
     )
@@ -869,7 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch", type=int, default=1,
         help="series per monitored request (live mode)",
     )
-    top.add_argument("--window", type=int, default=512)
     top.add_argument("--drift-window", type=int, default=256)
     top.add_argument("--drift-min-samples", type=int, default=64)
     top.add_argument("--psi-threshold", type=float, default=0.25)

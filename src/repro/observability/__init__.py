@@ -14,15 +14,17 @@ The instrumentation substrate for every performance claim in the repro:
 * :mod:`repro.observability.report` — human-readable run summaries
   from saved trace/metrics files (the ``repro report`` subcommand);
 * :mod:`repro.observability.serving` — inference-path telemetry:
-  :class:`InferenceMonitor` rolling windows (latency, confidence,
-  soft-vote disagreement, recommendation mix), :class:`DriftDetector`
-  PSI/KS scoring against a fit-time :class:`FeatureBaseline`, and the
-  aggregated :class:`HealthSnapshot` JSON/Prometheus health document
-  (the ``repro monitor`` subcommand);
-* :mod:`repro.observability.slo` — the SLO engine:
-  :class:`QuantileSketch` mergeable streaming quantiles and
-  :class:`SloTracker` multi-window burn-rate alerting over declarative
-  :class:`SloPolicy` objectives, with per-imputer/per-cluster slices;
+  :class:`InferenceMonitor` around a fitted engine,
+  :class:`DriftDetector` PSI/KS scoring against a fit-time
+  :class:`FeatureBaseline`, and the :class:`HealthSnapshot`
+  JSON/Prometheus health document (the ``repro monitor`` subcommand),
+  built for monitors and the serving daemon alike;
+* :mod:`repro.observability.slo` — the serving telemetry sink:
+  :class:`SloTracker` takes one call per served request and keeps
+  lifetime :class:`QuantileSketch` views (latency, confidence,
+  disagreement), the recommendation mix, per-imputer / per-cluster /
+  per-shard scorecards, and multi-window burn-rate alerting over
+  declarative :class:`SloPolicy` objectives (the recent view);
 * :mod:`repro.observability.resources` — :class:`AccountingRegistry`
   process/resource accounting: RSS high-water, live component byte
   counts (series bank, caches, shared memory), and per-kernel counters
@@ -119,7 +121,6 @@ from repro.observability.serving import (
     FeatureBaseline,
     HealthSnapshot,
     InferenceMonitor,
-    RollingWindow,
 )
 from repro.observability.slo import (
     QuantileSketch,
@@ -177,7 +178,6 @@ __all__ = [
     "FeatureBaseline",
     "HealthSnapshot",
     "InferenceMonitor",
-    "RollingWindow",
     # slo
     "QuantileSketch",
     "SloPolicy",

@@ -103,6 +103,9 @@ def render_top(snapshot: dict, *, color: bool = False, width: int = 78) -> str:
         f"   series {n_series:6d} ({sps:6.1f}/s)"
     )
     latency = snapshot.get("latency") or {}
+    # Older exports carried the lifetime quantiles as ``sketch_p50`` /
+    # ``sketch_p99`` beside rolling-window ones; today ``p50``/``p99``
+    # are the lifetime sketch.
     lines.append(
         "request latency   "
         f"p50 {_fmt_ms(latency.get('sketch_p50', latency.get('p50'))):>9}  "
@@ -245,10 +248,11 @@ def render_top(snapshot: dict, *, color: bool = False, width: int = 78) -> str:
         lines.append("  alerts: none")
     drift = snapshot.get("drift")
     if drift:
+        report = drift.get("report") or {}
         lines.append(
-            f"  drift: psi {float(drift.get('psi_max') or 0.0):.3f}  "
-            f"ks {float(drift.get('ks_max') or 0.0):.3f}  "
-            f"alerting {bool(drift.get('alerting'))}"
+            f"  drift: psi {float(report.get('max_psi') or 0.0):.3f}  "
+            f"ks {float(report.get('max_ks') or 0.0):.3f}  "
+            f"alerting {bool(report.get('triggered'))}"
         )
     lines.append(rule)
     return "\n".join(lines)

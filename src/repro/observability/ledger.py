@@ -50,6 +50,7 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.observability.log import get_logger
+from repro.observability.slo import Scorecard, scorecard_views
 from repro.observability.tracing import get_tracer
 
 _log = get_logger(__name__)
@@ -724,8 +725,7 @@ def summarize_ledger(records) -> dict:
     kinds: dict[str, int] = {}
     run_ids: set[str] = set()
     times: list[str] = []
-    per_algorithm: dict[str, dict] = {}
-    per_cluster: dict[str, dict] = {}
+    cards: dict[str, Scorecard] = {}
     quality: dict[str, dict] = {}
     n_degraded = n_fallback = 0
     for rec in records:
@@ -736,28 +736,19 @@ def summarize_ledger(records) -> dict:
             times.append(rec["time"])
         data = rec.get("data", {})
         if rec.get("kind") == "repair":
-            algo = str(data.get("algorithm"))
-            card = per_algorithm.setdefault(
-                algo, {"n": 0, "degraded": 0, "confidences": []}
-            )
-            card["n"] += 1
-            if data.get("degraded") or data.get("fallback"):
-                card["degraded"] += 1
-                n_degraded += 1
-            if data.get("fallback"):
-                n_fallback += 1
-            if data.get("confidence") is not None:
-                card["confidences"].append(float(data["confidence"]))
+            # The serving sink's fold (SloTracker slices), so the audited
+            # cards and the live health-document cards agree.
+            degraded = bool(data.get("degraded") or data.get("fallback"))
+            n_degraded += degraded
+            n_fallback += bool(data.get("fallback"))
+            cards.setdefault(
+                f"imputer:{data.get('algorithm')}", Scorecard()
+            ).fold(degraded=degraded, confidence=data.get("confidence"))
             assignment = data.get("cluster")
             if isinstance(assignment, dict) and assignment.get("cluster"):
-                entry = per_cluster.setdefault(
-                    str(assignment["cluster"]), {"n": 0, "nccs": [], "degraded": 0}
-                )
-                entry["n"] += 1
-                if assignment.get("ncc") is not None:
-                    entry["nccs"].append(float(assignment["ncc"]))
-                if data.get("degraded") or data.get("fallback"):
-                    entry["degraded"] += 1
+                cards.setdefault(
+                    f"cluster:{assignment['cluster']}", Scorecard()
+                ).fold(degraded=degraded, ncc=assignment.get("ncc"))
         elif rec.get("kind") == "impute":
             algo = str(data.get("algorithm"))
             stats = data.get("quality") or {}
@@ -771,6 +762,7 @@ def summarize_ledger(records) -> dict:
                 card["roughness"].append(float(stats["roughness_ratio"]))
             if data.get("elapsed_s") is not None:
                 card["elapsed"].append(float(data["elapsed_s"]))
+    views = scorecard_views(cards)
     return {
         "n_records": len(records),
         "kinds": dict(sorted(kinds.items())),
@@ -781,22 +773,8 @@ def summarize_ledger(records) -> dict:
             "n": kinds.get("repair", 0),
             "degraded": n_degraded,
             "fallback": n_fallback,
-            "per_algorithm": {
-                name: {
-                    "n": card["n"],
-                    "degraded": card["degraded"],
-                    "mean_confidence": _mean(card["confidences"]),
-                }
-                for name, card in sorted(per_algorithm.items())
-            },
-            "per_cluster": {
-                name: {
-                    "n": entry["n"],
-                    "degraded": entry["degraded"],
-                    "mean_ncc": _mean(entry["nccs"]),
-                }
-                for name, entry in sorted(per_cluster.items())
-            },
+            "per_algorithm": views["per_imputer"],
+            "per_cluster": views["per_cluster"],
         },
         "imputations": {
             name: {

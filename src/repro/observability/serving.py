@@ -2,11 +2,8 @@
 
 The training path is instrumented (tracing/metrics/race events); this
 module watches the *inference* path that production traffic actually
-hits.  Four cooperating pieces:
+hits.  Its pieces:
 
-* :class:`RollingWindow` — fixed-capacity ring buffer of float
-  observations with exact quantile summaries; the storage behind every
-  per-request statistic.
 * :class:`FeatureBaseline` — a fingerprint of the training feature
   matrix captured at fit time (per-feature mean/std, quantile sketch,
   expected bucket proportions).  JSON-serializable, persisted alongside
@@ -19,14 +16,20 @@ hits.  Four cooperating pieces:
   ``repro_drift_alerts_total`` counter.
 * :class:`InferenceMonitor` — wraps a fitted
   :class:`~repro.core.adarts.ADarts` engine; every ``recommend`` /
-  ``recommend_many`` records latency, ensemble top-1 confidence,
-  soft-vote disagreement (Jensen-Shannon-style entropy gap across member
-  probabilities), the per-algorithm recommendation mix, and feeds the
-  drift detector.
-* :class:`HealthSnapshot` — one JSON / Prometheus document aggregating
-  the monitor windows, drift scores, cache hit rates
-  (:class:`~repro.parallel.FeatureCache` / ``ScoreMemo``), and execution
-  engine backend stats.  Surfaced by ``python -m repro monitor``.
+  ``recommend_many`` makes one call into the serving telemetry sink
+  (:class:`~repro.observability.slo.SloTracker`): latency, ensemble
+  top-1 confidence, soft-vote disagreement (Jensen-Shannon-style
+  entropy gap across member probabilities), the recommended algorithm
+  and the ``imputer:``/``cluster:`` scorecard keys of each series — and
+  feeds the drift detector.
+* :class:`HealthSnapshot` — one JSON / Prometheus document: the sink's
+  views (lifetime sketches; the SLO burn windows are the recent view,
+  see :mod:`repro.observability.slo`), drift scores, cache hit rates
+  (:class:`~repro.parallel.FeatureCache` / ``ScoreMemo``), execution
+  engine backend stats, plus the caller's resilience / per-shard /
+  batching sections.  :meth:`HealthSnapshot.collect` builds it for the
+  monitor (``python -m repro monitor``) and for the serving daemon
+  alike.
 
 Everything here follows the substrate's rules: zero extra dependencies,
 thread-safe, and free when unused — a monitor is opt-in, and library
@@ -35,6 +38,7 @@ code never imports this module on the hot path.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as _dt
 import json
 import threading
@@ -47,87 +51,12 @@ from repro.observability.log import get_logger
 from repro.observability.metrics import MetricsRegistry, build_info, get_metrics
 from repro.observability.observer import ServingObserver
 from repro.observability.resources import get_accounting
-from repro.observability.slo import QuantileSketch, SloTracker
+from repro.observability.slo import SloTracker
 from repro.observability.tracing import get_tracer
 
 _log = get_logger(__name__)
 
 _EPS = 1e-4
-
-
-# ---------------------------------------------------------------------------
-# Rolling windows
-# ---------------------------------------------------------------------------
-class RollingWindow:
-    """Thread-safe ring buffer of the last ``capacity`` float observations.
-
-    Unlike :class:`~repro.observability.metrics.Histogram` (which keeps
-    every observation for run-level summaries), a window forgets: serving
-    statistics must reflect *recent* traffic, not the whole process
-    lifetime.
-    """
-
-    def __init__(self, capacity: int = 512):
-        if capacity < 1:
-            raise ValueError("window capacity must be >= 1")
-        self.capacity = int(capacity)
-        self._buffer = np.zeros(self.capacity, dtype=float)
-        self._n = 0  # filled slots (<= capacity)
-        self._head = 0  # next write position
-        self._total = 0  # lifetime observation count
-        self._lock = threading.Lock()
-
-    def push(self, value: float) -> None:
-        value = float(value)
-        if not np.isfinite(value):
-            return
-        with self._lock:
-            self._buffer[self._head] = value
-            self._head = (self._head + 1) % self.capacity
-            self._n = min(self._n + 1, self.capacity)
-            self._total += 1
-
-    def extend(self, values) -> None:
-        for value in np.asarray(values, dtype=float).ravel():
-            self.push(value)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return self._n
-
-    @property
-    def total(self) -> int:
-        """Lifetime number of observations pushed (not capped)."""
-        with self._lock:
-            return self._total
-
-    def values(self) -> np.ndarray:
-        """Copy of the window contents, oldest first."""
-        with self._lock:
-            if self._n < self.capacity:
-                return self._buffer[: self._n].copy()
-            return np.concatenate(
-                [self._buffer[self._head:], self._buffer[: self._head]]
-            )
-
-    def summary(self) -> dict:
-        """count/mean/min/max/p50/p95/p99 over the current window."""
-        data = self.values()
-        if data.size == 0:
-            return {
-                "count": 0, "mean": 0.0, "min": 0.0, "max": 0.0,
-                "p50": 0.0, "p95": 0.0, "p99": 0.0,
-            }
-        p50, p95, p99 = np.percentile(data, [50, 95, 99])
-        return {
-            "count": int(data.size),
-            "mean": float(data.mean()),
-            "min": float(data.min()),
-            "max": float(data.max()),
-            "p50": float(p50),
-            "p95": float(p95),
-            "p99": float(p99),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -490,50 +419,52 @@ def vote_disagreement(member_probas: np.ndarray) -> np.ndarray:
     return np.maximum(entropy_of_mean - mean_entropy, 0.0)
 
 
+def slice_budget(engine, n_shards: int = 0) -> int:
+    """Slice cap keeping every card exact: one per imputer the engine
+    can answer with (plus ``imputer:none`` for a failed row), per atlas
+    cluster and per shard."""
+    from repro.imputation import available_imputers
+
+    classes = getattr(getattr(engine, "_ensemble", None), "classes_", ())
+    imputers = set(available_imputers()) | {str(c) for c in classes}
+    atlas = getattr(engine, "cluster_atlas_", None)
+    n_clusters = len(atlas) if atlas is not None else 0
+    return len(imputers) + 1 + n_clusters + int(n_shards)
+
+
 class InferenceMonitor:
     """Per-request quality telemetry around a fitted A-DARTS engine.
 
     Wraps ``engine.recommend`` / ``recommend_many``: the monitor extracts
     features once, obtains per-member aligned probabilities from the
     ensemble, produces the exact same :class:`Recommendation` objects the
-    bare engine would, and records into rolling windows:
-
-    * request latency and per-series latency (seconds);
-    * ensemble top-1 confidence (max soft-vote probability);
-    * soft-vote disagreement (:func:`vote_disagreement`);
-    * the per-algorithm recommendation mix;
-    * drift scores, when a :class:`DriftDetector` is attached (one is
-      built automatically from ``engine.feature_baseline_`` when
-      available).
+    bare engine would, and makes one call per request into its
+    :class:`~repro.observability.slo.SloTracker` sink (``slo_tracker``):
+    request and per-series latency, top-1 confidence, soft-vote
+    disagreement (:func:`vote_disagreement`), and each series'
+    algorithm and scorecard keys.  ``slo_policies=()`` keeps every view
+    and drops only the burn-rate objectives.  A :class:`DriftDetector`
+    is built from ``engine.feature_baseline_`` when available.
     """
 
     def __init__(
         self,
         engine,
         *,
-        window: int = 512,
         drift_detector: DriftDetector | None = None,
         drift_window: int = 256,
         drift_min_samples: int = 64,
         observer: ServingObserver | None = None,
         slo_tracker: SloTracker | None = None,
         slo_policies=None,
-        enable_slo: bool = True,
     ):
         if not getattr(engine, "is_fitted", False):
             from repro.exceptions import NotFittedError
 
             raise NotFittedError("InferenceMonitor requires a fitted engine")
         self.engine = engine
-        self.latency = RollingWindow(window)
-        self.series_latency = RollingWindow(window)
-        self.confidence = RollingWindow(window)
-        self.disagreement = RollingWindow(window)
-        self.recommendation_mix: dict[str, int] = {}
-        self._mix_lock = threading.Lock()
+        self._lock = threading.Lock()
         self.started_at = time.time()
-        self.n_requests = 0
-        self.n_series = 0
         if drift_detector is None:
             baseline = getattr(engine, "feature_baseline_", None)
             if baseline is not None:
@@ -543,28 +474,17 @@ class InferenceMonitor:
                     min_samples=drift_min_samples,
                 )
         self.drift_detector = drift_detector
-        # SLO engine: streaming latency sketches (whole process lifetime,
-        # unlike the forgetting windows above) plus continuously evaluated
-        # burn-rate policies.  ``enable_slo=False`` turns the whole plane
-        # off (the overhead-benchmark baseline arm).
-        if slo_tracker is None and enable_slo:
-            slo_tracker = SloTracker(slo_policies)
+        if slo_tracker is None:
+            slo_tracker = SloTracker(
+                slo_policies, max_slices=slice_budget(engine)
+            )
+        #: The telemetry sink every request is recorded into.
         self.slo_tracker = slo_tracker
-        #: Request-level latency sketch (the per-series sketch lives in
-        #: the tracker).  Sketch-backed p50/p99 survive far past the
-        #: rolling window's capacity.
-        self.latency_sketch = QuantileSketch()
         self.observers: list[ServingObserver] = []
         #: Requests served in degraded mode (members dropped or fallback).
         self.n_degraded = 0
         #: Requests answered by the static fallback (no member voted).
         self.n_fallback = 0
-        #: Per-imputer quality scorecards (count/degraded/confidence),
-        #: accumulated per served series; surfaced by HealthSnapshot.
-        self._imputer_cards: dict[str, dict] = {}
-        #: Per-cluster scorecards (count/degraded/NCC), populated only
-        #: when the engine carries a fit-time cluster atlas.
-        self._cluster_cards: dict[str, dict] = {}
         #: Members already announced through ``on_member_quarantined``.
         self._announced_quarantined: set[str] = set()
         if observer is not None:
@@ -575,8 +495,15 @@ class InferenceMonitor:
         self.observers.append(observer)
         if self.drift_detector is not None:
             self.drift_detector.add_observer(observer)
-        if self.slo_tracker is not None:
-            self.slo_tracker.add_observer(observer)
+        self.slo_tracker.add_observer(observer)
+
+    @property
+    def n_requests(self) -> int:
+        return self.slo_tracker.n_requests
+
+    @property
+    def n_series(self) -> int:
+        return self.slo_tracker.n_series
 
     # ------------------------------------------------------------------
     def recommend(self, series):
@@ -615,14 +542,10 @@ class InferenceMonitor:
                 detail = None
             engine.last_vote_detail_ = detail
             if detail is None:
-                proba = None
-                member_probas = None
                 recommendations = engine._fallback_recommendations(n_series)
             else:
-                proba = detail.proba
-                member_probas = detail.member_probas
                 recommendations = engine._recommendations_from_proba(
-                    proba, degraded=detail.degraded
+                    detail.proba, degraded=detail.degraded
                 )
             # Provenance: one ledger "repair" row per series (a no-op
             # pass-through unless a RepairLedger is installed); emitted
@@ -634,9 +557,8 @@ class InferenceMonitor:
 
         # -- degradation accounting --------------------------------------
         metrics = get_metrics()
-        degraded = detail is None or detail.degraded
-        if degraded:
-            with self._mix_lock:
+        if detail is None or detail.degraded:
+            with self._lock:
                 self.n_degraded += 1
                 if detail is None:
                     self.n_fallback += 1
@@ -655,7 +577,7 @@ class InferenceMonitor:
         # check-and-claim runs under the lock so concurrent callers can't
         # both announce (and double-count) the same member.
         for member in getattr(ensemble, "quarantined_members", ()):
-            with self._mix_lock:
+            with self._lock:
                 if member in self._announced_quarantined:
                     continue
                 self._announced_quarantined.add(member)
@@ -666,46 +588,13 @@ class InferenceMonitor:
             for observer in self.observers:
                 observer.on_member_quarantined(member)
 
-        # -- windows ------------------------------------------------------
-        self.latency.push(elapsed)
-        if n_series:
-            per_series = elapsed / n_series
-            for _ in range(n_series):
-                self.series_latency.push(per_series)
-        if proba is not None:
-            self.confidence.extend(proba.max(axis=1))
-        if member_probas is not None:
-            self.disagreement.extend(vote_disagreement(member_probas))
-        with self._mix_lock:
-            self.n_requests += 1
-            self.n_series += n_series
-            for rec in recommendations:
-                self.recommendation_mix[rec.algorithm] = (
-                    self.recommendation_mix.get(rec.algorithm, 0) + 1
-                )
-        slice_keys = self._update_scorecards(series_list, recommendations)
-
-        # -- SLO plane ----------------------------------------------------
-        self.latency_sketch.update(elapsed)
-        if self.slo_tracker is not None:
-            # One SLO event per served series (the unit the scorecards
-            # and error budgets count in), evaluated once per request.
-            # A fallback answer counts as an error event.
-            error = detail is None
-            per_series = elapsed / n_series if n_series else elapsed
-            if slice_keys:
-                for keys in slice_keys:
-                    self.slo_tracker.record_latency(
-                        per_series, error=error, slices=keys, check=False
-                    )
-            else:
-                self.slo_tracker.record_latency(
-                    elapsed, error=error, check=False
-                )
-            self.slo_tracker.evaluate()
+        # -- the sink: one call per request, one event per series --------
+        events = self._series_events(
+            series_list, recommendations, detail, elapsed
+        )
+        self.slo_tracker.record_request(elapsed, events)
 
         # -- metrics registry (no-op unless installed) --------------------
-        metrics = get_metrics()
         metrics.counter(
             "repro_serving_requests_total", "Requests served through the monitor"
         ).inc()
@@ -729,91 +618,48 @@ class InferenceMonitor:
             observer.on_request(n_series, elapsed, recommendations)
         return recommendations
 
-    # ------------------------------------------------------------------
-    def _update_scorecards(self, series_list, recommendations) -> list:
-        """Accumulate per-imputer (and, with an atlas, per-cluster) cards.
-
-        Returns one tuple of slice keys per series (``imputer:<alg>``
-        plus ``cluster:<id>`` when an atlas assigned one) — the same
-        keys the scorecards aggregate under, reused by the SLO tracker's
-        per-slice budgets.
-        """
+    def _series_events(self, series_list, recommendations, detail, elapsed):
+        """One sink event per series, keyed ``imputer:<alg>`` (plus
+        ``cluster:<id>`` with a fit-time atlas); a fallback answer is an
+        error event."""
         atlas = getattr(self.engine, "cluster_atlas_", None)
-        assignments = None
+        assignments = [None] * len(series_list)
         if atlas is not None and len(atlas):
-            # NCC against a handful of representatives: cheap relative to
-            # feature extraction, and done outside the lock.
+            # NCC against a handful of representatives: cheap relative
+            # to feature extraction.
             assignments = [
                 atlas.assign(np.asarray(s.values, dtype=float))
                 for s in series_list
             ]
-        slice_keys: list[tuple] = []
-        with self._mix_lock:
-            for idx, rec in enumerate(recommendations):
-                card = self._imputer_cards.setdefault(
-                    rec.algorithm,
-                    {"n": 0, "degraded": 0, "confidence_sum": 0.0},
-                )
-                card["n"] += 1
-                if rec.degraded:
-                    card["degraded"] += 1
-                card["confidence_sum"] += float(
-                    rec.probabilities.get(rec.algorithm, 0.0)
-                )
-                keys = [f"imputer:{rec.algorithm}"]
-                if assignments is not None and assignments[idx] is not None:
-                    assignment = assignments[idx]
-                    cluster = self._cluster_cards.setdefault(
-                        str(assignment["cluster"]),
-                        {"n": 0, "degraded": 0, "ncc_sum": 0.0},
-                    )
-                    cluster["n"] += 1
-                    if rec.degraded:
-                        cluster["degraded"] += 1
-                    cluster["ncc_sum"] += float(assignment["ncc"])
-                    keys.append(f"cluster:{assignment['cluster']}")
-                slice_keys.append(tuple(keys))
-        return slice_keys
-
-    def scorecard_summary(self) -> dict:
-        """Aggregated per-imputer / per-cluster quality scorecards."""
-        with self._mix_lock:
-            per_imputer = {
-                name: {
-                    "n": card["n"],
-                    "degraded": card["degraded"],
-                    "mean_confidence": (
-                        card["confidence_sum"] / card["n"] if card["n"] else 0.0
-                    ),
-                }
-                for name, card in sorted(self._imputer_cards.items())
-            }
-            per_cluster = {
-                name: {
-                    "n": card["n"],
-                    "degraded": card["degraded"],
-                    "mean_ncc": (
-                        card["ncc_sum"] / card["n"] if card["n"] else 0.0
-                    ),
-                }
-                for name, card in sorted(self._cluster_cards.items())
-            }
-        return {"per_imputer": per_imputer, "per_cluster": per_cluster}
+        disagreement = (
+            vote_disagreement(detail.member_probas)
+            if detail is not None and detail.member_probas is not None
+            else None
+        )
+        per_series = elapsed / len(series_list) if series_list else elapsed
+        events = []
+        for idx, rec in enumerate(recommendations):
+            slices = [f"imputer:{rec.algorithm}"]
+            assignment = assignments[idx]
+            if assignment is not None:
+                slices.append(f"cluster:{assignment['cluster']}")
+            events.append({
+                "seconds": per_series,
+                "algorithm": rec.algorithm,
+                "confidence": rec.probabilities.get(rec.algorithm),
+                "disagreement": (
+                    None if disagreement is None else disagreement[idx]
+                ),
+                "ncc": None if assignment is None else assignment["ncc"],
+                "degraded": rec.degraded,
+                "error": detail is None,
+                "slices": slices,
+            })
+        return events
 
     @property
     def uptime(self) -> float:
         return time.time() - self.started_at
-
-    def mix_fractions(self) -> dict[str, float]:
-        """Recommendation mix as fractions of all served series."""
-        with self._mix_lock:
-            total = sum(self.recommendation_mix.values())
-            if not total:
-                return {}
-            return {
-                name: count / total
-                for name, count in sorted(self.recommendation_mix.items())
-            }
 
     def snapshot(self) -> "HealthSnapshot":
         """Aggregate the monitor state into a :class:`HealthSnapshot`."""
@@ -825,11 +671,14 @@ class InferenceMonitor:
 # ---------------------------------------------------------------------------
 @dataclass
 class HealthSnapshot:
-    """One serving-health document: windows + drift + caches + backends.
+    """One serving-health document: sink views + drift + caches + backends.
 
-    Build via :meth:`collect`; render via :meth:`to_json` (nested JSON)
-    or :meth:`to_prometheus` (gauge-based text exposition, suitable for
-    a node-exporter-style scrape file).
+    Build via :meth:`collect` (the only constructor the serving code
+    uses); render via :meth:`to_json` (nested JSON) or
+    :meth:`to_prometheus` (gauge-based text exposition, suitable for a
+    node-exporter-style scrape file).  The traffic sections are the
+    sink's lifetime views and the ``slo`` section its burn windows (see
+    :mod:`repro.observability.slo`).
     """
 
     generated_at: str
@@ -847,8 +696,8 @@ class HealthSnapshot:
     alerts: dict = field(default_factory=dict)
     resilience: dict = field(default_factory=dict)
     scorecards: dict = field(default_factory=dict)
-    #: SLO engine status: lifetime latency sketch, per-policy burn rates,
-    #: per-slice budgets (``None`` when the monitor runs without SLOs).
+    #: SLO engine status: per-series latency sketch, per-policy burn
+    #: rates, per-slice budgets.
     slo: dict | None = None
     #: Resource accounting: RSS, live component bytes, kernel counters.
     resources: dict = field(default_factory=dict)
@@ -858,27 +707,36 @@ class HealthSnapshot:
     @classmethod
     def collect(
         cls,
-        monitor: InferenceMonitor,
+        source,
         *,
         feature_cache=None,
         score_memo=None,
         backends: dict | None = None,
+        resilience: dict | None = None,
+        alerts: dict | None = None,
+        scorecards: dict | None = None,
     ) -> "HealthSnapshot":
-        """Assemble a snapshot from a monitor plus optional cache handles.
+        """Assemble the health document of a monitor or daemon.
 
+        ``source`` has an ``engine``, an ``uptime`` and an
+        ``slo_tracker`` sink (optionally a ``drift_detector`` and
+        ``n_degraded``/``n_fallback``); the traffic sections come from
+        the sink.  The caller's ``resilience``/``alerts``/``scorecards``
+        entries merge on top; ``per_shard`` cards get ``series``,
+        ``p50_s`` and ``p99_s`` from the ``shard:<id>`` slices.
         ``feature_cache`` defaults to the engine extractor's cache;
-        ``backends`` defaults to
-        :func:`repro.parallel.executor.engine_stats`.
+        ``backends`` to :func:`repro.parallel.executor.engine_stats`.
         """
-        engine = monitor.engine
+        from repro.resilience.stats import resilience_stats
+        from repro.timeseries.batch import bank_cache_stats
+
+        engine = source.engine
         if feature_cache is None:
             feature_cache = getattr(
                 getattr(engine, "extractor", None), "cache", None
             )
         # ``is not None`` matters: both caches define ``__len__``, so an
         # *empty* cache is falsy but still worth reporting.
-        from repro.timeseries.batch import bank_cache_stats
-
         caches = {
             "feature_cache": (
                 feature_cache.stats() if feature_cache is not None else None
@@ -894,7 +752,7 @@ class HealthSnapshot:
             from repro.parallel.executor import engine_stats
 
             backends = engine_stats()
-        detector = monitor.drift_detector
+        detector = getattr(source, "drift_detector", None)
         drift = None
         if detector is not None:
             report = detector.last_report
@@ -903,91 +761,49 @@ class HealthSnapshot:
                 "n_alerts": detector.n_alerts,
                 "report": report.as_dict() if report is not None else None,
             }
-        from repro.resilience.stats import resilience_stats
-
-        quarantined = list(
-            getattr(
-                getattr(engine, "_ensemble", None),
-                "quarantined_members",
-                (),
-            )
-        )
+        ensemble = getattr(engine, "_ensemble", None)
         resilience = {
-            "degraded_requests": monitor.n_degraded,
-            "fallback_requests": monitor.n_fallback,
-            "quarantined_members": quarantined,
+            "degraded_requests": getattr(source, "n_degraded", 0),
+            "fallback_requests": getattr(source, "n_fallback", 0),
+            "quarantined_members": list(
+                getattr(ensemble, "quarantined_members", ())
+            ),
             "process": resilience_stats(),
+            **(resilience or {}),
         }
-        tracker = monitor.slo_tracker
-        slo = tracker.status() if tracker is not None else None
-        # Sketch-backed quantiles ride along with the window summaries:
-        # the window forgets after ``capacity`` requests, the sketch
-        # covers the whole process lifetime in fixed memory.
-        latency = monitor.latency.summary()
-        if len(monitor.latency_sketch):
-            sketch_p50, sketch_p99 = monitor.latency_sketch.quantiles(
-                (0.5, 0.99)
-            )
-            latency["sketch_p50"] = sketch_p50
-            latency["sketch_p99"] = sketch_p99
-            latency["sketch_count"] = monitor.latency_sketch.count
-        series_latency = monitor.series_latency.summary()
-        if tracker is not None and len(tracker.sketch):
-            sketch_p50, sketch_p99 = tracker.sketch.quantiles((0.5, 0.99))
-            series_latency["sketch_p50"] = sketch_p50
-            series_latency["sketch_p99"] = sketch_p99
-            series_latency["sketch_count"] = tracker.sketch.count
+        tracker = source.slo_tracker
+        views = tracker.views()
+        slo = tracker.status()
+        scorecards = {**views.pop("scorecards"), **(scorecards or {})}
+        for shard_id, card in scorecards.get("per_shard", {}).items():
+            row = slo["slices"].get(f"shard:{shard_id}", {})
+            card["series"] = row.get("n", 0)
+            card["p50_s"] = row.get("p50", 0.0)
+            card["p99_s"] = row.get("p99", 0.0)
         return cls(
             generated_at=_dt.datetime.now(_dt.timezone.utc).isoformat(),
-            uptime_s=monitor.uptime,
-            n_requests=monitor.n_requests,
-            n_series=monitor.n_series,
-            latency=latency,
-            series_latency=series_latency,
-            confidence=monitor.confidence.summary(),
-            disagreement=monitor.disagreement.summary(),
-            recommendation_mix={
-                "counts": dict(sorted(monitor.recommendation_mix.items())),
-                "fractions": monitor.mix_fractions(),
-            },
+            uptime_s=source.uptime,
             drift=drift,
             caches=caches,
             backends=backends,
             alerts={
                 "drift_alerts": detector.n_alerts if detector else 0,
-                "slo_alerts": tracker.n_alerts if tracker is not None else 0,
-                "degraded_requests": monitor.n_degraded,
-                "fallback_requests": monitor.n_fallback,
-                "quarantined_members": len(quarantined),
+                "slo_alerts": slo["n_alerts"],
+                "degraded_requests": resilience["degraded_requests"],
+                "fallback_requests": resilience["fallback_requests"],
+                "quarantined_members": len(resilience["quarantined_members"]),
+                **(alerts or {}),
             },
             resilience=resilience,
-            scorecards=monitor.scorecard_summary(),
+            scorecards=scorecards,
             slo=slo,
             resources=get_accounting().snapshot(),
             build=build_info(),
+            **views,
         )
 
     def as_dict(self) -> dict:
-        return {
-            "generated_at": self.generated_at,
-            "uptime_s": self.uptime_s,
-            "n_requests": self.n_requests,
-            "n_series": self.n_series,
-            "latency": self.latency,
-            "series_latency": self.series_latency,
-            "confidence": self.confidence,
-            "disagreement": self.disagreement,
-            "recommendation_mix": self.recommendation_mix,
-            "drift": self.drift,
-            "caches": self.caches,
-            "backends": self.backends,
-            "alerts": self.alerts,
-            "resilience": self.resilience,
-            "scorecards": self.scorecards,
-            "slo": self.slo,
-            "resources": self.resources,
-            "build": self.build,
-        }
+        return dataclasses.asdict(self)
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.as_dict(), indent=indent)
@@ -1010,12 +826,9 @@ class HealthSnapshot:
             ("repro_serving_confidence", self.confidence),
             ("repro_serving_disagreement", self.disagreement),
         ):
-            stats = ("p50", "p95", "p99", "mean")
-            if "sketch_p50" in summary:
-                stats = stats + ("sketch_p50", "sketch_p99")
-            for stat in stats:
+            for stat in ("p50", "p95", "p99", "mean"):
                 registry.gauge(
-                    prefix, f"Rolling-window {prefix}",
+                    prefix, f"Lifetime {prefix} (sketch-backed)",
                     labels={"stat": stat},
                 ).set(summary.get(stat, 0.0))
         for name, count in self.recommendation_mix.get("counts", {}).items():

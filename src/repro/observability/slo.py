@@ -1,39 +1,39 @@
-"""SLO engine: streaming quantile sketches and burn-rate alerting.
+"""The serving telemetry sink: streaming sketches, scorecards, SLOs.
 
-The serving layer's latency statistics used to live only in bounded
-:class:`~repro.observability.serving.RollingWindow` buffers summarized
-with batch ``np.percentile`` — fine for a demo, but a window forgets
-exactly the tail observations an SLO cares about, and "is the p99 under
-50 ms" is a *policy* question, not a summary statistic.  This module is
-the policy layer:
+Every served request lands in :class:`SloTracker`; the health document,
+Prometheus export, ``repro top`` and the burn-rate alerts all read it.
 
 * :class:`QuantileSketch` — a mergeable, picklable, fixed-memory
   KLL-style streaming quantile estimator.  Feeding every observation of
   a process lifetime costs O(k) memory and gives p50/p99 estimates
   within a fraction of a percent of the exact batch percentile (the
   parity contract is tested at n=10k over several distributions).
-  Sketches merge, so per-shard sketches can be combined into a fleet
-  view — the property the upcoming sharded server needs.
+* :class:`Scorecard` — one slice's running fold, shared with
+  :func:`~repro.observability.ledger.summarize_ledger`.
 * :class:`SloPolicy` — one objective ("p99 latency <= 50ms", "error
   rate <= 0.1%") expressed as an *error budget*: the fraction of events
   allowed to be bad.  A latency event is bad when it exceeds the
   threshold; an error event is bad when the request failed.
-* :class:`SloTracker` — evaluates policies continuously over
-  multi-window burn rates (fast 5m / slow 1h by default).  The burn
-  rate is ``bad_fraction / budget``; 1.0 means the budget is being
-  consumed exactly at the sustainable rate, 14.4 means the monthly
-  budget burns in two days.  An alert fires when **both** windows burn
-  above their thresholds (the standard multi-window guard against
-  one-spike pages) and re-arms once the fast window recovers, exactly
-  like :class:`~repro.observability.serving.DriftDetector` alerts.
-  Alerts are announced through the
+* :class:`SloTracker` — the sink: lifetime sketch views of request
+  latency, series latency, confidence and disagreement, the
+  recommendation mix, per-slice scorecards, and policies evaluated
+  over multi-window burn rates (fast 5m / slow 1h by default).  The
+  burn rate is
+  ``bad_fraction / budget``; 1.0 means the budget is being consumed
+  exactly at the sustainable rate, 14.4 means the monthly budget burns
+  in two days.  An alert fires when **both** windows burn above their
+  thresholds (the standard multi-window guard against one-spike pages)
+  and re-arms once the fast window recovers, exactly like
+  :class:`~repro.observability.serving.DriftDetector` alerts.  Alerts
+  are announced through the
   :class:`~repro.observability.observer.ServingObserver` bus
   (``on_slo_alert``) and a ``repro_slo_alerts_total`` counter.
 
-Per-imputer and per-cluster **slices** reuse the ledger scorecard keys
-(``imputer:<algorithm>``, ``cluster:<id>``): each slice keeps its own
-latency sketch and per-policy bad counts, so the health document can
-show which imputer or fit-time cluster is eating the budget.
+**Lifetime views, recent windows.**  The health views (latency,
+confidence, disagreement, slice quantiles) are lifetime sketches, exact
+below ``k`` observations; the recent view is the SLO burn windows (the
+events of the last 5 minutes / 1 hour per policy).  Slices are keyed
+``imputer:<algorithm>``, ``cluster:<id>`` and ``shard:<id>``.
 
 Time is injectable (``clock=...``) so burn-rate behaviour is exactly
 testable with a fake clock; production uses ``time.monotonic``.
@@ -44,7 +44,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -458,19 +458,77 @@ class _PolicyState:
         return good, bad
 
 
-class SloTracker:
-    """Continuous SLO evaluation over a stream of serving events.
+class Scorecard:
+    """Running fold of one slice: series, degraded and error counts,
+    confidence and NCC sums (each when known), plus — inside
+    :class:`SloTracker` — a latency sketch and per-policy bad counts."""
 
-    Feed it with :meth:`record_latency` (one call per request or per
-    series); every call updates the overall latency sketch, the
-    per-slice sketches, every policy's windowed good/bad counts, and
-    re-evaluates the burn-rate alert conditions.
+    __slots__ = (
+        "n", "degraded", "errors", "confidence_sum", "confidence_n",
+        "ncc_sum", "ncc_n", "sketch", "bad",
+    )
+
+    def __init__(self, sketch: QuantileSketch | None = None, policies=()):
+        self.n = self.degraded = self.errors = 0
+        self.confidence_sum = self.ncc_sum = 0.0
+        self.confidence_n = self.ncc_n = 0
+        self.sketch = sketch
+        self.bad = dict.fromkeys(policies, 0)
+
+    def fold(
+        self, *, degraded=False, error=False, confidence=None, ncc=None
+    ) -> None:
+        self.n += 1
+        if degraded:
+            self.degraded += 1
+        if error:
+            self.errors += 1
+        if confidence is not None:
+            self.confidence_sum += float(confidence)
+            self.confidence_n += 1
+        if ncc is not None:
+            self.ncc_sum += float(ncc)
+            self.ncc_n += 1
+
+
+def _mean(total: float, n: int) -> float:
+    return total / n if n else 0.0
+
+
+def scorecard_views(cards: dict) -> dict:
+    """Name-sorted ``per_imputer`` / ``per_cluster`` views of the
+    ``imputer:``/``cluster:`` keyed cards (other keys are ignored)."""
+    views = {"per_imputer": {}, "per_cluster": {}}
+    for key in sorted(cards):
+        kind, _, name = key.partition(":")
+        card = cards[key]
+        if kind == "imputer":
+            views["per_imputer"][name] = {
+                "n": card.n,
+                "degraded": card.degraded,
+                "mean_confidence": _mean(card.confidence_sum, card.confidence_n),
+            }
+        elif kind == "cluster":
+            views["per_cluster"][name] = {
+                "n": card.n,
+                "degraded": card.degraded,
+                "mean_ncc": _mean(card.ncc_sum, card.ncc_n),
+            }
+    return views
+
+
+class SloTracker:
+    """The serving telemetry sink: health views, scorecards, burn rates.
+
+    Feed it one :meth:`record_request` per served request (or
+    :meth:`record_series` per series event).
 
     Parameters
     ----------
     policies:
         The :class:`SloPolicy` set to evaluate (default
-        :func:`default_policies`).
+        :func:`default_policies`; ``()`` tracks traffic without
+        objectives).
     clock:
         Monotonic-seconds callable; inject a fake for deterministic
         tests.
@@ -478,10 +536,13 @@ class SloTracker:
         Width of the windowed-count buckets (trades memory for window
         resolution; 10s keeps a 1h window in 360 buckets).
     sketch_k:
-        Memory/accuracy knob of the latency sketches.
+        Memory/accuracy knob of the sketches.
     max_slices:
         Cardinality cap on tracked slices; further keys fold into an
         ``"overflow"`` slice (mirroring the metrics registry's cap).
+        Serving callers size it with
+        :func:`~repro.observability.serving.slice_budget` so every
+        imputer, cluster and shard keeps an exact card.
     """
 
     def __init__(
@@ -501,11 +562,22 @@ class SloTracker:
         self.bucket_s = float(bucket_s)
         self.sketch_k = int(sketch_k)
         self.max_slices = int(max_slices)
+        #: Per-series latency view (the unit error budgets count in).
         self.sketch = QuantileSketch(self.sketch_k)
+        #: Whole-request latency view.
+        self.request_latency = QuantileSketch(self.sketch_k)
+        self.confidence = QuantileSketch(self.sketch_k)
+        self.disagreement = QuantileSketch(self.sketch_k)
+        #: Recommendations served per algorithm.
+        self.mix: dict[str, int] = {}
         self._states = {p.name: _PolicyState(p) for p in self.policies}
-        self._slices: dict[str, dict] = {}
+        self._slices: dict[str, Scorecard] = {}
         self._observers: list = []
         self._lock = threading.Lock()
+        self.n_requests = 0
+        #: Series served (events with a latency).
+        self.n_series = 0
+        #: Every series event, rejected ones included.
         self.n_events = 0
 
     def add_observer(self, observer) -> None:
@@ -513,66 +585,87 @@ class SloTracker:
         self._observers.append(observer)
 
     # ------------------------------------------------------------------
-    def _slice_state(self, key: str) -> dict:
-        state = self._slices.get(key)
-        if state is None:
+    def _slice_locked(self, key: str) -> Scorecard:
+        card = self._slices.get(key)
+        if card is None:
             if len(self._slices) >= self.max_slices and key != "overflow":
-                return self._slice_state("overflow")
-            state = {
-                "sketch": QuantileSketch(max(32, self.sketch_k // 4)),
-                "n": 0,
-                "bad": dict.fromkeys(self._states, 0),
-                "errors": 0,
-            }
-            self._slices[key] = state
-        return state
+                return self._slice_locked("overflow")
+            card = Scorecard(
+                QuantileSketch(max(32, self.sketch_k // 4)), self._states
+            )
+            self._slices[key] = card
+        return card
 
-    def record_latency(
-        self, seconds: float, *, error: bool = False, slices=(), check: bool = True
+    def _fold_locked(
+        self, now: float, seconds, *, algorithm=None, confidence=None,
+        disagreement=None, ncc=None, degraded=False, error=False, slices=(),
+    ) -> None:
+        self.n_events += 1
+        if seconds is not None:
+            seconds = float(seconds)
+            self.n_series += 1
+            self.sketch.update(seconds)
+        if algorithm is not None:
+            self.mix[algorithm] = self.mix.get(algorithm, 0) + 1
+        if confidence is not None and not error:
+            self.confidence.update(confidence)
+        if disagreement is not None:
+            self.disagreement.update(disagreement)
+        bad_by_policy = {}
+        for name, state in self._states.items():
+            policy = state.policy
+            if policy.kind == "error_rate":
+                bad = bool(error)
+            elif seconds is None:
+                continue  # a rejection has no latency to judge
+            else:
+                bad = seconds > policy.threshold
+            bad_by_policy[name] = bad
+            state.record(now, self.bucket_s, bad)
+        for key in slices:
+            card = self._slice_locked(str(key))
+            card.fold(
+                degraded=degraded, error=error, confidence=confidence, ncc=ncc
+            )
+            if seconds is not None:
+                card.sketch.update(seconds)
+            for name, bad in bad_by_policy.items():
+                if bad:
+                    card.bad[name] += 1
+
+    def record_series(
+        self, seconds, *, check: bool = True, **event
     ) -> list[SloAlert]:
-        """Record one served event and re-evaluate every policy.
+        """Record one series event and re-evaluate every policy.
 
-        ``seconds`` is the event latency; ``error=True`` marks the event
-        bad for error-rate policies (its latency still feeds the
-        sketches).  ``slices`` are scorecard keys
-        (``imputer:<algorithm>``, ``cluster:<id>``) whose per-slice
-        sketches and violation counts this event contributes to.
-        Returns the alerts newly fired by this event (usually empty).
-        Batch callers recording many events per request pass
-        ``check=False`` and call :meth:`evaluate` once at the end.
+        ``seconds`` is the service latency, or ``None`` for a rejected
+        series: it then counts toward errors and error-rate policies
+        only.  ``event`` fields: ``algorithm``, ``confidence`` (kept out
+        of the confidence view on ``error`` events such as a static
+        fallback), ``disagreement``, ``ncc``, ``degraded``, ``error``
+        and ``slices`` (the scorecard keys it folds into).  Returns the
+        newly fired alerts; pass ``check=False`` to defer
+        :meth:`evaluate`.
         """
-        seconds = float(seconds)
         now = float(self.clock())
         with self._lock:
-            self.n_events += 1
-            self.sketch.update(seconds)
-            bad_by_policy = {}
-            for name, state in self._states.items():
-                policy = state.policy
-                if policy.kind == "latency":
-                    bad = seconds > policy.threshold
-                else:
-                    bad = bool(error)
-                bad_by_policy[name] = bad
-                state.record(now, self.bucket_s, bad)
-            for key in slices:
-                slice_state = self._slice_state(str(key))
-                slice_state["sketch"].update(seconds)
-                slice_state["n"] += 1
-                if error:
-                    slice_state["errors"] += 1
-                for name, bad in bad_by_policy.items():
-                    if bad:
-                        slice_state["bad"][name] = (
-                            slice_state["bad"].get(name, 0) + 1
-                        )
-        if not check:
-            return []
-        return self.evaluate(now=now)
+            self._fold_locked(now, seconds, **event)
+        return self.evaluate(now=now) if check else []
 
-    def record_error(self, seconds: float = 0.0, *, slices=()) -> list[SloAlert]:
-        """Record one failed event (shorthand for ``error=True``)."""
-        return self.record_latency(seconds, error=True, slices=slices)
+    def record_request(
+        self, seconds, series=(), *, check: bool = True
+    ) -> list[SloAlert]:
+        """Record one request (latency, ``None`` when rejected) and its
+        series events — one :meth:`record_series` keyword dict each —
+        under one lock, then evaluate once unless ``check=False``."""
+        now = float(self.clock())
+        with self._lock:
+            self.n_requests += 1
+            if seconds is not None:
+                self.request_latency.update(seconds)
+            for event in series:
+                self._fold_locked(now, **event)
+        return self.evaluate(now=now) if check else []
 
     # ------------------------------------------------------------------
     def _policy_status(self, state: _PolicyState, now: float) -> dict:
@@ -684,14 +777,13 @@ class SloTracker:
             ]
             slices = {}
             for key in sorted(self._slices):
-                state = self._slices[key]
-                sketch = state["sketch"]
+                card = self._slices[key]
                 slices[key] = {
-                    "n": state["n"],
-                    "errors": state["errors"],
-                    "p50": sketch.quantile(0.5) if len(sketch) else 0.0,
-                    "p99": sketch.quantile(0.99) if len(sketch) else 0.0,
-                    "bad": dict(state["bad"]),
+                    "n": card.n,
+                    "errors": card.errors,
+                    "p50": card.sketch.quantile(0.5),
+                    "p99": card.sketch.quantile(0.99),
+                    "bad": dict(card.bad),
                 }
             return {
                 "n_events": self.n_events,
@@ -699,4 +791,25 @@ class SloTracker:
                 "latency_sketch": self.sketch.summary(),
                 "policies": policies,
                 "slices": slices,
+            }
+
+    def views(self) -> dict:
+        """The traffic sections of a health document."""
+        with self._lock:
+            counts = dict(sorted(self.mix.items()))
+            total = sum(counts.values())
+            return {
+                "n_requests": self.n_requests,
+                "n_series": self.n_series,
+                "latency": self.request_latency.summary(),
+                "series_latency": self.sketch.summary(),
+                "confidence": self.confidence.summary(),
+                "disagreement": self.disagreement.summary(),
+                "recommendation_mix": {
+                    "counts": counts,
+                    "fractions": {
+                        name: count / total for name, count in counts.items()
+                    },
+                },
+                "scorecards": scorecard_views(self._slices),
             }

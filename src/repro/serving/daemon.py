@@ -20,13 +20,12 @@ batching/backpressure logic lives in the synchronous core, which is what
 the deterministic test harness (:mod:`repro.serving.testing`) drives
 directly without sockets.
 
-Telemetry: per-request latency and per-series service latency feed a
-daemon-level :class:`~repro.observability.slo.SloTracker` (burn-rate
-alerts) and the per-shard sketches fold with
-:meth:`QuantileSketch.merge` into the fleet view surfaced by
-:meth:`ServingDaemon.health` — a full
-:class:`~repro.observability.serving.HealthSnapshot`, so ``repro top``,
-``to_prometheus()`` and the artifact exporters work unchanged.
+Telemetry: every resolved request makes one call into the daemon's
+:class:`~repro.observability.slo.SloTracker` sink; a rejected request
+carries no latency, so it counts only toward errors and error-rate
+policies.  :meth:`ServingDaemon.health` is
+:meth:`~repro.observability.serving.HealthSnapshot.collect` over that
+sink plus the shard and batching sections.
 """
 
 from __future__ import annotations
@@ -45,8 +44,8 @@ from repro.exceptions import (
     ValidationError,
 )
 from repro.observability import get_logger, get_metrics
-from repro.observability.resources import get_accounting
-from repro.observability.slo import QuantileSketch, SloTracker
+from repro.observability.serving import HealthSnapshot, slice_budget
+from repro.observability.slo import SloTracker
 from repro.serving.batching import MicroBatcher
 from repro.serving.protocol import (
     STATUS_OK,
@@ -124,10 +123,12 @@ class ServingDaemon:
             timeout_s=timeout_s,
         )
         self.batcher = MicroBatcher(max_batch, max_delay_s, clock=clock)
-        self.slo = SloTracker(slo_policies, clock=clock)
-        #: Whole-request latency (arrival -> response) across the daemon.
-        self.request_sketch = QuantileSketch(512)
-        self.confidence_sketch = QuantileSketch(256)
+        #: The telemetry sink every resolved request is recorded into.
+        self.slo_tracker = SloTracker(
+            slo_policies,
+            clock=clock,
+            max_slices=slice_budget(engine, self.pool.n_shards),
+        )
         self._intake: deque[_Entry] = deque()
         self._cond = threading.Condition()
         self._in_flight = 0
@@ -142,7 +143,6 @@ class ServingDaemon:
         self.n_served = 0
         self.n_shed = 0
         self.n_errors = 0
-        self.recommendation_mix: dict[str, int] = {}
         self._count_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -304,10 +304,6 @@ class ServingDaemon:
         with self._count_lock:
             if response.ok:
                 self.n_served += 1
-                if response.algorithm:
-                    self.recommendation_mix[response.algorithm] = (
-                        self.recommendation_mix.get(response.algorithm, 0) + 1
-                    )
             elif response.shed:
                 self.n_shed += 1
             else:
@@ -361,8 +357,6 @@ class ServingDaemon:
                     shard=shard_id,
                     latency_s=now - entry.arrived,
                 )
-                if response.confidence is not None:
-                    self.confidence_sketch.update(float(response.confidence))
             else:
                 response = RepairResponse.error_response(
                     str(row.get("id", entry.request.id)),
@@ -370,18 +364,22 @@ class ServingDaemon:
                     status=status,
                 )
             self._count(response)
-            self.request_sketch.update(now - entry.arrived)
-            self.slo.record_latency(
-                per_series,
-                error=status != STATUS_OK,
-                slices=(
+            event = {
+                "seconds": per_series,
+                "algorithm": response.algorithm,
+                "confidence": response.confidence,
+                "degraded": response.degraded,
+                "error": status != STATUS_OK,
+                "slices": (
                     f"shard:{shard_id}",
                     f"imputer:{row.get('algorithm') or 'none'}",
                 ),
-                check=False,
+            }
+            self.slo_tracker.record_request(
+                now - entry.arrived, (event,), check=False
             )
             self._resolve(entry, response)
-        self.slo.evaluate()
+        self.slo_tracker.evaluate()
 
     def _finish_rejected(
         self, entries, factory, message: str, *, reason: str
@@ -394,80 +392,37 @@ class ServingDaemon:
         for entry in entries:
             response = factory(entry.request.id, message)
             self._count(response)
-            self.slo.record_latency(0.0, error=True, check=False)
+            # No latency: a rejection must not look like a fast answer.
+            self.slo_tracker.record_request(
+                None, ({"seconds": None, "error": True},), check=False
+            )
             self._resolve(entry, response)
-        self.slo.evaluate()
+        self.slo_tracker.evaluate()
 
     # ------------------------------------------------------------------
     # Health / introspection
     # ------------------------------------------------------------------
-    def health(self):
-        """Daemon health as a :class:`HealthSnapshot` document.
-
-        Reuses the monitor's snapshot type directly — same JSON shape,
-        same Prometheus rendering, same ``repro top`` panels — with the
-        daemon's sharding story in ``scorecards["per_shard"]`` and the
-        per-shard latency sketches folded into ``series_latency``.
-        """
-        import datetime as _dt
-
-        from repro.observability.metrics import build_info
-        from repro.observability.serving import HealthSnapshot
-        from repro.parallel.executor import engine_stats
-        from repro.resilience.stats import resilience_stats
-        from repro.timeseries.batch import bank_cache_stats
-
+    def health(self) -> HealthSnapshot:
+        """The monitor's health document over the daemon's sink, plus
+        shard quarantines/resubmissions/demotions, shed/error counts,
+        per-shard cards and batching stats."""
         pool_stats = self.pool.stats()
-        merged = self.pool.merged_sketch()
-        series_latency = merged.summary()
-        latency = self.request_sketch.summary()
         with self._count_lock:
-            mix = dict(sorted(self.recommendation_mix.items()))
-            n_served = self.n_served
-            n_shed = self.n_shed
-            n_errors = self.n_errors
-        total_mix = sum(mix.values()) or 1
-        return HealthSnapshot(
-            generated_at=_dt.datetime.now(_dt.timezone.utc).isoformat(),
-            uptime_s=self.uptime,
-            n_requests=self.n_submitted,
-            n_series=n_served,
-            latency=latency,
-            series_latency=series_latency,
-            confidence=self.confidence_sketch.summary(),
-            disagreement=QuantileSketch(32).summary(),
-            recommendation_mix={
-                "counts": mix,
-                "fractions": {
-                    k: v / total_mix for k, v in mix.items()
-                },
-            },
-            drift=None,
-            caches={"series_bank": bank_cache_stats()},
-            backends=engine_stats(),
-            alerts={
-                "slo_alerts": self.slo.n_alerts,
-                "shed_requests": n_shed,
-                "error_requests": n_errors,
-                "quarantined_shards": len(pool_stats["quarantined"]),
-            },
+            shed, errors = self.n_shed, self.n_errors
+        return HealthSnapshot.collect(
+            self,
             resilience={
-                "degraded_requests": 0,
-                "fallback_requests": 0,
                 "quarantined_members": [
                     f"shard-{i}" for i in pool_stats["quarantined"]
                 ],
-                "process": resilience_stats(),
                 "resubmissions": pool_stats["resubmissions"],
                 "demotions": pool_stats["demotions"],
             },
+            alerts={"shed_requests": shed, "error_requests": errors},
             scorecards={
                 "per_shard": pool_stats["per_shard"],
                 "batching": self.batcher.stats(),
             },
-            slo=self.slo.status(),
-            resources=get_accounting().snapshot(),
-            build=build_info(),
         )
 
     def stats(self) -> dict:

@@ -58,7 +58,6 @@ from repro.exceptions import (
 )
 from repro.observability import get_logger, get_metrics
 from repro.observability.resources import get_accounting
-from repro.observability.slo import QuantileSketch
 from repro.parallel.shm import (
     SharedArray,
     attach_cached,
@@ -413,17 +412,15 @@ class _InlineRunner:
 # The pool
 # ---------------------------------------------------------------------------
 class Shard:
-    """Parent-side view of one shard: runner + health + latency sketch."""
+    """Parent-side view of one shard: runner + health counters (its
+    series count and latency live in the daemon sink's ``shard:<id>``
+    slice)."""
 
     def __init__(self, shard_id: int, runner):
         self.shard_id = int(shard_id)
         self.runner = runner
-        #: Per-shard per-series service-latency sketch; the daemon folds
-        #: these with :meth:`QuantileSketch.merge` into its fleet view.
-        self.sketch = QuantileSketch(256)
         self.busy = threading.Lock()
         self.n_batches = 0
-        self.n_series = 0
         self.n_failures = 0
         self.demoted = False
 
@@ -432,16 +429,12 @@ class Shard:
         return self.runner.backend
 
     def card(self, breaker: CircuitBreaker) -> dict:
-        summary = self.sketch.summary()
         return {
             "backend": self.backend,
             "demoted": self.demoted,
             "quarantined": breaker.is_open(self.shard_id),
             "batches": self.n_batches,
-            "series": self.n_series,
             "failures": self.n_failures,
-            "p50_s": summary["p50"],
-            "p99_s": summary["p99"],
         }
 
 
@@ -651,10 +644,6 @@ class ShardPool:
                 continue
             self.breaker.record_success(shard.shard_id)
             shard.n_batches += 1
-            shard.n_series += len(payload)
-            per_series = elapsed / max(1, len(payload))
-            for _ in range(len(payload)):
-                shard.sketch.update(per_series)
             return results, shard.shard_id, float(elapsed)
         raise ShardsExhaustedError(
             f"batch failed on every shard after {max_attempts} attempts "
@@ -662,13 +651,6 @@ class ShardPool:
         )
 
     # ------------------------------------------------------------------
-    def merged_sketch(self) -> QuantileSketch:
-        """Fold every shard's service-latency sketch into one fleet view."""
-        merged = QuantileSketch(256)
-        for shard in self._shards:
-            merged.merge(shard.sketch)
-        return merged
-
     def quarantined(self) -> list[int]:
         return [
             s.shard_id

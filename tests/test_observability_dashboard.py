@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.observability import DriftDetector, FeatureBaseline, InferenceMonitor
 from repro.observability.dashboard import (
     bench_trend_rows,
     human_bytes,
@@ -11,6 +13,21 @@ from repro.observability.dashboard import (
     render_bench_trend,
     render_top,
 )
+
+
+def _fired_drift_section():
+    """The drift section of a real snapshot whose detector fired."""
+    rng = np.random.default_rng(0)
+    baseline = FeatureBaseline.from_matrix(rng.normal(size=(200, 3)))
+    detector = DriftDetector(baseline, window_size=32, min_samples=8)
+    detector.update(50.0 + rng.normal(size=(32, 3)))
+
+    class _Engine:
+        extractor = None
+        is_fitted = True
+
+    monitor = InferenceMonitor(_Engine(), drift_detector=detector)
+    return monitor.snapshot().as_dict()["drift"]
 
 
 def _snapshot_dict():
@@ -21,7 +38,7 @@ def _snapshot_dict():
         "n_series": 40,
         "latency": {
             "count": 20, "p50": 0.004, "p95": 0.006, "p99": 0.0065,
-            "max": 0.007, "sketch_p50": 0.0041, "sketch_p99": 0.0066,
+            "max": 0.007,
         },
         "slo": {
             "n_events": 40,
@@ -78,7 +95,7 @@ def _snapshot_dict():
         },
         "recommendation_mix": {"fractions": {"cdrec": 0.8, "linear": 0.2}},
         "alerts": {"slo_alerts": 1, "drift_alerts": 0},
-        "drift": {"psi_max": 0.1, "ks_max": 0.2, "alerting": False},
+        "drift": _fired_drift_section(),
         "build": {"version": "1.0.0", "git_sha": "abc1234"},
     }
 
@@ -98,6 +115,26 @@ class TestRenderTop:
         assert "slo_alerts=1" in frame
         # default rendering is color-free (CI artifacts stay clean)
         assert "\x1b[" not in frame
+
+    def test_drift_line_reads_the_report(self):
+        snapshot = _snapshot_dict()
+        report = snapshot["drift"]["report"]
+        assert report["triggered"] is True
+        frame = render_top(snapshot)
+        assert (
+            f"drift: psi {report['max_psi']:.3f}  "
+            f"ks {report['max_ks']:.3f}  alerting True"
+        ) in frame
+
+    def test_older_sketch_keys_still_render(self):
+        # Exports before the single sink kept lifetime quantiles in
+        # ``sketch_p50``/``sketch_p99`` beside rolling-window values.
+        frame = render_top(
+            {"latency": {"p50": 0.004, "p99": 0.0065,
+                         "sketch_p50": 0.0041, "sketch_p99": 0.0066}}
+        )
+        assert "4.1ms" in frame and "6.6ms" in frame
+        assert "4.0ms" not in frame
 
     def test_color_mode_emits_ansi(self):
         frame = render_top(_snapshot_dict(), color=True)

@@ -15,7 +15,8 @@ from repro.observability import (
     InferenceMonitor,
     MetricsRegistry,
     RecordingServingObserver,
-    RollingWindow,
+    SloPolicy,
+    SloTracker,
     use_metrics,
 )
 from repro.observability.serving import (
@@ -81,35 +82,47 @@ def _shifted_series(rng, n, length=120):
 
 
 class TestRollingWindow:
+    """The contract the health document's rolling windows gave, now held
+    by the sink's lifetime views (exact below ``k`` observations); the
+    recent view is the SLO burn window."""
+
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
-            RollingWindow(0)
+            SloTracker(sketch_k=0)
 
     def test_push_len_total(self):
-        window = RollingWindow(4)
+        tracker = SloTracker(())
         for v in (1.0, 2.0, 3.0):
-            window.push(v)
-        assert len(window) == 3
-        assert window.total == 3
-        assert np.allclose(window.values(), [1.0, 2.0, 3.0])
+            tracker.record_series(v)
+        view = tracker.views()["series_latency"]
+        assert view["count"] == tracker.n_series == tracker.n_events == 3
+        assert (view["min"], view["p50"], view["max"]) == (1.0, 2.0, 3.0)
 
-    def test_wraparound_keeps_latest_oldest_first(self):
-        window = RollingWindow(3)
-        window.extend([1, 2, 3, 4, 5])
-        assert len(window) == 3
-        assert window.total == 5
-        assert np.allclose(window.values(), [3.0, 4.0, 5.0])
+    def test_recent_view_is_the_burn_window(self):
+        now = [1000.0]
+        policy = SloPolicy.latency("p99", threshold_s=0.1)
+        tracker = SloTracker([policy], clock=lambda: now[0])
+        for v in (1.0, 2.0, 3.0, 4.0, 5.0):
+            tracker.record_series(v)
+        now[0] += policy.fast_window_s + 2 * tracker.bucket_s
+        for v in (6.0, 7.0, 8.0):
+            tracker.record_series(v)
+        status = tracker.status()["policies"][0]
+        assert status["fast_events"] == 3
+        assert status["slow_events"] == 8
+        assert tracker.views()["series_latency"]["count"] == 8
 
     def test_nonfinite_dropped(self):
-        window = RollingWindow(8)
-        window.extend([1.0, np.nan, np.inf, 2.0])
-        assert len(window) == 2
-        assert window.total == 2
+        tracker = SloTracker(())
+        for v in (1.0, np.nan, np.inf, 2.0):
+            tracker.record_series(v)
+        assert tracker.views()["series_latency"]["count"] == 2
 
     def test_summary_fields(self):
-        window = RollingWindow(100)
-        window.extend(np.arange(100, dtype=float))
-        summary = window.summary()
+        tracker = SloTracker(())
+        for v in np.arange(100, dtype=float):
+            tracker.record_series(v)
+        summary = tracker.views()["series_latency"]
         assert summary["count"] == 100
         assert summary["min"] == 0.0
         assert summary["max"] == 99.0
@@ -118,9 +131,10 @@ class TestRollingWindow:
         assert summary["p99"] >= summary["p95"]
 
     def test_empty_summary_zeroed(self):
-        summary = RollingWindow(4).summary()
-        assert summary["count"] == 0
-        assert summary["mean"] == 0.0
+        views = SloTracker().views()
+        for name in ("latency", "series_latency", "confidence", "disagreement"):
+            assert views[name]["count"] == 0
+            assert views[name]["mean"] == 0.0
 
 
 class TestFeatureBaseline:
@@ -279,20 +293,21 @@ class TestInferenceMonitor:
 
     def test_windows_and_mix_accumulate(self, served_engine):
         engine, series = served_engine
-        monitor = InferenceMonitor(engine, window=64)
+        monitor = InferenceMonitor(engine)
         monitor.recommend_many(series[:10])
         monitor.recommend(series[0])
         assert monitor.n_requests == 2
         assert monitor.n_series == 11
-        assert len(monitor.latency) == 2
-        assert len(monitor.series_latency) == 11
-        assert len(monitor.confidence) == 11
-        assert len(monitor.disagreement) == 11
-        assert sum(monitor.recommendation_mix.values()) == 11
-        fractions = monitor.mix_fractions()
-        assert sum(fractions.values()) == pytest.approx(1.0)
-        confidence = monitor.confidence.values()
-        assert np.all(confidence > 0.0) and np.all(confidence <= 1.0)
+        views = monitor.slo_tracker.views()
+        assert views["latency"]["count"] == 2
+        assert views["series_latency"]["count"] == 11
+        assert views["confidence"]["count"] == 11
+        assert views["disagreement"]["count"] == 11
+        mix = views["recommendation_mix"]
+        assert sum(mix["counts"].values()) == 11
+        assert sum(mix["fractions"].values()) == pytest.approx(1.0)
+        confidence = views["confidence"]
+        assert confidence["min"] > 0.0 and confidence["max"] <= 1.0
 
     def test_drift_detector_autobuilt(self, served_engine):
         engine, _ = served_engine

@@ -188,7 +188,7 @@ class TestSloTracker:
     def test_healthy_traffic_never_alerts(self):
         tracker, clock = _tracker()
         for _ in range(200):
-            tracker.record_latency(0.01, check=False)
+            tracker.record_series(0.01, check=False)
             clock.advance(1.0)
         assert tracker.evaluate() == []
         assert tracker.n_alerts == 0
@@ -200,20 +200,20 @@ class TestSloTracker:
 
         # Phase 1: sustained badness -> both windows burn -> one alert.
         for _ in range(50):
-            tracker.record_latency(0.5, check=False)
+            tracker.record_series(0.5, check=False)
             clock.advance(1.0)
         fired = tracker.evaluate()
         assert [a.policy for a in fired] == ["lat_p99"]
         assert fired[0].fast_burn >= tracker.policies[0].fast_burn
         # Alert latches: continued badness does not re-fire.
-        tracker.record_latency(0.5, check=False)
+        tracker.record_series(0.5, check=False)
         assert tracker.evaluate() == []
         assert tracker.n_alerts == 1
 
         # Phase 2: recovery — healthy traffic pushes the fast window
         # under its burn threshold, re-arming the policy.
         for _ in range(400):
-            tracker.record_latency(0.01, check=False)
+            tracker.record_series(0.01, check=False)
             clock.advance(1.0)
         assert tracker.evaluate() == []
         status = tracker.status()["policies"][0]
@@ -221,7 +221,7 @@ class TestSloTracker:
 
         # Phase 3: second excursion fires again.
         for _ in range(50):
-            tracker.record_latency(0.5, check=False)
+            tracker.record_series(0.5, check=False)
             clock.advance(1.0)
         assert [a.policy for a in tracker.evaluate()] == ["lat_p99"]
         assert tracker.n_alerts == 2
@@ -231,14 +231,14 @@ class TestSloTracker:
     def test_min_events_guard(self):
         tracker, clock = _tracker()
         for _ in range(5):  # below min_events=10
-            tracker.record_latency(9.9, check=False)
+            tracker.record_series(9.9, check=False)
             clock.advance(1.0)
         assert tracker.evaluate() == []
 
     def test_error_rate_policy(self):
         tracker, clock = _tracker([SloPolicy.error_rate("err", budget=0.01)])
         for i in range(100):
-            tracker.record_latency(0.01, error=i % 2 == 0, check=False)
+            tracker.record_series(0.01, error=i % 2 == 0, check=False)
             clock.advance(1.0)
         fired = tracker.evaluate()
         assert [a.policy for a in fired] == ["err"]
@@ -247,7 +247,7 @@ class TestSloTracker:
     def test_slices_track_per_key_scorecards(self):
         tracker, clock = _tracker()
         for i in range(20):
-            tracker.record_latency(
+            tracker.record_series(
                 0.5 if i % 2 else 0.01,
                 slices=("imputer:cdrec", "cluster:3"),
                 check=False,
@@ -263,7 +263,7 @@ class TestSloTracker:
         tracker, clock = _tracker()
         tracker.max_slices = 4
         for i in range(10):
-            tracker.record_latency(0.01, slices=(f"cluster:{i}",), check=False)
+            tracker.record_series(0.01, slices=(f"cluster:{i}",), check=False)
         slices = tracker.status()["slices"]
         assert "overflow" in slices
         assert len(slices) <= 5  # 4 + overflow
@@ -279,7 +279,7 @@ class TestSloTracker:
 
     def test_status_document_shape(self):
         tracker, clock = _tracker()
-        tracker.record_latency(0.02, check=False)
+        tracker.record_series(0.02, check=False)
         status = tracker.status()
         assert set(status) == {
             "n_events", "n_alerts", "latency_sketch", "policies", "slices",
@@ -378,7 +378,7 @@ class TestShardFoldPattern:
                     # Each "shard" contributes one bad event per tick
                     # once the outage starts at t=60.
                     latency = 0.5 if second >= 60 else 0.01
-                    tracker.record_latency(
+                    tracker.record_series(
                         latency, slices=(f"shard:{shard}",), check=False
                     )
                 fired.extend(a.policy for a in tracker.evaluate())
@@ -407,7 +407,7 @@ class TestShardFoldPattern:
         def hammer(seed):
             rng = np.random.default_rng(seed)
             for value in rng.random(n_events):
-                tracker.record_latency(
+                tracker.record_series(
                     0.01 * value, slices=("shard:%d" % (seed % 4),),
                     check=False,
                 )
@@ -428,3 +428,58 @@ class TestShardFoldPattern:
         ) == n_threads * n_events
         for policy in status["policies"]:
             assert policy["slow_events"] == n_threads * n_events
+
+    def test_concurrent_record_request_views_stay_exact(self):
+        """Writers folding whole requests while a reader renders the
+        views: no lost request, series, mix or slice count."""
+        import sys
+        import threading
+
+        tracker, clock = _tracker()
+        n_threads, n_requests = 8, 300
+        stop = threading.Event()
+
+        def writer(seed):
+            for i in range(n_requests):
+                algorithm = "linear" if (seed + i) % 2 else "mean"
+                event = {
+                    "seconds": 0.001 * (i % 7),
+                    "algorithm": algorithm,
+                    "confidence": 0.5,
+                    "slices": (f"imputer:{algorithm}", f"shard:{seed % 2}"),
+                }
+                tracker.record_request(0.01, (event, event), check=False)
+
+        def reader():
+            while not stop.is_set():
+                tracker.views()
+                tracker.status()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=writer, args=(i,))
+                for i in range(n_threads)
+            ]
+            render = threading.Thread(target=reader)
+            render.start()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+            stop.set()
+            render.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not render.is_alive()
+        assert not any(t.is_alive() for t in threads)
+        total = n_threads * n_requests
+        views = tracker.views()
+        assert views["n_requests"] == views["latency"]["count"] == total
+        assert views["n_series"] == views["series_latency"]["count"] == 2 * total
+        assert sum(views["recommendation_mix"]["counts"].values()) == 2 * total
+        cards = views["scorecards"]["per_imputer"]
+        assert sum(card["n"] for card in cards.values()) == 2 * total
+        slices = tracker.status()["slices"]
+        assert slices["shard:0"]["n"] + slices["shard:1"]["n"] == 2 * total

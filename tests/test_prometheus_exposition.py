@@ -181,8 +181,8 @@ class TestEscaping:
 
 class TestHealthSnapshotExposition:
     def test_every_line_parses_no_duplicates(self, monitor):
-        monitor.latency_sketch.update(0.01)
-        monitor.slo_tracker.record_latency(
+        monitor.slo_tracker.record_request(0.01, check=False)
+        monitor.slo_tracker.record_series(
             0.01, slices=("imputer:cdrec",), check=False
         )
         monitor.slo_tracker.evaluate()
@@ -220,7 +220,7 @@ class TestHealthSnapshotExposition:
                 if key[0] in counter_names
             }
 
-        monitor.slo_tracker.record_latency(0.01, check=False)
+        monitor.slo_tracker.record_series(0.01, check=False)
         first = counters(_snapshot(monitor).to_prometheus())
         # More traffic plus a kernel call in between.
         from repro.timeseries.batch import SeriesBank
@@ -228,7 +228,7 @@ class TestHealthSnapshotExposition:
         bank = SeriesBank(np.random.default_rng(0).normal(size=(4, 32)))
         bank.corr_matrix()
         for _ in range(5):
-            monitor.slo_tracker.record_latency(0.01, check=False)
+            monitor.slo_tracker.record_series(0.01, check=False)
         second = counters(_snapshot(monitor).to_prometheus())
         assert second[("repro_slo_events_total", ())] > \
             first[("repro_slo_events_total", ())]
@@ -237,14 +237,17 @@ class TestHealthSnapshotExposition:
 
     def test_sketch_quantiles_exported(self, monitor):
         for value in (0.01, 0.02, 0.03):
-            monitor.latency_sketch.update(value)
+            monitor.slo_tracker.record_request(value, check=False)
         series = parse_exposition(_snapshot(monitor).to_prometheus())
         stats = {
-            dict(labels)["stat"]
-            for (name, labels) in series
+            dict(labels)["stat"]: value
+            for (name, labels), value in series.items()
             if name == "repro_serving_latency_seconds"
         }
-        assert {"sketch_p50", "sketch_p99"} <= stats
+        assert {"p50", "p95", "p99", "mean"} <= set(stats)
+        sketch = monitor.slo_tracker.request_latency
+        assert stats["p50"] == pytest.approx(sketch.quantile(0.5)) == 0.02
+        assert stats["p99"] == pytest.approx(sketch.quantile(0.99))
 
     def test_build_info_emitted_once(self, monitor):
         text = _snapshot(monitor).to_prometheus()

@@ -21,6 +21,7 @@ import pytest
 
 from repro.exceptions import ProtocolError, ValidationError
 from repro.observability.resources import get_accounting
+from repro.observability.slo import QuantileSketch
 from repro.parallel.shm import active_segments, shm_available
 from repro.serving import (
     LoadGenerator,
@@ -242,10 +243,73 @@ class TestDaemonCore:
         ) as daemon:
             client = ServingTestClient(daemon)
             client.send_many(LoadGenerator(seed=4, length=96).requests(16))
-            merged = daemon.pool.merged_sketch()
-            per_shard = [s.sketch for s in daemon.pool._shards]
+            tracker = daemon.slo_tracker
+            fleet = tracker.views()["series_latency"]
+            per_shard = [
+                card.sketch for key, card in tracker._slices.items()
+                if key.startswith("shard:")
+            ]
+        merged = QuantileSketch()
+        for sketch in per_shard:
+            merged.merge(sketch)
         assert merged.count == sum(s.count for s in per_shard)
-        assert merged.count == 16
+        assert merged.count == fleet["count"] == 16
+        # Below k every view is exact, so the fold equals the fleet view.
+        assert merged.quantile(0.5) == fleet["p50"]
+        assert merged.quantile(0.99) == fleet["p99"]
+
+    def test_health_is_the_monitor_document(self, serving_engine):
+        """One builder: the daemon's document has the monitor's shape, and
+        per-shard cards read their quantiles from the sink's slices."""
+        from repro.observability import InferenceMonitor
+
+        generator = LoadGenerator(seed=6, length=96)
+        monitor = InferenceMonitor(serving_engine)
+        monitor.recommend_many([TimeSeries(generator.series(i)) for i in range(4)])
+        with ServingDaemon(
+            serving_engine, n_shards=2, shard_backend="inline",
+            max_batch=4, max_delay_s=0.001,
+        ) as daemon:
+            client = ServingTestClient(daemon)
+            client.send_many(generator.requests(12))
+            document = daemon.health().as_dict()
+        assert set(document) == set(monitor.snapshot().as_dict())
+        slices = document["slo"]["slices"]
+        cards = document["scorecards"]["per_shard"]
+        assert set(cards) == {"0", "1"}
+        for shard_id, card in cards.items():
+            row = slices.get(f"shard:{shard_id}", {"p50": 0.0, "p99": 0.0})
+            assert (card["p50_s"], card["p99_s"]) == (row["p50"], row["p99"])
+        assert sum(
+            slices[f"shard:{i}"]["n"] for i in cards if f"shard:{i}" in slices
+        ) == 12
+
+    def test_rejections_feed_errors_not_latency(self, serving_engine):
+        """A quarantine-shed batch counts toward error counters and the
+        error-rate policy only — never as a fast latency observation."""
+        with ServingDaemon(
+            serving_engine, n_shards=1, shard_backend="inline",
+            max_batch=4, max_delay_s=0.001,
+        ) as daemon:
+            client = ServingTestClient(daemon)
+            generator = LoadGenerator(seed=8, length=96)
+            served = client.send_many(generator.requests(4))
+            assert all(r.status == 200 for r in served)
+            breaker = daemon.pool.breaker
+            while not breaker.is_open(0):
+                breaker.record_failure(0)
+            shed = client.send_many(generator.requests(4))
+            assert {r.status for r in shed} == {503}
+            document = daemon.health().as_dict()
+        assert document["series_latency"]["count"] == 4
+        assert document["slo"]["latency_sketch"]["count"] == 4
+        assert document["latency"]["count"] == 4
+        policies = {p["policy"]: p for p in document["slo"]["policies"]}
+        assert policies["latency_p99"]["fast_events"] == 4
+        assert policies["latency_p50"]["fast_events"] == 4
+        assert policies["error_rate"]["fast_events"] == 8
+        assert policies["error_rate"]["fast_bad_fraction"] == 0.5
+        assert document["alerts"]["shed_requests"] == 4
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from repro.observability import (
     RepairLedger,
     Tracer,
     read_ledger,
+    summarize_ledger,
     use_ledger,
     use_tracer,
 )
@@ -101,7 +102,6 @@ class TestServingEndToEnd:
         observer = RecordingServingObserver()
         monitor = InferenceMonitor(
             engine,
-            window=512,
             drift_window=128,
             drift_min_samples=64,
             observer=observer,
@@ -124,12 +124,16 @@ class TestServingEndToEnd:
         assert observer.of_type("drift_alert") == []
         assert len(observer.of_type("request")) == 25
 
-        # Confidence/disagreement windows carry plausible values.
-        confidence = monitor.confidence.values()
-        assert np.all((confidence > 0.0) & (confidence <= 1.0))
-        assert np.all(monitor.disagreement.values() >= 0.0)
-        assert sum(monitor.recommendation_mix.values()) == monitor.n_series
-        assert set(monitor.recommendation_mix) <= {"linear", "mean"}
+        # Confidence/disagreement views carry plausible values.
+        views = monitor.slo_tracker.views()
+        confidence = views["confidence"]
+        assert confidence["count"] == monitor.n_series
+        assert confidence["min"] > 0.0 and confidence["max"] <= 1.0
+        assert views["disagreement"]["count"] == monitor.n_series
+        assert views["disagreement"]["min"] >= 0.0
+        mix = views["recommendation_mix"]["counts"]
+        assert sum(mix.values()) == monitor.n_series
+        assert set(mix) <= {"linear", "mean"}
 
         # -- phase 2: feature-shifted traffic triggers the detector --------
         shifted = _shifted_series(rng, 160)
@@ -228,7 +232,8 @@ class TestServingEndToEnd:
         assert all(rec.repair_id for rec in recommendations)
 
         # Scorecards accumulate per imputer and per cluster.
-        cards = monitor.scorecard_summary()
+        snapshot = monitor.snapshot()
+        cards = snapshot.scorecards
         assert set(cards["per_imputer"]) <= {"linear", "mean"}
         assert sum(c["n"] for c in cards["per_imputer"].values()) == 24
         for card in cards["per_imputer"].values():
@@ -238,8 +243,25 @@ class TestServingEndToEnd:
         for card in cards["per_cluster"].values():
             assert -1.0 <= card["mean_ncc"] <= 1.0
 
+        # The audited ledger cards are the same fold as the live ones.
+        audited = summarize_ledger(rows)["repairs"]
+        for live, ledger_view in (
+            (cards["per_imputer"], audited["per_algorithm"]),
+            (cards["per_cluster"], audited["per_cluster"]),
+        ):
+            assert list(live) == list(ledger_view)
+            for name, card in live.items():
+                other = ledger_view[name]
+                assert (card["n"], card["degraded"]) == (
+                    other["n"], other["degraded"]
+                )
+                for key in ("mean_confidence", "mean_ncc"):
+                    if key in card:
+                        assert card[key] == pytest.approx(
+                            other[key], abs=1e-12
+                        )
+
         # Both health-document renderings surface the scorecards.
-        snapshot = monitor.snapshot()
         document = snapshot.as_dict()
         assert document["scorecards"]["per_imputer"] == cards["per_imputer"]
         prometheus = snapshot.to_prometheus()
@@ -260,7 +282,7 @@ class TestServingEndToEnd:
         recommendations = monitor.recommend_many(series)
         # No ledger installed: no repair ids, but scorecards still work.
         assert all(rec.repair_id is None for rec in recommendations)
-        cards = monitor.scorecard_summary()
+        cards = monitor.snapshot().scorecards
         assert sum(c["n"] for c in cards["per_imputer"].values()) == 6
 
     def test_baseline_survives_save_load(self, trained_engine, tmp_path):

@@ -74,7 +74,7 @@ def _hammer(monitor, n_threads=N_THREADS):
 class TestMonitorHammer:
     def test_counters_and_ledger_rows_exact(self, serving_engine, tmp_path):
         path = tmp_path / "ledger.jsonl"
-        monitor = InferenceMonitor(serving_engine, window=64)
+        monitor = InferenceMonitor(serving_engine)
         expected_requests = N_THREADS * N_CALLS
         expected_series = expected_requests * BATCH
 
@@ -83,7 +83,12 @@ class TestMonitorHammer:
 
         assert monitor.n_requests == expected_requests
         assert monitor.n_series == expected_series
-        assert sum(monitor.recommendation_mix.values()) == expected_series
+        views = monitor.slo_tracker.views()
+        assert sum(views["recommendation_mix"]["counts"].values()) == (
+            expected_series
+        )
+        assert views["latency"]["count"] == expected_requests
+        assert views["series_latency"]["count"] == expected_series
         # One provenance row per served series, none lost or duplicated.
         rows = [r for r in read_ledger(path) if r["kind"] == "repair"]
         assert len(rows) == expected_series
@@ -101,9 +106,7 @@ class TestMonitorHammer:
             window_size=128,
             min_samples=16,
         )
-        monitor = InferenceMonitor(
-            serving_engine, window=64, drift_detector=detector
-        )
+        monitor = InferenceMonitor(serving_engine, drift_detector=detector)
         _hammer(monitor)
         # Every series pushed exactly one vector into the drift window.
         assert detector._total == N_THREADS * N_CALLS * BATCH
@@ -168,7 +171,7 @@ class TestOncePerExcursionUnderConcurrency:
             def __getattr__(self, name):
                 return getattr(self._inner, name)
 
-        monitor = InferenceMonitor(serving_engine, window=64)
+        monitor = InferenceMonitor(serving_engine)
         observer = RecordingServingObserver()
         monitor.add_observer(observer)
         original = serving_engine._ensemble
