@@ -66,9 +66,8 @@ class ModelRaceConfig:
         ``-inf`` with quarantine after 3 consecutive failures).
     fault_injector:
         Optional :class:`~repro.resilience.FaultInjector` evaluated at
-        the ``race.evaluate`` site (and forwarded to the execution
-        engine's ``executor.task`` site) — chaos testing only.  ``None``
-        falls back to the process-level injector.
+        the ``race.evaluate`` site — chaos testing only.  ``None`` falls
+        back to the process-level injector.
     """
 
     n_partial_sets: int = 3

@@ -413,7 +413,7 @@ class ModelRace:
             n_children_per_parent=cfg.n_children_per_parent,
             random_state=rng,
         )
-        engine = ExecutionEngine(cfg.parallel, injector=injector)
+        engine = ExecutionEngine(cfg.parallel)
         memo = self.score_memo if self.score_memo is not None else ScoreMemo()
         # Run-level context folded into every memo key: identical fold
         # data under a different test set / scoring config never collides.

@@ -14,21 +14,14 @@ counters and batch-latency histograms on the process metrics registry, so
 
 Resilience
 ----------
-The engine never lets infrastructure failures escape to the caller:
-
-* **Worker crashes** — a dead process-pool worker surfaces as
-  ``BrokenProcessPool``; the engine tears the broken pool down, *demotes*
-  the batch to the thread backend, and resubmits every task (map tasks
-  must therefore be idempotent, which all repro call sites are).
-* **Crash-class task errors** — :class:`~repro.exceptions.WorkerCrashError`
-  (raised by fault injection or crash simulation on non-process backends)
-  is retried in place a couple of times, then triggers thread→serial
-  demotion as the last resort.
-* **Fault injection** — pass a
-  :class:`~repro.resilience.FaultInjector` and every task execution
-  checks the ``executor.task`` site first, letting chaos tests kill
-  workers or fail tasks deterministically.  With no injector the per-task
-  overhead is a single ``is None`` branch.
+The engine has one crash path: a **lost worker**.  A dead process-pool
+worker (OOM-kill, segfault, ``os._exit``) surfaces as
+``BrokenProcessPool``; the engine tears the broken pool down, *demotes*
+the batch to the thread backend, and resubmits every task (map tasks
+must therefore be idempotent, which all repro call sites are).  Any
+other exception a task raises is that task's answer and propagates to
+the caller unchanged — ModelRace, the main caller, already turns each
+failed evaluation into a scored failure inside the task.
 
 Process-backend caveats: the mapped function and every item must be
 picklable, and child processes see the *default* (no-op) tracer/metrics —
@@ -46,16 +39,13 @@ import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.exceptions import WorkerCrashError
 from repro.observability import get_logger, get_metrics, get_tracer
 from repro.observability.resources import get_accounting
+from repro.parallel import shm as _shm
 from repro.parallel.config import AUTO_SERIAL_MAX_TASKS, ParallelConfig
-from repro.resilience.stats import tick
+from repro.resilience.stats import record_demotion, tick
 
 _log = get_logger(__name__)
-
-#: In-place re-attempts for crash-class (transient) task errors.
-TASK_CRASH_RETRIES = 2
 
 #: Smoothing factor of the per-label task-cost EWMA (new observations
 #: weigh this much).
@@ -80,16 +70,8 @@ def _record_batch(backend: str, n_tasks: int, seconds: float) -> None:
         stats["seconds"] += seconds
 
 
-def _record_crash(backend: str) -> None:
-    with _STATS_LOCK:
-        stats = _BACKEND_STATS.setdefault(
-            backend, {"batches": 0, "tasks": 0, "seconds": 0.0}
-        )
-        stats["crashes"] = stats.get("crashes", 0) + 1
-
-
 def engine_stats() -> dict[str, dict[str, float]]:
-    """Per-backend ``{batches, tasks, seconds[, crashes]}`` since process start.
+    """Per-backend ``{batches, tasks, seconds}`` since process start.
 
     A copy; mutating the result does not affect the live counters.
     """
@@ -105,34 +87,36 @@ def reset_engine_stats() -> None:
         _BACKEND_STATS.clear()
 
 
-def _apply_chunk(fn, chunk, injector=None, label: str = "task"):
-    """Module-level chunk runner (picklable for the process backend).
+def _apply_chunk(fn, chunk):
+    """Module-level chunk runner (picklable for the process backend)."""
+    return [fn(item) for item in chunk]
 
-    With an injector, every task first checks the ``executor.task`` fault
-    site; crash-class (transient) failures are retried in place up to
-    :data:`TASK_CRASH_RETRIES` times before propagating.
+
+def _bind_handles(fn, shared: dict, segments: list):
+    """``fn`` bound to worker-attachable handles of the shared arrays.
+
+    Disk-backed arrays (memmap-bank matrices) are already files: workers
+    re-map them read-only.  Every other array is copied once into a
+    shared-memory segment, appended to ``segments`` for the caller to
+    :func:`_release`.
     """
-    if injector is None:
-        return [fn(item) for item in chunk]
-    from repro.exceptions import TransientError
-
-    out = []
-    for item in chunk:
-        attempt = 0
-        while True:
-            try:
-                injector.check("executor.task", label)
-                out.append(fn(item))
-                break
-            except TransientError:
-                attempt += 1
-                if attempt > TASK_CRASH_RETRIES:
-                    raise
-    return out
+    handles = {}
+    for key, array in shared.items():
+        handle = _shm.mmap_handle(array)
+        if handle is None:
+            segment = _shm.SharedArray.create(array)
+            segments.append(segment)
+            handle = segment.handle
+        handles[key] = handle
+    return functools.partial(_shm.call_with_handles, fn, handles)
 
 
-def _chunked(items: list, size: int) -> list[list]:
-    return [items[i : i + size] for i in range(0, len(items), size)]
+def _release(segments: list) -> None:
+    """Close and unlink every segment in ``segments`` (then empty it)."""
+    for segment in segments:
+        segment.close()
+        segment.unlink()
+    segments.clear()
 
 
 class ExecutionEngine:
@@ -142,14 +126,10 @@ class ExecutionEngine:
     ----------
     config:
         The parallelism knobs; ``None`` means serial execution.
-    injector:
-        Optional :class:`~repro.resilience.FaultInjector` checked at the
-        ``executor.task`` site before every task (chaos testing).
     """
 
-    def __init__(self, config: ParallelConfig | None = None, injector=None):
+    def __init__(self, config: ParallelConfig | None = None):
         self.config = config or ParallelConfig()
-        self.injector = injector
         #: Lazily created, reused across batches; see :meth:`shutdown`.
         self._pools: dict[str, _futures.Executor] = {}
         self._process_pool_broken = False
@@ -191,13 +171,12 @@ class ExecutionEngine:
             Callable of one argument.  Must be picklable (a module-level
             function or ``functools.partial`` of one) when the process
             backend may be chosen.  Tasks should be idempotent: after a
-            worker crash the engine resubmits the whole batch on a
-            demoted backend.
+            worker crash the engine resubmits the whole batch on the
+            thread backend.
         items:
             Iterable of task inputs (materialized internally).
         label:
-            Span name recorded on the process tracer for this batch (and
-            the fault-injection target for the ``executor.task`` site).
+            Span name recorded on the process tracer for this batch.
         shared:
             Optional ``{keyword: ndarray}`` of large read-only arrays
             every task needs; ``fn`` is then called as
@@ -211,8 +190,13 @@ class ExecutionEngine:
         items = list(items)
         if not items:
             return []
-        if shared:
-            return self._map_with_shared(fn, items, label, shared)
+        # In-process execution (serial, threads, the probe and the crash
+        # rerun) binds shared arrays directly.
+        direct = (
+            functools.partial(_shm.call_with_arrays, fn, shared)
+            if shared
+            else fn
+        )
         cfg = self.config
         est = self._cost_ewma.get(label)
         # First-task probe: an ``auto`` batch with an unseen label runs
@@ -227,39 +211,56 @@ class ExecutionEngine:
             and len(items) >= AUTO_SERIAL_MAX_TASKS
         ):
             probe_start = time.perf_counter()
-            head = _apply_chunk(fn, items[:1], self.injector, label)
+            head = [direct(items[0])]
             self._observe_cost(label, time.perf_counter() - probe_start)
             est = self._cost_ewma[label]
         tail = items[len(head):]
         backend = cfg.resolve_backend(len(items), est)
+        pool = self._process_pool() if backend == "process" else None
+        if backend == "process" and pool is None:
+            backend = "thread"
         get_accounting().record_backend_decision(backend)
         jobs = min(cfg.effective_jobs, len(items))
         chunk = cfg.resolve_chunk_size(len(items), est)
         metrics = get_metrics()
-        tracer = get_tracer()
         batch_timer = metrics.histogram(
             "repro_parallel_batch_seconds",
             "Wall seconds per ExecutionEngine.map batch",
             labels={"backend": backend},
         )
         batch_start = time.perf_counter()
-        with tracer.span(
-            label,
-            subsystem="parallel",
-            backend=backend,
-            n_tasks=len(items),
-            n_jobs=jobs,
-            chunk_size=chunk,
-            probed=bool(head),
-        ), batch_timer.time():
-            if backend == "serial":
-                results = self._map_serial(fn, tail, label)
-            elif backend == "thread":
-                results = self._map_thread(fn, tail, chunk, label)
-            elif backend == "process":
-                results = self._map_process(fn, tail, chunk, label)
-            else:  # pragma: no cover - ParallelConfig validates backends
-                raise ValueError(f"unknown backend {backend!r}")
+        segments: list = []
+        try:
+            with get_tracer().span(
+                label,
+                subsystem="parallel",
+                backend=backend,
+                n_tasks=len(items),
+                n_jobs=jobs,
+                chunk_size=chunk,
+                probed=bool(head),
+            ), batch_timer.time():
+                if backend == "serial":
+                    results = [direct(item) for item in tail]
+                elif backend == "thread":
+                    results = self._drain(self._thread_pool(), direct, tail, chunk)
+                else:
+                    task = direct
+                    if shared and _shm.shm_available():
+                        task = _bind_handles(fn, shared, segments)
+                    try:
+                        results = self._drain(pool, task, tail, chunk)
+                    except BrokenProcessPool as exc:
+                        self._demote(label, exc)
+                        # Unlink before the rerun: the thread tasks read
+                        # the parent's arrays, not the segments.
+                        _release(segments)
+                        backend = "thread"
+                        results = self._drain(
+                            self._thread_pool(), direct, tail, chunk
+                        )
+        finally:
+            _release(segments)
         results = head + results
         if backend == "serial" and tail:
             # Serial batches measure true per-task cost; keep the EWMA
@@ -278,110 +279,6 @@ class ExecutionEngine:
             labels={"backend": backend},
         ).inc()
         _record_batch(backend, len(items), time.perf_counter() - batch_start)
-        return results
-
-    # ------------------------------------------------------------------
-    def _map_with_shared(self, fn, items: list, label: str, shared: dict) -> list:
-        """Run a batch whose tasks all read the same large arrays.
-
-        Non-process backends bind the arrays to ``fn`` directly and go
-        through the ordinary :meth:`map` machinery.  The process backend
-        copies each array into a shared-memory segment exactly once and
-        ships only handles in the task pickles; the segments are
-        unlinked when the batch finishes — including when a worker crash
-        demotes the batch to the thread backend, where the resubmitted
-        tasks read the parent's arrays directly.  Worker-side segment
-        mappings live until the engine (and its pools) shut down.
-        """
-        from repro.parallel import shm as _shm
-
-        cfg = self.config
-        est = self._cost_ewma.get(label)
-        backend = cfg.resolve_backend(len(items), est)
-        direct = functools.partial(_shm.call_with_arrays, fn, shared)
-        if backend != "process" or not _shm.shm_available():
-            return self.map(direct, items, label=label)
-        pool = self._process_pool()
-        if pool is None:
-            return self.map(direct, items, label=label)
-        # Record only on the shared-memory path: the fallbacks above run
-        # through ``map``, which records its own (re-resolved) decision.
-        get_accounting().record_backend_decision(backend)
-        chunk = cfg.resolve_chunk_size(len(items), est)
-        # Disk-backed arrays (memmap-bank matrices) are already files:
-        # workers re-map them read-only instead of copying them into a
-        # segment, so the batch moves ~bytes of handle either way.
-        segments = {}
-        handles = {}
-        for key, array in shared.items():
-            handle = _shm.mmap_handle(array)
-            if handle is None:
-                seg = _shm.SharedArray.create(array)
-                segments[key] = seg
-                handle = seg.handle
-            handles[key] = handle
-        task = functools.partial(_shm.call_with_handles, fn, handles)
-        metrics = get_metrics()
-        batch_start = time.perf_counter()
-        backend_used = "process"
-        try:
-            with get_tracer().span(
-                label,
-                subsystem="parallel",
-                backend="process",
-                n_tasks=len(items),
-                n_jobs=min(cfg.effective_jobs, len(items)),
-                chunk_size=chunk,
-                shared_arrays=len(segments),
-            ), metrics.histogram(
-                "repro_parallel_batch_seconds",
-                "Wall seconds per ExecutionEngine.map batch",
-                labels={"backend": "process"},
-            ).time():
-                try:
-                    results = self._drain(pool, task, items, chunk, label)
-                except BrokenProcessPool as exc:
-                    tick("worker_crashes")
-                    metrics.counter(
-                        "repro_parallel_worker_crashes_total",
-                        "Process-pool workers detected dead mid-batch",
-                    ).inc()
-                    self._process_pool_broken = True
-                    broken = self._pools.pop("process", None)
-                    if broken is not None:
-                        broken.shutdown(wait=False, cancel_futures=True)
-                    self._demote("process", "thread", exc)
-                    # Unlink *before* resubmitting: the demoted thread
-                    # batch binds the parent's arrays directly, so the
-                    # segments must not outlive the crashed pool.
-                    for seg in segments.values():
-                        seg.close()
-                        seg.unlink()
-                    segments = {}
-                    backend_used = "thread"
-                    results = self._map_thread(direct, items, chunk, label)
-        finally:
-            for seg in segments.values():
-                seg.close()
-                seg.unlink()
-        for metric_name, help_text, amount in (
-            (
-                "repro_parallel_tasks_total",
-                "Tasks executed through ExecutionEngine.map",
-                len(items),
-            ),
-            (
-                "repro_parallel_batches_total",
-                "Batches executed through ExecutionEngine.map",
-                1,
-            ),
-        ):
-            metrics.counter(
-                metric_name, help_text, labels={"backend": backend_used}
-            ).inc(amount)
-        _record_batch(
-            backend_used, len(items), time.perf_counter() - batch_start
-        )
         return results
 
     # ------------------------------------------------------------------
@@ -441,16 +338,10 @@ class ExecutionEngine:
             pass
 
     # ------------------------------------------------------------------
-    def _map_serial(self, fn, items: list, label: str) -> list:
-        return _apply_chunk(fn, items, self.injector, label)
-
-    def _drain(
-        self, pool: _futures.Executor, fn, items: list, chunk: int, label: str
-    ) -> list:
-        chunks = _chunked(items, chunk)
+    def _drain(self, pool: _futures.Executor, fn, items: list, chunk: int) -> list:
         futures = [
-            pool.submit(_apply_chunk, fn, c, self.injector, label)
-            for c in chunks
+            pool.submit(_apply_chunk, fn, items[i : i + chunk])
+            for i in range(0, len(items), chunk)
         ]
         try:
             out: list = []
@@ -464,51 +355,14 @@ class ExecutionEngine:
                 future.cancel()
             raise
 
-    def _demote(self, from_backend: str, to_backend: str, exc) -> None:
-        """Record one backend demotion (logging + counters)."""
+    def _demote(self, label: str, exc: BaseException) -> None:
+        """A process worker died: retire the pool and record the demotion.
+
+        The pool is unusable from here on, so it is torn down and marked
+        broken; this and every later batch runs on threads.
+        """
+        tick("worker_crashes")
+        self._process_pool_broken = True
+        self._pools.pop("process").shutdown(wait=False, cancel_futures=True)
         self.n_demotions += 1
-        tick("backend_demotions")
-        _record_crash(from_backend)
-        get_metrics().counter(
-            "repro_parallel_backend_demotions_total",
-            "Batches demoted to a weaker backend after worker failure",
-            labels={"from": from_backend, "to": to_backend},
-        ).inc()
-        _log.warning(
-            "%s backend failed (%s: %s); demoting batch to %s and resubmitting",
-            from_backend,
-            type(exc).__name__,
-            exc,
-            to_backend,
-        )
-
-    def _map_thread(self, fn, items: list, chunk: int, label: str) -> list:
-        try:
-            return self._drain(self._thread_pool(), fn, items, chunk, label)
-        except WorkerCrashError as exc:
-            # Crash-class error survived the in-place retries: last-resort
-            # serial resubmission, where one more failure is terminal.
-            self._demote("thread", "serial", exc)
-            return self._map_serial(fn, items, label)
-
-    def _map_process(self, fn, items: list, chunk: int, label: str) -> list:
-        pool = self._process_pool()
-        if pool is None:
-            return self._map_thread(fn, items, chunk, label)
-        try:
-            return self._drain(pool, fn, items, chunk, label)
-        except BrokenProcessPool as exc:
-            # A worker died (OOM-kill, segfault, os._exit, ...).  The pool
-            # is unusable from here on: tear it down, mark it broken, and
-            # resubmit the *entire* batch on the thread backend.
-            tick("worker_crashes")
-            get_metrics().counter(
-                "repro_parallel_worker_crashes_total",
-                "Process-pool workers detected dead mid-batch",
-            ).inc()
-            self._process_pool_broken = True
-            broken = self._pools.pop("process", None)
-            if broken is not None:
-                broken.shutdown(wait=False, cancel_futures=True)
-            self._demote("process", "thread", exc)
-            return self._map_thread(fn, items, chunk, label)
+        record_demotion("parallel", f"batch {label!r}", "process", "thread", exc)

@@ -13,11 +13,18 @@ serving request.  Four cooperating pieces:
   of re-failing forever;
 * :class:`FaultInjector` / :class:`FaultPlan` / :class:`FaultRule` —
   seeded, deterministic chaos: raise / hang / NaN-poison / worker-kill
-  faults targeted at specific call sites, pluggable into the execution
-  engine, ModelRace, the imputer registry, and the voting ensemble;
+  faults targeted at the :data:`KNOWN_SITES` in ModelRace, the
+  imputer registry, the voting ensemble, and the serving shards;
 * process-level context (:func:`use_fault_policy`,
   :func:`use_fault_injector`) and counters
   (:func:`resilience_stats`) surfaced by the serving health document.
+
+Both execution layers follow one crash rule: a crash is a *lost
+worker* (a dead process, a timeout, an injected ``serving.shard``
+fault), handled once per layer — the ``ExecutionEngine`` demotes
+process→thread, the ``ShardPool`` process→inline, each recorded by
+:func:`~repro.resilience.stats.record_demotion`.  An error raised for
+an input is that input's answer, never a crash.
 
 Everything is zero-dependency and zero-cost when disabled: with no
 policy or injector installed every instrumented call site pays a single

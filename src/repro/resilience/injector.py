@@ -1,11 +1,12 @@
 """Deterministic fault injection for chaos testing.
 
 A :class:`FaultPlan` is a seeded list of :class:`FaultRule` s, each
-targeting a **call site** (``race.evaluate``, ``classifier.fit``,
-``imputer.impute``, ``executor.task``, ``ensemble.member``) and
-optionally a specific **target** at that site (a classifier family, an
-imputer name, a batch label).  The :class:`FaultInjector` evaluates the
-plan at every instrumented call site and fires one of four fault kinds:
+targeting a **call site** (one of :data:`KNOWN_SITES`:
+``race.evaluate``, ``classifier.fit``, ``imputer.impute``,
+``ensemble.member``, ``serving.shard``) and optionally a specific
+**target** at that site (a classifier family, an imputer name, a
+shard).  The :class:`FaultInjector` evaluates the plan at every
+instrumented call site and fires one of four fault kinds:
 
 ``raise``
     Raise :class:`~repro.exceptions.InjectedFault` (retryable).
@@ -58,12 +59,11 @@ _log = get_logger(__name__)
 #: Legal fault kinds.
 FAULT_KINDS = ("raise", "hang", "nan", "kill")
 
-#: Instrumented call sites (informative; unknown sites simply never fire).
+#: Instrumented call sites; a rule naming any other site is rejected.
 KNOWN_SITES = (
     "race.evaluate",
     "classifier.fit",
     "imputer.impute",
-    "executor.task",
     "ensemble.member",
     "serving.shard",
 )
@@ -105,6 +105,10 @@ class FaultRule:
     message: str = ""
 
     def __post_init__(self) -> None:
+        if self.site not in KNOWN_SITES:
+            raise ValidationError(
+                f"site must be one of {KNOWN_SITES}, got {self.site!r}"
+            )
         if self.kind not in FAULT_KINDS:
             raise ValidationError(
                 f"kind must be one of {FAULT_KINDS}, got {self.kind!r}"

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import threading
 
+from repro.observability import get_logger, get_metrics
+
+_log = get_logger(__name__)
 _LOCK = threading.Lock()
 _STATS: dict[str, int] = {}
 
@@ -19,8 +22,8 @@ KNOWN_KEYS = (
     "retries",            # FaultPolicy retry sleeps performed
     "deadline_hits",      # calls abandoned for overrunning their deadline
     "faults_injected",    # FaultInjector rules fired (all kinds)
-    "worker_crashes",     # process workers detected dead by the engine
-    "backend_demotions",  # process->thread / thread->serial demotions
+    "worker_crashes",     # process workers detected dead mid-batch
+    "backend_demotions",  # lost workers demoted (see record_demotion)
     "quarantines",        # circuit breakers tripped open
     "degraded_requests",  # inference requests served in degraded mode
     "fallback_requests",  # inference requests served by the static fallback
@@ -32,6 +35,30 @@ def tick(key: str, n: int = 1) -> None:
     """Increment the process-wide resilience counter ``key`` by ``n``."""
     with _LOCK:
         _STATS[key] = _STATS.get(key, 0) + int(n)
+
+
+def record_demotion(
+    layer: str, subject: str, from_backend: str, to_backend: str, exc
+) -> None:
+    """Record one demotion after a lost worker, for both execution
+    layers (``ExecutionEngine`` process→thread, ``ShardPool``
+    process→inline): a warning line, one ``backend_demotions`` tick and
+    one counter labelled by ``layer`` (``"parallel"``/``"serving"``).
+    ``subject`` names what was demoted (a batch, a shard)."""
+    tick("backend_demotions")
+    get_metrics().counter(
+        "repro_resilience_backend_demotions_total",
+        "Work demoted to a weaker backend after a lost worker",
+        labels={"layer": layer, "from": from_backend, "to": to_backend},
+    ).inc()
+    _log.warning(
+        "%s demoted to %s (was %s) after %s: %s; resubmitting",
+        subject,
+        to_backend,
+        from_backend,
+        type(exc).__name__,
+        exc,
+    )
 
 
 def resilience_stats() -> dict[str, int]:

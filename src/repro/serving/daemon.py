@@ -219,32 +219,24 @@ class ServingDaemon:
         with self._cond:
             self.n_submitted += 1
             if not self.started or self._stopping:
-                self.n_shed += 1
-                future.set_result(
-                    RepairResponse.shed_response(
-                        request.id, "daemon is not accepting requests"
-                    )
-                )
-                return future
-            if self._in_flight >= self.max_pending:
-                self.n_shed += 1
+                reason = "daemon is not accepting requests"
+            elif self._in_flight >= self.max_pending:
+                reason = f"daemon overloaded ({self._in_flight} pending)"
                 get_metrics().counter(
                     "repro_serving_shed_total",
                     "Requests shed by admission control",
                     labels={"reason": "max_pending"},
                 ).inc()
-                future.set_result(
-                    RepairResponse.shed_response(
-                        request.id,
-                        f"daemon overloaded ({self._in_flight} pending)",
-                    )
+            else:
+                self._in_flight += 1
+                self._intake.append(
+                    _Entry(request, future, float(self.clock()))
                 )
+                self._cond.notify()
                 return future
-            self._in_flight += 1
-            self._intake.append(
-                _Entry(request, future, float(self.clock()))
-            )
-            self._cond.notify()
+            self.n_shed += 1
+        self._record_rejection()
+        future.set_result(RepairResponse.shed_response(request.id, reason))
         return future
 
     def submit_many(self, requests) -> list[Future]:
@@ -329,15 +321,14 @@ class ServingDaemon:
             return
         except ServingError as exc:
             self._finish_rejected(
-                entries, RepairResponse.error_response, str(exc),
-                reason="exhausted",
+                entries, RepairResponse.error_response, str(exc)
             )
             return
         except Exception as exc:  # defensive: never leave futures hanging
             _log.exception("batch failed unexpectedly")
             self._finish_rejected(
                 entries, RepairResponse.error_response,
-                f"{type(exc).__name__}: {exc}", reason="internal",
+                f"{type(exc).__name__}: {exc}",
             )
             return
 
@@ -381,21 +372,27 @@ class ServingDaemon:
             self._resolve(entry, response)
         self.slo_tracker.evaluate()
 
+    def _record_rejection(self) -> None:
+        # No latency: a rejection must not look like a fast answer.
+        self.slo_tracker.record_request(
+            None, ({"seconds": None, "error": True},), check=False
+        )
+
     def _finish_rejected(
-        self, entries, factory, message: str, *, reason: str
+        self, entries, factory, message: str, *, reason: str | None = None
     ) -> None:
-        get_metrics().counter(
-            "repro_serving_shed_total",
-            "Requests shed by admission control",
-            labels={"reason": reason},
-        ).inc(len(entries))
+        """Resolve a whole batch with one typed failure.  ``reason``
+        labels the shed counter and is given only for 503 sheds."""
+        if reason is not None:
+            get_metrics().counter(
+                "repro_serving_shed_total",
+                "Requests shed by admission control",
+                labels={"reason": reason},
+            ).inc(len(entries))
         for entry in entries:
             response = factory(entry.request.id, message)
             self._count(response)
-            # No latency: a rejection must not look like a fast answer.
-            self.slo_tracker.record_request(
-                None, ({"seconds": None, "error": True},), check=False
-            )
+            self._record_rejection()
             self._resolve(entry, response)
         self.slo_tracker.evaluate()
 

@@ -24,15 +24,19 @@ against the *same* fitted engine.  Two backends:
     shared memory is unavailable, the target of crash demotion, and the
     deterministic backend the test harness uses.
 
-Resilience: every batch failure (worker crash, hang past the timeout,
-engine-level error) records a failure on the pool's
+Resilience: only a **lost worker** is a crash — a worker that died, a
+hang past the timeout, or a fault injected at the ``serving.shard``
+site.  Each records a failure on the pool's
 :class:`~repro.resilience.breaker.CircuitBreaker` and the batch is
 **resubmitted** to the next healthy shard — a request is never silently
 dropped.  A crashed process shard is demoted to an inline runner on the
-parent engine (the PR-4 process→thread demotion, one level up), with the
-demotion logged and counted.  When every shard's circuit is open the
-pool raises :class:`~repro.exceptions.AllShardsQuarantinedError` and the
-daemon sheds the batch with typed 503 responses.
+parent engine (the executor's process→thread demotion, one level up),
+recorded by :func:`~repro.resilience.stats.record_demotion`.  When every
+shard's circuit is open the pool raises
+:class:`~repro.exceptions.AllShardsQuarantinedError` and the daemon
+sheds the batch with typed 503 responses.  An error the engine raises
+for an input is not a crash: :func:`serve_payload` turns it into that
+row's 400/500 answer, so one bad request cannot quarantine a shard.
 
 Chaos hooks: workers evaluate a
 :class:`~repro.resilience.FaultInjector` at the ``serving.shard`` site
@@ -51,6 +55,7 @@ import numpy as np
 
 from repro.exceptions import (
     AllShardsQuarantinedError,
+    InjectedFault,
     ServingError,
     ShardsExhaustedError,
     ValidationError,
@@ -65,9 +70,10 @@ from repro.parallel.shm import (
     shm_available,
 )
 from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.stats import tick
+from repro.resilience.stats import record_demotion, tick
 from repro.serving.protocol import (
     STATUS_BAD_REQUEST,
+    STATUS_ERROR,
     STATUS_OK,
     RepairRequest,
 )
@@ -164,9 +170,12 @@ def serve_payload(engine, payload: list[tuple]) -> list[dict]:
     ``payload`` rows are ``(request_id, values, mode, name)``.  Returns
     one plain result dict per row, aligned with the input:
     ``{"id", "status", "algorithm", "ranking", "confidence",
-    "degraded", "values"?, "error"?}``.  Per-row validation failures
-    become 400 rows without failing the batch; engine-level failures
-    propagate (the pool treats them as shard failures and resubmits).
+    "degraded", "values"?, "error"?}``.  Rows that fail validation
+    become 400 rows without failing the batch.  When the batched engine
+    call raises, the rows are re-served one at a time, so only the rows
+    that raise on their own get an error row (400 ``invalid series`` for
+    a :class:`ValidationError`, 500 otherwise); engine errors never
+    escape, so the pool never mistakes a bad input for a crashed shard.
     """
     results: list[dict | None] = [None] * len(payload)
     series_list: list[TimeSeries] = []
@@ -187,33 +196,54 @@ def serve_payload(engine, payload: list[tuple]) -> list[dict]:
         series_list.append(series)
         indices.append(i)
     if series_list:
-        recommendations = engine.recommend_many(series_list)
-        repair_positions = [
-            j for j, i in enumerate(indices) if payload[i][2] == "repair"
-        ]
-        repaired: dict[int, TimeSeries] = {}
-        if repair_positions:
-            fixed = engine.repair_many(
-                [series_list[j] for j in repair_positions],
-                [recommendations[j] for j in repair_positions],
-            )
-            repaired = dict(zip(repair_positions, fixed))
-        for j, i in enumerate(indices):
-            rec = recommendations[j]
-            row = {
-                "id": payload[i][0],
-                "status": STATUS_OK,
-                "algorithm": rec.algorithm,
-                "ranking": list(rec.ranking),
-                "confidence": float(
-                    rec.probabilities.get(rec.algorithm, 0.0)
-                ),
-                "degraded": bool(rec.degraded),
-            }
-            if j in repaired:
-                row["values"] = np.asarray(repaired[j].values, dtype=float)
-            results[i] = row
+        modes = [payload[i][2] for i in indices]
+        try:
+            rows = _serve_series(engine, series_list, modes)
+        except Exception:
+            rows = [
+                _serve_alone(engine, series, mode)
+                for series, mode in zip(series_list, modes)
+            ]
+        for i, row in zip(indices, rows):
+            results[i] = {"id": payload[i][0], **row}
     return results
+
+
+def _serve_series(engine, series_list: list, modes: list) -> list[dict]:
+    """One engine call for validated series; result rows without ids."""
+    recommendations = engine.recommend_many(series_list)
+    repair_positions = [j for j, mode in enumerate(modes) if mode == "repair"]
+    repaired: dict[int, TimeSeries] = {}
+    if repair_positions:
+        fixed = engine.repair_many(
+            [series_list[j] for j in repair_positions],
+            [recommendations[j] for j in repair_positions],
+        )
+        repaired = dict(zip(repair_positions, fixed))
+    rows = []
+    for j, rec in enumerate(recommendations):
+        row = {
+            "status": STATUS_OK,
+            "algorithm": rec.algorithm,
+            "ranking": list(rec.ranking),
+            "confidence": float(rec.probabilities.get(rec.algorithm, 0.0)),
+            "degraded": bool(rec.degraded),
+        }
+        if j in repaired:
+            row["values"] = np.asarray(repaired[j].values, dtype=float)
+        rows.append(row)
+    return rows
+
+
+def _serve_alone(engine, series: TimeSeries, mode: str) -> dict:
+    """Serve one series; an engine error becomes this row's answer."""
+    try:
+        return _serve_series(engine, [series], [mode])[0]
+    except ValidationError as exc:
+        return {"status": STATUS_BAD_REQUEST, "error": f"invalid series: {exc}"}
+    except Exception as exc:
+        _log.exception("engine failed on series %r", series.name)
+        return {"status": STATUS_ERROR, "error": f"{type(exc).__name__}: {exc}"}
 
 
 def _pack_payload(payload: list[tuple], *, min_shm_bytes: int):
@@ -253,10 +283,6 @@ def _unpack_payload(body) -> list[tuple]:
     ]
 
 
-class _ShardBatchError(ServingError):
-    """A worker reported an engine-level failure for a whole batch."""
-
-
 # ---------------------------------------------------------------------------
 # Runners
 # ---------------------------------------------------------------------------
@@ -280,7 +306,7 @@ def _shard_worker_main(shard_id, engine_handle, req_q, resp_q, injector):
                 resp_q.put(
                     (
                         batch_id,
-                        "error",
+                        "fault" if isinstance(exc, InjectedFault) else "error",
                         f"{type(exc).__name__}: {exc}",
                         time.perf_counter() - start,
                     )
@@ -319,8 +345,9 @@ class _ProcessRunner:
         """Serve one batch; returns ``(results, elapsed_s)``.
 
         Raises :class:`WorkerCrashError` when the worker dies or hangs
-        past ``timeout_s`` and :class:`_ShardBatchError` when it reports
-        an engine-level failure.  Responses from abandoned (timed-out)
+        past ``timeout_s``, :class:`InjectedFault` when a fault plan
+        fired inside it, and :class:`ServingError` when it failed the
+        batch outside the engine.  Responses from abandoned (timed-out)
         batches are recognised by id and discarded.
         """
         self._seq += 1
@@ -353,8 +380,10 @@ class _ProcessRunner:
                 got_id, kind, data, elapsed = message
                 if got_id != batch_id:  # stale reply from a timed-out batch
                     continue
+                if kind == "fault":
+                    raise InjectedFault(f"shard {self.shard_id}: {data}")
                 if kind == "error":
-                    raise _ShardBatchError(
+                    raise ServingError(
                         f"shard {self.shard_id} batch failed: {data}"
                     )
                 return data, float(elapsed)
@@ -558,20 +587,14 @@ class ShardPool:
         shard.busy.acquire()
         return shard
 
-    def _demote(self, shard: Shard) -> None:
+    def _demote(self, shard: Shard, exc: WorkerCrashError) -> None:
         """Replace a crashed process runner with an inline one."""
         old = shard.runner
         shard.runner = _InlineRunner(shard.shard_id, self.engine)
         shard.demoted = True
         self.n_demotions += 1
-        tick("backend_demotions")
-        get_metrics().counter(
-            "repro_serving_shard_demotions_total",
-            "Process shards demoted to inline after a crash",
-        ).inc()
-        _log.warning(
-            "shard %d demoted to inline backend after worker crash",
-            shard.shard_id,
+        record_demotion(
+            "serving", f"shard {shard.shard_id}", "process", "inline", exc
         )
         # A fresh in-process runner deserves a clean circuit.
         self.breaker.record_success(shard.shard_id)
@@ -588,7 +611,7 @@ class ShardPool:
         )
         get_metrics().counter(
             "repro_serving_shard_failures_total",
-            "Shard batch failures (crash/hang/error)",
+            "Shard batch failures (crash/hang/injected fault)",
             labels={"shard": str(shard.shard_id)},
         ).inc()
         _log.warning(
@@ -601,15 +624,17 @@ class ShardPool:
             isinstance(exc, WorkerCrashError)
             and shard.runner.backend == "process"
         ):
-            self._demote(shard)
+            self._demote(shard, exc)
 
     def run_batch(self, requests: list[RepairRequest]):
         """Serve one batch; returns ``(results, shard_id, elapsed_s)``.
 
-        Resubmits across healthy shards on failure; raises
+        Resubmits across healthy shards when a worker is lost (crash,
+        timeout, injected fault); raises
         :class:`AllShardsQuarantinedError` (shed) when no healthy shard
         remains and :class:`ShardsExhaustedError` (terminal error) when
-        the retry budget is spent.
+        the retry budget is spent.  Any other error propagates without
+        touching the breaker.
         """
         if not self.started:
             raise ServingError("shard pool is not started")
@@ -638,7 +663,7 @@ class ShardPool:
                     )
                 finally:
                     shard.busy.release()
-            except Exception as exc:
+            except (WorkerCrashError, InjectedFault) as exc:
                 last_error = f"{type(exc).__name__}: {exc}"
                 self._on_failure(shard, exc)
                 continue

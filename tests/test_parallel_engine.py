@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ValidationError
+from repro.exceptions import ValidationError, WorkerCrashError
 from repro.observability import MetricsRegistry, Tracer, use_metrics, use_tracer
 from repro.parallel import (
     AUTO_PROCESS_MIN_TASKS,
@@ -87,6 +87,18 @@ class TestExecutionEngine:
         engine = ExecutionEngine(ParallelConfig(n_jobs=2, backend="thread"))
         with pytest.raises(RuntimeError, match="task failed"):
             engine.map(boom, [1, 2, 3])
+
+    def test_task_errors_are_answers_not_crashes(self):
+        """Only a lost worker demotes a batch: a task that raises a
+        crash-class error just propagates it, with no serial rerun."""
+
+        def crashy(x):
+            raise WorkerCrashError("task-level failure")
+
+        engine = ExecutionEngine(ParallelConfig(n_jobs=2, backend="thread"))
+        with engine, pytest.raises(WorkerCrashError):
+            engine.map(crashy, list(range(8)), label="crashy")
+        assert engine.n_demotions == 0
 
     def test_batch_emits_span_and_metrics(self):
         tracer = Tracer()

@@ -25,6 +25,7 @@ from repro.exceptions import (
     ImputationError,
     InjectedFault,
     TransientError,
+    ValidationError,
     WorkerCrashError,
 )
 from repro.imputation import get_imputer
@@ -203,10 +204,28 @@ class TestFaultInjector:
 
     def test_kill_degrades_to_crash_error_in_parent(self):
         inj = FaultInjector(
-            [FaultRule(site="executor.task", kind="kill")], seed=0
+            [FaultRule(site="race.evaluate", kind="kill")], seed=0
         )
         with pytest.raises(WorkerCrashError):
-            inj.check("executor.task", "batch")
+            inj.check("race.evaluate", "knn")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"site": "executor.task"},  # removed site: would never fire
+            {"site": "no.such.site"},
+            {"site": "race.evaluate", "kind": "explode"},
+            {"site": "race.evaluate", "probability": 1.5},
+            {"site": "race.evaluate", "times": 0},
+            {"site": "race.evaluate", "after": -1},
+            {"site": "race.evaluate", "duration": -1.0},
+        ],
+    )
+    def test_rule_validation(self, bad):
+        with pytest.raises(ValidationError):
+            FaultRule(**bad)
+        with pytest.raises(ValidationError):
+            FaultInjector([bad])
 
     def test_injector_pickles(self):
         import pickle
@@ -477,49 +496,6 @@ class TestImputerChaos:
 # ---------------------------------------------------------------------------
 # Chaos against the execution engine
 # ---------------------------------------------------------------------------
-class TestExecutorChaos:
-    def test_transient_task_crash_retried_in_place(self):
-        plan = FaultPlan(
-            [FaultRule(site="executor.task", kind="kill", times=1)], seed=0
-        )
-        engine = ExecutionEngine(
-            ParallelConfig(n_jobs=2, backend="thread"),
-            injector=plan.injector(),
-        )
-        with engine:
-            out = engine.map(lambda x: x * 2, list(range(8)), label="batch")
-        assert out == [x * 2 for x in range(8)]
-        assert engine.n_demotions == 0  # absorbed by in-place retries
-
-    def test_thread_backend_demotes_to_serial(self):
-        # times=3 exhausts the in-place retry budget (1 + 2 retries) on
-        # the thread backend, forcing one thread->serial demotion; the
-        # serial resubmission then runs with the rule spent.  One chunk
-        # (chunk_size=6) keeps the firing order deterministic: the first
-        # item absorbs all three firings.
-        plan = FaultPlan(
-            [FaultRule(site="executor.task", kind="kill", times=3)], seed=0
-        )
-        engine = ExecutionEngine(
-            ParallelConfig(n_jobs=2, backend="thread", chunk_size=6),
-            injector=plan.injector(),
-        )
-        with engine:
-            out = engine.map(lambda x: x + 1, list(range(6)), label="batch")
-        assert out == [x + 1 for x in range(6)]
-        assert engine.n_demotions == 1
-        assert resilience_stats()["backend_demotions"] == 1
-
-    def test_serial_backend_surfaces_exhausted_crashes(self):
-        plan = FaultPlan(
-            [FaultRule(site="executor.task", kind="kill")], seed=0
-        )
-        engine = ExecutionEngine(ParallelConfig(), injector=plan.injector())
-        with engine:
-            with pytest.raises(WorkerCrashError):
-                engine.map(lambda x: x, [1, 2, 3], label="batch")
-
-
 def _kill_child_once(item, *, sentinel: str):
     """Picklable task that hard-kills its host worker exactly once.
 

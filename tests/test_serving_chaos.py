@@ -14,12 +14,18 @@ import logging
 import numpy as np
 import pytest
 
-from repro.exceptions import AllShardsQuarantinedError, WorkerCrashError
+from repro.exceptions import (
+    AllShardsQuarantinedError,
+    ShardsExhaustedError,
+    WorkerCrashError,
+)
+from repro.observability import MetricsRegistry, use_metrics
 from repro.parallel.shm import active_segments, shm_available
 from repro.resilience import FaultInjector
 from repro.resilience.breaker import CircuitBreaker
 from repro.serving import (
     LoadGenerator,
+    RepairRequest,
     ServingDaemon,
     ServingTestClient,
     ShardPool,
@@ -30,6 +36,15 @@ pytestmark = pytest.mark.chaos
 needs_shm = pytest.mark.skipif(
     not shm_available(), reason="POSIX shm unavailable"
 )
+
+
+def poison_request(request_id: str = "poison") -> RepairRequest:
+    """Passes the protocol and TimeSeries checks, then overflows inside
+    the engine (interpolating between +-1e308), which raises
+    ValidationError from ``recommend_many``."""
+    return RepairRequest(
+        id=request_id, values=np.array([1e308, -1e308, np.nan] * 10)
+    )
 
 
 def kill_plan(target: str, times: int = 1) -> FaultInjector:
@@ -166,6 +181,73 @@ class TestQuarantineShedding:
                 pool.run_batch([request])
             with pytest.raises(AllShardsQuarantinedError):
                 pool.run_batch([request])
+
+    def test_engine_error_is_an_answer_not_a_crash(self, serving_engine):
+        """A request the engine rejects gets its own 400; the healthy
+        row in its batch is served and no shard is blamed."""
+        good = LoadGenerator(seed=26, length=96).requests(2)
+        pool = ShardPool(serving_engine, 2, backend="inline")
+        with pool:
+            results, _, _ = pool.run_batch([good[0], poison_request()])
+            assert [row["status"] for row in results] == [200, 400]
+            assert results[1]["id"] == "poison"
+            assert results[1]["error"].startswith("invalid series: ")
+            assert pool.stats()["resubmissions"] == 0
+            assert pool.quarantined() == []
+            follow_up, _, _ = pool.run_batch([good[1]])
+        assert [row["status"] for row in follow_up] == [200]
+
+    @needs_shm
+    def test_engine_error_through_process_shards(self, serving_engine):
+        """The same poison request through the daemon on process shards:
+        one 400, no demotion, and the requests after it are served."""
+        requests = LoadGenerator(seed=27, length=96).requests(20)
+        with ServingDaemon(
+            serving_engine,
+            n_shards=2,
+            shard_backend="process",
+            max_batch=8,
+            max_delay_s=0.001,
+        ) as daemon:
+            client = ServingTestClient(daemon)
+            poisoned = client.send_many([poison_request()], timeout=300.0)
+            responses = client.send_many(requests, timeout=300.0)
+            pool_stats = daemon.pool.stats()
+        assert poisoned[0].status == 400
+        assert "invalid series" in poisoned[0].error
+        assert [r.status for r in responses] == [200] * len(requests)
+        assert pool_stats["demotions"] == 0
+        assert pool_stats["resubmissions"] == 0
+        assert pool_stats["quarantined"] == []
+
+    def test_exhausted_batch_is_not_counted_as_shed(self, serving_engine):
+        """``repro_serving_shed_total`` counts 503 sheds only: a batch
+        that fails on every shard answers 500 and leaves it alone."""
+        registry = MetricsRegistry()
+        requests = LoadGenerator(seed=28, length=96).requests(3)
+        with use_metrics(registry):
+            with ServingDaemon(
+                serving_engine,
+                n_shards=1,
+                shard_backend="inline",
+                max_batch=8,
+                max_delay_s=0.001,
+                injector=FaultInjector(
+                    [{"site": "serving.shard", "kind": "kill"}], seed=0
+                ),
+                breaker=CircuitBreaker(threshold=100, name="chaos"),
+            ) as daemon:
+                pool = daemon.pool
+                with pytest.raises(ShardsExhaustedError):
+                    pool.run_batch(requests[:1])
+                responses = ServingTestClient(daemon).send_many(
+                    requests, timeout=120.0
+                )
+        assert [r.status for r in responses] == [500] * len(requests)
+        assert all("failed on every shard" in r.error for r in responses)
+        counters = registry.as_dict()
+        assert "repro_serving_shard_failures_total" in counters
+        assert "repro_serving_shed_total" not in counters
 
     def test_inline_kill_degrades_to_worker_crash_error(self):
         """In the parent process a kill plan raises WorkerCrashError."""

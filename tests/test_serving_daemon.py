@@ -185,6 +185,17 @@ class TestDaemonCore:
         )
         # Every admitted request was served: nothing dropped.
         assert len(responses) == 32
+        # The sink sees every shed as an error with no latency sample.
+        tracker = daemon.slo_tracker
+        served = len(responses) - len(shed)
+        assert tracker.n_requests == 32
+        assert tracker.request_latency.count == served
+        assert tracker.n_series == served
+        error_rate = next(
+            p for p in tracker.status()["policies"] if p["kind"] == "error_rate"
+        )
+        assert error_rate["fast_events"] == 32
+        assert error_rate["fast_bad_fraction"] == pytest.approx(len(shed) / 32)
 
     def test_bad_series_gets_400_without_failing_batch(self, serving_engine):
         with ServingDaemon(
