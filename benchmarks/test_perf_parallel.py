@@ -32,8 +32,12 @@ pickle overhead on sub-second workloads).  The cost-aware auto selection
 now keeps cheap batches serial and folds tiny tasks into larger chunks,
 so those entries must not regress below ~1x; the resolved backends are
 recorded alongside the timings ("serial" meaning auto kept the batch
-in-process).  Timed arms take the best of :data:`REPEATS` runs to
-suppress scheduler noise.
+in-process).  The ``extract_many`` and ``race`` arms take the best of
+:data:`REPEATS` runs to suppress scheduler noise.  The two ``labeling``
+arms run the same few-millisecond serial path, so best-of-N taken one
+arm after the other let a slow spell land on one arm only (0.62x on
+a 2-vCPU host); they run as :data:`LABEL_PAIRS` interleaved ABAB pairs and
+compare medians.
 
 Set ``REPRO_BENCH_TINY=1`` to shrink every workload (CI smoke mode); the
 JSON schema and the correctness assertions are identical in both modes.
@@ -75,6 +79,8 @@ AUTO_PARALLEL = ParallelConfig(n_jobs=N_JOBS, backend="auto")
 BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 #: Best-of-N timing repeats for the noise-prone sub-second workloads.
 REPEATS = 5
+#: Interleaved serial/auto pairs behind the labeling arm's median ratio.
+LABEL_PAIRS = 30
 #: Consecutive races over one snapshot in the ``race`` workload (the
 #: amortized re-race pattern the ScoreMemo exists for).
 RACE_RERUNS = 3
@@ -96,6 +102,21 @@ def _timed_best(fn, repeats: int = REPEATS):
         result, seconds = _timed(fn)
         best = min(best, seconds)
     return result, best
+
+
+def _timed_pairs(fn_a, fn_b, pairs: int = LABEL_PAIRS):
+    """Median wall times of two arms run as interleaved ABAB pairs.
+
+    Returns ``(result_a, median_a, result_b, median_b)`` with the last
+    result of each arm, for assertions.
+    """
+    times_a, times_b = [], []
+    for _ in range(pairs):
+        result_a, seconds = _timed(fn_a)
+        times_a.append(seconds)
+        result_b, seconds = _timed(fn_b)
+        times_b.append(seconds)
+    return result_a, float(np.median(times_a)), result_b, float(np.median(times_b))
 
 
 def _backends_used(fn):
@@ -246,12 +267,12 @@ def test_parallel_speedup_and_report():
 
     # -- labeling (cost-aware auto backend) -------------------------------
     datasets = _labeling_corpus()
-    serial_corpus, serial_s = _timed_best(
-        lambda: _labeler(None).label_corpus(datasets)
-    )
-    (parallel_corpus, label_backends), parallel_s = _timed_best(
-        lambda: _backends_used(
-            lambda: _labeler(AUTO_PARALLEL).label_corpus(datasets)
+    serial_corpus, serial_s, (parallel_corpus, label_backends), parallel_s = (
+        _timed_pairs(
+            lambda: _labeler(None).label_corpus(datasets),
+            lambda: _backends_used(
+                lambda: _labeler(AUTO_PARALLEL).label_corpus(datasets)
+            ),
         )
     )
     assert list(parallel_corpus.labels) == list(serial_corpus.labels)

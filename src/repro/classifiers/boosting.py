@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.classifiers.base import BaseClassifier, register_classifier
-from repro.classifiers.tree import build_tree, tree_predict_proba, _Node
+from repro.classifiers.tree import _best_cut, _Node, build_tree, tree_predict_proba
 from repro.exceptions import ValidationError
 from repro.utils.rng import ensure_rng
 
@@ -26,34 +26,22 @@ class _RegressionStump:
         node = {"value": float(r.mean()) if r.size else 0.0}
         if depth >= self.max_depth or X.shape[0] < 2 * self.min_leaf:
             return node
-        best_gain, best = 1e-12, None
         total_sum, total_n = r.sum(), r.shape[0]
-        parent_sse_gain = (total_sum**2) / total_n
-        for feat in range(X.shape[1]):
-            order = np.argsort(X[:, feat], kind="stable")
-            sorted_x = X[order, feat]
-            sorted_r = r[order]
-            prefix = np.cumsum(sorted_r)
-            distinct = np.flatnonzero(np.diff(sorted_x) > 0)
-            if distinct.size == 0:
-                continue
-            n_left = distinct + 1
-            valid = (n_left >= self.min_leaf) & (total_n - n_left >= self.min_leaf)
-            if not valid.any():
-                continue
-            cand = distinct[valid]
-            left_sum = prefix[cand]
-            n_l = (cand + 1).astype(float)
-            n_r = total_n - n_l
-            gain = left_sum**2 / n_l + (total_sum - left_sum) ** 2 / n_r - parent_sse_gain
-            j = int(np.argmax(gain))
-            if gain[j] > best_gain:
-                best_gain = float(gain[j])
-                pos = cand[j]
-                best = (feat, 0.5 * (sorted_x[pos] + sorted_x[pos + 1]))
+        # One scan over every feature: prefix residual sums along each
+        # sorted column give the SSE reduction of every cut.
+        order = np.argsort(X, axis=0, kind="stable")
+        sorted_x = np.take_along_axis(X, order, axis=0)
+        left_sum = np.cumsum(r[order], axis=0)[:-1]
+        n_l = np.arange(1.0, total_n)[:, None]
+        gain = (
+            left_sum**2 / n_l
+            + (total_sum - left_sum) ** 2 / (total_n - n_l)
+            - total_sum**2 / total_n
+        )
+        best = _best_cut(gain, sorted_x, self.min_leaf)
         if best is None:
             return node
-        feat, thr = best
+        feat, thr, _ = best
         mask = X[:, feat] <= thr
         node.update(
             feature=feat,
@@ -111,6 +99,8 @@ class GradientBoostingClassifier(BaseClassifier):
             raise ValidationError(f"n_estimators must be >= 1, got {n_estimators}")
         if not 0 < learning_rate <= 1:
             raise ValidationError(f"learning_rate must be in (0,1], got {learning_rate}")
+        if max_depth < 1:
+            raise ValidationError(f"max_depth must be >= 1, got {max_depth}")
         if not 0 < subsample <= 1:
             raise ValidationError(f"subsample must be in (0,1], got {subsample}")
         self.n_estimators = int(n_estimators)
@@ -179,6 +169,10 @@ class AdaBoostClassifier(BaseClassifier):
         super().__init__()
         if n_estimators < 1:
             raise ValidationError(f"n_estimators must be >= 1, got {n_estimators}")
+        if max_depth < 1:
+            raise ValidationError(f"max_depth must be >= 1, got {max_depth}")
+        if not learning_rate > 0:
+            raise ValidationError(f"learning_rate must be > 0, got {learning_rate}")
         self.n_estimators = int(n_estimators)
         self.max_depth = int(max_depth)
         self.learning_rate = float(learning_rate)

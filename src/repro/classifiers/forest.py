@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from repro.classifiers.base import BaseClassifier, register_classifier
@@ -30,6 +32,14 @@ class _BaseForest(BaseClassifier):
         super().__init__()
         if n_estimators < 1:
             raise ValidationError(f"n_estimators must be >= 1, got {n_estimators}")
+        if max_depth < 1:
+            raise ValidationError(f"max_depth must be >= 1, got {max_depth}")
+        if max_features not in ("sqrt", "log2", "all") and not (
+            isinstance(max_features, numbers.Integral) and max_features >= 1
+        ):
+            raise ValidationError(
+                f"max_features must be sqrt/log2/all or an int >= 1, got {max_features!r}"
+            )
         if criterion not in ("gini", "entropy"):
             raise ValidationError(f"criterion must be gini/entropy, got {criterion!r}")
         self.n_estimators = int(n_estimators)
@@ -46,7 +56,7 @@ class _BaseForest(BaseClassifier):
             return max(1, int(np.log2(n_features)))
         if self.max_features == "all":
             return n_features
-        return max(1, min(int(self.max_features), n_features))
+        return min(int(self.max_features), n_features)
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         rng = ensure_rng(self.random_state)

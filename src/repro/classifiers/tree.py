@@ -32,6 +32,26 @@ class _Node:
         self.proba = proba
 
 
+def _best_cut(
+    gains: np.ndarray, sorted_x: np.ndarray, min_leaf: int
+) -> tuple[int, np.floating, float] | None:
+    """Best (column, threshold, gain) of an (n-1, d) grid of cuts after row i.
+
+    Cuts between equal values or leaving a child below ``min_leaf`` rows are
+    masked.  Ties go to the first column, then the first row within it.
+    """
+    n = sorted_x.shape[0]
+    sizes = np.arange(1, n)[:, None]
+    gains[
+        ~(np.diff(sorted_x, axis=0) > 0) | (sizes < min_leaf) | (n - sizes < min_leaf)
+    ] = -np.inf
+    col, pos = divmod(int(np.argmax(gains.T)), n - 1)
+    gain = float(gains[pos, col])
+    if not gain > 1e-12:
+        return None
+    return col, 0.5 * (sorted_x[pos, col] + sorted_x[pos + 1, col]), gain
+
+
 def best_split(
     X: np.ndarray,
     y: np.ndarray,
@@ -44,79 +64,55 @@ def best_split(
 ) -> tuple[int, float, float] | None:
     """Find the best (feature, threshold, gain) over the given features.
 
-    ``extra_random`` draws a single random threshold per feature
-    (Extra-Trees style) instead of scanning all candidate thresholds.
+    All candidate features are scanned at once.  ``extra_random`` draws a
+    single random threshold per non-constant feature (Extra-Trees style),
+    in ``feature_indices`` order, instead of scanning every cut.
     Returns None when no split improves impurity.
     """
     n = X.shape[0]
+    Xf = X[:, feature_indices]
     parent_counts = np.bincount(y, minlength=n_classes).astype(float)
     parent_imp = float(_impurity(parent_counts[None, :], criterion)[0])
-    best: tuple[int, float, float] | None = None
-    best_gain = 1e-12
-    for feat in feature_indices:
-        col = X[:, feat]
-        if extra_random:
-            lo, hi = col.min(), col.max()
-            if hi <= lo:
-                continue
-            assert rng is not None
-            thresholds = np.array([rng.uniform(lo, hi)])
-            order = None
-        else:
-            order = np.argsort(col, kind="stable")
-            sorted_col = col[order]
-            distinct = np.flatnonzero(np.diff(sorted_col) > 0)
-            if distinct.size == 0:
-                continue
-            thresholds = None
-        if extra_random:
-            for thr in thresholds:
-                left_mask = col <= thr
-                n_left = int(left_mask.sum())
-                if n_left < min_leaf or n - n_left < min_leaf:
-                    continue
-                left_counts = np.bincount(y[left_mask], minlength=n_classes).astype(
-                    float
-                )
-                right_counts = parent_counts - left_counts
-                gain = parent_imp - (
-                    n_left / n * float(_impurity(left_counts[None, :], criterion)[0])
-                    + (n - n_left)
-                    / n
-                    * float(_impurity(right_counts[None, :], criterion)[0])
-                )
-                if gain > best_gain:
-                    best_gain = gain
-                    best = (int(feat), float(thr), gain)
-            continue
-        # Exhaustive scan: prefix class counts along the sorted order.
-        sorted_y = y[order]
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), sorted_y] = 1.0
-        prefix = onehot.cumsum(axis=0)
-        # Candidate split after position i (1-indexed sizes).
-        sizes_left = distinct + 1
-        valid = (sizes_left >= min_leaf) & (n - sizes_left >= min_leaf)
-        if not valid.any():
-            continue
-        cand = distinct[valid]
-        left_counts = prefix[cand]
-        right_counts = parent_counts[None, :] - left_counts
-        n_left = (cand + 1).astype(float)
-        n_right = n - n_left
-        child_imp = (
-            n_left * _impurity(left_counts, criterion)
-            + n_right * _impurity(right_counts, criterion)
-        ) / n
-        gains = parent_imp - child_imp
+    classes = np.arange(n_classes)
+    if extra_random:
+        lo, hi = Xf.min(axis=0), Xf.max(axis=0)
+        live = hi > lo
+        if not live.any():
+            return None
+        # A range too wide for a double is drawn at half scale, so every
+        # threshold still costs exactly one draw from ``rng``.
+        with np.errstate(over="ignore"):
+            scale = np.where(np.isinf(hi - lo), 2.0, 1.0)[live]
+        thr = np.full(Xf.shape[1], np.nan)
+        thr[live] = scale * rng.uniform(lo[live] / scale, hi[live] / scale)
+        left_counts = (Xf <= thr).T.astype(float) @ (y[:, None] == classes)
+        right_counts = parent_counts - left_counts
+        n_left = left_counts.sum(axis=1)
+        gains = parent_imp - (
+            n_left / n * _impurity(left_counts, criterion)
+            + (n - n_left) / n * _impurity(right_counts, criterion)
+        )
+        gains[~live | (n_left < min_leaf) | (n - n_left < min_leaf)] = -np.inf
         j = int(np.argmax(gains))
-        if gains[j] > best_gain:
-            sorted_col = col[order]
-            pos = cand[j]
-            thr = 0.5 * (sorted_col[pos] + sorted_col[pos + 1])
-            best_gain = float(gains[j])
-            best = (int(feat), float(thr), best_gain)
-    return best
+        if not gains[j] > 1e-12:
+            return None
+        return int(feature_indices[j]), float(thr[j]), float(gains[j])
+    # Exhaustive scan: prefix class counts along every sorted column.
+    order = np.argsort(Xf, axis=0, kind="stable")
+    sorted_x = np.take_along_axis(Xf, order, axis=0)
+    prefix = (y[order][..., None] == classes).astype(float).cumsum(axis=0)
+    left_counts = prefix[:-1]
+    right_counts = parent_counts - left_counts
+    n_left = np.arange(1.0, n)[:, None]
+    child_imp = (
+        n_left * _impurity(left_counts, criterion)
+        + (n - n_left) * _impurity(right_counts, criterion)
+    ) / n
+    cut = _best_cut(parent_imp - child_imp, sorted_x, min_leaf)
+    if cut is None:
+        return None
+    col, thr, gain = cut
+    return int(feature_indices[col]), float(thr), gain
 
 
 def build_tree(

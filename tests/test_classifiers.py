@@ -11,6 +11,7 @@ from repro.classifiers import (
     sample_params,
 )
 from repro.classifiers.spaces import CLASSIFIER_PARAM_SPACES, total_parameterizations
+from repro.classifiers.tree import best_split
 from repro.exceptions import NotFittedError, RegistryError, ValidationError
 
 ALL_CLASSIFIERS = sorted(available_classifiers())
@@ -138,6 +139,54 @@ class TestFamilySpecifics:
     def test_tree_invalid_criterion_raises(self):
         with pytest.raises(ValidationError):
             get_classifier("decision_tree", criterion="mse")
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [
+            (family, {"max_depth": depth})
+            for family in (
+                "decision_tree", "random_forest", "extra_trees",
+                "gradient_boosting", "adaboost",
+            )
+            for depth in (0, -2)
+        ]
+        + [
+            ("adaboost", {"learning_rate": -1.0}),
+            ("adaboost", {"learning_rate": 0.0}),
+            ("random_forest", {"max_features": "bogus"}),
+            ("extra_trees", {"max_features": "bogus"}),
+            ("random_forest", {"max_features": 0}),
+            ("extra_trees", {"max_features": 2.5}),
+        ],
+    )
+    def test_tree_ensembles_reject_invalid_params_at_init(self, name, params):
+        with pytest.raises(ValidationError):
+            get_classifier(name, **params)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["decision_tree", "random_forest", "extra_trees", "gradient_boosting", "adaboost"],
+    )
+    def test_tree_families_fit_wide_range_features(self, name):
+        # hi - lo overflows a double; Extra-Trees used to raise OverflowError
+        # from the threshold draw.
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(20, 4))
+        X[0, 0], X[1, 0] = 1e308, -1e308
+        y = np.arange(20) % 2
+        clf = get_classifier(name).fit(X, y)
+        assert np.isfinite(clf.predict_proba(X)).all()
+
+    def test_extra_trees_wide_range_threshold_inside_column_range(self):
+        X = np.array([[1e308], [-1e308], [0.0], [1.0]])
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            split = best_split(
+                X, np.array([0, 1, 0, 1]), 2, "gini", np.array([0]), 1,
+                rng=rng, extra_random=True,
+            )
+            if split is not None:
+                assert -1e308 <= split[1] <= 1e308
 
     def test_forest_more_trees_more_stable(self, blobs):
         X, y = blobs
