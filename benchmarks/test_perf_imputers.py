@@ -3,8 +3,8 @@
 Times ``impute(...)`` looped over a corpus of single-series problems
 against one ``impute_many(...)`` call for the block-kernel imputers
 (closed-form: mean / linear / knn; SVD family: cdrec / svdimp /
-softimpute), plus the serial per-series feature extractor against the
-blockwise ``extract_many(SeriesBank)`` path, then merges the timings
+softimpute), plus a per-series ``extract`` loop against one
+``extract_many(SeriesBank)`` call, then merges the timings
 into ``BENCH_imputers.json`` at the repo root::
 
     {workload: {scalar_s | serial_s, batched_s | block_s,
@@ -16,11 +16,12 @@ Workloads:
   is **aggregate** (``impute_aggregate``): >= 5x summed over the six
   imputers on the full 256-series corpus (>= 1.5x in
   ``REPRO_BENCH_TINY=1`` smoke mode, where per-call overhead dominates).
-* ``extract_block`` — per-series ``extract`` loop vs. the blockwise
-  statistical+topological kernels over a prepared bank (>= 3x full,
-  >= 1.2x tiny).
-* ``shm_transport`` — the process-backend transport contract: per-task
-  pickles carry only the segment handle, bounded at < 256 bytes
+* ``extract_block`` — per-series ``extract`` loop (one one-row block per
+  series) vs. one block over a prepared bank: both run the same
+  statistical+topological kernels, so this measures batching
+  (>= 3x full, >= 1.2x tiny).
+* ``shm_transport`` — the shared-memory transport contract (serving
+  shards, ``SeriesBank.share``): a pickled handle stays < 256 bytes
   regardless of corpus size (asserted), timed as one pickle per task of
   the row payload vs. the handle.
 

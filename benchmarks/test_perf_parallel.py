@@ -1,9 +1,10 @@
-"""Perf — serial vs. parallel wall time for the three parallelized hot paths.
+"""Perf — serial vs. engine wall time for the training hot paths.
 
-Measures the fixed synthetic workloads below under (a) the historical
-serial path and (b) ``ParallelConfig(n_jobs=4, backend="process")`` with
-the feature cache / score memo enabled, then writes ``BENCH_parallel.json``
-at the repo root so future PRs have a perf trajectory::
+Measures the fixed synthetic workloads below under (a) the plain serial
+path and (b) the engine arm — the feature cache, or
+``ParallelConfig(n_jobs=4)`` with the score memo — then writes
+``BENCH_parallel.json`` at the repo root so future PRs have a perf
+trajectory::
 
     {workload: {serial_s, parallel_s, n_jobs, speedup}}
 
@@ -11,10 +12,11 @@ Workloads:
 
 * ``extract_many`` — a corpus in which every distinct series appears six
   times (realistic for labeling, where faulty variants of one series are
-  re-featurized).  The parallel arm combines worker fan-out with the
-  content-addressed :class:`FeatureCache`, so repeated series are
-  extracted once; on a single-core box this dedup is what produces the
-  speedup, on multicore boxes the process pool stacks on top.
+  re-featurized).  The engine arm installs the content-addressed
+  :class:`FeatureCache`, so repeated series are extracted once; the
+  uncached arm extracts every row.  Extraction has no worker fan-out
+  (``n_jobs`` is recorded as 1): both arms run the same block kernels
+  in-process, and the speedup is the dedup.
 * ``race`` — :data:`RACE_RERUNS` consecutive ModelRaces over the *same*
   synthetic classification snapshot (the steady state of iterative
   labeling, where the race is re-run after every corpus tweak).  The
@@ -73,7 +75,6 @@ from repro.timeseries import TimeSeries
 
 TINY = os.environ.get("REPRO_BENCH_TINY", "") not in ("", "0")
 N_JOBS = 4
-PARALLEL = ParallelConfig(n_jobs=N_JOBS, backend="process")
 #: Cost-aware auto selection — the recommended config for mixed workloads.
 AUTO_PARALLEL = ParallelConfig(n_jobs=N_JOBS, backend="auto")
 BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
@@ -140,11 +141,12 @@ def _record(
     serial_s: float,
     parallel_s: float,
     backend: str = "process",
+    n_jobs: int = N_JOBS,
 ):
     results[workload] = {
         "serial_s": round(serial_s, 4),
         "parallel_s": round(parallel_s, 4),
-        "n_jobs": N_JOBS,
+        "n_jobs": n_jobs,
         "backend": backend,
         "speedup": round(serial_s / parallel_s, 3) if parallel_s else float("inf"),
     }
@@ -225,10 +227,10 @@ def test_parallel_speedup_and_report():
     # -- extract_many -----------------------------------------------------
     corpus = _feature_corpus()
     serial_X, serial_s = _timed(lambda: FeatureExtractor().extract_many(corpus))
-    fast = FeatureExtractor(parallel=PARALLEL, cache=FeatureCache())
+    fast = FeatureExtractor(cache=FeatureCache())
     parallel_X, parallel_s = _timed(lambda: fast.extract_many(corpus))
     assert parallel_X.tobytes() == serial_X.tobytes()
-    _record(results, "extract_many", serial_s, parallel_s)
+    _record(results, "extract_many", serial_s, parallel_s, "serial", n_jobs=1)
 
     # -- race (cost-aware auto backend + shared score memo) ---------------
     data = _race_snapshot()

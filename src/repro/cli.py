@@ -204,9 +204,6 @@ def _cmd_train(args) -> int:
 
 def _cmd_recommend(args) -> int:
     engine = load_engine(args.engine)
-    parallel = _parallel_from_args(args)
-    if parallel is not None:
-        engine.extractor.parallel = parallel
     series_list = read_series_csv(args.data)
     for series, rec in zip(series_list, engine.recommend_many(series_list)):
         ranking = ",".join(rec.ranking)
@@ -216,9 +213,6 @@ def _cmd_recommend(args) -> int:
 
 def _cmd_repair(args) -> int:
     engine = load_engine(args.engine)
-    parallel = _parallel_from_args(args)
-    if parallel is not None:
-        engine.extractor.parallel = parallel
     series_list = read_series_csv(args.data)
     recommendations = engine.recommend_many(series_list)
     repaired = engine.repair_many(series_list, recommendations)
@@ -236,11 +230,8 @@ def _cmd_list_imputers(args) -> int:
 
 
 def _load_serving_engine(args):
-    """Load an engine for a serving subcommand (parallel + cache wired)."""
+    """Load an engine for a serving subcommand (feature cache wired)."""
     engine = load_engine(args.engine)
-    parallel = _parallel_from_args(args)
-    if parallel is not None:
-        engine.extractor.parallel = parallel
     if engine.extractor.cache is None:
         engine.extractor.cache = FeatureCache()
     return engine
@@ -660,11 +651,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--jobs", "-j", type=int, default=1, metavar="N",
-        help="worker count for parallel stages (1=serial, 0=all CPUs)",
+        help="worker count for the training stages, labeling and the "
+        "race (1=serial, 0=all CPUs)",
     )
     common.add_argument(
         "--backend", choices=BACKENDS, default="auto",
-        help="parallel backend (auto selects by workload size)",
+        help="backend for the training stages, labeling and the race "
+        "(auto selects by workload size)",
     )
     common.add_argument(
         "--max-retries", type=int, default=0, metavar="N",

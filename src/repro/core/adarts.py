@@ -123,11 +123,10 @@ class ADarts:
         Optional :class:`~repro.observability.RaceObserver` receiving the
         ModelRace lifecycle events during training.
     parallel:
-        Optional :class:`~repro.parallel.ParallelConfig` applied to every
-        parallelizable stage — cluster labeling, feature extraction, and
-        the ModelRace fold evaluations.  Stage-level configs already set
-        on an explicitly passed ``config`` / ``labeler`` / ``extractor``
-        are left untouched.
+        Optional :class:`~repro.parallel.ParallelConfig` applied to the
+        parallelizable training stages — cluster labeling and the
+        ModelRace fold evaluations.  Stage-level configs already set on
+        an explicitly passed ``config`` / ``labeler`` are left untouched.
     feature_cache:
         Optional :class:`~repro.parallel.FeatureCache` installed on the
         extractor (unless the extractor already has one), deduplicating
@@ -159,8 +158,6 @@ class ADarts:
                 self.config = replace(self.config, parallel=parallel)
             if self.labeler.parallel is None:
                 self.labeler.parallel = parallel
-            if self.extractor.parallel is None:
-                self.extractor.parallel = parallel
         if feature_cache is not None and self.extractor.cache is None:
             self.extractor.cache = feature_cache
         self.classifier_names = classifier_names

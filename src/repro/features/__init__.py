@@ -1,19 +1,8 @@
 """Feature extraction for imputation-algorithm recommendation (Section V-B)."""
 
 from repro.features.extractor import FeatureExtractor, extract_features_matrix
-from repro.features.statistical import (
-    canonical_features,
-    dependency_features,
-    trend_features,
-    statistical_features,
-    STATISTICAL_FEATURE_NAMES,
-)
-from repro.features.topological import (
-    delay_embedding,
-    persistence_diagram,
-    topological_features,
-    TOPOLOGICAL_FEATURE_NAMES,
-)
+from repro.features.statistical import STATISTICAL_FEATURE_NAMES
+from repro.features.topological import TOPOLOGICAL_FEATURE_NAMES
 from repro.features.scaling import (
     BaseScaler,
     IdentityScaler,
@@ -34,14 +23,7 @@ from repro.features.scaling import (
 __all__ = [
     "FeatureExtractor",
     "extract_features_matrix",
-    "canonical_features",
-    "dependency_features",
-    "trend_features",
-    "statistical_features",
     "STATISTICAL_FEATURE_NAMES",
-    "delay_embedding",
-    "persistence_diagram",
-    "topological_features",
     "TOPOLOGICAL_FEATURE_NAMES",
     "BaseScaler",
     "IdentityScaler",

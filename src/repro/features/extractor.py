@@ -4,68 +4,55 @@ ModelRace and the recommendation engine always go through this class so the
 *same* extractor configuration is used at training and inference time
 (steps 2 and 6 of Fig. 2).
 
-``extract_many`` is a production hot path (every labeled series at training
-time, every request at inference time), so it supports two accelerations
-that compose:
-
-* **Caching** — pass a :class:`~repro.parallel.FeatureCache` and each
-  series is keyed by ``sha1(series content + extractor fingerprint)``;
-  repeated series (within a batch or across calls/processes when the
-  cache is disk-backed) are extracted exactly once and the cached vector
-  is bit-identical to a fresh extraction.
-* **Parallel fan-out** — pass a :class:`~repro.parallel.ParallelConfig`
-  and the non-cached extractions are chunked across an
-  :class:`~repro.parallel.ExecutionEngine` (thread or process backend),
-  preserving row order.
-
-With neither configured, the historical serial code path runs unchanged.
+Every vector comes from one implementation: the block kernels of
+:mod:`repro.features.statistical` and :mod:`repro.features.topological`,
+which compute each feature as a row-wise reduction over a stack of
+equal-length series.  A series' vector depends on that series alone, so
+extracting it alone, inside any batch, or from the cache gives the same
+bytes.  With a :class:`~repro.parallel.FeatureCache`, each series is keyed
+by ``sha1(series content + extractor fingerprint)``; repeated series
+(within a batch, or across calls and processes when the cache is
+disk-backed) are extracted once.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.observability import get_metrics, get_tracer
 from repro.observability.resources import get_accounting
-from repro.parallel import ExecutionEngine, FeatureCache, ParallelConfig
+from repro.parallel import FeatureCache
 from repro.features.statistical import (
     STATISTICAL_FEATURE_NAMES,
-    _prepare,
-    statistical_features,
     statistical_features_block,
 )
 from repro.features.topological import (
     TOPOLOGICAL_FEATURE_NAMES,
-    topological_features,
     topological_features_block,
 )
 from repro.timeseries.batch import SeriesBank
 from repro.timeseries.series import TimeSeries
 
 
-@functools.lru_cache(maxsize=8)
-def _worker_extractor(config: tuple) -> "FeatureExtractor":
-    """Per-process extractor cache for parallel workers."""
-    return FeatureExtractor(**dict(config))
+#: Bytes of one stacked block on the list path.  The kernels hold about
+#: ten block-sized temporaries at once, so a large batch is cut into
+#: blocks of this size to keep its extraction scratch near 10x this.
+#: Rows are independent, so the cut does not change any vector.
+_LIST_BLOCK_BYTES = 256 * 1024
 
 
-def _extract_worker(values: np.ndarray, *, config: tuple) -> np.ndarray:
-    """Extract one series from its raw value array (picklable worker)."""
-    return _worker_extractor(config).extract(values)
+def _prepare(series) -> tuple[np.ndarray, np.ndarray]:
+    """``(raw, clean)`` float arrays of one series (array or TimeSeries).
 
-
-def _extract_row_worker(index: int, *, config: tuple, matrix: np.ndarray) -> np.ndarray:
-    """Extract one row of a shared corpus matrix (picklable worker).
-
-    ``matrix`` is bound by ``ExecutionEngine.map(shared=...)`` — passed
-    directly on the serial/thread backends, attached zero-copy from a
-    shared-memory segment on the process backend — so each task pickles
-    only the integer row index instead of the row data.
+    ``raw`` keeps NaN as missing (it keys the cache and feeds the
+    missing-pattern features); ``clean`` has the gaps linearly
+    interpolated.  Non-1-D, empty and ±inf input raise
+    :class:`ValidationError`, as does a series with no observed value.
     """
-    return _worker_extractor(config).extract(matrix[index])
+    ts = series if isinstance(series, TimeSeries) else TimeSeries(series)
+    raw = ts.values
+    return raw, ts.interpolated().values if ts.has_missing else raw
 
 
 class FeatureExtractor:
@@ -83,18 +70,9 @@ class FeatureExtractor:
         extension; off by default to match the published system).
     embedding_dimension, embedding_delay:
         Parameters of the time-delay embedding for the topological features.
-    parallel:
-        Optional :class:`~repro.parallel.ParallelConfig`; ``extract_many``
-        fans per-series extraction out across its workers.  ``None``
-        keeps the serial path.
     cache:
         Optional :class:`~repro.parallel.FeatureCache`; series content
         hashes are looked up before extraction and stored after.
-    compute_dtype:
-        Dtype of the *blockwise* kernels (``"float64"`` default, or
-        ``"float32"``).  Float32 halves the block working set at a small
-        accuracy cost; feature vectors are always accumulated and
-        returned as float64.  The scalar per-series path is unaffected.
 
     At least one family must be enabled.  Feature order is stable across
     calls, exposed via :attr:`feature_names`.
@@ -107,24 +85,16 @@ class FeatureExtractor:
         use_missing_pattern: bool = False,
         embedding_dimension: int = 3,
         embedding_delay: int = 2,
-        parallel: ParallelConfig | None = None,
         cache: FeatureCache | None = None,
-        compute_dtype: str = "float64",
     ):
         if not (use_statistical or use_topological or use_missing_pattern):
             raise ValidationError("at least one feature family must be enabled")
-        if compute_dtype not in ("float64", "float32"):
-            raise ValidationError(
-                f"compute_dtype must be 'float64' or 'float32', got {compute_dtype!r}"
-            )
         self.use_statistical = bool(use_statistical)
         self.use_topological = bool(use_topological)
         self.use_missing_pattern = bool(use_missing_pattern)
         self.embedding_dimension = int(embedding_dimension)
         self.embedding_delay = int(embedding_delay)
-        self.parallel = parallel
         self.cache = cache
-        self.compute_dtype = compute_dtype
         names: list[str] = []
         if self.use_statistical:
             names.extend(STATISTICAL_FEATURE_NAMES)
@@ -154,73 +124,18 @@ class FeatureExtractor:
         vectors for identical input, so cached vectors are shareable
         across instances (and across processes via a disk-backed cache).
         """
-        base = (
-            "fx1",  # bump when extraction semantics change
+        return (
+            "fx2",  # bump when extraction semantics change
             self.use_statistical,
             self.use_topological,
             self.use_missing_pattern,
             self.embedding_dimension,
             self.embedding_delay,
         )
-        # Only non-default compute dtypes extend the key, so historical
-        # float64 cache entries stay valid.
-        if self.compute_dtype != "float64":
-            return base + (("compute_dtype", self.compute_dtype),)
-        return base
-
-    def _worker_config(self) -> tuple:
-        """Hashable kwargs for reconstructing this extractor in workers."""
-        return (
-            ("use_statistical", self.use_statistical),
-            ("use_topological", self.use_topological),
-            ("use_missing_pattern", self.use_missing_pattern),
-            ("embedding_dimension", self.embedding_dimension),
-            ("embedding_delay", self.embedding_delay),
-            ("compute_dtype", self.compute_dtype),
-        )
 
     def extract(self, series) -> np.ndarray:
-        """Extract the feature vector of one series (array or TimeSeries).
-
-        Each enabled feature block is individually timed into the
-        ``repro_features_block_seconds{block=...}`` histogram of the
-        process metrics registry (a no-op unless a registry is
-        installed), so the per-block latency breakdown the paper's
-        inference-cost analysis needs is always available.
-        """
-        metrics = get_metrics()
-        feats: dict[str, float] = {}
-        if self.use_statistical:
-            with metrics.histogram(
-                "repro_features_block_seconds",
-                "Per-feature-block extraction wall seconds",
-                labels={"block": "statistical"},
-            ).time():
-                feats.update(statistical_features(series))
-        if self.use_topological:
-            with metrics.histogram(
-                "repro_features_block_seconds",
-                "Per-feature-block extraction wall seconds",
-                labels={"block": "topological"},
-            ).time():
-                feats.update(
-                    topological_features(
-                        series,
-                        dimension=self.embedding_dimension,
-                        delay=self.embedding_delay,
-                    )
-                )
-        if self.use_missing_pattern:
-            from repro.timeseries.patterns import missing_pattern_features
-
-            with metrics.histogram(
-                "repro_features_block_seconds",
-                "Per-feature-block extraction wall seconds",
-                labels={"block": "missing_pattern"},
-            ).time():
-                feats.update(missing_pattern_features(series))
-        vector = np.array([feats[name] for name in self._names], dtype=float)
-        return np.nan_to_num(vector, nan=0.0, posinf=0.0, neginf=0.0)
+        """Extract the feature vector of one series (array or TimeSeries)."""
+        return self.extract_many([series])[0]
 
     def extract_block(
         self, matrix, *, bank: SeriesBank | None = None
@@ -228,24 +143,23 @@ class FeatureExtractor:
         """Feature matrix of pre-stacked equal-length rows via block kernels.
 
         ``matrix`` is an ``(n_series, length)`` NaN-free float matrix (rows
-        already interpolated — a :attr:`SeriesBank.raw` qualifies).  Every
-        feature is computed as a column-wise reduction over the whole
-        stack, matching per-row :meth:`extract` to ~1e-9 (exactly, for the
-        topological block).  Pass ``bank`` to memoize reusable derived
-        arrays (the detrended periodogram) in the bank's :meth:`cached
+        already interpolated — a :attr:`SeriesBank.raw` qualifies).  Pass
+        ``bank`` to memoize reusable derived arrays (the detrended
+        periodogram) in the bank's :meth:`cached
         <repro.timeseries.batch.SeriesBank.cached>` store across repeated
-        extractions.
-
-        Blocks run in :attr:`compute_dtype`; the returned matrix is always
-        float64.  Missing-pattern features need per-series NaN masks and
-        are not supported here.
+        extractions.  Missing-pattern features need each row's NaN mask,
+        so they are only available through :meth:`extract_many` on a list.
         """
         if self.use_missing_pattern:
             raise ValidationError(
                 "missing-pattern features need per-series NaN masks; "
                 "block extraction covers statistical/topological only"
             )
-        X = np.ascontiguousarray(matrix, dtype=np.dtype(self.compute_dtype))
+        return self._block(matrix, bank=bank)
+
+    def _block(self, matrix, *, bank=None, raws=None) -> np.ndarray:
+        """Feature rows of a clean stack; ``raws`` feed the ``miss_*`` columns."""
+        X = np.ascontiguousarray(matrix, dtype=np.float64)
         metrics = get_metrics()
         cols: dict[str, np.ndarray] = {}
         if self.use_statistical:
@@ -272,6 +186,17 @@ class FeatureExtractor:
                         delay=self.embedding_delay,
                     )
                 )
+        if raws is not None:
+            from repro.timeseries.patterns import missing_pattern_features
+
+            with metrics.histogram(
+                "repro_features_block_seconds",
+                "Per-feature-block extraction wall seconds",
+                labels={"block": "missing_pattern"},
+            ).time():
+                rows = [missing_pattern_features(raw) for raw in raws]
+            for name in rows[0]:
+                cols[name] = np.array([row[name] for row in rows])
         out = np.empty((X.shape[0], self.n_features), dtype=float)
         for col_idx, name in enumerate(self._names):
             out[:, col_idx] = cols[name]
@@ -283,24 +208,20 @@ class FeatureExtractor:
         )
         return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
 
-    def extract_many(self, series_list, *, batched: bool = False) -> np.ndarray:
+    def extract_many(self, series_list) -> np.ndarray:
         """Extract a feature matrix (n_series, n_features).
 
-        ``series_list`` may also be a prepared
-        :class:`~repro.timeseries.batch.SeriesBank`, in which case the
-        blockwise kernels run over its (already cleaned, truncated) rows
-        and derived arrays are memoized on the bank.  For a plain list,
-        ``batched=True`` groups equal-length series and pushes each group
-        through :meth:`extract_block` (ignored when missing-pattern
-        features are enabled, which need per-series handling).
+        ``series_list`` is a list of arrays / :class:`TimeSeries`, or a
+        prepared :class:`~repro.timeseries.batch.SeriesBank`, in which case
+        the block kernels run over its (already cleaned, truncated) rows
+        and derived arrays are memoized on the bank.
 
-        With a :attr:`cache`, every series is first looked up by content
-        hash and duplicate series within the batch are extracted only
-        once.  With a :attr:`parallel` config, the remaining extractions
-        fan out across an :class:`~repro.parallel.ExecutionEngine`.  Row
-        order always matches ``series_list``, and the produced vectors
-        are bit-identical to the serial, uncached path (to ~1e-9 on the
-        blockwise paths).
+        A list is prepared series by series (gaps interpolated, ±inf
+        rejected); with a :attr:`cache`, each series is looked up by
+        content hash and repeats inside the batch are extracted once.  The
+        remaining series are grouped by length and stacked into blocks of
+        at most :data:`_LIST_BLOCK_BYTES`, one block-kernel call each.  Row
+        order matches ``series_list``.
         """
         bank = series_list if isinstance(series_list, SeriesBank) else None
         n_series = bank.n if bank is not None else len(series_list)
@@ -343,102 +264,57 @@ class FeatureExtractor:
             elif bank is not None:
                 span.set_tag("mode", "bank")
                 matrix = self.extract_block(bank.raw, bank=bank)
-            elif batched and not self.use_missing_pattern:
-                span.set_tag("mode", "batched")
-                matrix = self._extract_block_grouped(series_list, span)
-            elif self.cache is None and self.parallel is None:
-                # Historical serial path, byte-for-byte.
-                matrix = np.vstack([self.extract(s) for s in series_list])
             else:
-                matrix = self._extract_many_accelerated(series_list, span)
+                span.set_tag("mode", "list")
+                matrix = self._extract_list(series_list, span)
         metrics.counter(
             "repro_features_series_total",
             "Series pushed through feature extraction",
         ).inc(n_series)
         return matrix
 
-    def _extract_block_grouped(self, series_list, span) -> np.ndarray:
-        """Blockwise extraction of a heterogeneous list, grouped by length."""
-        arrays = [_prepare(s) for s in series_list]
-        groups: dict[int, list[int]] = {}
-        for i, arr in enumerate(arrays):
-            groups.setdefault(arr.shape[0], []).append(i)
-        out = np.empty((len(arrays), self.n_features), dtype=float)
-        for indices in groups.values():
-            stacked = np.vstack([arrays[i] for i in indices])
-            if np.isfinite(stacked).all():
-                out[indices] = self.extract_block(stacked)
-            else:
-                # Non-finite rows (inf survives interpolation) keep the
-                # scalar path, whose _finite guards define the semantics.
-                for i in indices:
-                    out[i] = self.extract(arrays[i])
-        span.set_tag("block_groups", len(groups))
-        return out
-
-    def _extract_many_accelerated(self, series_list, span) -> np.ndarray:
-        """Cache-deduplicated, optionally parallel batch extraction."""
-        arrays = [
-            np.ascontiguousarray(
-                s.values if isinstance(s, TimeSeries) else np.asarray(s),
-                dtype=float,
-            )
-            for s in series_list
-        ]
-        n = len(arrays)
-        rows: list[np.ndarray | None] = [None] * n
-        # 1) Resolve cache hits and dedupe identical series in-batch.
-        todo_by_key: dict[str, list[int]] = {}
+    def _extract_list(self, series_list, span) -> np.ndarray:
+        """Cache lookup, in-batch dedup, then block calls per length group."""
+        prepared = [_prepare(s) for s in series_list]
+        out = np.empty((len(prepared), self.n_features), dtype=float)
+        # Each entry: the rows that share one series; the first is extracted.
+        todo: dict = {}
         if self.cache is not None:
             fingerprint = self.fingerprint
-            for i, arr in enumerate(arrays):
-                key = self.cache.key(arr, fingerprint)
+            for i, (raw, _) in enumerate(prepared):
+                key = self.cache.key(raw, fingerprint)
                 hit = self.cache.get(key)
                 if hit is not None:
-                    rows[i] = hit
+                    out[i] = hit
                 else:
-                    todo_by_key.setdefault(key, []).append(i)
-            work_indices = [indices[0] for indices in todo_by_key.values()]
+                    todo.setdefault(key, []).append(i)
+            span.set_tag("cache_hits", len(prepared) - sum(map(len, todo.values())))
+            span.set_tag("cache_misses", len(todo))
         else:
-            work_indices = list(range(n))
-        # 2) Extract the remaining unique series (possibly in parallel).
-        if work_indices:
-            config = self._worker_config()
-            lengths = {arrays[i].shape[0] for i in work_indices}
-            with ExecutionEngine(self.parallel) as engine:
-                if self.parallel is not None and len(lengths) == 1 and len(work_indices) > 1:
-                    # Equal-length corpus: ship one shared matrix instead
-                    # of pickling every row (zero-copy on the process
-                    # backend via a shared-memory segment).
-                    stacked = np.ascontiguousarray(
-                        np.vstack([arrays[i] for i in work_indices])
-                    )
-                    vectors = engine.map(
-                        functools.partial(_extract_row_worker, config=config),
-                        list(range(len(work_indices))),
-                        label="features.extract_batch",
-                        shared={"matrix": stacked},
-                    )
-                else:
-                    vectors = engine.map(
-                        functools.partial(_extract_worker, config=config),
-                        [arrays[i] for i in work_indices],
-                        label="features.extract_batch",
-                    )
-        else:
-            vectors = []
-        # 3) Assemble rows in input order; store fresh vectors.
-        if self.cache is not None:
-            for (key, indices), vector in zip(todo_by_key.items(), vectors):
-                self.cache.put(key, vector)
-                for i in indices:
-                    rows[i] = np.array(vector, dtype=float, copy=True)
-            span.set_tag("cache_hits", n - sum(len(v) for v in todo_by_key.values()))
-            span.set_tag("cache_misses", len(todo_by_key))
-        else:
-            for i, vector in zip(work_indices, vectors):
-                rows[i] = vector
-        return np.vstack(rows)
+            todo = {i: [i] for i in range(len(prepared))}
+        groups: dict[int, list[int]] = {}
+        for rows in todo.values():
+            groups.setdefault(prepared[rows[0]][1].shape[0], []).append(rows[0])
+        n_blocks = 0
+        for length, firsts in groups.items():
+            step = max(1, _LIST_BLOCK_BYTES // (8 * length))
+            for start in range(0, len(firsts), step):
+                part = firsts[start : start + step]
+                out[part] = self._block(
+                    np.vstack([prepared[i][1] for i in part]),
+                    raws=(
+                        [prepared[i][0] for i in part]
+                        if self.use_missing_pattern
+                        else None
+                    ),
+                )
+                n_blocks += 1
+        span.set_tag("blocks", n_blocks)
+        for key, rows in todo.items():
+            out[rows[1:]] = out[rows[0]]
+            if self.cache is not None:
+                self.cache.put(key, out[rows[0]])
+        return out
 
     def __repr__(self) -> str:
         return (

@@ -9,10 +9,12 @@ and groups them into three coarse categories, reproduced here:
 * **Trends** — seasonality, spectral shape, stationarity, and linear-trend
   diagnostics.
 
-Every function accepts a :class:`~repro.timeseries.TimeSeries` or raw array;
-missing values are linearly interpolated first (features must be computable
-on faulty input — that is the whole point of the recommender).  Each function
-returns an ordered ``dict[str, float]``; all values are finite.
+Every feature is a row-wise reduction over a stacked ``(n_series,
+length)`` matrix of equal-length, already-interpolated rows (features must
+be computable on faulty input — :class:`~repro.features.FeatureExtractor`
+interpolates before stacking).  Each row's features depend on that row
+alone, and every value is finite: degenerate inputs (constant rows,
+too-short rows, zero spectra) map to fixed defaults.
 """
 
 from __future__ import annotations
@@ -23,247 +25,10 @@ import numpy as np
 from scipy import stats as sps
 
 from repro.exceptions import ValidationError
-from repro.timeseries.series import TimeSeries
-
-
-def _prepare(series) -> np.ndarray:
-    """Coerce to a clean 1-D array (interpolate NaNs, drop non-finite)."""
-    if isinstance(series, TimeSeries):
-        if series.has_missing:
-            series = series.interpolated()
-        arr = series.values.astype(float)
-    else:
-        arr = np.asarray(series, dtype=float)
-        if np.isnan(arr).any():
-            arr = TimeSeries(arr).interpolated().values
-    return arr
-
-
-def _finite(value: float) -> float:
-    """Map NaN/inf from degenerate inputs to 0.0 so vectors stay usable."""
-    value = float(value)
-    return value if np.isfinite(value) else 0.0
-
-
-def _autocorrelation(x: np.ndarray, lag: int) -> float:
-    n = x.shape[0]
-    if lag >= n or lag < 1:
-        return 0.0
-    x0 = x - x.mean()
-    denom = float(x0 @ x0)
-    if denom == 0.0:
-        return 0.0
-    return float(x0[:-lag] @ x0[lag:] / denom)
-
-
-def canonical_features(series) -> dict[str, float]:
-    """Basic distributional and change statistics (13 features)."""
-    x = _prepare(series)
-    diffs = np.diff(x) if x.shape[0] > 1 else np.zeros(1)
-    std = x.std()
-    q25, q50, q75 = np.percentile(x, [25, 50, 75])
-    span = x.max() - x.min()
-    above = (x > x.mean()).mean()
-    crossings = 0.0
-    if x.shape[0] > 1:
-        centered = x - np.median(x)
-        crossings = float(np.mean(np.sign(centered[:-1]) != np.sign(centered[1:])))
-    return {
-        "canon_mean": _finite(x.mean()),
-        "canon_std": _finite(std),
-        "canon_skew": _finite(sps.skew(x)) if std > 0 else 0.0,
-        "canon_kurtosis": _finite(sps.kurtosis(x)) if std > 0 else 0.0,
-        "canon_median": _finite(q50),
-        "canon_iqr": _finite(q75 - q25),
-        "canon_range": _finite(span),
-        "canon_cv": _finite(std / (abs(x.mean()) + 1e-12)),
-        "canon_above_mean_ratio": _finite(above),
-        "canon_abs_diff_mean": _finite(np.abs(diffs).mean()),
-        "canon_diff_std": _finite(diffs.std()),
-        "canon_median_crossings": _finite(crossings),
-        "canon_energy": _finite((x**2).mean()),
-    }
-
-
-def dependency_features(series) -> dict[str, float]:
-    """Autocorrelation structure (14 features)."""
-    x = _prepare(series)
-    n = x.shape[0]
-    feats: dict[str, float] = {}
-    lags = (1, 2, 3, 5, 10, 20)
-    acfs = []
-    for lag in lags:
-        value = _autocorrelation(x, lag)
-        feats[f"dep_acf_lag{lag}"] = _finite(value)
-        acfs.append(value)
-    # First zero crossing of the ACF (a period proxy).
-    first_zero = 0.0
-    max_lag = min(n // 2, 128) if n > 4 else n - 1
-    prev = 1.0
-    for lag in range(1, max_lag):
-        cur = _autocorrelation(x, lag)
-        if prev > 0 >= cur:
-            first_zero = lag / max_lag
-            break
-        prev = cur
-    feats["dep_acf_first_zero"] = _finite(first_zero)
-    # Sum of squared ACF over first 10 lags: overall linear memory.
-    feats["dep_acf_energy10"] = _finite(
-        sum(_autocorrelation(x, lag) ** 2 for lag in range(1, min(11, n)))
-    )
-    # Partial autocorrelation at lag 2 via Durbin-Levinson.
-    r1, r2 = _autocorrelation(x, 1), _autocorrelation(x, 2)
-    pacf2 = (r2 - r1**2) / (1 - r1**2) if abs(r1) < 1 else 0.0
-    feats["dep_pacf_lag2"] = _finite(pacf2)
-    # Nonlinear dependence: autocorrelation of squared (centered) values.
-    xc = x - x.mean()
-    feats["dep_acf_sq_lag1"] = _finite(_autocorrelation(xc**2, 1))
-    # Mutual-information proxy: correlation between x_t and x_{t+1} ranks.
-    if n > 2 and x.std() > 0:
-        rho = sps.spearmanr(x[:-1], x[1:]).statistic
-    else:
-        rho = 0.0
-    feats["dep_rank_acf_lag1"] = _finite(rho)
-    # Time irreversibility (third-order moment of diffs).
-    diffs = np.diff(x) if n > 1 else np.zeros(1)
-    denom = (diffs**2).mean() ** 1.5 + 1e-12
-    feats["dep_time_irreversibility"] = _finite((diffs**3).mean() / denom)
-    # Hurst-style rescaled-range proxy on two scales.
-    feats["dep_rs_ratio"] = _finite(_rescaled_range_ratio(x))
-    feats["dep_acf_mean_abs"] = _finite(float(np.mean(np.abs(acfs))))
-    return feats
-
-
-def _rescaled_range_ratio(x: np.ndarray) -> float:
-    """log2(R/S at full length / R/S at half length) — long-memory proxy."""
-    def rs(seg: np.ndarray) -> float:
-        if seg.shape[0] < 4:
-            return 0.0
-        dev = np.cumsum(seg - seg.mean())
-        r = dev.max() - dev.min()
-        s = seg.std()
-        return r / s if s > 0 else 0.0
-
-    full = rs(x)
-    half = (rs(x[: x.shape[0] // 2]) + rs(x[x.shape[0] // 2 :])) / 2
-    if half <= 0 or full <= 0:
-        return 0.0
-    return float(np.log2(full / half))
-
-
-def trend_features(series) -> dict[str, float]:
-    """Seasonality, spectrum, stationarity, and linear trend (13 features)."""
-    x = _prepare(series)
-    n = x.shape[0]
-    feats: dict[str, float] = {}
-    t = np.arange(n, dtype=float)
-    # Linear trend fit.
-    if n > 2 and x.std() > 0:
-        slope, intercept = np.polyfit(t, x, 1)
-        resid = x - (slope * t + intercept)
-        r2 = 1.0 - resid.var() / x.var()
-    else:
-        slope, r2, resid = 0.0, 0.0, x - x.mean()
-    feats["trend_slope"] = _finite(slope)
-    feats["trend_r2"] = _finite(max(0.0, r2))
-    feats["trend_resid_std"] = _finite(resid.std())
-    # Spectral features from the periodogram of the detrended series.
-    detrended = resid - resid.mean()
-    spectrum = np.abs(np.fft.rfft(detrended)) ** 2
-    spectrum = spectrum[1:]  # drop DC
-    if spectrum.size and spectrum.sum() > 0:
-        p = spectrum / spectrum.sum()
-        spec_entropy = float(-(p * np.log(p + 1e-15)).sum() / np.log(p.size))
-        peak_idx = int(np.argmax(spectrum))
-        peak_freq = (peak_idx + 1) / n
-        peak_power = float(p[peak_idx])
-        centroid = float((np.arange(1, p.size + 1) * p).sum() / p.size)
-        low = p[: max(1, p.size // 10)].sum()
-    else:
-        spec_entropy, peak_freq, peak_power, centroid, low = 1.0, 0.0, 0.0, 0.0, 0.0
-    feats["trend_spectral_entropy"] = _finite(spec_entropy)
-    feats["trend_peak_freq"] = _finite(peak_freq)
-    feats["trend_peak_power"] = _finite(peak_power)
-    feats["trend_spectral_centroid"] = _finite(centroid)
-    feats["trend_lowfreq_power"] = _finite(low)
-    # Seasonality strength via best seasonal-difference variance reduction.
-    feats["trend_seasonality_strength"] = _finite(_seasonality_strength(x))
-    # Stationarity: variance of windowed means / windowed variances.
-    feats["trend_stat_mean_drift"], feats["trend_stat_var_drift"] = _stationarity(x)
-    # Step-change detection: max jump of windowed means (perturbation proxy).
-    feats["trend_level_shift"] = _finite(_level_shift(x))
-    # Curvature (quadratic coefficient) of the global fit.
-    if n > 3 and x.std() > 0:
-        quad = np.polyfit(t, x, 2)[0]
-    else:
-        quad = 0.0
-    feats["trend_curvature"] = _finite(quad)
-    return feats
-
-
-def _seasonality_strength(x: np.ndarray) -> float:
-    n = x.shape[0]
-    best = 0.0
-    var = x.var()
-    if var == 0:
-        return 0.0
-    for period in (4, 7, 12, 24, 50, 96):
-        if period * 2 >= n:
-            continue
-        seasonal_diff = x[period:] - x[:-period]
-        strength = 1.0 - seasonal_diff.var() / (2 * var)
-        best = max(best, strength)
-    return max(0.0, min(1.0, best))
-
-
-def _stationarity(x: np.ndarray) -> tuple[float, float]:
-    n = x.shape[0]
-    k = max(2, min(8, n // 16))
-    windows = np.array_split(x, k)
-    means = np.array([w.mean() for w in windows])
-    variances = np.array([w.var() for w in windows])
-    scale = x.std() + 1e-12
-    mean_drift = means.std() / scale
-    var_drift = variances.std() / (scale**2)
-    return _finite(mean_drift), _finite(var_drift)
-
-
-def _level_shift(x: np.ndarray) -> float:
-    n = x.shape[0]
-    w = max(4, n // 12)
-    if n < 2 * w:
-        return 0.0
-    means = np.array([x[i : i + w].mean() for i in range(0, n - w, w)])
-    if means.size < 2:
-        return 0.0
-    scale = x.std() + 1e-12
-    return float(np.abs(np.diff(means)).max() / scale)
-
-
-def statistical_features(series) -> dict[str, float]:
-    """All statistical features: canonical + dependencies + trends (40 total)."""
-    feats = canonical_features(series)
-    feats.update(dependency_features(series))
-    feats.update(trend_features(series))
-    return feats
-
-
-#: Stable ordering of statistical feature names (probe a tiny series once).
-STATISTICAL_FEATURE_NAMES: tuple[str, ...] = tuple(
-    statistical_features(np.sin(np.linspace(0, 6.28, 64))).keys()
-)
-
-
-# ---------------------------------------------------------------------------
-# Blockwise kernels: every feature as a column-wise reduction over a stacked
-# ``(n_series, length)`` matrix.  Each kernel mirrors its scalar counterpart
-# above — same guards, same degenerate-input defaults — so a block result
-# matches per-series extraction to ~1e-9 (exactly, for most features).
-# ---------------------------------------------------------------------------
 
 
 def _finite_rows(values: np.ndarray) -> np.ndarray:
-    """Vector analogue of :func:`_finite`: NaN/inf → 0.0, elementwise."""
+    """NaN/inf from degenerate rows → 0.0, elementwise."""
     out = np.asarray(values, dtype=np.float64).copy()
     np.copyto(out, 0.0, where=~np.isfinite(out))
     return out
@@ -272,8 +37,7 @@ def _finite_rows(values: np.ndarray) -> np.ndarray:
 def _acf_matrix(x0: np.ndarray, denom: np.ndarray, max_lag: int) -> np.ndarray:
     """ACF of pre-centered rows at lags ``0..max_lag`` (column 0 unused).
 
-    Rows with zero energy (``denom == 0``) and lags ``>= length`` yield 0.0,
-    matching :func:`_autocorrelation`.
+    Rows with zero energy (``denom == 0``) and lags ``>= length`` yield 0.0.
     """
     n_rows, length = x0.shape
     acf = np.zeros((n_rows, max_lag + 1), dtype=x0.dtype)
@@ -284,6 +48,25 @@ def _acf_matrix(x0: np.ndarray, denom: np.ndarray, max_lag: int) -> np.ndarray:
         num = np.einsum("ij,ij->i", x0[:, :-lag], x0[:, lag:])
         np.divide(num, denom, out=acf[:, lag], where=safe)
     return acf
+
+
+def _skew_kurtosis(X: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Biased skewness and excess kurtosis per row.
+
+    The same central-moment arithmetic as ``scipy.stats.skew`` /
+    ``scipy.stats.kurtosis`` (m3/m2^1.5 and m4/m2^2 - 3, NaN where m2 is
+    numerically zero), without scipy's per-call array-API dispatch,
+    which cost more than the moments themselves on small blocks.
+    """
+    d = X - means[:, None]
+    d2 = d**2
+    m2 = d2.mean(axis=1)
+    m3 = (d2 * d).mean(axis=1)
+    m4 = (d2**2).mean(axis=1)
+    flat = m2 <= (np.finfo(np.float64).eps * means) ** 2
+    skew = np.where(flat, np.nan, m3 / m2**1.5)
+    kurtosis = np.where(flat, np.nan, m4 / m2**2.0) - 3.0
+    return skew, kurtosis
 
 
 def _canonical_block(X: np.ndarray) -> dict[str, np.ndarray]:
@@ -300,11 +83,12 @@ def _canonical_block(X: np.ndarray) -> dict[str, np.ndarray]:
     else:
         crossings = np.zeros(n_rows)
     gate = stds > 0
+    skew, kurtosis = _skew_kurtosis(X, means)
     return {
         "canon_mean": means,
         "canon_std": stds,
-        "canon_skew": np.where(gate, sps.skew(X, axis=1), 0.0),
-        "canon_kurtosis": np.where(gate, sps.kurtosis(X, axis=1), 0.0),
+        "canon_skew": np.where(gate, skew, 0.0),
+        "canon_kurtosis": np.where(gate, kurtosis, 0.0),
         "canon_median": q50,
         "canon_iqr": q75 - q25,
         "canon_range": X.max(axis=1) - X.min(axis=1),
@@ -466,7 +250,7 @@ def _trend_block(X: np.ndarray, *, cache=None) -> dict[str, np.ndarray]:
     def _spectrum() -> np.ndarray:
         return np.abs(np.fft.rfft(detrended, axis=1)) ** 2
 
-    key = ("stat_rfft_sq", length, X.dtype.str)
+    key = ("stat_rfft_sq", length)
     spectrum = cache(key, _spectrum) if cache is not None else _spectrum()
     spectrum = spectrum[:, 1:]  # drop DC
     n_bins = spectrum.shape[1]
@@ -508,21 +292,19 @@ def statistical_features_block(matrix, *, cache=None) -> dict[str, np.ndarray]:
     """All 40 statistical features over a stack of equal-length rows.
 
     ``matrix`` is ``(n_series, length)`` with no NaNs — interpolate before
-    stacking (``SeriesBank`` does).  Returns ``{name: (n_series,) float64
-    array}`` in :data:`STATISTICAL_FEATURE_NAMES` order; each column matches
-    the scalar :func:`statistical_features` on the corresponding row.
+    stacking (``SeriesBank`` and ``FeatureExtractor`` do).  Returns
+    ``{name: (n_series,) float64 array}`` in
+    :data:`STATISTICAL_FEATURE_NAMES` order.
 
     ``cache`` is an optional ``cache(key, builder)`` memo (pass
     ``SeriesBank.cached``) used to reuse the detrended periodogram across
     repeated extractions over the same bank.
     """
-    X = np.asarray(matrix)
+    X = np.asarray(matrix, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
         raise ValidationError(
             "statistical_features_block expects a non-empty 2-D matrix"
         )
-    if X.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        X = X.astype(np.float64)
     if not np.isfinite(X).all():
         raise ValidationError(
             "statistical_features_block expects finite rows; interpolate first"
@@ -533,3 +315,9 @@ def statistical_features_block(matrix, *, cache=None) -> dict[str, np.ndarray]:
         feats.update(_dependency_block(X))
         feats.update(_trend_block(X, cache=cache))
         return {name: _finite_rows(col) for name, col in feats.items()}
+
+
+#: Stable ordering of statistical feature names (probe a tiny block once).
+STATISTICAL_FEATURE_NAMES: tuple[str, ...] = tuple(
+    statistical_features_block(np.sin(np.linspace(0, 6.28, 64))[None, :]).keys()
+)

@@ -31,47 +31,13 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.observability.resources import get_accounting
-from repro.timeseries.series import TimeSeries
-
-
-def _prepare(series) -> np.ndarray:
-    if isinstance(series, TimeSeries):
-        if series.has_missing:
-            series = series.interpolated()
-        return series.values.astype(float)
-    arr = np.asarray(series, dtype=float)
-    if np.isnan(arr).any():
-        arr = TimeSeries(arr).interpolated().values
-    return arr
-
-
-def delay_embedding(series, dimension: int = 3, delay: int = 2) -> np.ndarray:
-    """Time-delay embedding of a series into ``dimension``-D space.
-
-    Returns an array of shape (n_vectors, dimension) where
-    ``n_vectors = n - (dimension - 1) * delay``.
-    """
-    x = _prepare(series)
-    if dimension < 1:
-        raise ValidationError(f"dimension must be >= 1, got {dimension}")
-    if delay < 1:
-        raise ValidationError(f"delay must be >= 1, got {delay}")
-    n = x.shape[0]
-    n_vectors = n - (dimension - 1) * delay
-    if n_vectors < 2:
-        raise ValidationError(
-            f"series of length {n} too short for embedding "
-            f"(dimension={dimension}, delay={delay})"
-        )
-    idx = np.arange(n_vectors)[:, None] + delay * np.arange(dimension)[None, :]
-    return x[idx]
 
 
 class _UnionFind:
     """Union-find with elder rule: merging keeps the earlier-born root.
 
     ``parent``/``birth`` are plain Python lists: the filtration loop in
-    :func:`persistence_diagram` touches single elements millions of times
+    :func:`_sublevel_pairs` touches single elements millions of times
     per corpus, and numpy scalar indexing (boxing each element into a
     0-d array) made that the sublevel-persistence hot spot.  List
     indexing returns native ints/floats with no boxing.
@@ -105,31 +71,12 @@ class _UnionFind:
         return (dying_birth, death)
 
 
-def _mst_edge_lengths(points: np.ndarray) -> np.ndarray:
-    """Euclidean MST edge lengths via Prim's algorithm (dense, O(n^2))."""
-    n = points.shape[0]
-    if n < 2:
-        return np.empty(0)
-    sq = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    best = sq[0].copy()
-    edges = np.empty(n - 1)
-    for k in range(n - 1):
-        best_masked = np.where(in_tree, np.inf, best)
-        j = int(np.argmin(best_masked))
-        edges[k] = np.sqrt(best_masked[j])
-        in_tree[j] = True
-        best = np.minimum(best, sq[j])
-    return np.sort(edges)
-
-
 def _sublevel_pairs(values: list, order: list) -> list[tuple[float, float]]:
     """Finite (birth, death) pairs of the sublevel-set filtration.
 
     ``values``/``order`` are plain Python lists (see :class:`_UnionFind` on
     why): the per-element filtration loop is the sublevel hot spot and is
-    inherently sequential, so the block path runs it per row too.
+    inherently sequential, so the block kernel runs it per row.
     """
     n = len(values)
     uf = _UnionFind(n)
@@ -146,54 +93,6 @@ def _sublevel_pairs(values: list, order: list) -> list[tuple[float, float]]:
                 if died is not None and died[1] > died[0]:
                     pairs.append(died)
     return pairs
-
-
-def persistence_diagram(
-    series,
-    kind: str = "sublevel",
-    dimension: int = 3,
-    delay: int = 2,
-    max_points: int = 128,
-) -> np.ndarray:
-    """Compute a 0-dimensional persistence diagram.
-
-    Parameters
-    ----------
-    series:
-        Input series (faulty input is interpolated first).
-    kind:
-        ``"sublevel"`` — components of ``{t : x_t <= threshold}`` as the
-        threshold sweeps upward (births at local minima, deaths at merges);
-        ``"rips"`` — 0-dim Rips diagram of the delay embedding (all births
-        at 0, deaths at MST edge lengths).
-    dimension, delay:
-        Embedding parameters for ``kind="rips"``.
-    max_points:
-        Subsample cap on the embedded cloud (keeps MST O(max_points^2)).
-
-    Returns
-    -------
-    Array of shape (n_pairs, 2) with columns (birth, death); the essential
-    (never-dying) component is excluded.
-    """
-    x = _prepare(series)
-    if kind == "rips":
-        cloud = delay_embedding(x, dimension=dimension, delay=delay)
-        if cloud.shape[0] > max_points:
-            step = cloud.shape[0] / max_points
-            idx = (step * np.arange(max_points)).astype(int)
-            cloud = cloud[idx]
-        deaths = _mst_edge_lengths(cloud)
-        return np.column_stack([np.zeros_like(deaths), deaths])
-    if kind != "sublevel":
-        raise ValidationError(f"kind must be 'sublevel' or 'rips', got {kind!r}")
-    # Pre-convert to native Python ints/floats once: the filtration loop
-    # indexes per element, where numpy scalar boxing dominates.
-    order = np.argsort(x, kind="stable").tolist()
-    pairs = _sublevel_pairs(x.tolist(), order)
-    if not pairs:
-        return np.empty((0, 2))
-    return np.asarray(pairs, dtype=float)
 
 
 def _diagram_stats(diagram: np.ndarray, prefix: str) -> dict[str, float]:
@@ -224,46 +123,18 @@ def _diagram_stats(diagram: np.ndarray, prefix: str) -> dict[str, float]:
     }
 
 
-def topological_features(
-    series, dimension: int = 3, delay: int = 2
-) -> dict[str, float]:
-    """Full topological feature vector (16 features).
-
-    Series are z-normalized first so diagram scales are comparable across
-    datasets; degenerate (constant or too-short) series yield all-zero
-    vectors rather than raising.
-    """
-    x = _prepare(series)
-    std = x.std()
-    if std > 0:
-        x = (x - x.mean()) / std
-    feats: dict[str, float] = {}
-    sub = persistence_diagram(x, kind="sublevel")
-    feats.update(_diagram_stats(sub, "topo_sub"))
-    try:
-        rips = persistence_diagram(x, kind="rips", dimension=dimension, delay=delay)
-    except ValidationError:
-        rips = np.empty((0, 2))
-    feats.update(_diagram_stats(rips, "topo_rips"))
-    return feats
-
-
-#: Stable ordering of topological feature names.
-TOPOLOGICAL_FEATURE_NAMES: tuple[str, ...] = tuple(
-    topological_features(np.sin(np.linspace(0, 12.56, 128))).keys()
-)
-
-
 # ---------------------------------------------------------------------------
 # Blockwise kernels over a stacked ``(n_series, length)`` matrix.  The Rips
 # side (delay embedding → pairwise distances → MST) batches fully: Prim's
-# algorithm runs in lockstep over a whole stack of distance matrices, so its
-# Python loop runs ``n_points`` times per *chunk* instead of per series.  The
-# sublevel filtration is inherently sequential and stays per-row.
+# algorithm runs in lockstep over a chunk of distance matrices, so its
+# Python loop runs ``n_points`` times per *chunk* instead of per series.
+# The sublevel filtration is inherently sequential and stays per-row.
 # ---------------------------------------------------------------------------
 
-#: Target size for one chunk of stacked distance matrices (bytes).
-_MST_CHUNK_BYTES = 32 * 1024 * 1024
+#: Cap on the MST scratch of one chunk of rows (bytes): the chunk's
+#: squared-distance stack plus one coordinate-difference plane take at most
+#: two thirds of it, the rest is headroom for the block's other arrays.
+_MST_CHUNK_BYTES = 8 * 1024 * 1024
 
 _DIAGRAM_STAT_KEYS = (
     "count", "life_mean", "life_std", "life_max", "life_sum",
@@ -275,24 +146,33 @@ def _mst_edge_lengths_block(sq: np.ndarray) -> np.ndarray:
     """Lockstep Prim over a stack of squared-distance matrices.
 
     ``sq`` has shape ``(batch, n, n)``; returns ``(batch, n - 1)`` sorted
-    edge lengths, each row identical to ``_mst_edge_lengths`` on the
-    corresponding point set (argmin tie-breaking included).
+    edge lengths: dense Prim per stack entry, first-index argmin
+    tie-breaking.  ``best`` holds +inf for points already in the tree, so
+    each step is one argmin and one row update per stack entry.
     """
     batch, n = sq.shape[0], sq.shape[1]
     if n < 2:
         return np.empty((batch, 0))
-    rows = np.arange(batch)
-    in_tree = np.zeros((batch, n), dtype=bool)
-    in_tree[:, 0] = True
-    best = sq[:, 0, :].copy()
+    rows_of = sq.reshape(batch * n, n)
+    base = np.arange(batch) * n
+    # +inf for tree members, 0.0 elsewhere: adding it to a distance row
+    # keeps tree members out of the next argmin and leaves the rest exact.
+    penalty = np.zeros((batch, n))
+    penalty_flat = penalty.reshape(-1)
+    penalty_flat[base] = np.inf
+    best = sq[:, 0, :] + penalty
+    best_flat = best.reshape(-1)
     edges = np.empty((batch, n - 1))
     for k in range(n - 1):
-        best_masked = np.where(in_tree, np.inf, best)
-        j = np.argmin(best_masked, axis=1)
-        edges[:, k] = np.sqrt(best_masked[rows, j])
-        in_tree[rows, j] = True
-        best = np.minimum(best, sq[rows, j])
-    return np.sort(edges, axis=1)
+        flat = base + best.argmin(axis=1)
+        np.sqrt(best_flat[flat], out=edges[:, k])
+        penalty_flat[flat] = np.inf
+        row = rows_of[flat]
+        row += penalty
+        np.minimum(best, row, out=best)
+        best_flat[flat] = np.inf
+    edges.sort(axis=1)
+    return edges
 
 
 def _diagram_stats_block(lifetimes: np.ndarray, prefix: str) -> dict[str, np.ndarray]:
@@ -334,17 +214,20 @@ def topological_features_block(
     """All 16 topological features over a stack of equal-length rows.
 
     ``matrix`` is ``(n_series, length)`` with no NaNs.  Returns ``{name:
-    (n_series,) float64 array}`` in :data:`TOPOLOGICAL_FEATURE_NAMES` order;
-    each column matches the scalar :func:`topological_features` on the
-    corresponding row.
+    (n_series,) float64 array}`` in :data:`TOPOLOGICAL_FEATURE_NAMES` order.
+    Rows are z-normalized first so diagram scales are comparable across
+    datasets; constant rows skip the normalization, and rows too short
+    for the delay embedding get all-zero Rips features.
     """
-    X = np.asarray(matrix)
+    X = np.asarray(matrix, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
         raise ValidationError(
             "topological_features_block expects a non-empty 2-D matrix"
         )
-    if X.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        X = X.astype(np.float64)
+    if dimension < 1 or delay < 1:
+        raise ValidationError(
+            f"embedding dimension and delay must be >= 1, got {dimension}, {delay}"
+        )
     if not np.isfinite(X).all():
         raise ValidationError(
             "topological_features_block expects finite rows; interpolate first"
@@ -375,18 +258,26 @@ def topological_features_block(
         )
         return feats
     embed_idx = np.arange(n_vectors)[:, None] + delay * np.arange(dimension)[None, :]
-    cloud = znorm[:, embed_idx]
     if n_vectors > max_points:
         step = n_vectors / max_points
-        cloud = cloud[:, (step * np.arange(max_points)).astype(int)]
+        embed_idx = embed_idx[(step * np.arange(max_points)).astype(int)]
+    cloud = znorm[:, embed_idx]
     n_points = cloud.shape[1]
-    chunk = max(1, _MST_CHUNK_BYTES // (n_points * n_points * (dimension + 1) * 8))
+    chunk = max(1, _MST_CHUNK_BYTES // (3 * n_points * n_points * 8))
     edges = np.empty((n_rows, n_points - 1))
     n_chunks = 0
     scratch_bytes = 0
     for start in range(0, n_rows, chunk):
         part = cloud[start : start + chunk]
-        sq = ((part[:, :, None, :] - part[:, None, :, :]) ** 2).sum(axis=3)
+        # Accumulate one embedding coordinate at a time, in coordinate
+        # order, so no (chunk, n, n, dimension) tensor is ever built.
+        sq = np.zeros((part.shape[0], n_points, n_points))
+        diff = np.empty_like(sq)
+        for k in range(dimension):
+            np.subtract(part[:, :, None, k], part[:, None, :, k], out=diff)
+            diff *= diff
+            sq += diff
+        del diff
         edges[start : start + chunk] = _mst_edge_lengths_block(sq)
         n_chunks += 1
         scratch_bytes += sq.nbytes
@@ -398,3 +289,10 @@ def topological_features_block(
     )
     feats.update(_diagram_stats_block(edges, "topo_rips"))
     return feats
+
+
+#: Stable ordering of topological feature names.  The probe row is too
+#: short for the embedding, so importing records no MST kernel call.
+TOPOLOGICAL_FEATURE_NAMES: tuple[str, ...] = tuple(
+    topological_features_block(np.zeros((1, 4))).keys()
+)

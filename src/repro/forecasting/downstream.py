@@ -56,19 +56,18 @@ class BinaryVectorRecommender:
     @staticmethod
     def dataset_properties(dataset: TimeSeriesDataset) -> np.ndarray:
         """Binary property vector (high_correlation, periodic, irregular, trending)."""
+        from repro.features.extractor import FeatureExtractor
         from repro.timeseries.batch import SeriesBank
-        from repro.features.statistical import trend_features
 
         sample = list(dataset.series)[: min(8, len(dataset))]
         # One SeriesBank pass (clean + truncate + z-norm once, blockwise
         # GEMM) instead of the O(n²) per-pair correlation loop.
         corr = SeriesBank.from_series(sample).average_correlation()
-        per_series = [trend_features(s) for s in sample]
-        seasonality = float(
-            np.mean([f["trend_seasonality_strength"] for f in per_series])
-        )
-        entropy = float(np.mean([f["trend_spectral_entropy"] for f in per_series]))
-        slope_r2 = float(np.mean([f["trend_r2"] for f in per_series]))
+        extractor = FeatureExtractor(use_topological=False)
+        feats = dict(zip(extractor.feature_names, extractor.extract_many(sample).T))
+        seasonality = float(np.mean(feats["trend_seasonality_strength"]))
+        entropy = float(np.mean(feats["trend_spectral_entropy"]))
+        slope_r2 = float(np.mean(feats["trend_r2"]))
         return np.array(
             [
                 1.0 if corr > 0.6 else 0.0,

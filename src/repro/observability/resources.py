@@ -3,7 +3,7 @@
 PR 5/7 gave the hot path real memory consumers — the
 :class:`~repro.timeseries.batch.SeriesBank` derived-array memo, the
 :class:`~repro.parallel.cache.FeatureCache` / ``ScoreMemo`` stores and
-the shared-memory segments of the process backend — but nothing
+the shared-memory segments of serving shards — but nothing
 accounted for what they hold.  This module is the ledger of bytes:
 
 * :class:`AccountingRegistry` — a process-wide registry of **accounts**

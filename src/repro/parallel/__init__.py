@@ -4,7 +4,7 @@ The performance substrate of the reproduction:
 
 * :class:`ParallelConfig` — the ``n_jobs`` / ``backend`` / ``chunk_size``
   knob bundle threaded through ``ModelRaceConfig``, ``ADarts``,
-  ``ClusterLabeler``, ``FeatureExtractor``, and the CLI;
+  ``ClusterLabeler``, and the CLI;
 * :class:`ExecutionEngine` — order-preserving ``map`` over ``serial`` /
   ``thread`` / ``process`` backends (``auto`` selects by workload size),
   instrumented into the process tracer/metrics registry;

@@ -2,8 +2,8 @@
 
 :class:`ParallelConfig` is the single knob bundle threaded through every
 parallelizable subsystem (``ModelRaceConfig.parallel``,
-``FeatureExtractor(parallel=...)``, ``ClusterLabeler(parallel=...)``,
-``ADarts(parallel=...)``, and the CLI's ``--jobs/--backend`` flags).
+``ClusterLabeler(parallel=...)``, ``ADarts(parallel=...)``, and the CLI's
+``--jobs/--backend`` flags).
 
 Backend semantics
 -----------------

@@ -4,8 +4,7 @@
 — which applies a function to a list of items and returns the results **in
 input order**, regardless of backend.  Order preservation is what makes the
 engine safe to drop into deterministic code paths: ModelRace's post-fold
-pruning barrier, ``extract_many``'s feature-matrix assembly, and the
-labeler's cluster-ranking loop all rely on it.
+pruning barrier and the labeler's cluster-ranking loop rely on it.
 
 Every batch opens a span (``parallel.map``) on the process tracer tagged
 with backend / task count / worker count, and increments per-backend
@@ -34,14 +33,12 @@ support), the engine logs a warning and degrades to threads.
 from __future__ import annotations
 
 import concurrent.futures as _futures
-import functools
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.observability import get_logger, get_metrics, get_tracer
 from repro.observability.resources import get_accounting
-from repro.parallel import shm as _shm
 from repro.parallel.config import AUTO_SERIAL_MAX_TASKS, ParallelConfig
 from repro.resilience.stats import record_demotion, tick
 
@@ -53,8 +50,8 @@ COST_EWMA_ALPHA = 0.5
 
 # ---------------------------------------------------------------------------
 # Process-wide backend stats.  The engines themselves are ephemeral (the
-# extractor builds one per batch), so serving-health documents read the
-# per-backend aggregate here instead of holding engine references.
+# race and the labeler build one per run), so serving-health documents
+# read the per-backend aggregate here instead of holding engine references.
 # ---------------------------------------------------------------------------
 _STATS_LOCK = threading.Lock()
 _BACKEND_STATS: dict[str, dict[str, float]] = {}
@@ -90,33 +87,6 @@ def reset_engine_stats() -> None:
 def _apply_chunk(fn, chunk):
     """Module-level chunk runner (picklable for the process backend)."""
     return [fn(item) for item in chunk]
-
-
-def _bind_handles(fn, shared: dict, segments: list):
-    """``fn`` bound to worker-attachable handles of the shared arrays.
-
-    Disk-backed arrays (memmap-bank matrices) are already files: workers
-    re-map them read-only.  Every other array is copied once into a
-    shared-memory segment, appended to ``segments`` for the caller to
-    :func:`_release`.
-    """
-    handles = {}
-    for key, array in shared.items():
-        handle = _shm.mmap_handle(array)
-        if handle is None:
-            segment = _shm.SharedArray.create(array)
-            segments.append(segment)
-            handle = segment.handle
-        handles[key] = handle
-    return functools.partial(_shm.call_with_handles, fn, handles)
-
-
-def _release(segments: list) -> None:
-    """Close and unlink every segment in ``segments`` (then empty it)."""
-    for segment in segments:
-        segment.close()
-        segment.unlink()
-    segments.clear()
 
 
 class ExecutionEngine:
@@ -160,9 +130,7 @@ class ExecutionEngine:
         return self._cost_ewma.get(label)
 
     # ------------------------------------------------------------------
-    def map(
-        self, fn, items, *, label: str = "parallel.map", shared: dict | None = None
-    ) -> list:
+    def map(self, fn, items, *, label: str = "parallel.map") -> list:
         """Apply ``fn`` to every item; results come back in input order.
 
         Parameters
@@ -177,26 +145,10 @@ class ExecutionEngine:
             Iterable of task inputs (materialized internally).
         label:
             Span name recorded on the process tracer for this batch.
-        shared:
-            Optional ``{keyword: ndarray}`` of large read-only arrays
-            every task needs; ``fn`` is then called as
-            ``fn(item, **arrays)``.  On the process backend each array is
-            copied once into a shared-memory segment and only its handle
-            rides in the task pickles (see :mod:`repro.parallel.shm`);
-            serial/thread backends bind the arrays directly.  Segments
-            are unlinked when the batch finishes, including on
-            worker-crash demotion.
         """
         items = list(items)
         if not items:
             return []
-        # In-process execution (serial, threads, the probe and the crash
-        # rerun) binds shared arrays directly.
-        direct = (
-            functools.partial(_shm.call_with_arrays, fn, shared)
-            if shared
-            else fn
-        )
         cfg = self.config
         est = self._cost_ewma.get(label)
         # First-task probe: an ``auto`` batch with an unseen label runs
@@ -211,7 +163,7 @@ class ExecutionEngine:
             and len(items) >= AUTO_SERIAL_MAX_TASKS
         ):
             probe_start = time.perf_counter()
-            head = [direct(items[0])]
+            head = [fn(items[0])]
             self._observe_cost(label, time.perf_counter() - probe_start)
             est = self._cost_ewma[label]
         tail = items[len(head):]
@@ -229,38 +181,26 @@ class ExecutionEngine:
             labels={"backend": backend},
         )
         batch_start = time.perf_counter()
-        segments: list = []
-        try:
-            with get_tracer().span(
-                label,
-                subsystem="parallel",
-                backend=backend,
-                n_tasks=len(items),
-                n_jobs=jobs,
-                chunk_size=chunk,
-                probed=bool(head),
-            ), batch_timer.time():
-                if backend == "serial":
-                    results = [direct(item) for item in tail]
-                elif backend == "thread":
-                    results = self._drain(self._thread_pool(), direct, tail, chunk)
-                else:
-                    task = direct
-                    if shared and _shm.shm_available():
-                        task = _bind_handles(fn, shared, segments)
-                    try:
-                        results = self._drain(pool, task, tail, chunk)
-                    except BrokenProcessPool as exc:
-                        self._demote(label, exc)
-                        # Unlink before the rerun: the thread tasks read
-                        # the parent's arrays, not the segments.
-                        _release(segments)
-                        backend = "thread"
-                        results = self._drain(
-                            self._thread_pool(), direct, tail, chunk
-                        )
-        finally:
-            _release(segments)
+        with get_tracer().span(
+            label,
+            subsystem="parallel",
+            backend=backend,
+            n_tasks=len(items),
+            n_jobs=jobs,
+            chunk_size=chunk,
+            probed=bool(head),
+        ), batch_timer.time():
+            if backend == "serial":
+                results = [fn(item) for item in tail]
+            elif backend == "thread":
+                results = self._drain(self._thread_pool(), fn, tail, chunk)
+            else:
+                try:
+                    results = self._drain(pool, fn, tail, chunk)
+                except BrokenProcessPool as exc:
+                    self._demote(label, exc)
+                    backend = "thread"
+                    results = self._drain(self._thread_pool(), fn, tail, chunk)
         results = head + results
         if backend == "serial" and tail:
             # Serial batches measure true per-task cost; keep the EWMA

@@ -1,20 +1,17 @@
-"""POSIX shared-memory transport for large read-only task arrays.
+"""POSIX shared-memory transport for large read-only arrays.
 
-The process backend of :class:`~repro.parallel.ExecutionEngine` pickles
-every task, so mapping a worker over rows of a corpus matrix used to
-serialize the *data* once per task.  This module provides the zero-copy
-alternative: the parent copies an array once into a
-:mod:`multiprocessing.shared_memory` segment, each task's pickle carries
-only the tiny ``(name, shape, dtype)`` handle, and workers attach the
-segment once per process (see :func:`attach_cached`) and read the rows
-in place.
+Serving shards attach the published engine's training matrix, and
+:meth:`SeriesBank.share <repro.timeseries.batch.SeriesBank.share>` hands a
+corpus to other processes, without pickling the data: the owner copies an
+array once into a :mod:`multiprocessing.shared_memory` segment, only the
+tiny ``(name, shape, dtype)`` handle crosses the process boundary, and
+each worker attaches the segment once (see :func:`attach_cached`) and
+reads it in place.
 
 Lifecycle rules:
 
 * the **creator** owns the segment and must :meth:`SharedArray.unlink`
-  it (``ExecutionEngine.map(..., shared=...)`` does this when the batch
-  finishes — including when a worker crash demotes the batch to the
-  thread backend mid-flight);
+  it (``SharedEngine.release`` does this when the shard pool stops);
 * **attachers** only :meth:`SharedArray.close`; they never unlink.
   Attaching also unregisters the segment from the attacher's resource
   tracker (CPython registers on attach too, which would otherwise
@@ -200,96 +197,10 @@ def attach_cached(handle: tuple) -> SharedArray:
     return seg
 
 
-#: Per-process cache of attached file memmaps, keyed by mmap handle.
-_MMAPPED: dict[tuple, np.ndarray] = {}
-
-
-def mmap_handle(array) -> tuple | None:
-    """Picklable descriptor of a whole-file ``.npy`` memmap, else ``None``.
-
-    Disk-backed :class:`~repro.timeseries.batch.SeriesBank` matrices are
-    already files — copying them into a shared-memory segment would
-    defeat the out-of-core path, so the process backend ships
-    ``("__mmap__", path, dtype, shape, offset)`` and workers re-map the
-    file read-only instead.
-    """
-    import os as _os
-
-    if not isinstance(array, np.memmap):
-        return None
-    filename = getattr(array, "filename", None)
-    if filename is None or not array.flags.c_contiguous:
-        return None
-    try:
-        file_size = _os.path.getsize(filename)
-    except OSError:
-        return None
-    # Only whole-array mappings: slices inherit the parent's offset, so a
-    # row block would silently re-map the wrong region.  A full mapping
-    # covers the file exactly from its offset to the end.
-    if array.size * array.itemsize + int(array.offset) != file_size:
-        return None
-    return (
-        "__mmap__",
-        str(filename),
-        array.dtype.str,
-        tuple(array.shape),
-        int(array.offset),
-    )
-
-
-def attach_mmap_cached(handle: tuple) -> np.ndarray:
-    """Re-map a :func:`mmap_handle` file once per process and reuse it."""
-    key = (handle[1], handle[2], tuple(handle[3]), int(handle[4]))
-    with _REGISTRY_LOCK:
-        arr = _MMAPPED.get(key)
-    if arr is None:
-        arr = np.memmap(
-            key[0],
-            dtype=np.dtype(key[1]),
-            mode="r",
-            shape=key[2],
-            offset=key[3],
-        )
-        with _REGISTRY_LOCK:
-            _MMAPPED[key] = arr
-    return arr
-
-
 def clear_attach_cache() -> None:
     """Close and drop every cached attachment (tests / batch teardown)."""
     with _REGISTRY_LOCK:
         segments = list(_ATTACHED.values())
         _ATTACHED.clear()
-        _MMAPPED.clear()
     for seg in segments:
         seg.close()
-
-
-# ---------------------------------------------------------------------------
-# Picklable task wrappers used by ``ExecutionEngine.map(..., shared=...)``.
-# ---------------------------------------------------------------------------
-def call_with_arrays(fn, arrays: dict, item):
-    """Run ``fn(item, **arrays)`` with the arrays bound directly.
-
-    The serial/thread binding: workers share the parent's address space,
-    so the arrays are passed as-is with no copies or segments.
-    """
-    return fn(item, **arrays)
-
-
-def call_with_handles(fn, handles: dict, item):
-    """Run ``fn(item, **arrays)`` with arrays attached from shared memory.
-
-    The process-backend binding: ``handles`` maps keyword names to
-    :attr:`SharedArray.handle` tuples — or :func:`mmap_handle`
-    descriptors for disk-backed arrays — attached once per worker via
-    the per-process caches.
-    """
-    arrays = {}
-    for key, handle in handles.items():
-        if handle and handle[0] == "__mmap__":
-            arrays[key] = attach_mmap_cached(handle)
-        else:
-            arrays[key] = attach_cached(handle).array
-    return fn(item, **arrays)

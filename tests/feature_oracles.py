@@ -1,0 +1,362 @@
+"""Per-row feature oracles: the scalar reference implementations.
+
+The production extractor computes every feature with the block kernels in
+:mod:`repro.features.statistical` and :mod:`repro.features.topological`.
+These are the original one-series-at-a-time implementations, kept verbatim
+so the parity tests can hold every block column to them at 1e-9.  They
+are test code only; nothing under ``src/`` imports them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy import stats as sps
+
+from repro.exceptions import ValidationError
+from repro.features.topological import _diagram_stats, _sublevel_pairs
+from repro.timeseries.series import TimeSeries
+
+
+# ---------------------------------------------------------------------------
+# Statistical features
+# ---------------------------------------------------------------------------
+
+
+def _prepare(series) -> np.ndarray:
+    """Coerce to a clean 1-D array (interpolate NaNs, drop non-finite)."""
+    if isinstance(series, TimeSeries):
+        if series.has_missing:
+            series = series.interpolated()
+        arr = series.values.astype(float)
+    else:
+        arr = np.asarray(series, dtype=float)
+        if np.isnan(arr).any():
+            arr = TimeSeries(arr).interpolated().values
+    return arr
+
+
+def _finite(value: float) -> float:
+    """Map NaN/inf from degenerate inputs to 0.0 so vectors stay usable."""
+    value = float(value)
+    return value if np.isfinite(value) else 0.0
+
+
+def _autocorrelation(x: np.ndarray, lag: int) -> float:
+    n = x.shape[0]
+    if lag >= n or lag < 1:
+        return 0.0
+    x0 = x - x.mean()
+    denom = float(x0 @ x0)
+    if denom == 0.0:
+        return 0.0
+    return float(x0[:-lag] @ x0[lag:] / denom)
+
+
+def canonical_features(series) -> dict[str, float]:
+    """Basic distributional and change statistics (13 features)."""
+    x = _prepare(series)
+    diffs = np.diff(x) if x.shape[0] > 1 else np.zeros(1)
+    std = x.std()
+    q25, q50, q75 = np.percentile(x, [25, 50, 75])
+    span = x.max() - x.min()
+    above = (x > x.mean()).mean()
+    crossings = 0.0
+    if x.shape[0] > 1:
+        centered = x - np.median(x)
+        crossings = float(np.mean(np.sign(centered[:-1]) != np.sign(centered[1:])))
+    return {
+        "canon_mean": _finite(x.mean()),
+        "canon_std": _finite(std),
+        "canon_skew": _finite(sps.skew(x)) if std > 0 else 0.0,
+        "canon_kurtosis": _finite(sps.kurtosis(x)) if std > 0 else 0.0,
+        "canon_median": _finite(q50),
+        "canon_iqr": _finite(q75 - q25),
+        "canon_range": _finite(span),
+        "canon_cv": _finite(std / (abs(x.mean()) + 1e-12)),
+        "canon_above_mean_ratio": _finite(above),
+        "canon_abs_diff_mean": _finite(np.abs(diffs).mean()),
+        "canon_diff_std": _finite(diffs.std()),
+        "canon_median_crossings": _finite(crossings),
+        "canon_energy": _finite((x**2).mean()),
+    }
+
+
+def dependency_features(series) -> dict[str, float]:
+    """Autocorrelation structure (14 features)."""
+    x = _prepare(series)
+    n = x.shape[0]
+    feats: dict[str, float] = {}
+    lags = (1, 2, 3, 5, 10, 20)
+    acfs = []
+    for lag in lags:
+        value = _autocorrelation(x, lag)
+        feats[f"dep_acf_lag{lag}"] = _finite(value)
+        acfs.append(value)
+    # First zero crossing of the ACF (a period proxy).
+    first_zero = 0.0
+    max_lag = min(n // 2, 128) if n > 4 else n - 1
+    prev = 1.0
+    for lag in range(1, max_lag):
+        cur = _autocorrelation(x, lag)
+        if prev > 0 >= cur:
+            first_zero = lag / max_lag
+            break
+        prev = cur
+    feats["dep_acf_first_zero"] = _finite(first_zero)
+    # Sum of squared ACF over first 10 lags: overall linear memory.
+    feats["dep_acf_energy10"] = _finite(
+        sum(_autocorrelation(x, lag) ** 2 for lag in range(1, min(11, n)))
+    )
+    # Partial autocorrelation at lag 2 via Durbin-Levinson.
+    r1, r2 = _autocorrelation(x, 1), _autocorrelation(x, 2)
+    pacf2 = (r2 - r1**2) / (1 - r1**2) if abs(r1) < 1 else 0.0
+    feats["dep_pacf_lag2"] = _finite(pacf2)
+    # Nonlinear dependence: autocorrelation of squared (centered) values.
+    xc = x - x.mean()
+    feats["dep_acf_sq_lag1"] = _finite(_autocorrelation(xc**2, 1))
+    # Mutual-information proxy: correlation between x_t and x_{t+1} ranks.
+    if n > 2 and x.std() > 0:
+        rho = sps.spearmanr(x[:-1], x[1:]).statistic
+    else:
+        rho = 0.0
+    feats["dep_rank_acf_lag1"] = _finite(rho)
+    # Time irreversibility (third-order moment of diffs).
+    diffs = np.diff(x) if n > 1 else np.zeros(1)
+    denom = (diffs**2).mean() ** 1.5 + 1e-12
+    feats["dep_time_irreversibility"] = _finite((diffs**3).mean() / denom)
+    # Hurst-style rescaled-range proxy on two scales.
+    feats["dep_rs_ratio"] = _finite(_rescaled_range_ratio(x))
+    feats["dep_acf_mean_abs"] = _finite(float(np.mean(np.abs(acfs))))
+    return feats
+
+
+def _rescaled_range_ratio(x: np.ndarray) -> float:
+    """log2(R/S at full length / R/S at half length) — long-memory proxy."""
+    def rs(seg: np.ndarray) -> float:
+        if seg.shape[0] < 4:
+            return 0.0
+        dev = np.cumsum(seg - seg.mean())
+        r = dev.max() - dev.min()
+        s = seg.std()
+        return r / s if s > 0 else 0.0
+
+    full = rs(x)
+    half = (rs(x[: x.shape[0] // 2]) + rs(x[x.shape[0] // 2 :])) / 2
+    if half <= 0 or full <= 0:
+        return 0.0
+    return float(np.log2(full / half))
+
+
+def trend_features(series) -> dict[str, float]:
+    """Seasonality, spectrum, stationarity, and linear trend (13 features)."""
+    x = _prepare(series)
+    n = x.shape[0]
+    feats: dict[str, float] = {}
+    t = np.arange(n, dtype=float)
+    # Linear trend fit.
+    if n > 2 and x.std() > 0:
+        slope, intercept = np.polyfit(t, x, 1)
+        resid = x - (slope * t + intercept)
+        r2 = 1.0 - resid.var() / x.var()
+    else:
+        slope, r2, resid = 0.0, 0.0, x - x.mean()
+    feats["trend_slope"] = _finite(slope)
+    feats["trend_r2"] = _finite(max(0.0, r2))
+    feats["trend_resid_std"] = _finite(resid.std())
+    # Spectral features from the periodogram of the detrended series.
+    detrended = resid - resid.mean()
+    spectrum = np.abs(np.fft.rfft(detrended)) ** 2
+    spectrum = spectrum[1:]  # drop DC
+    if spectrum.size and spectrum.sum() > 0:
+        p = spectrum / spectrum.sum()
+        spec_entropy = float(-(p * np.log(p + 1e-15)).sum() / np.log(p.size))
+        peak_idx = int(np.argmax(spectrum))
+        peak_freq = (peak_idx + 1) / n
+        peak_power = float(p[peak_idx])
+        centroid = float((np.arange(1, p.size + 1) * p).sum() / p.size)
+        low = p[: max(1, p.size // 10)].sum()
+    else:
+        spec_entropy, peak_freq, peak_power, centroid, low = 1.0, 0.0, 0.0, 0.0, 0.0
+    feats["trend_spectral_entropy"] = _finite(spec_entropy)
+    feats["trend_peak_freq"] = _finite(peak_freq)
+    feats["trend_peak_power"] = _finite(peak_power)
+    feats["trend_spectral_centroid"] = _finite(centroid)
+    feats["trend_lowfreq_power"] = _finite(low)
+    # Seasonality strength via best seasonal-difference variance reduction.
+    feats["trend_seasonality_strength"] = _finite(_seasonality_strength(x))
+    # Stationarity: variance of windowed means / windowed variances.
+    feats["trend_stat_mean_drift"], feats["trend_stat_var_drift"] = _stationarity(x)
+    # Step-change detection: max jump of windowed means (perturbation proxy).
+    feats["trend_level_shift"] = _finite(_level_shift(x))
+    # Curvature (quadratic coefficient) of the global fit.
+    if n > 3 and x.std() > 0:
+        quad = np.polyfit(t, x, 2)[0]
+    else:
+        quad = 0.0
+    feats["trend_curvature"] = _finite(quad)
+    return feats
+
+
+def _seasonality_strength(x: np.ndarray) -> float:
+    n = x.shape[0]
+    best = 0.0
+    var = x.var()
+    if var == 0:
+        return 0.0
+    for period in (4, 7, 12, 24, 50, 96):
+        if period * 2 >= n:
+            continue
+        seasonal_diff = x[period:] - x[:-period]
+        strength = 1.0 - seasonal_diff.var() / (2 * var)
+        best = max(best, strength)
+    return max(0.0, min(1.0, best))
+
+
+def _stationarity(x: np.ndarray) -> tuple[float, float]:
+    n = x.shape[0]
+    k = max(2, min(8, n // 16))
+    windows = np.array_split(x, k)
+    means = np.array([w.mean() for w in windows])
+    variances = np.array([w.var() for w in windows])
+    scale = x.std() + 1e-12
+    mean_drift = means.std() / scale
+    var_drift = variances.std() / (scale**2)
+    return _finite(mean_drift), _finite(var_drift)
+
+
+def _level_shift(x: np.ndarray) -> float:
+    n = x.shape[0]
+    w = max(4, n // 12)
+    if n < 2 * w:
+        return 0.0
+    means = np.array([x[i : i + w].mean() for i in range(0, n - w, w)])
+    if means.size < 2:
+        return 0.0
+    scale = x.std() + 1e-12
+    return float(np.abs(np.diff(means)).max() / scale)
+
+
+def statistical_features(series) -> dict[str, float]:
+    """All statistical features: canonical + dependencies + trends (40 total)."""
+    feats = canonical_features(series)
+    feats.update(dependency_features(series))
+    feats.update(trend_features(series))
+    return feats
+
+
+# ---------------------------------------------------------------------------
+# Topological features
+# ---------------------------------------------------------------------------
+
+
+def delay_embedding(series, dimension: int = 3, delay: int = 2) -> np.ndarray:
+    """Time-delay embedding of a series into ``dimension``-D space.
+
+    Returns an array of shape (n_vectors, dimension) where
+    ``n_vectors = n - (dimension - 1) * delay``.
+    """
+    x = _prepare(series)
+    if dimension < 1:
+        raise ValidationError(f"dimension must be >= 1, got {dimension}")
+    if delay < 1:
+        raise ValidationError(f"delay must be >= 1, got {delay}")
+    n = x.shape[0]
+    n_vectors = n - (dimension - 1) * delay
+    if n_vectors < 2:
+        raise ValidationError(
+            f"series of length {n} too short for embedding "
+            f"(dimension={dimension}, delay={delay})"
+        )
+    idx = np.arange(n_vectors)[:, None] + delay * np.arange(dimension)[None, :]
+    return x[idx]
+
+
+def _mst_edge_lengths(points: np.ndarray) -> np.ndarray:
+    """Euclidean MST edge lengths via Prim's algorithm (dense, O(n^2))."""
+    n = points.shape[0]
+    if n < 2:
+        return np.empty(0)
+    sq = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[0] = True
+    best = sq[0].copy()
+    edges = np.empty(n - 1)
+    for k in range(n - 1):
+        best_masked = np.where(in_tree, np.inf, best)
+        j = int(np.argmin(best_masked))
+        edges[k] = np.sqrt(best_masked[j])
+        in_tree[j] = True
+        best = np.minimum(best, sq[j])
+    return np.sort(edges)
+
+
+def persistence_diagram(
+    series,
+    kind: str = "sublevel",
+    dimension: int = 3,
+    delay: int = 2,
+    max_points: int = 128,
+) -> np.ndarray:
+    """Compute a 0-dimensional persistence diagram.
+
+    Parameters
+    ----------
+    series:
+        Input series (faulty input is interpolated first).
+    kind:
+        ``"sublevel"`` — components of ``{t : x_t <= threshold}`` as the
+        threshold sweeps upward (births at local minima, deaths at merges);
+        ``"rips"`` — 0-dim Rips diagram of the delay embedding (all births
+        at 0, deaths at MST edge lengths).
+    dimension, delay:
+        Embedding parameters for ``kind="rips"``.
+    max_points:
+        Subsample cap on the embedded cloud (keeps MST O(max_points^2)).
+
+    Returns
+    -------
+    Array of shape (n_pairs, 2) with columns (birth, death); the essential
+    (never-dying) component is excluded.
+    """
+    x = _prepare(series)
+    if kind == "rips":
+        cloud = delay_embedding(x, dimension=dimension, delay=delay)
+        if cloud.shape[0] > max_points:
+            step = cloud.shape[0] / max_points
+            idx = (step * np.arange(max_points)).astype(int)
+            cloud = cloud[idx]
+        deaths = _mst_edge_lengths(cloud)
+        return np.column_stack([np.zeros_like(deaths), deaths])
+    if kind != "sublevel":
+        raise ValidationError(f"kind must be 'sublevel' or 'rips', got {kind!r}")
+    # Pre-convert to native Python ints/floats once: the filtration loop
+    # indexes per element, where numpy scalar boxing dominates.
+    order = np.argsort(x, kind="stable").tolist()
+    pairs = _sublevel_pairs(x.tolist(), order)
+    if not pairs:
+        return np.empty((0, 2))
+    return np.asarray(pairs, dtype=float)
+
+
+def topological_features(
+    series, dimension: int = 3, delay: int = 2
+) -> dict[str, float]:
+    """Full topological feature vector (16 features).
+
+    Series are z-normalized first so diagram scales are comparable across
+    datasets; degenerate (constant or too-short) series yield all-zero
+    vectors rather than raising.
+    """
+    x = _prepare(series)
+    std = x.std()
+    if std > 0:
+        x = (x - x.mean()) / std
+    feats: dict[str, float] = {}
+    sub = persistence_diagram(x, kind="sublevel")
+    feats.update(_diagram_stats(sub, "topo_sub"))
+    try:
+        rips = persistence_diagram(x, kind="rips", dimension=dimension, delay=delay)
+    except ValidationError:
+        rips = np.empty((0, 2))
+    feats.update(_diagram_stats(rips, "topo_rips"))
+    return feats

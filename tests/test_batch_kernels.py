@@ -19,7 +19,6 @@ import pytest
 from repro.clustering.incremental import IncrementalClustering, _RefineSums
 from repro.clustering.kshape import KShape, _ncc_shift
 from repro.exceptions import ValidationError
-from repro.features.topological import persistence_diagram
 from repro.parallel import (
     AUTO_MIN_BATCH_SECONDS,
     AUTO_PROCESS_MIN_SECONDS,
@@ -38,6 +37,7 @@ from repro.timeseries.correlation import (
     sbd_distance_matrix,
     sbd_distance_matrix_reference,
 )
+from tests.feature_oracles import persistence_diagram
 
 TOL = 1e-9
 

@@ -1,12 +1,8 @@
 """Out-of-core SeriesBank tests: create/open parity with the in-RAM
 bank, mixed-length truncation semantics, format validation, handle
-transport, accounting, and the process-backend mmap path surviving a
-worker crash."""
+transport, and accounting."""
 
-import functools
 import json
-import multiprocessing
-import os
 import pickle
 import re
 
@@ -15,8 +11,6 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.observability.resources import get_accounting
-from repro.parallel import ExecutionEngine, ParallelConfig, shm_available
-from repro.parallel.shm import attach_mmap_cached, clear_attach_cache, mmap_handle
 from repro.timeseries.batch import SeriesBank
 from repro.timeseries.series import TimeSeries
 
@@ -244,83 +238,3 @@ class TestAccounting:
         assert stamp["series_bank_disk_bytes"] == (
             bank.raw.nbytes + bank.znorm.nbytes
         )
-
-
-def _row_sum(index, *, matrix):
-    return float(matrix[index].sum())
-
-
-def _kill_worker_once(index, *, sentinel, matrix):
-    """First pool worker to run claims the sentinel and dies uncleanly."""
-    if multiprocessing.parent_process() is not None and not os.path.exists(sentinel):
-        try:
-            with open(sentinel, "x") as fh:
-                fh.write("killed")
-        except FileExistsError:
-            return float(matrix[index].sum())
-        os._exit(23)
-    return float(matrix[index].sum())
-
-
-class TestMmapTransport:
-    def test_mmap_handle_only_for_whole_file_maps(self, tmp_path):
-        disk = SeriesBank.create(tmp_path / "bank", _corpus(n=6, length=32))
-        handle = mmap_handle(disk.raw)
-        assert handle is not None and handle[0] == "__mmap__"
-        assert mmap_handle(disk.raw[1:4]) is None  # slice: wrong region risk
-        assert mmap_handle(np.ones((3, 3))) is None  # not a memmap
-
-    def test_attach_mmap_cached_reuses_mapping(self, tmp_path):
-        disk = SeriesBank.create(tmp_path / "bank", _corpus(n=4, length=16))
-        clear_attach_cache()
-        try:
-            handle = mmap_handle(disk.znorm)
-            first = attach_mmap_cached(handle)
-            second = attach_mmap_cached(handle)
-            assert first is second
-            np.testing.assert_array_equal(first, np.asarray(disk.znorm))
-        finally:
-            clear_attach_cache()
-
-    @pytest.mark.skipif(not shm_available(), reason="no shared memory")
-    def test_process_map_ships_memmap_not_segment(self, tmp_path):
-        """shared= with a disk bank matrix rides the mmap path: results
-        match and no shm segment is ever created for it."""
-        from repro.parallel import active_segments
-
-        disk = SeriesBank.create(tmp_path / "bank", _corpus(n=8, length=48))
-        engine = ExecutionEngine(ParallelConfig(n_jobs=2, backend="process"))
-        if engine._process_pool() is None:
-            pytest.skip("process pool unavailable in this environment")
-        with engine:
-            out = engine.map(
-                _row_sum,
-                list(range(8)),
-                label="mmap-test",
-                shared={"matrix": disk.raw},
-            )
-        expected = [float(np.asarray(disk.raw)[i].sum()) for i in range(8)]
-        assert out == expected
-        assert active_segments() == ()
-
-    @pytest.mark.skipif(not shm_available(), reason="no shared memory")
-    def test_memmap_bank_survives_worker_crash(self, tmp_path):
-        """A worker crash mid-batch demotes to threads and the memmap
-        bank still serves correct results (no stale-handle fallout)."""
-        disk = SeriesBank.create(tmp_path / "crash-bank", _corpus(n=8, length=32))
-        engine = ExecutionEngine(ParallelConfig(n_jobs=2, backend="process"))
-        if engine._process_pool() is None:
-            pytest.skip("process pool unavailable in this environment")
-        sentinel = str(tmp_path / "worker-killed")
-        fn = functools.partial(_kill_worker_once, sentinel=sentinel)
-        with engine:
-            out = engine.map(
-                fn,
-                list(range(8)),
-                label="mmap-crash",
-                shared={"matrix": disk.znorm},
-            )
-        expected = [float(np.asarray(disk.znorm)[i].sum()) for i in range(8)]
-        assert out == expected
-        assert os.path.exists(sentinel), "kill task never ran in a pool worker"
-        assert engine.n_demotions == 1

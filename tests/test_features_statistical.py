@@ -1,16 +1,20 @@
-"""Unit tests for statistical feature extraction."""
+"""Unit tests for the per-row statistical feature oracle.
+
+The block kernels are held to these functions by ``test_features_block``,
+so what they assert about the features holds for the extractor too.
+"""
 
 import numpy as np
 import pytest
 
-from repro.features import (
-    STATISTICAL_FEATURE_NAMES,
+from repro.features import STATISTICAL_FEATURE_NAMES
+from repro.timeseries import TimeSeries
+from tests.feature_oracles import (
     canonical_features,
     dependency_features,
     statistical_features,
     trend_features,
 )
-from repro.timeseries import TimeSeries
 
 
 @pytest.fixture

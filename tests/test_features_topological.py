@@ -1,11 +1,11 @@
-"""Unit tests for the topological (persistence) feature extractor."""
+"""Unit tests for the per-row topological (persistence) feature oracle."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.features import (
-    TOPOLOGICAL_FEATURE_NAMES,
+from repro.features import TOPOLOGICAL_FEATURE_NAMES
+from tests.feature_oracles import (
     delay_embedding,
     persistence_diagram,
     topological_features,

@@ -206,7 +206,7 @@ class TestComponentInstrumentation:
         series = [
             TimeSeries(rng.normal(size=64), name=f"s{i}") for i in range(4)
         ]
-        FeatureExtractor().extract_many(series, batched=True)
+        FeatureExtractor().extract_many(series)
         kernels = registry.snapshot()["kernels"]
         assert "extract_block" in kernels
         assert kernels["extract_block"]["bytes_moved"] > 0

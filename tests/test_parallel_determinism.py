@@ -122,12 +122,6 @@ class TestFeatureDeterminism:
         datasets = load_category("Water", n_series=6, n_datasets=1)
         return [s for d in datasets for s in d.series]
 
-    @pytest.mark.parametrize("parallel", BACKEND_CONFIGS)
-    def test_matrix_bit_identical_across_backends(self, series_list, parallel):
-        reference = FeatureExtractor().extract_many(series_list)
-        fanned = FeatureExtractor(parallel=parallel).extract_many(series_list)
-        assert reference.tobytes() == fanned.tobytes()
-
     def test_cache_hit_path_bit_identical(self, series_list):
         reference = FeatureExtractor().extract_many(series_list)
         cache = FeatureCache()

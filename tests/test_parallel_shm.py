@@ -1,35 +1,19 @@
-"""Shared-memory transport tests: SharedArray lifecycle, the
-``ExecutionEngine.map(shared=...)`` contract on every backend, bounded
-per-task serialization, and segment cleanup on worker-crash demotion."""
+"""Shared-memory transport tests: SharedArray lifecycle, bounded handle
+size, attach-cache staleness, SeriesBank sharing, and the serving
+engine's publish/attach/release cycle."""
 
-import functools
-import multiprocessing
 import os
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.parallel import (
-    ExecutionEngine,
-    ParallelConfig,
-    SharedArray,
-    active_segments,
-    shm_available,
-)
+from repro.parallel import SharedArray, active_segments, shm_available
 from repro.timeseries.batch import SeriesBank
 
 pytestmark = pytest.mark.skipif(
     not shm_available(), reason="shared memory unavailable in this environment"
 )
-
-
-def _row_sum(index, *, matrix):
-    return float(matrix[index].sum())
-
-
-def _row_dot(index, *, matrix, weights):
-    return float(matrix[index] @ weights)
 
 
 class TestSharedArray:
@@ -79,41 +63,6 @@ class TestSharedArray:
 
 
 class TestSharedMap:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_map_shared_parity(self, backend):
-        rng = np.random.default_rng(0)
-        matrix = rng.normal(size=(24, 64))
-        engine = ExecutionEngine(ParallelConfig(n_jobs=2, backend=backend))
-        with engine:
-            out = engine.map(
-                _row_sum,
-                list(range(24)),
-                label="shm-test",
-                shared={"matrix": matrix},
-            )
-        assert out == [float(matrix[i].sum()) for i in range(24)]
-        assert active_segments() == ()
-
-    def test_map_multiple_shared_arrays(self):
-        rng = np.random.default_rng(1)
-        matrix = rng.normal(size=(10, 32))
-        weights = rng.normal(size=32)
-        engine = ExecutionEngine(ParallelConfig(n_jobs=2, backend="process"))
-        with engine:
-            out = engine.map(
-                _row_dot,
-                list(range(10)),
-                label="shm-test",
-                shared={"matrix": matrix, "weights": weights},
-            )
-        np.testing.assert_allclose(out, matrix @ weights, rtol=1e-12)
-        assert active_segments() == ()
-
-    def test_empty_batch_with_shared(self):
-        engine = ExecutionEngine(ParallelConfig(n_jobs=2, backend="process"))
-        assert engine.map(_row_sum, [], shared={"matrix": np.ones((2, 2))}) == []
-        assert active_segments() == ()
-
     def test_series_bank_share_attach(self):
         rng = np.random.default_rng(2)
         bank = SeriesBank(rng.normal(size=(6, 48)))
@@ -124,38 +73,6 @@ class TestSharedMap:
             np.testing.assert_array_equal(clone.znorm, bank.znorm)
         finally:
             seg.unlink()
-        assert active_segments() == ()
-
-
-def _kill_worker_once(index, *, sentinel, matrix):
-    """First pool worker to run claims the sentinel and dies uncleanly."""
-    if multiprocessing.parent_process() is not None and not os.path.exists(sentinel):
-        try:
-            with open(sentinel, "x") as fh:
-                fh.write("killed")
-        except FileExistsError:
-            return float(matrix[index].sum())
-        os._exit(23)
-    return float(matrix[index].sum())
-
-
-class TestCrashCleanup:
-    def test_segments_unlinked_on_demotion(self, tmp_path):
-        """A worker crash mid-batch demotes to threads AND unlinks the
-        shared segments before the thread resubmission."""
-        engine = ExecutionEngine(ParallelConfig(n_jobs=2, backend="process"))
-        if engine._process_pool() is None:
-            pytest.skip("process pool unavailable in this environment")
-        matrix = np.arange(32.0).reshape(8, 4)
-        sentinel = str(tmp_path / "worker-killed")
-        fn = functools.partial(_kill_worker_once, sentinel=sentinel)
-        with engine:
-            out = engine.map(
-                fn, list(range(8)), label="shm-crash", shared={"matrix": matrix}
-            )
-        assert out == [float(matrix[i].sum()) for i in range(8)]
-        assert os.path.exists(sentinel), "kill task never ran in a pool worker"
-        assert engine.n_demotions == 1
         assert active_segments() == ()
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.features import FeatureExtractor, get_scaler
-from repro.features.topological import persistence_diagram
 from repro.imputation import get_imputer
 from repro.pipeline.metrics import (
     accuracy_score,
@@ -17,6 +16,7 @@ from repro.pipeline.metrics import (
 from repro.forecasting import smape
 from repro.timeseries import TimeSeries, inject_missing_block
 from repro.timeseries.correlation import cross_correlation, max_cross_correlation
+from tests.feature_oracles import persistence_diagram
 
 
 finite_series = hnp.arrays(
