@@ -97,12 +97,10 @@ from repro.timeseries.series import TimeSeries
 
 
 def _parallel_from_args(args) -> ParallelConfig | None:
-    """Build a ParallelConfig from --jobs/--backend (None = serial default)."""
-    jobs = getattr(args, "jobs", 1)
-    backend = getattr(args, "backend", "auto")
-    if jobs == 1 and backend == "auto":
+    """Build a ParallelConfig from train's --jobs/--backend (None = serial)."""
+    if args.jobs == 1 and args.backend == "auto":
         return None
-    return ParallelConfig(n_jobs=jobs, backend=backend)
+    return ParallelConfig(n_jobs=args.jobs, backend=args.backend)
 
 
 def _fault_policy_from_args(args) -> FaultPolicy | None:
@@ -155,14 +153,17 @@ def read_series_csv(path) -> list[TimeSeries]:
 
 
 def write_series_csv(path, series_list) -> None:
-    """Write one series per row (NaN becomes an empty field)."""
+    """Write one series per row (NaN becomes an empty field).
+
+    Each field is ``repr`` of the float, so :func:`read_series_csv` reads
+    the values back bit for bit.  The only float repr containing ``nan``
+    is NaN's own, so blanking it is one replace over the joined row.
+    """
     path = pathlib.Path(path)
     with path.open("w") as fh:
         for series in series_list:
-            fields = [
-                "" if np.isnan(v) else repr(float(v)) for v in series.values
-            ]
-            fh.write(",".join(fields) + "\n")
+            values = np.asarray(series.values, dtype=float).tolist()
+            fh.write(",".join(map(repr, values)).replace("nan", "") + "\n")
 
 
 def _cmd_train(args) -> int:
@@ -650,16 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="log progress to stderr via the repro logger",
     )
     common.add_argument(
-        "--jobs", "-j", type=int, default=1, metavar="N",
-        help="worker count for the training stages, labeling and the "
-        "race (1=serial, 0=all CPUs)",
-    )
-    common.add_argument(
-        "--backend", choices=BACKENDS, default="auto",
-        help="backend for the training stages, labeling and the race "
-        "(auto selects by workload size)",
-    )
-    common.add_argument(
         "--max-retries", type=int, default=0, metavar="N",
         help="retry transient evaluation failures up to N times "
         "(0 = historical no-retry behaviour)",
@@ -693,6 +684,16 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--datasets-per-category", type=int, default=2)
     train.add_argument("--partial-sets", type=int, default=3)
     train.add_argument("--seed", type=int, default=0)
+    train.add_argument(
+        "--jobs", "-j", type=int, default=1, metavar="N",
+        help="worker count for the training stages, labeling and the "
+        "race (1=serial, 0=all CPUs)",
+    )
+    train.add_argument(
+        "--backend", choices=BACKENDS, default="auto",
+        help="backend for the training stages, labeling and the race "
+        "(auto selects by workload size)",
+    )
     train.set_defaults(func=_cmd_train)
 
     recommend = sub.add_parser(

@@ -224,6 +224,19 @@ def _level_shift_block(X: np.ndarray) -> np.ndarray:
     return np.abs(np.diff(means, axis=1)).max(axis=1) / scale
 
 
+def _polyfit_system(t: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """``np.polyfit``'s scaled Vandermonde matrix, column scale and rcond.
+
+    ``np.linalg.lstsq(lhs, y + 0.0, rcond)[0] / scale`` is then exactly
+    ``np.polyfit(t, y, degree)``: the same arithmetic, with the design
+    built once per block instead of once per row.
+    """
+    lhs = np.vander(t, degree + 1)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    return lhs, scale, len(t) * np.finfo(t.dtype).eps
+
+
 def _trend_block(X: np.ndarray, *, cache=None) -> dict[str, np.ndarray]:
     n_rows, length = X.shape
     stds = X.std(axis=1)
@@ -231,12 +244,14 @@ def _trend_block(X: np.ndarray, *, cache=None) -> dict[str, np.ndarray]:
     slope = np.zeros(n_rows)
     r2 = np.zeros(n_rows)
     resid = X - X.mean(axis=1, keepdims=True)
+    fitted = np.flatnonzero(stds > 0)
     if length > 2:
-        # Fit per row with the exact scalar call: a multi-RHS lstsq differs
+        # Fit per row with a single-RHS lstsq: a multi-RHS lstsq differs
         # from single-RHS at ~1e-16, which is chaotic on exact-polynomial
         # rows (argmax over a numerically-zero residual spectrum).
-        for i in np.flatnonzero(stds > 0):
-            sl, ic = np.polyfit(t, X[i], 1)
+        lhs, scale, rcond = _polyfit_system(t, 1)
+        for i in fitted:
+            sl, ic = np.linalg.lstsq(lhs, X[i] + 0.0, rcond)[0] / scale
             resid[i] = X[i] - (sl * t + ic)
             slope[i] = sl
             r2[i] = 1.0 - resid[i].var() / X[i].var()
@@ -282,8 +297,9 @@ def _trend_block(X: np.ndarray, *, cache=None) -> dict[str, np.ndarray]:
     feats["trend_level_shift"] = _level_shift_block(X)
     quad = np.zeros(n_rows)
     if length > 3:
-        for i in np.flatnonzero(stds > 0):
-            quad[i] = np.polyfit(t, X[i], 2)[0]
+        lhs, scale, rcond = _polyfit_system(t, 2)
+        for i in fitted:
+            quad[i] = np.linalg.lstsq(lhs, X[i] + 0.0, rcond)[0][0] / scale[0]
     feats["trend_curvature"] = quad
     return feats
 

@@ -11,10 +11,12 @@ The extractor follows the paper's recipe:
    * the *Rips diagram of the embedded point cloud* via its Euclidean
      minimum spanning tree (the 0-dim Rips persistence is exactly the MST
      edge set) — captures the cloud's cluster/loop-scale geometry;
-   * the *sublevel-set diagram of the raw signal* via union-find over the
-     value filtration — captures when each valley/peak pattern is born and
-     dies, which is sensitive to temporal order (statistical features are
-     time-agnostic; this is not).
+   * the *sublevel-set diagram of the raw signal* via an interval sweep
+     over the value filtration (on a path graph every component is an
+     interval, so the elder-rule union-find reduces to endpoint updates) —
+     captures when each valley/peak pattern is born and dies, which is
+     sensitive to temporal order (statistical features are time-agnostic;
+     this is not).
 
 3. **Diagram statistics** — lifetimes, persistence entropy, and
    distributional summaries become the feature vector.
@@ -33,94 +35,66 @@ from repro.exceptions import ValidationError
 from repro.observability.resources import get_accounting
 
 
-class _UnionFind:
-    """Union-find with elder rule: merging keeps the earlier-born root.
-
-    ``parent``/``birth`` are plain Python lists: the filtration loop in
-    :func:`_sublevel_pairs` touches single elements millions of times
-    per corpus, and numpy scalar indexing (boxing each element into a
-    0-d array) made that the sublevel-persistence hot spot.  List
-    indexing returns native ints/floats with no boxing.
-    """
-
-    __slots__ = ("parent", "birth")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.birth = [float("inf")] * n
-
-    def find(self, i: int) -> int:
-        parent = self.parent
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:  # path compression
-            parent[i], i = root, parent[i]
-        return root
-
-    def union(self, i: int, j: int, death: float) -> tuple[float, float] | None:
-        """Merge components of i and j; return (birth, death) of the dying one."""
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return None
-        # Elder rule: the younger component (larger birth) dies.
-        if self.birth[ri] > self.birth[rj]:
-            ri, rj = rj, ri
-        dying_birth = self.birth[rj]
-        self.parent[rj] = ri
-        return (dying_birth, death)
-
-
 def _sublevel_pairs(values: list, order: list) -> list[tuple[float, float]]:
     """Finite (birth, death) pairs of the sublevel-set filtration.
 
-    ``values``/``order`` are plain Python lists (see :class:`_UnionFind` on
-    why): the per-element filtration loop is the sublevel hot spot and is
-    inherently sequential, so the block kernel runs it per row.
+    ``values`` is one row as a plain Python list and ``order`` its stable
+    ascending argsort (lists, because the loop touches single elements
+    and numpy scalar indexing boxes each one).  On a path graph every
+    component is an interval of positions, so the elder-rule union-find
+    reduces to an interval sweep: a newly activated vertex can only join
+    the component ending just left of it and the one starting just right
+    of it.  Each interval keeps its far endpoint and its birth at both
+    ends; interior entries go stale, but no later vertex neighbours them.
+    A pair of positive length needs both neighbours active — the younger
+    of the two components dies at the new vertex's value — so a one-sided
+    join never emits one.  Pairs come in the union-find's order, with its
+    tie-breaking.
     """
     n = len(values)
-    uf = _UnionFind(n)
-    active = [False] * n
-    birth = uf.birth
+    # Position p = idx + 1; slots 0 and n + 1 are never active.
+    far: list = [None] * (n + 2)
+    low = [0.0] * (n + 2)
     pairs: list[tuple[float, float]] = []
     for idx in order:
         value = values[idx]
-        birth[idx] = value
-        active[idx] = True
-        for nb in (idx - 1, idx + 1):
-            if 0 <= nb < n and active[nb]:
-                died = uf.union(idx, nb, value)
-                if died is not None and died[1] > died[0]:
-                    pairs.append(died)
+        p = idx + 1
+        left = far[p - 1]
+        right = far[p + 1]
+        if left is None:
+            if right is None:
+                far[p] = p
+                low[p] = value
+                continue
+            # The elder rule as the union-find applies it: on a tie the new
+            # vertex's own value survives (it may differ in the sign of 0).
+            birth = low[p + 1]
+            if not value > birth:
+                birth = value
+            far[p] = right
+            far[right] = p
+            low[p] = low[right] = birth
+            continue
+        # The union-find joins the left component first.
+        left_birth = low[p - 1]
+        if not value > left_birth:
+            left_birth = value
+        if right is None:
+            far[left] = p
+            far[p] = left
+            low[left] = low[p] = left_birth
+            continue
+        right_birth = low[p + 1]
+        if left_birth > right_birth:
+            dying, birth = left_birth, right_birth
+        else:
+            dying, birth = right_birth, left_birth
+        if value > dying:
+            pairs.append((dying, value))
+        far[left] = right
+        far[right] = left
+        low[left] = low[right] = birth
     return pairs
-
-
-def _diagram_stats(diagram: np.ndarray, prefix: str) -> dict[str, float]:
-    """Summaries of one diagram: lifetime distribution + entropy."""
-    if diagram.shape[0] == 0:
-        keys = (
-            "count", "life_mean", "life_std", "life_max", "life_sum",
-            "life_q75", "entropy", "top_ratio",
-        )
-        return {f"{prefix}_{k}": 0.0 for k in keys}
-    lifetimes = diagram[:, 1] - diagram[:, 0]
-    total = lifetimes.sum()
-    if total > 0:
-        p = lifetimes / total
-        entropy = float(-(p * np.log(p + 1e-15)).sum() / np.log(max(2, p.size)))
-        top_ratio = float(lifetimes.max() / total)
-    else:
-        entropy, top_ratio = 0.0, 0.0
-    return {
-        f"{prefix}_count": float(np.log1p(diagram.shape[0])),
-        f"{prefix}_life_mean": float(lifetimes.mean()),
-        f"{prefix}_life_std": float(lifetimes.std()),
-        f"{prefix}_life_max": float(lifetimes.max()),
-        f"{prefix}_life_sum": float(np.log1p(total)),
-        f"{prefix}_life_q75": float(np.percentile(lifetimes, 75)),
-        f"{prefix}_entropy": entropy,
-        f"{prefix}_top_ratio": top_ratio,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +102,8 @@ def _diagram_stats(diagram: np.ndarray, prefix: str) -> dict[str, float]:
 # side (delay embedding → pairwise distances → MST) batches fully: Prim's
 # algorithm runs in lockstep over a chunk of distance matrices, so its
 # Python loop runs ``n_points`` times per *chunk* instead of per series.
-# The sublevel filtration is inherently sequential and stays per-row.
+# The sublevel sweep runs per row; its diagram statistics run per group of
+# rows with the same pair count.
 # ---------------------------------------------------------------------------
 
 #: Cap on the MST scratch of one chunk of rows (bytes): the chunk's
@@ -176,10 +151,12 @@ def _mst_edge_lengths_block(sq: np.ndarray) -> np.ndarray:
 
 
 def _diagram_stats_block(lifetimes: np.ndarray, prefix: str) -> dict[str, np.ndarray]:
-    """Vectorized :func:`_diagram_stats` for fixed-size (Rips) diagrams.
+    """Lifetime distribution and entropy of diagrams with equal pair counts.
 
     ``lifetimes`` has shape ``(n_series, n_pairs)`` — every row has the same
-    pair count, true of Rips diagrams (always ``n_points - 1`` MST edges).
+    pair count, true of Rips diagrams (always ``n_points - 1`` MST edges);
+    sublevel diagrams are grouped by pair count first.  Each row's values
+    are the same bytes the one-diagram form gives for that row alone.
     """
     n_rows, n_pairs = lifetimes.shape
     if n_pairs == 0:
@@ -202,6 +179,32 @@ def _diagram_stats_block(lifetimes: np.ndarray, prefix: str) -> dict[str, np.nda
         f"{prefix}_entropy": entropy,
         f"{prefix}_top_ratio": top_ratio,
     }
+
+
+def _sublevel_features_block(rows: np.ndarray) -> dict[str, np.ndarray]:
+    """Sublevel-diagram statistics of each row of a ``(n_rows, length)`` stack.
+
+    The argsort runs over the whole stack and the pairing per row; each
+    row's lifetimes go into one preallocated array, and the statistics run
+    once per group of rows with the same pair count (rows without pairs
+    keep all-zero statistics).
+    """
+    n_rows, length = rows.shape
+    orders = np.argsort(rows, axis=1, kind="stable")
+    lifetimes = np.empty((n_rows, length - 1))
+    counts = np.zeros(n_rows, dtype=np.intp)
+    for i in range(n_rows):
+        pairs = _sublevel_pairs(rows[i].tolist(), orders[i].tolist())
+        if pairs:
+            counts[i] = len(pairs)
+            lifetimes[i, : len(pairs)] = [death - birth for birth, death in pairs]
+    feats = {f"topo_sub_{k}": np.zeros(n_rows) for k in _DIAGRAM_STAT_KEYS}
+    for count in np.unique(counts[counts > 0]):
+        group = np.flatnonzero(counts == count)
+        stats = _diagram_stats_block(lifetimes[group, :count], "topo_sub")
+        for key, column in stats.items():
+            feats[key][group] = column
+    return feats
 
 
 def topological_features_block(
@@ -239,17 +242,7 @@ def topological_features_block(
         (X - X.mean(axis=1, keepdims=True)) / np.where(stds > 0, stds, 1.0)[:, None],
         X,
     )
-    # Sublevel filtration: batch the stable argsort, pair per row.
-    orders = np.argsort(znorm, axis=1, kind="stable")
-    sub_cols: dict[str, np.ndarray] = {
-        f"topo_sub_{k}": np.zeros(n_rows) for k in _DIAGRAM_STAT_KEYS
-    }
-    for i in range(n_rows):
-        pairs = _sublevel_pairs(znorm[i].tolist(), orders[i].tolist())
-        diagram = np.asarray(pairs, dtype=float) if pairs else np.empty((0, 2))
-        for key, value in _diagram_stats(diagram, "topo_sub").items():
-            sub_cols[key][i] = value
-    feats = sub_cols
+    feats = _sublevel_features_block(znorm)
     # Rips diagrams: batched embedding, chunked distance stacks, lockstep MST.
     n_vectors = length - (dimension - 1) * delay
     if n_vectors < 2:

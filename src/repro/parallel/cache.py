@@ -3,7 +3,9 @@
 Two caches, both with hit/miss counters on the process metrics registry:
 
 * :class:`FeatureCache` — maps ``sha1(series bytes + extractor
-  fingerprint)`` to the extracted feature vector.  Optionally persists
+  fingerprint)`` to the extracted feature vector, keeping at most
+  :data:`FEATURE_CACHE_ENTRIES` of them in memory (least recently used
+  evicted first).  Optionally persists
   each vector as an ``.npy`` file under a cache directory (default
   ``~/.cache/repro/features``, overridable via ``REPRO_CACHE_DIR``), so
   repeated runs over the same corpus skip extraction entirely.
@@ -25,6 +27,7 @@ import os
 import pathlib
 import sys
 import threading
+from collections import OrderedDict
 
 import numpy as np
 
@@ -32,6 +35,12 @@ from repro.observability import get_logger, get_metrics
 from repro.observability.resources import get_accounting
 
 _log = get_logger(__name__)
+
+#: In-memory entries one :class:`FeatureCache` keeps before evicting the
+#: least recently used (~1.8 MB of 56-feature vectors).  Bounds a
+#: long-running server's cache on non-repeating traffic; persisted
+#: ``.npy`` entries are never evicted.
+FEATURE_CACHE_ENTRIES = 4096
 
 
 def hash_array(array: np.ndarray) -> str:
@@ -72,6 +81,10 @@ def default_cache_dir() -> pathlib.Path:
 class FeatureCache:
     """Thread-safe feature-vector cache, optionally disk-persistent.
 
+    Memory holds the :data:`FEATURE_CACHE_ENTRIES` most recently used
+    vectors; an evicted entry's bytes leave the ``feature_cache`` account,
+    and a persisted one is read back from disk on its next lookup.
+
     Parameters
     ----------
     directory:
@@ -84,7 +97,7 @@ class FeatureCache:
         self.directory = pathlib.Path(directory) if directory else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-        self._mem: dict[str, np.ndarray] = {}
+        self._mem: OrderedDict[str, np.ndarray] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -108,6 +121,8 @@ class FeatureCache:
         """Cached vector for ``key`` (a fresh copy), or ``None``."""
         with self._lock:
             vector = self._mem.get(key)
+            if vector is not None:
+                self._mem.move_to_end(key)
         if vector is None and self.directory is not None:
             path = self.directory / f"{key}.npy"
             if path.exists():
@@ -124,6 +139,8 @@ class FeatureCache:
                                 "feature_cache", vector.nbytes
                             )
                         self._mem[key] = vector
+                        self._mem.move_to_end(key)
+                        self._evict()
         if vector is None:
             self.misses += 1
             get_metrics().counter(
@@ -144,15 +161,17 @@ class FeatureCache:
         with self._lock:
             old = self._mem.get(key)
             self._mem[key] = vector
+            self._mem.move_to_end(key)
             delta = vector.nbytes - (old.nbytes if old is not None else 0)
             self._bytes += delta
-        if old is None:
-            get_accounting().account_add("feature_cache", vector.nbytes)
-        elif delta:
-            if delta > 0:
-                get_accounting().account_add("feature_cache", delta, items=0)
-            else:
-                get_accounting().account_sub("feature_cache", -delta, items=0)
+            if old is None:
+                get_accounting().account_add("feature_cache", vector.nbytes)
+            elif delta:
+                if delta > 0:
+                    get_accounting().account_add("feature_cache", delta, items=0)
+                else:
+                    get_accounting().account_sub("feature_cache", -delta, items=0)
+            self._evict()
         if self.directory is not None:
             path = self.directory / f"{key}.npy"
             # fsync-then-rename for atomicity *and* durability: a rename
@@ -178,6 +197,13 @@ class FeatureCache:
                     pass
             except OSError as exc:  # disk full / read-only: stay memory-only
                 _log.warning("feature cache write failed for %s: %s", path, exc)
+
+    def _evict(self) -> None:
+        """Drop least recently used entries beyond the cap (lock held)."""
+        while len(self._mem) > FEATURE_CACHE_ENTRIES:
+            _, dropped = self._mem.popitem(last=False)
+            self._bytes -= dropped.nbytes
+            get_accounting().account_sub("feature_cache", dropped.nbytes)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -3,8 +3,10 @@
 The production extractor computes every feature with the block kernels in
 :mod:`repro.features.statistical` and :mod:`repro.features.topological`.
 These are the original one-series-at-a-time implementations, kept verbatim
-so the parity tests can hold every block column to them at 1e-9.  They
-are test code only; nothing under ``src/`` imports them.
+so the parity tests can hold every block column to them at 1e-9; the
+union-find sublevel pairing and the one-diagram statistics are exact
+oracles (the block kernels must match them bit for bit).  They are test
+code only; nothing under ``src/`` imports them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import numpy as np
 from scipy import stats as sps
 
 from repro.exceptions import ValidationError
-from repro.features.topological import _diagram_stats, _sublevel_pairs
 from repro.timeseries.series import TimeSeries
 
 
@@ -247,6 +248,102 @@ def statistical_features(series) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 # Topological features
 # ---------------------------------------------------------------------------
+
+
+class _UnionFind:
+    """Union-find with elder rule: merging keeps the earlier-born root.
+
+    ``parent``/``birth`` are plain Python lists: the filtration loop in
+    :func:`_sublevel_pairs` touches single elements millions of times
+    per corpus, and numpy scalar indexing (boxing each element into a
+    0-d array) made that the sublevel-persistence hot spot.  List
+    indexing returns native ints/floats with no boxing.
+    """
+
+    __slots__ = ("parent", "birth")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.birth = [float("inf")] * n
+
+    def find(self, i: int) -> int:
+        parent = self.parent
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        while parent[i] != root:  # path compression
+            parent[i], i = root, parent[i]
+        return root
+
+    def union(self, i: int, j: int, death: float) -> tuple[float, float] | None:
+        """Merge components of i and j; return (birth, death) of the dying one."""
+        ri, rj = self.find(i), self.find(j)
+        if ri == rj:
+            return None
+        # Elder rule: the younger component (larger birth) dies.
+        if self.birth[ri] > self.birth[rj]:
+            ri, rj = rj, ri
+        dying_birth = self.birth[rj]
+        self.parent[rj] = ri
+        return (dying_birth, death)
+
+
+def _sublevel_pairs(values: list, order: list) -> list[tuple[float, float]]:
+    """Finite (birth, death) pairs of the sublevel-set filtration.
+
+    ``values``/``order`` are plain Python lists (see :class:`_UnionFind` on
+    why).  The reference for the interval sweep in
+    :func:`repro.features.topological._sublevel_pairs`, which must return
+    exactly this list.
+    """
+    n = len(values)
+    uf = _UnionFind(n)
+    active = [False] * n
+    birth = uf.birth
+    pairs: list[tuple[float, float]] = []
+    for idx in order:
+        value = values[idx]
+        birth[idx] = value
+        active[idx] = True
+        for nb in (idx - 1, idx + 1):
+            if 0 <= nb < n and active[nb]:
+                died = uf.union(idx, nb, value)
+                if died is not None and died[1] > died[0]:
+                    pairs.append(died)
+    return pairs
+
+
+def _diagram_stats(diagram: np.ndarray, prefix: str) -> dict[str, float]:
+    """Summaries of one diagram: lifetime distribution + entropy.
+
+    The reference for the grouped ``_diagram_stats_block`` calls in
+    :func:`repro.features.topological.topological_features_block`, which
+    must give the same bytes per row.
+    """
+    if diagram.shape[0] == 0:
+        keys = (
+            "count", "life_mean", "life_std", "life_max", "life_sum",
+            "life_q75", "entropy", "top_ratio",
+        )
+        return {f"{prefix}_{k}": 0.0 for k in keys}
+    lifetimes = diagram[:, 1] - diagram[:, 0]
+    total = lifetimes.sum()
+    if total > 0:
+        p = lifetimes / total
+        entropy = float(-(p * np.log(p + 1e-15)).sum() / np.log(max(2, p.size)))
+        top_ratio = float(lifetimes.max() / total)
+    else:
+        entropy, top_ratio = 0.0, 0.0
+    return {
+        f"{prefix}_count": float(np.log1p(diagram.shape[0])),
+        f"{prefix}_life_mean": float(lifetimes.mean()),
+        f"{prefix}_life_std": float(lifetimes.std()),
+        f"{prefix}_life_max": float(lifetimes.max()),
+        f"{prefix}_life_sum": float(np.log1p(total)),
+        f"{prefix}_life_q75": float(np.percentile(lifetimes, 75)),
+        f"{prefix}_entropy": entropy,
+        f"{prefix}_top_ratio": top_ratio,
+    }
 
 
 def delay_embedding(series, dimension: int = 3, delay: int = 2) -> np.ndarray:

@@ -1,12 +1,71 @@
 """Tests for the command-line interface."""
 
+import pathlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cli import build_parser, main, read_series_csv, write_series_csv
 from repro.exceptions import ValidationError
 from repro.imputation import available_imputers
 from repro.timeseries import TimeSeries
+
+
+def _oracle_write_series_csv(path, series_list) -> None:
+    """The per-field CSV writer ``write_series_csv`` must match byte for byte."""
+    path = pathlib.Path(path)
+    with path.open("w") as fh:
+        for series in series_list:
+            fields = [
+                "" if np.isnan(v) else repr(float(v)) for v in series.values
+            ]
+            fh.write(",".join(fields) + "\n")
+
+
+_CSV_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+              -1.7976931348623157e308, 2.2250738585072014e-308, 0.1, 1e16]
+_CSV_VALUE = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=False),
+    st.sampled_from(_CSV_EDGES + [float("nan")]),
+)
+_CSV_ROWS = st.lists(st.lists(_CSV_VALUE, min_size=1, max_size=30),
+                     min_size=1, max_size=6)
+
+
+class TestCsvWriterContract:
+    @settings(max_examples=150, deadline=None)
+    @given(_CSV_ROWS)
+    @example([_CSV_EDGES, [float("nan"), -0.0, float("nan")], [5e-324]])
+    @example([[float("nan")], [float("nan"), float("nan")]])
+    def test_bytes_match_per_field_oracle(self, tmp_path_factory, rows):
+        folder = tmp_path_factory.mktemp("csv")
+        series = [TimeSeries(row) for row in rows]
+        write_series_csv(folder / "new.csv", series)
+        _oracle_write_series_csv(folder / "old.csv", series)
+        written = (folder / "new.csv").read_bytes()
+        assert written == (folder / "old.csv").read_bytes()
+        for line, row in zip(written.decode().split("\n"), rows):
+            blanks = [field == "" for field in line.split(",")]
+            assert blanks == [v != v for v in row]  # NaN -> blank field
+
+    @settings(max_examples=150, deadline=None)
+    @given(_CSV_ROWS.filter(
+        lambda rows: all(any(v == v for v in row) for row in rows)
+    ))
+    @example([_CSV_EDGES, [float("nan"), -0.0, float("nan")]])
+    def test_read_back_is_bit_exact(self, tmp_path_factory, rows):
+        # Rows keep at least one observed value: a one-field all-NaN row
+        # writes an empty line, which the reader skips.
+        path = tmp_path_factory.mktemp("csv") / "rows.csv"
+        write_series_csv(path, [TimeSeries(row) for row in rows])
+        loaded = read_series_csv(path)
+        assert len(loaded) == len(rows)
+        for series, row in zip(loaded, rows):
+            expected = np.asarray(row, dtype=float)
+            missing = np.isnan(expected)
+            assert np.array_equal(np.isnan(series.values), missing)
+            assert series.values[~missing].tobytes() == expected[~missing].tobytes()
 
 
 class TestCsvIO:
@@ -66,6 +125,23 @@ class TestParser:
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_jobs_and_backend_are_train_only(self, capsys):
+        parser = build_parser()
+        args = parser.parse_args(
+            ["train", "--out", "x.json", "--jobs", "2", "--backend", "thread"]
+        )
+        assert (args.jobs, args.backend) == (2, "thread")
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([
+                "repair", "--engine", "e.json", "--data", "d.csv",
+                "--out", "o.csv", "--jobs", "2",
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            parser.parse_args(["repair", "--help"])
+        assert "--jobs" not in capsys.readouterr().out
 
 
 class TestCommands:

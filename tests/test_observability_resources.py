@@ -156,6 +156,51 @@ class TestComponentInstrumentation:
         assert registry.account_bytes("feature_cache") == \
             np.zeros(10).nbytes
 
+    def test_feature_cache_memory_is_lru_capped(self):
+        from repro.parallel.cache import FEATURE_CACHE_ENTRIES, FeatureCache
+
+        registry = get_accounting()
+        cache = FeatureCache()
+        vector = np.zeros(56)
+        first = FeatureCache.key(np.array([-1.0]), ("fp",))
+        cache.put(first, vector)
+        n = FEATURE_CACHE_ENTRIES + 50
+        for i in range(n):
+            key = FeatureCache.key(np.array([float(i)]), ("fp",))
+            cache.put(key, vector)
+            if i == FEATURE_CACHE_ENTRIES // 2:
+                assert cache.get(first) is not None  # touched: most recent
+        assert len(cache) == FEATURE_CACHE_ENTRIES
+        assert registry.account_bytes("feature_cache") == \
+            FEATURE_CACHE_ENTRIES * vector.nbytes
+        assert cache.stats()["bytes"] == FEATURE_CACHE_ENTRIES * vector.nbytes
+        assert cache.get(first) is not None
+        oldest = FeatureCache.key(np.array([0.0]), ("fp",))
+        assert cache.get(oldest) is None
+        cache.clear()
+        assert registry.account_bytes("feature_cache") == 0
+
+    def test_feature_cache_eviction_keeps_disk_entries(self, tmp_path, monkeypatch):
+        from repro.features import FeatureExtractor
+        from repro.parallel import cache as cache_module
+
+        monkeypatch.setattr(cache_module, "FEATURE_CACHE_ENTRIES", 8)
+        registry = get_accounting()
+        cache = cache_module.FeatureCache(tmp_path)
+        fx = FeatureExtractor(cache=cache)
+        rng = np.random.default_rng(0)
+        series = [rng.normal(size=40) for _ in range(20)]
+        matrix = fx.extract_many(series)
+        assert len(cache) == 8
+        assert len(list(tmp_path.glob("*.npy"))) == 20
+        assert registry.account_bytes("feature_cache") == 8 * matrix[0].nbytes
+        # An evicted vector comes back from disk, byte-identical.
+        again = fx.extract_many(series[:1])
+        assert cache.hits == 1
+        assert again.tobytes() == matrix[:1].tobytes()
+        assert len(cache) == 8
+        assert registry.account_bytes("feature_cache") == 8 * matrix[0].nbytes
+
     def test_score_memo_tracks_bytes(self):
         from repro.parallel.cache import ScoreMemo
 
