@@ -1,10 +1,6 @@
 """Perf — out-of-core corpus engine: memmap banks.
 
-Measures what a memmap bank trades against an in-RAM one and merges the
-numbers into ``BENCH_outofcore.json`` at the repo root::
-
-    {workload: {inram_s, memmap_s, ..., rss_ratio, wallclock_ratio,
-                n_series, length}}
+Measures what a memmap bank trades against an in-RAM one.
 
 Workload:
 
@@ -18,8 +14,8 @@ Workload:
   must match exactly — the memmap path cannot "win" by computing
   something else.
 
-Both timing arms are gated by ``check_regression.py`` like every other
-``BENCH_*.json`` document.
+The end-to-end benchmark (``benchmarks/e2e``) never builds a memmap
+bank, so this is the one gate on its memory.
 """
 
 from __future__ import annotations
@@ -34,7 +30,6 @@ import time
 import numpy as np
 
 TINY = os.environ.get("REPRO_BENCH_TINY", "") not in ("", "0")
-BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_outofcore.json"
 
 #: Corpus geometry for the RSS workload.  Full mode is sized so the
 #: corpus (raw + znorm, ~400 MiB) dwarfs interpreter overhead and the
@@ -43,18 +38,6 @@ RSS_N, RSS_LENGTH = (32, 2048) if TINY else (96, 262_144)
 #: Full-mode acceptance thresholds (ISSUE 10).
 RSS_CEILING = 0.5
 WALLCLOCK_CEILING = 1.5
-
-
-def _merge_json(results: dict) -> dict:
-    doc = {}
-    if BENCH_JSON.exists():
-        try:
-            doc = json.loads(BENCH_JSON.read_text())
-        except ValueError:
-            doc = {}
-    doc.update(results)
-    BENCH_JSON.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -119,22 +102,9 @@ def test_memmap_bank_peak_rss(tmp_path):
     assert memmap["checksum"] == inram["checksum"]
     rss_ratio = memmap["hwm_bytes"] / inram["hwm_bytes"]
     wallclock_ratio = memmap["seconds"] / inram["seconds"]
-    results = {
-        "bank_training_rss": {
-            "inram_s": round(inram["seconds"], 4),
-            "memmap_s": round(memmap["seconds"], 4),
-            "inram_hwm_bytes": int(inram["hwm_bytes"]),
-            "memmap_hwm_bytes": int(memmap["hwm_bytes"]),
-            "rss_ratio": round(rss_ratio, 4),
-            "wallclock_ratio": round(wallclock_ratio, 4),
-            "n_series": RSS_N,
-            "length": RSS_LENGTH,
-            "tiny": TINY,
-        }
-    }
-    _merge_json(results)
     print(
-        f"\n== outofcore bank_training_rss ==\n"
+        f"\n== outofcore bank_training_rss "
+        f"({RSS_N}x{RSS_LENGTH}, {os.cpu_count()} CPUs) ==\n"
         f"inram  {inram['seconds']:.2f}s  hwm {inram['hwm_bytes'] / 2**20:.0f} MiB\n"
         f"memmap {memmap['seconds']:.2f}s  hwm {memmap['hwm_bytes'] / 2**20:.0f} MiB\n"
         f"rss_ratio {rss_ratio:.3f}  wallclock_ratio {wallclock_ratio:.3f}"

@@ -29,12 +29,6 @@ disagreement, drift scores, cache hit rates)::
     python -m repro monitor --engine engine.json --data faulty.csv \
         --out health.json --prom-out health.prom
 
-Sample the inference path with the low-overhead profiler and write
-flamegraph-ready collapsed stacks::
-
-    python -m repro profile --engine engine.json --data faulty.csv \
-        --out profile.collapsed
-
 Every subcommand accepts ``--trace-out trace.json`` (Chrome
 ``trace_event`` export, open in ``chrome://tracing`` or Perfetto) and
 ``--metrics-out metrics.prom`` (Prometheus text; a ``.json`` suffix
@@ -74,7 +68,6 @@ from repro.observability import (
     InferenceMonitor,
     LoggingObserver,
     MetricsRegistry,
-    SamplingProfiler,
     Tracer,
     enable_console_logging,
     use_metrics,
@@ -157,13 +150,16 @@ def write_series_csv(path, series_list) -> None:
 
     Each field is ``repr`` of the float, so :func:`read_series_csv` reads
     the values back bit for bit.  The only float repr containing ``nan``
-    is NaN's own, so blanking it is one replace over the joined row.
+    is NaN's own, so blanking it is one replace over the joined row.  A
+    row that would be empty (one missing value) is written as ``nan``,
+    since the reader skips blank lines.
     """
     path = pathlib.Path(path)
     with path.open("w") as fh:
         for series in series_list:
             values = np.asarray(series.values, dtype=float).tolist()
-            fh.write(",".join(map(repr, values)).replace("nan", "") + "\n")
+            row = ",".join(map(repr, values)).replace("nan", "")
+            fh.write((row or "nan") + "\n")
 
 
 def _cmd_train(args) -> int:
@@ -465,65 +461,6 @@ def _cmd_top(args) -> int:
     except KeyboardInterrupt:
         print("top stopped", file=sys.stderr)
         return 0
-
-
-def _cmd_bench_trend(args) -> int:
-    import glob
-    import json
-
-    from repro.observability.dashboard import render_bench_trend
-
-    repo_root = pathlib.Path.cwd()
-    baseline_path = pathlib.Path(args.baseline)
-    if not baseline_path.exists():
-        raise ValidationError(f"no baseline document at {baseline_path}")
-    baseline = json.loads(baseline_path.read_text())
-    fresh_paths = []
-    for pattern in args.fresh or [str(repo_root / "BENCH_*.json")]:
-        matches = sorted(glob.glob(pattern))
-        fresh_paths.extend(matches if matches else [pattern])
-    fresh: dict = {}
-    n_docs = 0
-    for path in fresh_paths:
-        path = pathlib.Path(path)
-        if not path.exists():
-            print(f"note: skipping missing document {path}", file=sys.stderr)
-            continue
-        document = json.loads(path.read_text())
-        if isinstance(document, dict):
-            fresh.update(document)
-            n_docs += 1
-    if not fresh:
-        raise ValidationError(
-            "no fresh benchmark documents found (pass --fresh BENCH_x.json)"
-        )
-    print(f"comparing {n_docs} document(s) against {baseline_path}",
-          file=sys.stderr)
-    table = render_bench_trend(
-        baseline, fresh, threshold=args.threshold,
-        color=sys.stdout.isatty() and not args.no_color,
-        include_missing=args.all,
-    )
-    print(table)
-    if args.out:
-        pathlib.Path(args.out).write_text(table + "\n")
-        print(f"wrote trend report to {args.out}", file=sys.stderr)
-    return 0
-
-
-def _cmd_profile(args) -> int:
-    engine = _load_serving_engine(args)
-    series_list = read_series_csv(args.data)
-    profiler = SamplingProfiler(
-        interval=args.interval / 1000.0, mode=args.mode
-    )
-    with profiler:
-        for _ in range(max(1, args.repeat)):
-            engine.recommend_many(series_list)
-    path = profiler.export(args.out)
-    print(f"wrote collapsed stacks to {path}", file=sys.stderr)
-    print(profiler.render_top(args.top))
-    return 0
 
 
 def _cmd_report(args) -> int:
@@ -862,70 +799,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--psi-threshold", type=float, default=0.25)
     top.add_argument("--ks-threshold", type=float, default=0.5)
     top.set_defaults(func=_cmd_top)
-
-    bench = sub.add_parser(
-        "bench",
-        help="benchmark utilities (trend: compare BENCH_*.json to baseline)",
-        parents=[common],
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    trend = bench_sub.add_parser(
-        "trend",
-        help="per-workload trend table of fresh BENCH_*.json vs baseline",
-    )
-    trend.add_argument(
-        "--baseline", default="benchmarks/bench_baseline.json",
-        help="committed baseline document",
-    )
-    trend.add_argument(
-        "--fresh", action="append", metavar="PATH_OR_GLOB",
-        help="fresh benchmark document(s); repeat or glob "
-        "(default: BENCH_*.json in the working directory)",
-    )
-    trend.add_argument(
-        "--threshold", type=float, default=1.5,
-        help="slowdown factor flagged REGRESSED (matches the CI gate)",
-    )
-    trend.add_argument(
-        "--out", default=None, help="also write the table here"
-    )
-    trend.add_argument(
-        "--no-color", action="store_true",
-        help="disable ANSI colors even on a TTY",
-    )
-    trend.add_argument(
-        "--all", action="store_true",
-        help="also list baseline arms missing from the fresh documents",
-    )
-    trend.set_defaults(func=_cmd_bench_trend)
-
-    profile = sub.add_parser(
-        "profile",
-        help="sample the inference path and write collapsed stacks",
-        parents=[common],
-    )
-    profile.add_argument("--engine", required=True, help="engine JSON path")
-    profile.add_argument("--data", required=True, help="faulty series CSV")
-    profile.add_argument(
-        "--out", required=True,
-        help="collapsed-stack output path (flamegraph.pl / speedscope input)",
-    )
-    profile.add_argument(
-        "--repeat", type=int, default=10,
-        help="times to replay the CSV under the profiler",
-    )
-    profile.add_argument(
-        "--interval", type=float, default=5.0,
-        help="sampling interval in milliseconds",
-    )
-    profile.add_argument(
-        "--mode", choices=("thread", "signal"), default="thread",
-        help="sampler: thread (all threads, wall) or signal (main, CPU)",
-    )
-    profile.add_argument(
-        "--top", type=int, default=10, help="rows in the hotspot table"
-    )
-    profile.set_defaults(func=_cmd_profile)
 
     report = sub.add_parser(
         "report",

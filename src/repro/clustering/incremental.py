@@ -130,12 +130,10 @@ class IncrementalClustering:
         Clusters at or below this size are candidates for merging.
     random_state:
         Seed for the k-means initializations inside splits.
-    incremental:
-        When True (default), phase 2 maintains per-cluster internal
-        correlation sums and per-series column sums so every merge/move
-        candidate's ``rho_union`` is an O(1)/O(|C|) lookup; ``False``
-        keeps the legacy path that re-slices ``np.ix_`` submatrices per
-        candidate (retained as the reference for parity tests).
+
+    Phase 2 maintains per-cluster internal correlation sums and
+    per-series column sums (:class:`_RefineSums`), so every merge/move
+    candidate's ``rho_union`` is an O(1)/O(|C|) lookup.
     """
 
     def __init__(
@@ -144,7 +142,6 @@ class IncrementalClustering:
         split_ratio: float = 0.2,
         min_cluster_size: int = 3,
         random_state: int | None = 0,
-        incremental: bool = True,
     ):
         if not 0 < delta <= 1:
             raise ValidationError(f"delta must be in (0, 1], got {delta}")
@@ -154,7 +151,6 @@ class IncrementalClustering:
         self.split_ratio = float(split_ratio)
         self.min_cluster_size = int(min_cluster_size)
         self.random_state = random_state
-        self.incremental = bool(incremental)
         self.labels_: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -193,79 +189,17 @@ class IncrementalClustering:
         return groups
 
     # ------------------------------------------------------------------
-    def _refine_legacy(self, clusters: list[list[int]], m: int) -> list[list[int]]:
-        """Reference phase-2 refinement: rescans ``np.ix_`` submatrices.
-
-        Every merge/move candidate recomputes ``rho(C_i ∪ C_j)`` from
-        scratch — O(|C|²) per candidate.  Kept as the semantics-defining
-        path; :meth:`_refine_incremental` is parity-tested against it.
-        """
-        changed = True
-        guard = 0
-        while changed and guard < 10 * max(1, len(clusters)):
-            changed = False
-            guard += 1
-            # Merge pass over small clusters.
-            order = sorted(range(len(clusters)), key=lambda i: len(clusters[i]))
-            for i in order:
-                if not clusters[i] or len(clusters[i]) > self.min_cluster_size:
-                    continue
-                rho_i = self._avg_corr(clusters[i])
-                best_gain, best_j = 0.0, -1
-                for j in range(len(clusters)):
-                    if j == i or not clusters[j]:
-                        continue
-                    union = clusters[i] + clusters[j]
-                    rho_union = self._avg_corr(union)
-                    # Guard: a merge must not break the phase-1 correlation
-                    # threshold — for large m the gain's second term vanishes
-                    # and Eq. 1 alone would merge anything positive.
-                    if rho_union < self.delta:
-                        continue
-                    gain = correlation_gain(
-                        rho_union, rho_i, self._avg_corr(clusters[j]), m
-                    )
-                    if gain > best_gain:
-                        best_gain, best_j = gain, j
-                if best_j >= 0:
-                    clusters[best_j].extend(clusters[i])
-                    clusters[i] = []
-                    changed = True
-                    continue
-                # No whole-cluster merge: try moving individual series.
-                for x in list(clusters[i]):
-                    if len(clusters[i]) <= 1:
-                        break
-                    best_gain, best_j = 0.0, -1
-                    for j in range(len(clusters)):
-                        if j == i or not clusters[j]:
-                            continue
-                        rho_union = self._avg_corr(clusters[j] + [x])
-                        if rho_union < self.delta:
-                            continue
-                        gain = correlation_gain(
-                            rho_union,
-                            self._avg_corr([x]),
-                            self._avg_corr(clusters[j]),
-                            m,
-                        )
-                        if gain > best_gain:
-                            best_gain, best_j = gain, j
-                    if best_j >= 0:
-                        clusters[i].remove(x)
-                        clusters[best_j].append(x)
-                        changed = True
-        return clusters
-
     def _refine_incremental(
         self, clusters: list[list[int]], m: int
     ) -> list[list[int]]:
         """Louvain-style phase 2 on maintained correlation sums.
 
-        Same decision sequence as :meth:`_refine_legacy`, but ``rho`` of
-        a move target is an O(1) lookup and a merge candidate costs
-        O(|C_i|) (a column-sum gather), with every accepted merge/move
-        updating the sums in O(n) instead of re-slicing submatrices.
+        Small clusters merge into the partner of highest positive gain,
+        else their series move one by one.  ``rho`` of a move target is
+        an O(1) lookup and a merge candidate costs O(|C_i|) (a
+        column-sum gather), with every accepted merge/move updating the
+        sums in O(n).  ``tests/clustering_oracles.py`` keeps the
+        submatrix-rescanning reference it is parity-tested against.
         """
         sums = _RefineSums(self._corr, clusters)
         changed = True
@@ -284,8 +218,9 @@ class IncrementalClustering:
                     if j == i or not clusters[j]:
                         continue
                     rho_union, cross = sums.rho_merge(i, j, members_i)
-                    # Same guard as the legacy path: a merge must not
-                    # break the phase-1 correlation threshold.
+                    # Guard: a merge must not break the phase-1 correlation
+                    # threshold — for large m the gain's second term vanishes
+                    # and Eq. 1 alone would merge anything positive.
                     if rho_union < self.delta:
                         continue
                     gain = correlation_gain(rho_union, rho_i, sums.rho(j), m)
@@ -342,11 +277,7 @@ class IncrementalClustering:
             pending.extend(self._split(cluster, k, rng))
 
         # Phase 2: refinement by merge/move on correlation gain (lines 10-18).
-        clusters = [list(c) for c in final]
-        if self.incremental:
-            clusters = self._refine_incremental(clusters, m)
-        else:
-            clusters = self._refine_legacy(clusters, m)
+        clusters = self._refine_incremental([list(c) for c in final], m)
         clusters = [c for c in clusters if c]
         labels = np.empty(n, dtype=int)
         for cid, members in enumerate(clusters):

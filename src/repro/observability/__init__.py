@@ -30,15 +30,17 @@ The instrumentation substrate for every performance claim in the repro:
   counts (series bank, caches, shared memory), and per-kernel counters
   (bytes moved, chunks, scratch allocations, backend decisions);
 * :mod:`repro.observability.dashboard` — the ``repro top`` ANSI
-  dashboard and the ``repro bench trend`` regression-delta table;
-* :mod:`repro.observability.profiler` — :class:`SamplingProfiler`,
-  a low-overhead thread/signal sampling profiler with collapsed-stack
-  (flamegraph) output (the ``repro profile`` subcommand);
+  dashboard;
 * :mod:`repro.observability.ledger` — the append-only, schema-versioned
   :class:`RepairLedger` recording per-fit and per-repair provenance
   (cluster assignment, vote confidences, race elites, imputer choice,
   post-repair quality stats), trace-correlated with spans and logs
   (the ``repro audit`` / ``repro explain`` subcommands).
+
+Performance is measured end to end by ``benchmarks/e2e/run.py``
+(``--trace 1`` splits each workload into its per-layer spans); for
+function-level hotspots use the stdlib profiler, e.g.
+``python -m cProfile -s cumtime -m repro.cli repair ...``.
 
 Everything is zero-dependency, thread-safe, and free when disabled: the
 module-level defaults are no-op singletons, so library code instruments
@@ -49,10 +51,8 @@ hot paths unconditionally and users pay only when they install a real
 """
 
 from repro.observability.dashboard import (
-    bench_trend_rows,
     human_bytes,
     load_snapshot,
-    render_bench_trend,
     render_top,
 )
 from repro.observability.ledger import (
@@ -104,10 +104,6 @@ from repro.observability.observer import (
     RecordingObserver,
     RecordingServingObserver,
     ServingObserver,
-)
-from repro.observability.profiler import (
-    SamplingProfiler,
-    parse_collapsed,
 )
 from repro.observability.resources import (
     AccountingRegistry,
@@ -191,13 +187,8 @@ __all__ = [
     "sample_rss",
     # dashboard
     "render_top",
-    "render_bench_trend",
-    "bench_trend_rows",
     "load_snapshot",
     "human_bytes",
-    # profiler
-    "SamplingProfiler",
-    "parse_collapsed",
     # logging
     "get_logger",
     "enable_console_logging",

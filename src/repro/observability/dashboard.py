@@ -5,11 +5,7 @@ Renders a :class:`~repro.observability.serving.HealthSnapshot` document
 terminal dashboard: SLO policy status with fast/slow burn rates,
 sketch-backed latency quantiles, throughput, recommendation mix,
 resource gauges (RSS + per-component live bytes), kernel counters, and
-cache hit rates.  The companion :func:`render_bench_trend` turns
-committed ``BENCH_*.json`` documents plus the CI baseline
-(``benchmarks/bench_baseline.json``) into a per-workload trend table
-with regression deltas — the human-readable face of
-``benchmarks/check_regression.py``.
+cache hit rates.
 
 Everything here is plain string formatting: no curses, no third-party
 TUI.  The refresh loop simply re-prints the dashboard behind an ANSI
@@ -257,124 +253,3 @@ def render_top(snapshot: dict, *, color: bool = False, width: int = 78) -> str:
     lines.append(rule)
     return "\n".join(lines)
 
-
-# ---------------------------------------------------------------------------
-# repro bench trend
-# ---------------------------------------------------------------------------
-
-def timing_keys(arms: dict) -> tuple[str, ...]:
-    """Seconds-valued arm keys of one workload entry (``*_s``, numeric)."""
-    return tuple(
-        sorted(
-            key
-            for key, value in arms.items()
-            if key.endswith("_s") and isinstance(value, (int, float))
-        )
-    )
-
-
-def bench_trend_rows(
-    baseline: dict, fresh: dict, *, min_seconds: float = 0.01
-) -> list[dict]:
-    """Per-(workload, arm) trend rows comparing fresh timings to baseline.
-
-    Shares :func:`timing_keys` (numeric ``*_s`` keys) with
-    ``benchmarks/check_regression.py`` so the table and the CI gate
-    always agree on what is measured.  Each row carries ``ratio``
-    (fresh/baseline; None when either side is missing) and ``noise``
-    (both sides under ``min_seconds``, ignored by the gate).
-    """
-    rows: list[dict] = []
-    for workload in sorted(set(baseline) | set(fresh)):
-        base_arms = baseline.get(workload) or {}
-        fresh_arms = fresh.get(workload) or {}
-        arms = sorted(
-            set(timing_keys(base_arms)) | set(timing_keys(fresh_arms))
-        )
-        for key in arms:
-            base = base_arms.get(key)
-            new = fresh_arms.get(key)
-            ratio = None
-            if base is not None and new is not None and float(base) > 0:
-                ratio = float(new) / float(base)
-            rows.append(
-                {
-                    "workload": workload,
-                    "arm": key,
-                    "baseline_s": None if base is None else float(base),
-                    "fresh_s": None if new is None else float(new),
-                    "ratio": ratio,
-                    "noise": (
-                        base is not None
-                        and new is not None
-                        and float(base) < min_seconds
-                        and float(new) < min_seconds
-                    ),
-                }
-            )
-    return rows
-
-
-def render_bench_trend(
-    baseline: dict,
-    fresh: dict,
-    *,
-    threshold: float = 1.5,
-    min_seconds: float = 0.01,
-    color: bool = False,
-    include_missing: bool = False,
-) -> str:
-    """The ``repro bench trend`` table: per-arm deltas with flags.
-
-    Flags: ``REGRESSED`` (ratio beyond ``threshold``, same bar as the CI
-    gate), ``improved`` (>=10% faster), ``noise`` (both arms under
-    ``min_seconds``), ``new``/``missing`` for one-sided entries.
-    Baseline workloads absent from the fresh documents are summarized in
-    the footer rather than listed (a trend run usually covers a subset
-    of the baseline); pass ``include_missing=True`` to list them — the
-    CI gate, not this table, is what fails on genuinely missing arms.
-    """
-    rows = bench_trend_rows(baseline, fresh, min_seconds=min_seconds)
-    n_missing = sum(1 for row in rows if row["fresh_s"] is None)
-    if not include_missing:
-        rows = [row for row in rows if row["fresh_s"] is not None]
-    out = [
-        f"{'workload':<22} {'arm':<14} {'baseline':>10} {'fresh':>10} "
-        f"{'delta':>8}  flag",
-        "-" * 74,
-    ]
-    n_regressed = 0
-    for row in rows:
-        base, new, ratio = row["baseline_s"], row["fresh_s"], row["ratio"]
-        if base is None:
-            flag, delta = "new", "-"
-        elif new is None:
-            flag, delta = "missing", "-"
-        else:
-            delta = f"{(ratio - 1.0) * +100.0:+.1f}%"
-            if row["noise"]:
-                flag = "noise"
-            elif ratio > threshold:
-                flag = _paint("REGRESSED", _RED, color)
-                n_regressed += 1
-            elif ratio <= 0.9:
-                flag = _paint("improved", _GREEN, color)
-            else:
-                flag = "ok"
-        out.append(
-            f"{row['workload']:<22} {row['arm']:<14} "
-            f"{'-' if base is None else format(base, '9.4f') + 's':>10} "
-            f"{'-' if new is None else format(new, '9.4f') + 's':>10} "
-            f"{delta:>8}  {flag}"
-        )
-    out.append("-" * 74)
-    verdict = (
-        f"{n_regressed} regression(s) beyond {threshold:.2f}x"
-        if n_regressed
-        else f"no regressions beyond {threshold:.2f}x"
-    )
-    tail = f"{len(rows)} arms compared — {verdict}"
-    if n_missing and not include_missing:
-        tail += f" ({n_missing} baseline-only arms not in this run)"
-    out.append(tail)
-    return "\n".join(out)

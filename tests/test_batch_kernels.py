@@ -37,6 +37,7 @@ from repro.timeseries.correlation import (
     sbd_distance_matrix,
     sbd_distance_matrix_reference,
 )
+from tests.clustering_oracles import LegacyRefinementClustering
 from tests.feature_oracles import persistence_diagram
 
 TOL = 1e-9
@@ -275,19 +276,12 @@ class TestMaxCrossCorrelationTruncation:
 # Clustering snapshots (fixtures generated with the pre-batched code).
 # ---------------------------------------------------------------------------
 
-def _incremental_model(key: str) -> IncrementalClustering:
-    return {
-        "incremental_groups_d08": IncrementalClustering(
-            delta=0.8, random_state=0
-        ),
-        "incremental_groups_default": IncrementalClustering(random_state=0),
-        "incremental_walks_d06": IncrementalClustering(
-            delta=0.6, min_cluster_size=4, random_state=3
-        ),
-        "incremental_walks_d04": IncrementalClustering(
-            delta=0.4, min_cluster_size=6, random_state=1
-        ),
-    }[key]
+_INCREMENTAL_PARAMS = {
+    "incremental_groups_d08": dict(delta=0.8, random_state=0),
+    "incremental_groups_default": dict(random_state=0),
+    "incremental_walks_d06": dict(delta=0.6, min_cluster_size=4, random_state=3),
+    "incremental_walks_d04": dict(delta=0.4, min_cluster_size=6, random_state=1),
+}
 
 
 class TestClusteringSnapshots:
@@ -302,9 +296,10 @@ class TestClusteringSnapshots:
     )
     @pytest.mark.parametrize("incremental", [True, False])
     def test_incremental_clustering_labels(self, key, incremental):
+        # False runs the rescanning oracle of tests/clustering_oracles.py.
         corpus = make_groups() if "groups" in key else make_walks()
-        model = _incremental_model(key)
-        model.incremental = incremental
+        cls = IncrementalClustering if incremental else LegacyRefinementClustering
+        model = cls(**_INCREMENTAL_PARAMS[key])
         labels = model.fit(corpus).labels_.tolist()
         assert labels == SNAPSHOTS[key]
 
@@ -326,10 +321,10 @@ class TestClusteringSnapshots:
     def test_incremental_equals_legacy_refinement(self, seed):
         corpus = make_walks(seed=seed, n=20, length=64)
         fast = IncrementalClustering(
-            delta=0.5, min_cluster_size=4, random_state=0, incremental=True
+            delta=0.5, min_cluster_size=4, random_state=0
         ).fit(corpus)
-        slow = IncrementalClustering(
-            delta=0.5, min_cluster_size=4, random_state=0, incremental=False
+        slow = LegacyRefinementClustering(
+            delta=0.5, min_cluster_size=4, random_state=0
         ).fit(corpus)
         np.testing.assert_array_equal(fast.labels_, slow.labels_)
 

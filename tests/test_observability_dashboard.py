@@ -1,4 +1,4 @@
-"""Tests for the ``repro top`` renderer and the bench trend table."""
+"""Tests for the ``repro top`` renderer."""
 
 import json
 
@@ -7,10 +7,8 @@ import pytest
 
 from repro.observability import DriftDetector, FeatureBaseline, InferenceMonitor
 from repro.observability.dashboard import (
-    bench_trend_rows,
     human_bytes,
     load_snapshot,
-    render_bench_trend,
     render_top,
 )
 
@@ -175,69 +173,3 @@ class TestRenderTop:
         path.write_text("[1, 2, 3]")
         with pytest.raises(ValueError):
             load_snapshot(path)
-
-
-class TestBenchTrend:
-    BASELINE = {
-        "race": {"serial_s": 1.0, "parallel_s": 0.5, "n": 4},
-        "kernels": {"batched_s": 0.002},
-        "gone": {"serial_s": 2.0},
-    }
-    FRESH = {
-        "race": {"serial_s": 2.0, "parallel_s": 0.4},
-        "kernels": {"batched_s": 0.003},
-        "added": {"serial_s": 0.1},
-    }
-
-    def test_rows_cover_both_sides(self):
-        rows = bench_trend_rows(self.BASELINE, self.FRESH)
-        by_key = {(r["workload"], r["arm"]): r for r in rows}
-        assert by_key[("race", "serial_s")]["ratio"] == pytest.approx(2.0)
-        assert by_key[("race", "parallel_s")]["ratio"] == pytest.approx(0.8)
-        assert by_key[("kernels", "batched_s")]["noise"] is True
-        assert by_key[("gone", "serial_s")]["fresh_s"] is None
-        assert by_key[("added", "serial_s")]["baseline_s"] is None
-        # non-numeric / non-_s keys are not arms
-        assert ("race", "n") not in by_key
-
-    def test_render_flags(self):
-        table = render_bench_trend(self.BASELINE, self.FRESH)
-        assert "REGRESSED" in table     # race.serial_s at 2x
-        assert "improved" in table      # race.parallel_s at 0.8x
-        assert "noise" in table         # kernels under min_seconds
-        assert "new" in table           # added.serial_s
-        assert "1 regression(s)" in table
-        assert "baseline-only" in table  # gone.* summarized in footer
-        assert "gone" not in table.splitlines()[2:-2][0]
-
-    def test_include_missing_lists_baseline_only_arms(self):
-        table = render_bench_trend(
-            self.BASELINE, self.FRESH, include_missing=True
-        )
-        assert "missing" in table
-        assert any("gone" in line for line in table.splitlines())
-
-    def test_threshold_matches_ci_gate(self):
-        # At threshold 2.5 the 2.0x slowdown is not a regression.
-        table = render_bench_trend(
-            self.BASELINE, self.FRESH, threshold=2.5
-        )
-        assert "no regressions beyond 2.50x" in table
-
-    def test_agrees_with_check_regression(self):
-        # The table's REGRESSED flag must match the CI gate's verdict on
-        # the same documents (same arm discovery, same threshold).
-        import pathlib
-        import sys
-
-        repo_root = pathlib.Path(__file__).resolve().parent.parent
-        sys.path.insert(0, str(repo_root / "benchmarks"))
-        try:
-            from check_regression import compare
-        finally:
-            sys.path.pop(0)
-        problems = compare(self.BASELINE, self.FRESH, 1.5)
-        flagged = {p.split(":")[0] for p in problems if "missing" not in p}
-        assert flagged == {"race.serial_s"}
-        table = render_bench_trend(self.BASELINE, self.FRESH)
-        assert table.count("REGRESSED") == len(flagged)

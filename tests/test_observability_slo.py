@@ -5,7 +5,8 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.observability import RecordingServingObserver
+from repro import TimeSeries
+from repro.observability import InferenceMonitor, RecordingServingObserver
 from repro.observability.slo import (
     QuantileSketch,
     SloPolicy,
@@ -483,3 +484,27 @@ class TestShardFoldPattern:
         assert sum(card["n"] for card in cards.values()) == 2 * total
         slices = tracker.status()["slices"]
         assert slices["shard:0"]["n"] + slices["shard:1"]["n"] == 2 * total
+
+
+class TestMonitoredTraffic:
+    def test_one_slo_event_per_served_series(self, serving_engine):
+        # One monitored request per series under the stock policies.
+        rng = np.random.default_rng(23)
+        t = np.linspace(0, 4 * np.pi, 96)
+        traffic = []
+        for i in range(16):
+            values = np.sin(t * (1 + 0.03 * i)) + 0.05 * rng.normal(size=96)
+            lo = 10 + (i % 5)
+            values[lo : lo + 16] = np.nan
+            traffic.append(TimeSeries(values, name=f"live{i}"))
+        monitor = InferenceMonitor(serving_engine)
+        for series in traffic:
+            monitor.recommend_many([series])
+        tracker = monitor.slo_tracker
+        assert tracker is not None
+        status = tracker.status()
+        assert status["n_events"] == len(traffic), (
+            "one SLO event per served series"
+        )
+        assert status["latency_sketch"]["p99"] > 0.0
+        assert any(key.startswith("imputer:") for key in status["slices"])

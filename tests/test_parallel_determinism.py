@@ -1,10 +1,11 @@
 """Determinism under parallelism (the PR's core correctness contract).
 
 Same seed ⇒ identical race outcomes and labels for ``n_jobs=1`` vs
-``n_jobs=4``, across thread and process backends.  Wall-clock enters the
-race score through gamma, so the race tests race with ``gamma=0`` — the
-configuration under which scores are pure functions of the data and
-bit-identical results are a meaningful requirement.
+``n_jobs=4``, across thread, process and cost-aware auto backends.
+Wall-clock enters the race score through gamma, so the race tests race
+with ``gamma=0`` — the configuration under which scores are pure
+functions of the data and bit-identical results are a meaningful
+requirement.
 
 Also covers the two pruning satellites:
 
@@ -34,6 +35,7 @@ from repro.pipeline.scoring import ScoreWeights
 BACKEND_CONFIGS = [
     pytest.param(ParallelConfig(n_jobs=4, backend="thread"), id="thread-4"),
     pytest.param(ParallelConfig(n_jobs=4, backend="process"), id="process-4"),
+    pytest.param(ParallelConfig(n_jobs=4, backend="auto"), id="auto-4"),
 ]
 
 #: gamma=0 removes wall-clock from the score: results must be bit-identical.
@@ -53,7 +55,7 @@ def race_data():
     return X[24:], y[24:], X[:24], y[:24]
 
 
-def _run_race(data, parallel: ParallelConfig | None):
+def _run_race(data, parallel: ParallelConfig | None, score_memo=None):
     X_tr, y_tr, X_te, y_te = data
     config = ModelRaceConfig(
         n_partial_sets=2,
@@ -64,7 +66,9 @@ def _run_race(data, parallel: ParallelConfig | None):
         parallel=parallel or ParallelConfig(),
     )
     seeds = make_seed_pipelines(["knn", "decision_tree", "gaussian_nb", "ridge"])
-    return ModelRace(config).run(seeds, X_tr, y_tr, X_te, y_te)
+    return ModelRace(config, score_memo=score_memo).run(
+        seeds, X_tr, y_tr, X_te, y_te
+    )
 
 
 class TestRaceDeterminism:
@@ -297,3 +301,20 @@ class TestScoreMemoInRace:
             p.config_key() for p in second.elite
         ]
         assert first.scores == second.scores
+
+    def test_memoized_auto_race_matches_serial(self, race_data):
+        # Re-races on one snapshot share a memo (the steady state of
+        # iterative labeling); the last one is served from it and must
+        # still match a memo-free serial race exactly.
+        from repro.parallel import ScoreMemo
+
+        serial_race = _run_race(race_data, None)
+        memo = ScoreMemo()
+        for _ in range(3):
+            parallel_race = _run_race(
+                race_data, ParallelConfig(n_jobs=4, backend="auto"), memo
+            )
+        assert [p.config_key() for p in parallel_race.elite] == [
+            p.config_key() for p in serial_race.elite
+        ]
+        assert parallel_race.scores == serial_race.scores
