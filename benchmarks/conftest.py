@@ -4,7 +4,9 @@ Every bench reproduces one table/figure of the paper (see DESIGN.md's
 per-experiment index).  Expensive artifacts — labeled corpora, extracted
 features, per-system evaluations — are session-scoped so the suite builds
 them once.  Results print to stdout (run with ``-s`` to see them live) and
-are appended to ``benchmarks/results.txt``.
+are appended to ``.bench_build/bench/results.txt`` at the repository root,
+which git ignores.  The committed ``benchmarks/results.txt`` is a frozen
+record of earlier runs and is no longer written.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from repro.datasets import CATEGORIES, holdout_split, load_category
 from repro.features import FeatureExtractor
 from repro.pipeline.metrics import classification_report
 
-RESULTS_PATH = pathlib.Path(__file__).parent / "results.txt"
+RESULTS_PATH = (
+    pathlib.Path(__file__).resolve().parent.parent / ".bench_build" / "bench" / "results.txt"
+)
 
 #: Imputation slate raced during labeling (one per family, fast members).
 BENCH_SLATE = ("linear", "knn", "svdimp", "stmvl", "tkcm")
@@ -44,9 +48,10 @@ BENCH_CONFIG = ModelRaceConfig(
 
 
 def emit(title: str, lines: list[str]) -> None:
-    """Print a result block and persist it to benchmarks/results.txt."""
+    """Print a result block and append it to :data:`RESULTS_PATH`."""
     block = "\n".join([f"== {title} ==", *lines, ""])
     print("\n" + block)
+    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
     with RESULTS_PATH.open("a") as fh:
         fh.write(block + "\n")
 

@@ -5,63 +5,53 @@ from __future__ import annotations
 import numpy as np
 
 from repro.classifiers.base import BaseClassifier, register_classifier
-from repro.classifiers.tree import _best_cut, _Node, build_tree, tree_predict_proba
+from repro.classifiers.tree import NodeTable, _best_cut, _Nodes, build_tree
 from repro.exceptions import ValidationError
 from repro.utils.rng import ensure_rng
 
 
-class _RegressionStump:
-    """Depth-limited regression tree on residuals (for gradient boosting)."""
+def _grow_stump(
+    nodes: _Nodes, X: np.ndarray, r: np.ndarray, max_depth: int, min_leaf: int,
+    depth: int,
+) -> int:
+    total_sum, total_n = r.sum(), r.shape[0]
+    # The sum over the count is exactly what ``r.mean()`` computes.
+    k = nodes.add(np.array([total_sum / total_n if total_n else 0.0]))
+    if depth >= max_depth or total_n < 2 * min_leaf:
+        return k
+    # One scan over every feature: prefix residual sums along each
+    # sorted column give the SSE reduction of every cut.
+    order = np.argsort(X, axis=0, kind="stable")
+    sorted_x = X[order, np.arange(X.shape[1])]
+    left_sum = np.cumsum(r[order], axis=0)[:-1]
+    n_l = np.arange(1.0, total_n)[:, None]
+    gain = (
+        left_sum**2 / n_l
+        + (total_sum - left_sum) ** 2 / (total_n - n_l)
+        - total_sum**2 / total_n
+    )
+    best = _best_cut(gain, sorted_x, min_leaf)
+    if best is None:
+        return k
+    feat, thr, _ = best
+    mask = X[:, feat] <= thr
+    left = _grow_stump(nodes, X[mask], r[mask], max_depth, min_leaf, depth + 1)
+    right = _grow_stump(nodes, X[~mask], r[~mask], max_depth, min_leaf, depth + 1)
+    nodes.split(k, feat, thr, left, right)
+    return k
 
-    def __init__(self, max_depth: int, min_leaf: int):
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        self._root: dict | None = None
 
-    def fit(self, X: np.ndarray, residual: np.ndarray) -> "_RegressionStump":
-        self._root = self._grow(X, residual, 0)
-        return self
+def regression_stumps(
+    X: np.ndarray, residuals: np.ndarray, max_depth: int, min_leaf: int
+) -> NodeTable:
+    """One depth-limited regression tree per column of ``residuals``.
 
-    def _grow(self, X: np.ndarray, r: np.ndarray, depth: int) -> dict:
-        node = {"value": float(r.mean()) if r.size else 0.0}
-        if depth >= self.max_depth or X.shape[0] < 2 * self.min_leaf:
-            return node
-        total_sum, total_n = r.sum(), r.shape[0]
-        # One scan over every feature: prefix residual sums along each
-        # sorted column give the SSE reduction of every cut.
-        order = np.argsort(X, axis=0, kind="stable")
-        sorted_x = np.take_along_axis(X, order, axis=0)
-        left_sum = np.cumsum(r[order], axis=0)[:-1]
-        n_l = np.arange(1.0, total_n)[:, None]
-        gain = (
-            left_sum**2 / n_l
-            + (total_sum - left_sum) ** 2 / (total_n - n_l)
-            - total_sum**2 / total_n
-        )
-        best = _best_cut(gain, sorted_x, self.min_leaf)
-        if best is None:
-            return node
-        feat, thr, _ = best
-        mask = X[:, feat] <= thr
-        node.update(
-            feature=feat,
-            threshold=thr,
-            left=self._grow(X[mask], r[mask], depth + 1),
-            right=self._grow(X[~mask], r[~mask], depth + 1),
-        )
-        return node
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0])
-        for i, row in enumerate(X):
-            node = self._root
-            while "feature" in node:
-                node = (
-                    node["left"] if row[node["feature"]] <= node["threshold"]
-                    else node["right"]
-                )
-            out[i] = node["value"]
-        return out
+    Leaves hold the mean residual, so the table's values have width 1.
+    """
+    nodes = _Nodes()
+    for r in residuals.T:
+        nodes.roots.append(_grow_stump(nodes, X, r, max_depth, min_leaf, 0))
+    return nodes.table()
 
 
 @register_classifier
@@ -115,7 +105,7 @@ class GradientBoostingClassifier(BaseClassifier):
         onehot = np.zeros((n, k))
         onehot[np.arange(n), y] = 1.0
         scores = np.zeros((n, k))
-        self._stages: list[list[_RegressionStump]] = []
+        stages: list[NodeTable] = []
         for _ in range(self.n_estimators):
             exp = np.exp(scores - scores.max(axis=1, keepdims=True))
             proba = exp / exp.sum(axis=1, keepdims=True)
@@ -124,19 +114,18 @@ class GradientBoostingClassifier(BaseClassifier):
                 idx = rng.choice(n, size=max(2, int(self.subsample * n)), replace=False)
             else:
                 idx = np.arange(n)
-            stage = []
-            for c in range(k):
-                stump = _RegressionStump(self.max_depth, min_leaf=1)
-                stump.fit(X[idx], gradient[idx, c])
-                scores[:, c] += self.learning_rate * stump.predict(X)
-                stage.append(stump)
-            self._stages.append(stage)
+            stage = regression_stumps(X[idx], gradient[idx], self.max_depth, 1)
+            scores += self.learning_rate * stage.predict(X)[:, :, 0].T
+            stages.append(stage)
+        self._stumps = NodeTable.concat(stages)
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
-        scores = np.zeros((X.shape[0], self.n_classes_))
-        for stage in self._stages:
-            for c, stump in enumerate(stage):
-                scores[:, c] += self.learning_rate * stump.predict(X)
+        n, k = X.shape[0], self.n_classes_
+        scores = np.zeros((n, k))
+        leaves = self._stumps.predict(X).reshape(-1, k, n)
+        # Stage by stage, as fitting added them.
+        for stage in leaves:
+            scores += self.learning_rate * stage.T
         exp = np.exp(scores - scores.max(axis=1, keepdims=True))
         return exp / exp.sum(axis=1, keepdims=True)
 
@@ -182,7 +171,7 @@ class AdaBoostClassifier(BaseClassifier):
         n, k = X.shape[0], self.n_classes_
         rng = ensure_rng(self.random_state)
         weights = np.full(n, 1.0 / n)
-        self._trees: list[_Node] = []
+        trees: list[NodeTable] = []
         self._alphas: list[float] = []
         for _ in range(self.n_estimators):
             # Weighted resampling approximates weighted impurity fitting.
@@ -190,7 +179,7 @@ class AdaBoostClassifier(BaseClassifier):
             tree = build_tree(
                 X[idx], y[idx], k, self.max_depth, 2, 1, "gini",
             )
-            pred = np.argmax(tree_predict_proba(tree, X, k), axis=1)
+            pred = np.argmax(tree.predict(X)[0], axis=1)
             err = float(weights[pred != y].sum())
             if err >= 1.0 - 1.0 / k:
                 continue  # worse than chance; skip stage
@@ -198,17 +187,18 @@ class AdaBoostClassifier(BaseClassifier):
             alpha = self.learning_rate * (np.log((1 - err) / err) + np.log(k - 1))
             weights *= np.exp(alpha * (pred != y))
             weights /= weights.sum()
-            self._trees.append(tree)
+            trees.append(tree)
             self._alphas.append(alpha)
-        if not self._trees:
+        if not trees:
             # Degenerate input: keep one unweighted tree as fallback.
-            self._trees.append(build_tree(X, y, k, self.max_depth, 2, 1, "gini"))
+            trees.append(build_tree(X, y, k, self.max_depth, 2, 1, "gini"))
             self._alphas.append(1.0)
+        self._trees = NodeTable.concat(trees)
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
         scores = np.zeros((X.shape[0], self.n_classes_))
-        for alpha, tree in zip(self._alphas, self._trees):
-            pred = np.argmax(tree_predict_proba(tree, X, self.n_classes_), axis=1)
+        votes = np.argmax(self._trees.predict(X), axis=2)
+        for alpha, pred in zip(self._alphas, votes):
             scores[np.arange(X.shape[0]), pred] += alpha
         exp = np.exp(scores - scores.max(axis=1, keepdims=True))
         return exp / exp.sum(axis=1, keepdims=True)

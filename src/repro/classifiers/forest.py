@@ -7,7 +7,7 @@ import numbers
 import numpy as np
 
 from repro.classifiers.base import BaseClassifier, register_classifier
-from repro.classifiers.tree import build_tree, tree_predict_proba
+from repro.classifiers.tree import NodeTable, build_tree, grow_forest
 from repro.exceptions import ValidationError
 from repro.utils.rng import ensure_rng, spawn_rng
 
@@ -63,26 +63,33 @@ class _BaseForest(BaseClassifier):
         rngs = spawn_rng(rng, self.n_estimators)
         k = self._resolve_max_features(X.shape[1])
         n = X.shape[0]
-        self._trees = []
+        growth = (self.max_depth, 2, self.min_samples_leaf, self.criterion)
+        if k >= X.shape[1] and self._bootstrap and not self._extra_random:
+            # No node draws from a generator, so all trees grow at once;
+            # each bootstrap becomes integer row weights.
+            weights = np.stack([
+                np.bincount(r.integers(0, n, size=n), minlength=n) for r in rngs
+            ])
+            self._trees = grow_forest(X, y, self.n_classes_, weights, *growth)
+            return
+        tables = []
         for tree_rng in rngs:
             if self._bootstrap:
                 idx = tree_rng.integers(0, n, size=n)
                 Xb, yb = X[idx], y[idx]
             else:
                 Xb, yb = X, y
-            self._trees.append(
+            tables.append(
                 build_tree(
-                    Xb, yb, self.n_classes_,
-                    self.max_depth, 2, self.min_samples_leaf, self.criterion,
+                    Xb, yb, self.n_classes_, *growth,
                     max_features=k, rng=tree_rng, extra_random=self._extra_random,
                 )
             )
+        self._trees = NodeTable.concat(tables)
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
-        acc = np.zeros((X.shape[0], self.n_classes_))
-        for tree in self._trees:
-            acc += tree_predict_proba(tree, X, self.n_classes_)
-        return acc / len(self._trees)
+        # The sum runs over trees in order, as the per-tree loop added them.
+        return self._trees.predict(X).sum(axis=0) / self._trees.n_trees
 
 
 @register_classifier

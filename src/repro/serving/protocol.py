@@ -12,8 +12,10 @@ Status codes follow the HTTP convention the rest of the stack speaks:
 ========  ==========================================================
 ``200``   served — ``algorithm``/``ranking`` (+ ``values`` for
           ``mode="repair"``) are populated
-``400``   malformed request line (:class:`~repro.exceptions.ProtocolError`)
-``500``   the batch failed on every shard (terminal server error)
+``400``   malformed request line (:class:`~repro.exceptions.ProtocolError`),
+          or a line over the socket front-end's ``MAX_LINE_BYTES``
+``500``   the batch failed on every shard, or answering the line failed
+          unexpectedly (terminal server error)
 ``503``   shed — admission control or every shard quarantined; the
           typed backpressure signal, retry after ``retry_after_ms``
 ========  ==========================================================
@@ -57,7 +59,7 @@ def _decode_values(payload) -> np.ndarray:
             [math.nan if v is None else float(v) for v in payload],
             dtype=float,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"non-numeric value in 'values': {exc}") from None
 
 
@@ -167,6 +169,15 @@ def encode_request(request: RepairRequest) -> bytes:
 
 def decode_request(line: bytes | str) -> RepairRequest:
     """Parse one request line; raises :class:`ProtocolError` on garbage."""
+    try:
+        return _decode_request(line)
+    except RecursionError:
+        # JSON nested deeper than the interpreter's stack, in the parser or
+        # when a field is turned into a string.
+        raise ProtocolError("request is nested too deeply") from None
+
+
+def _decode_request(line: bytes | str) -> RepairRequest:
     if isinstance(line, bytes):
         line = line.decode("utf-8", errors="replace")
     line = line.strip()

@@ -1,10 +1,12 @@
-"""Scalar reference implementations of the tree split searches.
+"""Scalar reference implementations of the tree split searches and walks.
 
 These are the per-feature loops that :func:`repro.classifiers.tree.best_split`
-and ``repro.classifiers.boosting._RegressionStump`` replaced with one
-vectorised scan per node.  They stay here as parity oracles: the library
-versions must return exactly the same splits, gains and node dicts, and
-consume the random generator exactly as these loops do.
+and the gradient-boosting stumps replaced with one vectorised scan per
+node, and the per-row walks over linked nodes that
+:class:`repro.classifiers.tree.NodeTable` replaced with one level-wise
+walk over all trees and rows.  They stay here as parity oracles: the
+library versions must return exactly the same splits, gains, nodes and
+predictions, and consume the random generator exactly as these loops do.
 """
 
 from __future__ import annotations
@@ -124,3 +126,74 @@ def grow_stump_reference(
         right=grow_stump_reference(X[~mask], r[~mask], max_depth, min_leaf, depth + 1),
     )
     return node
+
+
+class _Node:
+    __slots__ = ("feature", "threshold", "left", "right", "proba")
+
+    def __init__(self, proba):
+        self.feature = -1
+        self.threshold = 0.0
+        self.left = None
+        self.right = None
+        self.proba = proba
+
+
+def tree_predict_proba(node: _Node, X: np.ndarray, n_classes: int) -> np.ndarray:
+    """Probability matrix from a grown tree (iterative traversal)."""
+    out = np.empty((X.shape[0], n_classes))
+    for i, row in enumerate(X):
+        cur = node
+        while cur.left is not None:
+            cur = cur.left if row[cur.feature] <= cur.threshold else cur.right
+        out[i] = cur.proba
+    return out
+
+
+def stump_predict_reference(root: dict, X: np.ndarray) -> np.ndarray:
+    """Regression-stump predictions, one row at a time."""
+    out = np.empty(X.shape[0])
+    for i, row in enumerate(X):
+        node = root
+        while "feature" in node:
+            node = (
+                node["left"] if row[node["feature"]] <= node["threshold"]
+                else node["right"]
+            )
+        out[i] = node["value"]
+    return out
+
+
+def table_to_nodes(table, k: int) -> _Node:
+    """The tree of a flat node table below node ``k``, as linked nodes."""
+    node = _Node(table.value[k])
+    if table.feature[k] >= 0:
+        node.feature = int(table.feature[k])
+        node.threshold = float(table.threshold[k])
+        node.left = table_to_nodes(table, table.left[k])
+        node.right = table_to_nodes(table, table.right[k])
+    return node
+
+
+def table_to_stump_dict(table, k: int) -> dict:
+    """A regression tree of a flat node table, in the node-dict form above."""
+    node = {"value": float(table.value[k, 0])}
+    if table.feature[k] >= 0:
+        node.update(
+            feature=int(table.feature[k]),
+            threshold=float(table.threshold[k]),
+            left=table_to_stump_dict(table, table.left[k]),
+            right=table_to_stump_dict(table, table.right[k]),
+        )
+    return node
+
+
+def node_key(node: _Node) -> tuple:
+    """Everything a linked tree holds, as nested tuples for exact equality."""
+    proba = tuple(node.proba.tolist())
+    if node.left is None:
+        return (proba,)
+    return (
+        node.feature, node.threshold, proba,
+        node_key(node.left), node_key(node.right),
+    )

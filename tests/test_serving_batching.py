@@ -14,11 +14,12 @@ seeds, and batch budgets:
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ProtocolError, ValidationError
@@ -35,6 +36,23 @@ from repro.serving import (
 from repro.serving.batching import MicroBatcher
 from repro.serving.protocol import RepairResponse
 from repro.timeseries import TimeSeries
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=20,
+)
+
+#: Wire lines: raw bytes, any JSON document, and JSON objects shaped like
+#: a request whose fields hold any JSON value.
+request_lines = st.one_of(
+    st.binary(max_size=256),
+    json_values.map(lambda doc: json.dumps(doc).encode()),
+    st.fixed_dictionaries(
+        {"id": json_values, "values": json_values},
+        optional={"mode": json_values, "name": json_values},
+    ).map(lambda doc: json.dumps(doc).encode()),
+)
 
 arrival_gaps = st.lists(
     st.floats(min_value=0.0, max_value=0.02, allow_nan=False),
@@ -176,6 +194,18 @@ class TestProtocolProperties:
             RepairRequest(id="x", values=np.ones(3), mode="destroy")
         with pytest.raises(ProtocolError):
             RepairRequest(id="x", values=np.ones((2, 2)))
+
+    @given(line=request_lines)
+    @example(line=b'{"id":' + b"[" * 20000 + b"]" * 20000 + b',"values":[1]}')
+    @example(line=b'{"id":"x","values":[1' + b"0" * 400 + b"]}")
+    @settings(max_examples=300, deadline=None)
+    def test_any_line_decodes_or_raises_protocol_error(self, line):
+        """Malformed wire input: a request or a ProtocolError, nothing else."""
+        try:
+            request = decode_request(line)
+        except ProtocolError:
+            return
+        assert isinstance(request, RepairRequest)
 
     def test_unknown_response_keys_preserved(self):
         line = (b'{"id":"a","status":200,"algorithm":"m","ranking":[],'

@@ -23,6 +23,7 @@ from repro.exceptions import ProtocolError, ValidationError
 from repro.observability.resources import get_accounting
 from repro.observability.slo import QuantileSketch
 from repro.parallel.shm import active_segments, shm_available
+from repro.serving.daemon import MAX_LINE_BYTES
 from repro.serving import (
     LoadGenerator,
     RepairRequest,
@@ -351,6 +352,76 @@ class TestSocketServer:
         garbage = by_id[""]
         assert garbage.status == 400
         assert "JSON" in garbage.error
+
+    def test_bad_lines_are_answered_and_the_connection_serves_on(
+        self, serving_engine
+    ):
+        """Deep nesting gets 400, an internal failure 500, the rest 200."""
+        generator = LoadGenerator(seed=8, length=96)
+        before, after, boom = generator.requests(3)
+        deep = b'{"id":' + b"[" * 20000 + b"]" * 20000 + b',"values":[1]}'
+        with ServingDaemon(
+            serving_engine, n_shards=1, shard_backend="inline",
+            max_batch=4, max_delay_s=0.001,
+        ) as daemon:
+            submit = daemon.submit
+
+            def failing_submit(request):
+                if request.id == boom.id:
+                    raise RuntimeError("shard exploded")
+                return submit(request)
+
+            daemon.submit = failing_submit
+            with SocketServer(daemon, port=0) as server:
+                with socket_mod.create_connection(server.address) as conn:
+                    conn.settimeout(60)
+                    stream = conn.makefile("rwb")
+                    for line in (encode_request(before), deep,
+                                 encode_request(boom), encode_request(after)):
+                        stream.write(line + b"\n")
+                    stream.flush()
+                    responses = [decode_response(stream.readline()) for _ in range(4)]
+        by_id = {r.id: r for r in responses}
+        assert by_id[before.id].status == by_id[after.id].status == 200
+        assert by_id[""].status == 400
+        assert "nested" in by_id[""].error
+        assert by_id[boom.id].status == 500
+        assert "shard exploded" in by_id[boom.id].error
+
+    def test_long_lines(self, serving_engine):
+        """A 10,000-point series is served; an over-limit line gets 400.
+
+        Requests pipelined before and after the over-limit line are
+        answered normally on the same connection.
+        """
+        long_values = LoadGenerator(seed=9, length=10_000).requests(1)[0].values
+        long_request = RepairRequest(id="long", values=long_values)
+        before, after = LoadGenerator(seed=10, length=96).requests(2)
+        too_long = (
+            b'{"id":"huge","values":['
+            + b"1.0," * (MAX_LINE_BYTES // 4) + b"1.0]}"
+        )
+        assert len(encode_request(long_request)) > 64 * 1024
+        with ServingDaemon(
+            serving_engine, n_shards=1, shard_backend="inline",
+            max_batch=4, max_delay_s=0.001,
+        ) as daemon:
+            with SocketServer(daemon, port=0) as server:
+                with socket_mod.create_connection(server.address) as conn:
+                    conn.settimeout(120)
+                    stream = conn.makefile("rwb")
+                    for line in (encode_request(before), encode_request(long_request),
+                                 too_long, encode_request(after)):
+                        stream.write(line + b"\n")
+                    stream.flush()
+                    responses = [decode_response(stream.readline()) for _ in range(4)]
+        by_id = {r.id: r for r in responses}
+        assert set(by_id) == {before.id, "long", "", after.id}
+        assert by_id["long"].status == 200
+        assert len(by_id["long"].values) == 10_000
+        assert by_id[""].status == 400
+        assert str(MAX_LINE_BYTES) in by_id[""].error
+        assert by_id[before.id].status == by_id[after.id].status == 200
 
     def test_concurrent_clients(self, serving_engine):
         generator = LoadGenerator(seed=6, length=96)
