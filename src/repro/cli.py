@@ -22,12 +22,17 @@ List the available imputation algorithms::
 
     python -m repro list-imputers
 
-Serve recommendations through the inference monitor and render the
+Replay faulty series through an inline serving daemon and render its
 serving-health document (latency quantiles, confidence, soft-vote
-disagreement, drift scores, cache hit rates)::
+disagreement, drift scores, per-imputer/per-cluster scorecards)::
 
     python -m repro monitor --engine engine.json --data faulty.csv \
-        --out health.json --prom-out health.prom
+        --repeat 8 --out health.json --prom-out health.prom
+
+Serve over a socket, and watch the live daemon's health document::
+
+    python -m repro serve --engine engine.json --port 7653
+    python -m repro top --connect 127.0.0.1:7653
 
 Every subcommand accepts ``--trace-out trace.json`` (Chrome
 ``trace_event`` export, open in ``chrome://tracing`` or Perfetto) and
@@ -61,11 +66,10 @@ from repro.core.adarts import ADarts
 from repro.core.config import ModelRaceConfig
 from repro.core.serialization import load_engine, save_engine
 from repro.datasets import CATEGORIES, load_category
-from repro.exceptions import ReproError, ValidationError
+from repro.exceptions import ReproError, ServingError, ValidationError
 from repro.imputation import available_imputers
 from repro.observability import (
     DriftDetector,
-    InferenceMonitor,
     LoggingObserver,
     MetricsRegistry,
     Tracer,
@@ -234,14 +238,23 @@ def _load_serving_engine(args):
     return engine
 
 
-def _build_monitor(args, engine) -> InferenceMonitor:
-    """InferenceMonitor with the drift detector the flags describe."""
+def _cmd_monitor(args) -> int:
+    import time
+
+    from repro.observability.dashboard import ANSI_CLEAR
+    from repro.serving import RepairRequest, ServingDaemon
+
+    engine = _load_serving_engine(args)
+    requests = [
+        RepairRequest(id=s.name, values=s.values, mode="recommend", name=s.name)
+        for s in read_series_csv(args.data)
+    ]
+    detector = None
     if engine.feature_baseline_ is None:
         print(
             "note: engine has no feature baseline; drift monitoring disabled",
             file=sys.stderr,
         )
-        detector = None
     else:
         detector = DriftDetector(
             engine.feature_baseline_,
@@ -250,25 +263,14 @@ def _build_monitor(args, engine) -> InferenceMonitor:
             psi_threshold=args.psi_threshold,
             ks_threshold=args.ks_threshold,
         )
-    return InferenceMonitor(engine, drift_detector=detector)
+    batch = max(1, args.batch)
 
-
-def _replay(monitor, series_list, *, batch: int, repeat: int) -> None:
-    """Push the CSV through the monitor in request-sized batches."""
-    batch = max(1, batch)
-    for _ in range(max(1, repeat)):
-        for start in range(0, len(series_list), batch):
-            monitor.recommend_many(series_list[start : start + batch])
-
-
-def _cmd_monitor(args) -> int:
-    import time
-
-    from repro.observability.dashboard import ANSI_CLEAR
-
-    engine = _load_serving_engine(args)
-    series_list = read_series_csv(args.data)
-    monitor = _build_monitor(args, engine)
+    def replay() -> None:
+        # ``batch`` requests at a time through one inline shard.
+        for _ in range(max(1, args.repeat)):
+            for start in range(0, len(requests), batch):
+                for future in daemon.submit_many(requests[start : start + batch]):
+                    future.result()
 
     def render(snapshot) -> str:
         return (
@@ -276,22 +278,24 @@ def _cmd_monitor(args) -> int:
             else snapshot.to_json()
         )
 
-    if args.watch is not None:
-        # Periodic refresh: replay, clear the screen, re-render, sleep.
-        # Ctrl-C exits cleanly (the sink keeps its accumulated views,
-        # so the final frame on screen is the freshest one).
-        try:
-            while True:
-                _replay(monitor, series_list, batch=args.batch,
-                        repeat=args.repeat)
-                print(ANSI_CLEAR + render(monitor.snapshot()), flush=True)
-                time.sleep(max(0.1, args.watch))
-        except KeyboardInterrupt:
-            print("monitor stopped", file=sys.stderr)
-            return 0
-
-    _replay(monitor, series_list, batch=args.batch, repeat=args.repeat)
-    snapshot = monitor.snapshot()
+    with ServingDaemon(
+        engine, n_shards=1, shard_backend="inline", max_batch=batch,
+        max_pending=batch, drift_detector=detector,
+    ) as daemon:
+        if args.watch is not None:
+            # Periodic refresh: replay, clear the screen, re-render, sleep.
+            # Ctrl-C exits cleanly (the sink keeps its accumulated views,
+            # so the final frame on screen is the freshest one).
+            try:
+                while True:
+                    replay()
+                    print(ANSI_CLEAR + render(daemon.health()), flush=True)
+                    time.sleep(max(0.1, args.watch))
+            except KeyboardInterrupt:
+                print("monitor stopped", file=sys.stderr)
+                return 0
+        replay()
+        snapshot = daemon.health()
     if args.out:
         path = snapshot.export(args.out)
         print(f"wrote health snapshot to {path}", file=sys.stderr)
@@ -303,34 +307,59 @@ def _cmd_monitor(args) -> int:
     return 0
 
 
+def _connect(address):
+    """A socket to ``(host, port)``, to ``"HOST:PORT"`` or to a unix
+    socket path."""
+    import socket as socket_mod
+
+    if isinstance(address, str):
+        host, _, port = address.rpartition(":")
+        if host and port.isdigit():
+            address = (host, int(port))
+    if isinstance(address, tuple):
+        return socket_mod.create_connection(address)
+    conn = socket_mod.socket(socket_mod.AF_UNIX)
+    conn.connect(address)
+    return conn
+
+
+def _ask_health(stream) -> dict:
+    """Send a ``health`` line on a JSON-lines stream; return the document."""
+    from repro.serving import decode_response
+
+    stream.write(b'{"id":"health","mode":"health"}\n')
+    stream.flush()
+    response = decode_response(stream.readline())
+    if not response.ok or "health" not in response.extra:
+        raise ServingError(
+            f"health request failed: status {response.status}: {response.error}"
+        )
+    return response.extra["health"]
+
+
 def _serve_selfcheck(daemon, server, args) -> int:
     """CI serving lane: seeded load through the real socket, zero tolerance.
 
     Drives ``--selfcheck N`` requests from the shared
     :class:`LoadGenerator` through the daemon's actual asyncio
-    front-end, prints a one-line verdict, optionally exports the final
-    :class:`HealthSnapshot`, and fails (exit 1) on *any* shed or error
-    response — at idle load the daemon has no excuse.
+    front-end, then asks the same socket for the live
+    :class:`HealthSnapshot` with a ``health`` line; prints a one-line
+    verdict, optionally exports that document, and fails (exit 1) on
+    *any* shed or error response — at idle load the daemon has no excuse.
     """
-    import socket as socket_mod
     import threading
 
+    from repro.observability.serving import HealthSnapshot
     from repro.serving import decode_response, encode_request
     from repro.serving.testing import LoadGenerator
 
-    generator = LoadGenerator(
+    requests = LoadGenerator(
         args.seed, length=args.length, mode="repair"
-    )
-    requests = generator.requests(args.selfcheck)
+    ).requests(args.selfcheck)
     responses = []
 
-    if isinstance(server.address, tuple):
-        conn = socket_mod.create_connection(server.address)
-    else:
-        conn = socket_mod.socket(socket_mod.AF_UNIX)
-        conn.connect(server.address)
-    with conn:
-        stream = conn.makefile("rwb")
+    # Closing the stream too ends the connection before the server stops.
+    with _connect(server.address) as conn, conn.makefile("rwb") as stream:
 
         def read_all() -> None:
             for _ in range(len(requests)):
@@ -342,17 +371,17 @@ def _serve_selfcheck(daemon, server, args) -> int:
             stream.write(encode_request(request) + b"\n")
         stream.flush()
         reader.join(timeout=120.0)
+        document = _ask_health(stream)
 
     by_status: dict[int, int] = {}
     for response in responses:
         by_status[response.status] = by_status.get(response.status, 0) + 1
     missing = len(requests) - len(responses)
     n_bad = sum(v for k, v in by_status.items() if k != 200) + missing
-    snapshot = daemon.health()
     if args.snapshot_out:
-        path = snapshot.export(args.snapshot_out)
+        path = HealthSnapshot(**document).export(args.snapshot_out)
         print(f"wrote health snapshot to {path}", file=sys.stderr)
-    latency = snapshot.latency
+    latency = document["latency"]
     print(
         f"selfcheck: {len(responses)}/{len(requests)} responses, "
         f"statuses {dict(sorted(by_status.items()))}, "
@@ -423,40 +452,32 @@ def _cmd_top(args) -> int:
         render_top,
     )
 
+    if (args.snapshot is None) == (args.connect is None):
+        raise ValidationError("repro top needs exactly one of --snapshot or --connect")
     color = sys.stdout.isatty() and not args.no_color
-
     if args.snapshot:
         # Offline mode: render a previously exported health document
         # (re-reading the file every tick, so an external writer can
         # drive the dashboard).
-        if args.once:
-            print(render_top(load_snapshot(args.snapshot), color=color))
-            return 0
+        def frame() -> str:
+            return render_top(load_snapshot(args.snapshot), color=color)
+    else:
+        # Live mode: one connection, one ``health`` line per frame.
         try:
-            while True:
-                frame = render_top(load_snapshot(args.snapshot), color=color)
-                print(ANSI_CLEAR + frame, flush=True)
-                time.sleep(max(0.1, args.interval))
-        except KeyboardInterrupt:
-            return 0
+            conn = _connect(args.connect)
+        except OSError as exc:
+            raise ServingError(f"cannot connect to {args.connect}: {exc}") from None
+        stream = conn.makefile("rwb")
 
-    if not args.engine or not args.data:
-        raise ValidationError(
-            "repro top needs either --snapshot or --engine plus --data"
-        )
-    engine = _load_serving_engine(args)
-    series_list = read_series_csv(args.data)
-    monitor = _build_monitor(args, engine)
+        def frame() -> str:
+            return render_top(_ask_health(stream), color=color)
+
     if args.once:
-        _replay(monitor, series_list, batch=args.batch, repeat=args.repeat)
-        print(render_top(monitor.snapshot().as_dict(), color=color))
+        print(frame())
         return 0
     try:
         while True:
-            _replay(monitor, series_list, batch=args.batch,
-                    repeat=args.repeat)
-            frame = render_top(monitor.snapshot().as_dict(), color=color)
-            print(ANSI_CLEAR + frame, flush=True)
+            print(ANSI_CLEAR + frame(), flush=True)
             time.sleep(max(0.1, args.interval))
     except KeyboardInterrupt:
         print("top stopped", file=sys.stderr)
@@ -657,18 +678,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     monitor = sub.add_parser(
         "monitor",
-        help="serve recommendations and render the serving-health document",
+        help="replay a CSV through an inline serving daemon and render "
+        "its serving-health document",
         parents=[common],
     )
     monitor.add_argument("--engine", required=True, help="engine JSON path")
     monitor.add_argument("--data", required=True, help="faulty series CSV")
     monitor.add_argument(
         "--repeat", type=int, default=1,
-        help="times to replay the CSV through the monitor",
+        help="times to replay the CSV through the daemon",
     )
     monitor.add_argument(
         "--batch", type=int, default=1,
-        help="series per monitored request (1 = one request per series)",
+        help="series per daemon batch (1 = one batch per series)",
     )
     monitor.add_argument(
         "--drift-window", type=int, default=256,
@@ -764,15 +786,13 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
     )
     top.add_argument(
-        "--engine", default=None, help="engine JSON path (live mode)"
-    )
-    top.add_argument(
-        "--data", default=None, help="faulty series CSV (live mode)"
+        "--connect", default=None, metavar="HOST:PORT|PATH",
+        help="poll a running 'repro serve' for its health document",
     )
     top.add_argument(
         "--snapshot", default=None, metavar="PATH",
         help="render a health-snapshot JSON exported by 'repro monitor' "
-        "instead of serving live traffic",
+        "or 'repro serve --snapshot-out'",
     )
     top.add_argument(
         "--once", action="store_true",
@@ -786,18 +806,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-color", action="store_true",
         help="disable ANSI colors even on a TTY",
     )
-    top.add_argument(
-        "--repeat", type=int, default=1,
-        help="times to replay the CSV per frame (live mode)",
-    )
-    top.add_argument(
-        "--batch", type=int, default=1,
-        help="series per monitored request (live mode)",
-    )
-    top.add_argument("--drift-window", type=int, default=256)
-    top.add_argument("--drift-min-samples", type=int, default=64)
-    top.add_argument("--psi-threshold", type=float, default=0.25)
-    top.add_argument("--ks-threshold", type=float, default=0.5)
     top.set_defaults(func=_cmd_top)
 
     report = sub.add_parser(

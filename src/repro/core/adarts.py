@@ -17,7 +17,7 @@ and soft-vote over the winning pipelines (7).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from repro.observability.ledger import (
     new_id,
     repair_context,
 )
+from repro.observability.serving import vote_disagreement
 from repro.parallel.cache import hash_arrays
 from repro.pipeline.pipeline import Pipeline, make_seed_pipelines
 from repro.resilience.stats import tick
@@ -80,6 +81,15 @@ class Recommendation:
         :class:`~repro.observability.ledger.RepairLedger`, ``None`` when
         no ledger was installed.  ``repro explain <repair_id>`` renders
         the full decision path behind it.
+    disagreement:
+        Soft-vote disagreement across the members that voted
+        (:func:`~repro.observability.serving.vote_disagreement`);
+        ``None`` when the static fallback answered.
+    features:
+        The series' feature row, as the vote saw it.
+
+    ``disagreement`` and ``features`` are serving telemetry, not part of
+    the answer: they take no part in equality.
     """
 
     algorithm: str
@@ -87,6 +97,8 @@ class Recommendation:
     probabilities: dict[str, float]
     degraded: bool = False
     repair_id: str | None = None
+    disagreement: float | None = field(default=None, compare=False)
+    features: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def impute(self, series: TimeSeries) -> TimeSeries:
         """Apply the recommended algorithm to the faulty series.
@@ -166,9 +178,6 @@ class ADarts:
         self.random_state = random_state
         self.observer = observer
         self._ensemble = None
-        #: Diagnostics of the most recent vote (``None`` before the first
-        #: request, or when the last request took the static fallback).
-        self.last_vote_detail_ = None
         self._race_result: RaceResult | None = None
         self._labeled_corpus: LabeledCorpus | None = None
         self._train_X: np.ndarray | None = None
@@ -334,6 +343,13 @@ class ADarts:
         return list(self._ensemble.pipelines)
 
     @property
+    def quarantined_members(self) -> tuple[str, ...]:
+        """Ensemble members whose circuits are open: votes skip them."""
+        if self._ensemble is None:
+            raise NotFittedError("ADarts is not fitted")
+        return self._ensemble.quarantined_members
+
+    @property
     def race_result(self) -> RaceResult:
         """Diagnostics of the ModelRace run."""
         if self._race_result is None:
@@ -350,14 +366,13 @@ class ADarts:
             return self.extractor.extract_many(series_list)
 
     def _recommendations_from_proba(
-        self, proba: np.ndarray, degraded: bool = False
+        self, proba: np.ndarray, X: np.ndarray, detail
     ) -> list[Recommendation]:
-        """Turn an ensemble probability matrix into Recommendations."""
-        if self._ensemble is None:
-            raise NotFittedError("ADarts is not fitted")
+        """Turn a vote's probability matrix into Recommendations."""
         classes = [str(c) for c in self._ensemble.classes_]
+        disagreement = vote_disagreement(detail.member_probas)
         out = []
-        for row in proba:
+        for i, row in enumerate(proba):
             order = np.argsort(row)[::-1]
             ranking = tuple(classes[j] for j in order)
             out.append(
@@ -365,12 +380,14 @@ class ADarts:
                     algorithm=ranking[0],
                     ranking=ranking,
                     probabilities={classes[j]: float(row[j]) for j in order},
-                    degraded=degraded,
+                    degraded=detail.degraded,
+                    disagreement=float(disagreement[i]),
+                    features=X[i],
                 )
             )
         return out
 
-    def _fallback_recommendations(self, n_series: int) -> list[Recommendation]:
+    def _fallback_recommendations(self, X: np.ndarray) -> list[Recommendation]:
         """Static degraded-mode answer when no ensemble member can vote.
 
         Recommends the first :data:`FALLBACK_ALGORITHMS` entry present in
@@ -385,21 +402,19 @@ class ADarts:
         )
         ranking = (chosen,) + tuple(c for c in classes if c != chosen)
         probabilities = {c: (1.0 if c == chosen else 0.0) for c in ranking}
-        rec = Recommendation(
-            algorithm=chosen,
-            ranking=ranking,
-            probabilities=probabilities,
-            degraded=True,
-        )
-        return [rec] * n_series
+        return [
+            Recommendation(
+                algorithm=chosen,
+                ranking=ranking,
+                probabilities=probabilities,
+                degraded=True,
+                features=row,
+            )
+            for row in X
+        ]
 
     def annotate_with_ledger(
-        self,
-        series_list,
-        recommendations: list[Recommendation],
-        detail,
-        *,
-        source: str = "engine",
+        self, series_list, recommendations: list[Recommendation], detail
     ) -> list[Recommendation]:
         """Emit one ``repair`` provenance row per recommendation.
 
@@ -407,9 +422,7 @@ class ADarts:
         (via :func:`dataclasses.replace`); a no-op pass-through when no
         ledger is installed.  ``detail`` is the vote's
         :class:`~repro.core.voting.VoteDetail`, or ``None`` when the
-        static fallback answered.  Shared by :meth:`recommend_many` and
-        the serving-side
-        :class:`~repro.observability.serving.InferenceMonitor`.
+        static fallback answered.
         """
         ledger = get_ledger()
         if not ledger.enabled:
@@ -457,7 +470,6 @@ class ADarts:
                     "fit_run_id": head.get("run_id"),
                     "fit_id": head.get("fit_id"),
                     "race_id": head.get("race_id"),
-                    "source": source,
                     "resources": resources,
                 },
                 record_id=new_id("rep"),
@@ -478,6 +490,9 @@ class ADarts:
         and the vote re-normalizes over the survivors (recommendations are
         flagged ``degraded=True``); when *no* member can vote, the static
         fallback (:data:`FALLBACK_ALGORITHMS`) answers instead of raising.
+        Each recommendation carries its feature row and its vote
+        disagreement, so a caller can feed drift and scorecards without
+        extracting or voting again.
         """
         if self._ensemble is None:
             raise NotFittedError("ADarts is not fitted")
@@ -504,13 +519,10 @@ class ADarts:
                         "repro_inference_fallback_total",
                         "Requests answered by the static fallback",
                     ).inc()
-            self.last_vote_detail_ = detail
             if detail is None:
-                out = self._fallback_recommendations(n_series)
+                out = self._fallback_recommendations(X)
             else:
-                out = self._recommendations_from_proba(
-                    detail.proba, degraded=detail.degraded
-                )
+                out = self._recommendations_from_proba(detail.proba, X, detail)
             out = self.annotate_with_ledger(series_list, out, detail)
             if detail is None or detail.degraded:
                 tick("degraded_requests")

@@ -37,7 +37,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import stdtr
 
 from repro.core.config import ModelRaceConfig
 from repro.datasets.splits import stratified_kfold
@@ -64,6 +64,26 @@ from repro.utils.rng import ensure_rng
 from repro.utils.timing import Timer
 
 _log = get_logger(__name__)
+
+
+def welch_pvalue(mean1, std1, n1, mean2, std2, n2) -> float:
+    """Two-sided p-value of Welch's t-test from summary statistics.
+
+    ``std`` is the ddof=1 sample standard deviation.  The arithmetic and
+    its order are those of ``scipy.stats.ttest_ind_from_stats(...,
+    equal_var=False)``, so the p-value is bit-identical to it.
+    """
+    vn1 = np.asarray(std1, dtype=float) ** 2 / n1
+    vn2 = np.asarray(std2, dtype=float) ** 2 / n2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        df = (vn1 + vn2) ** 2 / (vn1**2 / (n1 - 1) + vn2**2 / (n2 - 1))
+        # Zero variances leave df undefined; any non-NaN value will do.
+        df = np.where(np.isnan(df), 1.0, df)
+        t = np.divide(
+            np.asarray(mean1, dtype=float) - np.asarray(mean2, dtype=float),
+            np.sqrt(vn1 + vn2),
+        )
+    return float(2 * stdtr(df, -np.abs(t)))
 
 
 def _evaluate_candidate(
@@ -282,7 +302,7 @@ class ModelRace:
             arr = np.asarray(dist, dtype=float)
             n = int(arr.size)
             mean = float(arr.mean()) if n else float("nan")
-            # ddof=1 sample std matches scipy.stats.ttest_ind internals.
+            # ddof=1 sample std, as welch_pvalue expects.
             std = float(arr.std(ddof=1)) if n >= 2 else 0.0
             stats[key] = (n, mean, std)
         keys = sorted(
@@ -304,13 +324,10 @@ class ModelRace:
                         mean_d if n_d else 0.0, mean_r, atol=1e-3
                     )
                 else:
-                    stat = sps.ttest_ind_from_stats(
-                        mean_r, std_r, n_r, mean_d, std_d, n_d,
-                        equal_var=False,
+                    pvalue = welch_pvalue(
+                        mean_r, std_r, n_r, mean_d, std_d, n_d
                     )
-                    similar = (
-                        np.isnan(stat.pvalue) or stat.pvalue > cfg.ttest_pvalue
-                    )
+                    similar = np.isnan(pvalue) or pvalue > cfg.ttest_pvalue
                 if similar:
                     redundant = True
                     break

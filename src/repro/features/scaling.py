@@ -14,6 +14,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 import numpy as np
+from scipy.special import ndtri
 
 from repro.exceptions import NotFittedError, RegistryError, ValidationError
 from repro.utils.validation import check_2d
@@ -248,9 +249,7 @@ class QuantileScaler(BaseScaler):
             refs = self._refs[:, j]
             out[:, j] = np.interp(X[:, j], refs, self._levels)
         if self.output == "normal":
-            from scipy.stats import norm
-
-            out = norm.ppf(np.clip(out, 1e-6, 1 - 1e-6))
+            out = ndtri(np.clip(out, 1e-6, 1 - 1e-6))
         return out
 
 

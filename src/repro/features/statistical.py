@@ -22,9 +22,31 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.exceptions import ValidationError
+
+
+def average_ranks(X: np.ndarray) -> np.ndarray:
+    """Per-row average ranks (1-based, ties share their mean rank).
+
+    The same arithmetic as ``scipy.stats.rankdata(X, axis=1)``: a stable
+    sort, the first index of each run of equal values, and the run's
+    mean rank; a row holding NaN ranks as all-NaN.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n_rows, length = X.shape
+    order = np.argsort(X, axis=1, kind="stable")
+    y = np.take_along_axis(X, order, axis=1)
+    starts = np.ones(X.shape, dtype=bool)
+    starts[:, 1:] = y[:, :-1] != y[:, 1:]
+    indices = np.flatnonzero(starts)
+    counts = np.diff(indices, append=X.size)
+    ordinal = np.broadcast_to(np.arange(1, length + 1, dtype=np.float64), X.shape)
+    ranks = np.repeat(ordinal[starts] + (counts - 1) / 2, counts).reshape(X.shape)
+    out = np.empty_like(ranks)
+    np.put_along_axis(out, order, ranks, axis=1)
+    out[np.isnan(X).any(axis=1)] = np.nan
+    return out
 
 
 def _finite_rows(values: np.ndarray) -> np.ndarray:
@@ -167,8 +189,8 @@ def _dependency_block(X: np.ndarray) -> dict[str, np.ndarray]:
         feats["dep_acf_sq_lag1"] = np.zeros(n_rows)
     # Spearman rank ACF: Pearson correlation of the rank transforms.
     if length > 2:
-        ra = sps.rankdata(X[:, :-1], axis=1)
-        rb = sps.rankdata(X[:, 1:], axis=1)
+        ra = average_ranks(X[:, :-1])
+        rb = average_ranks(X[:, 1:])
         ra = ra - ra.mean(axis=1, keepdims=True)
         rb = rb - rb.mean(axis=1, keepdims=True)
         cov = np.einsum("ij,ij->i", ra, rb)

@@ -14,11 +14,11 @@ The instrumentation substrate for every performance claim in the repro:
 * :mod:`repro.observability.report` — human-readable run summaries
   from saved trace/metrics files (the ``repro report`` subcommand);
 * :mod:`repro.observability.serving` — inference-path telemetry:
-  :class:`InferenceMonitor` around a fitted engine,
   :class:`DriftDetector` PSI/KS scoring against a fit-time
-  :class:`FeatureBaseline`, and the :class:`HealthSnapshot`
-  JSON/Prometheus health document (the ``repro monitor`` subcommand),
-  built for monitors and the serving daemon alike;
+  :class:`FeatureBaseline`, soft-vote disagreement, and the
+  :class:`HealthSnapshot` JSON/Prometheus health document of the
+  serving daemon (live over a ``health`` line, or from a CSV replay
+  with ``repro monitor``);
 * :mod:`repro.observability.slo` — the serving telemetry sink:
   :class:`SloTracker` takes one call per served request and keeps
   lifetime :class:`QuantileSketch` views (latency, confidence,
@@ -116,7 +116,6 @@ from repro.observability.serving import (
     DriftReport,
     FeatureBaseline,
     HealthSnapshot,
-    InferenceMonitor,
 )
 from repro.observability.slo import (
     QuantileSketch,
@@ -173,7 +172,6 @@ __all__ = [
     "DriftReport",
     "FeatureBaseline",
     "HealthSnapshot",
-    "InferenceMonitor",
     # slo
     "QuantileSketch",
     "SloPolicy",

@@ -248,28 +248,15 @@ class RecordingObserver(RaceObserver):
 class ServingObserver:
     """Event-callback API for the serving path (the inference-side bus).
 
-    :class:`~repro.observability.serving.InferenceMonitor` and
-    :class:`~repro.observability.serving.DriftDetector` emit into this
+    :class:`~repro.observability.serving.DriftDetector` and
+    :class:`~repro.observability.slo.SloTracker` emit into this
     interface, mirroring how ModelRace emits into :class:`RaceObserver`.
     Every callback is a no-op; subclass and override what you need.
     """
 
-    def on_request(self, n_series: int, latency: float, recommendations) -> None:
-        """A monitored recommend/recommend_many call finished."""
-
     def on_drift_alert(self, report) -> None:
         """The drift detector crossed a threshold (``report`` is a
         :class:`~repro.observability.serving.DriftReport`)."""
-
-    def on_degraded(self, n_series: int, detail) -> None:
-        """A request was served in degraded mode (ensemble members were
-        dropped, or the static fallback answered).  ``detail`` is the
-        :class:`~repro.core.voting.VoteDetail` of the vote, or ``None``
-        when the fallback path produced the recommendations."""
-
-    def on_member_quarantined(self, member: str) -> None:
-        """The serving ensemble's circuit breaker quarantined a member
-        pipeline (identified by its display name)."""
 
     def on_slo_alert(self, alert) -> None:
         """An SLO burn-rate alert fired (``alert`` is an
@@ -287,28 +274,8 @@ class RecordingServingObserver(ServingObserver):
         """Payloads of every recorded event called ``name``."""
         return [payload for event, payload in self.events if event == name]
 
-    def on_request(self, n_series, latency, recommendations):
-        self.events.append(
-            (
-                "request",
-                {
-                    "n_series": n_series,
-                    "latency": latency,
-                    "recommendations": recommendations,
-                },
-            )
-        )
-
     def on_drift_alert(self, report):
         self.events.append(("drift_alert", {"report": report}))
-
-    def on_degraded(self, n_series, detail):
-        self.events.append(
-            ("degraded", {"n_series": n_series, "detail": detail})
-        )
-
-    def on_member_quarantined(self, member):
-        self.events.append(("member_quarantined", {"member": member}))
 
     def on_slo_alert(self, alert):
         self.events.append(("slo_alert", {"alert": alert}))

@@ -1,8 +1,9 @@
-"""Serving-side quality observability: monitors, drift, and health docs.
+"""Serving-side quality observability: drift, vote disagreement, health docs.
 
 The training path is instrumented (tracing/metrics/race events); this
-module watches the *inference* path that production traffic actually
-hits.  Its pieces:
+module holds what the serving daemon
+(:class:`~repro.serving.daemon.ServingDaemon`) reports about the
+*inference* path that production traffic actually hits.  Its pieces:
 
 * :class:`FeatureBaseline` — a fingerprint of the training feature
   matrix captured at fit time (per-feature mean/std, quantile sketch,
@@ -14,26 +15,20 @@ hits.  Its pieces:
   :class:`DriftReport` events through
   :class:`~repro.observability.observer.ServingObserver` callbacks and a
   ``repro_drift_alerts_total`` counter.
-* :class:`InferenceMonitor` — wraps a fitted
-  :class:`~repro.core.adarts.ADarts` engine; every ``recommend`` /
-  ``recommend_many`` makes one call into the serving telemetry sink
-  (:class:`~repro.observability.slo.SloTracker`): latency, ensemble
-  top-1 confidence, soft-vote disagreement (Jensen-Shannon-style
-  entropy gap across member probabilities), the recommended algorithm
-  and the ``imputer:``/``cluster:`` scorecard keys of each series — and
-  feeds the drift detector.
-* :class:`HealthSnapshot` — one JSON / Prometheus document: the sink's
-  views (lifetime sketches; the SLO burn windows are the recent view,
-  see :mod:`repro.observability.slo`), drift scores, cache hit rates
-  (:class:`~repro.parallel.FeatureCache` / ``ScoreMemo``), execution
-  engine backend stats, plus the caller's resilience / per-shard /
-  batching sections.  :meth:`HealthSnapshot.collect` builds it for the
-  monitor (``python -m repro monitor``) and for the serving daemon
-  alike.
+* :func:`vote_disagreement` — the soft-vote disagreement (Jensen-Shannon
+  style entropy gap across member probabilities) that
+  ``ADarts.recommend_many`` hands each recommendation.
+* :class:`HealthSnapshot` — one JSON / Prometheus document: the daemon
+  sink's views (lifetime sketches; the SLO burn windows are the recent
+  view, see :mod:`repro.observability.slo`), drift scores, cache hit
+  rates, execution engine backend stats, resilience counters and the
+  per-imputer / per-cluster / per-shard / batching scorecards.
+  :meth:`HealthSnapshot.collect` builds it from a serving daemon: for
+  ``repro serve`` (live, over a ``health`` line), ``repro monitor``
+  (a CSV replayed through an inline daemon) and ``repro top``.
 
-Everything here follows the substrate's rules: zero extra dependencies,
-thread-safe, and free when unused — a monitor is opt-in, and library
-code never imports this module on the hot path.
+Everything here follows the substrate's rules: zero extra dependencies
+and thread-safe.
 """
 
 from __future__ import annotations
@@ -42,7 +37,6 @@ import dataclasses
 import datetime as _dt
 import json
 import threading
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +45,6 @@ from repro.observability.log import get_logger
 from repro.observability.metrics import MetricsRegistry, build_info, get_metrics
 from repro.observability.observer import ServingObserver
 from repro.observability.resources import get_accounting
-from repro.observability.slo import SloTracker
-from repro.observability.tracing import get_tracer
 
 _log = get_logger(__name__)
 
@@ -251,9 +243,12 @@ class DriftDetector:
 
     Incoming vectors accumulate in per-feature rolling windows; once
     ``min_samples`` have been seen, every :meth:`update` also produces a
-    :class:`DriftReport`.  A report whose PSI or KS maximum crosses its
-    threshold is announced once per excursion (re-arming when the scores
-    fall back under the thresholds) through the registered
+    :class:`DriftReport`.  :meth:`add` only writes the window and says
+    when ``min_samples`` new rows have arrived since it last said so,
+    which lets a caller score at that cadence instead of per row.  A
+    report whose PSI or KS maximum crosses its threshold is announced
+    once per excursion (re-arming when the scores fall back under the
+    thresholds) through the registered
     :class:`~repro.observability.observer.ServingObserver` s and the
     ``repro_drift_alerts_total`` counter.
 
@@ -291,6 +286,7 @@ class DriftDetector:
         self._head = 0
         self._n = 0
         self._total = 0
+        self._unscored = 0
         self._lock = threading.Lock()
         self._observers: list[ServingObserver] = []
         self._alert_active = False
@@ -302,8 +298,17 @@ class DriftDetector:
         self._observers.append(observer)
 
     # ------------------------------------------------------------------
-    def update(self, X: np.ndarray) -> DriftReport | None:
-        """Ingest feature rows; returns a report once warmed up."""
+    @property
+    def warm(self) -> bool:
+        """Whether the window holds enough rows to be scored."""
+        return self._n >= self.min_samples
+
+    def add(self, X: np.ndarray) -> bool:
+        """Write feature rows into the window without scoring them.
+
+        Returns True, once per ``min_samples`` rows added since it last
+        did and only on a warm window, when a :meth:`check` is due.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.baseline.n_features:
             raise ValueError(
@@ -315,9 +320,16 @@ class DriftDetector:
                 self._head = (self._head + 1) % self.window_size
                 self._n = min(self._n + 1, self.window_size)
                 self._total += 1
-        if self._n < self.min_samples:
-            return None
-        return self.check()
+            self._unscored += X.shape[0]
+            due = self.warm and self._unscored >= self.min_samples
+            if due:
+                self._unscored = 0
+        return due
+
+    def update(self, X: np.ndarray) -> DriftReport | None:
+        """Ingest feature rows; returns a report once warmed up."""
+        self.add(X)
+        return self.check() if self.warm else None
 
     def window_matrix(self) -> np.ndarray:
         """Copy of the current drift window (n_recent, n_features)."""
@@ -392,13 +404,13 @@ class DriftDetector:
 
 
 # ---------------------------------------------------------------------------
-# Inference monitor
+# Vote disagreement and the sink's slice budget
 # ---------------------------------------------------------------------------
 def vote_entropy(proba: np.ndarray) -> np.ndarray:
-    """Shannon entropy (nats) of each probability row."""
+    """Shannon entropy (nats) of each probability row (the last axis)."""
     p = np.clip(np.atleast_2d(np.asarray(proba, dtype=float)), _EPS, None)
-    p = p / p.sum(axis=1, keepdims=True)
-    return -np.sum(p * np.log(p), axis=1)
+    p = p / p.sum(axis=-1, keepdims=True)
+    return -np.sum(p * np.log(p), axis=-1)
 
 
 def vote_disagreement(member_probas: np.ndarray) -> np.ndarray:
@@ -412,9 +424,7 @@ def vote_disagreement(member_probas: np.ndarray) -> np.ndarray:
     member_probas = np.asarray(member_probas, dtype=float)
     if member_probas.ndim != 3:
         raise ValueError("member_probas must be (n_members, n_samples, n_classes)")
-    mean_entropy = np.mean(
-        [vote_entropy(m) for m in member_probas], axis=0
-    )
+    mean_entropy = vote_entropy(member_probas).mean(axis=0)
     entropy_of_mean = vote_entropy(member_probas.mean(axis=0))
     return np.maximum(entropy_of_mean - mean_entropy, 0.0)
 
@@ -432,240 +442,6 @@ def slice_budget(engine, n_shards: int = 0) -> int:
     return len(imputers) + 1 + n_clusters + int(n_shards)
 
 
-class InferenceMonitor:
-    """Per-request quality telemetry around a fitted A-DARTS engine.
-
-    Wraps ``engine.recommend`` / ``recommend_many``: the monitor extracts
-    features once, obtains per-member aligned probabilities from the
-    ensemble, produces the exact same :class:`Recommendation` objects the
-    bare engine would, and makes one call per request into its
-    :class:`~repro.observability.slo.SloTracker` sink (``slo_tracker``):
-    request and per-series latency, top-1 confidence, soft-vote
-    disagreement (:func:`vote_disagreement`), and each series'
-    algorithm and scorecard keys.  ``slo_policies=()`` keeps every view
-    and drops only the burn-rate objectives.  A :class:`DriftDetector`
-    is built from ``engine.feature_baseline_`` when available.
-    """
-
-    def __init__(
-        self,
-        engine,
-        *,
-        drift_detector: DriftDetector | None = None,
-        drift_window: int = 256,
-        drift_min_samples: int = 64,
-        observer: ServingObserver | None = None,
-        slo_tracker: SloTracker | None = None,
-        slo_policies=None,
-    ):
-        if not getattr(engine, "is_fitted", False):
-            from repro.exceptions import NotFittedError
-
-            raise NotFittedError("InferenceMonitor requires a fitted engine")
-        self.engine = engine
-        self._lock = threading.Lock()
-        self.started_at = time.time()
-        if drift_detector is None:
-            baseline = getattr(engine, "feature_baseline_", None)
-            if baseline is not None:
-                drift_detector = DriftDetector(
-                    baseline,
-                    window_size=drift_window,
-                    min_samples=drift_min_samples,
-                )
-        self.drift_detector = drift_detector
-        if slo_tracker is None:
-            slo_tracker = SloTracker(
-                slo_policies, max_slices=slice_budget(engine)
-            )
-        #: The telemetry sink every request is recorded into.
-        self.slo_tracker = slo_tracker
-        self.observers: list[ServingObserver] = []
-        #: Requests served in degraded mode (members dropped or fallback).
-        self.n_degraded = 0
-        #: Requests answered by the static fallback (no member voted).
-        self.n_fallback = 0
-        #: Members already announced through ``on_member_quarantined``.
-        self._announced_quarantined: set[str] = set()
-        if observer is not None:
-            self.add_observer(observer)
-
-    def add_observer(self, observer: ServingObserver) -> None:
-        """Register a :class:`ServingObserver` for request/drift/SLO events."""
-        self.observers.append(observer)
-        if self.drift_detector is not None:
-            self.drift_detector.add_observer(observer)
-        self.slo_tracker.add_observer(observer)
-
-    @property
-    def n_requests(self) -> int:
-        return self.slo_tracker.n_requests
-
-    @property
-    def n_series(self) -> int:
-        return self.slo_tracker.n_series
-
-    # ------------------------------------------------------------------
-    def recommend(self, series):
-        """Monitored single-series recommendation."""
-        return self.recommend_many([series])[0]
-
-    def recommend_many(self, series_list) -> list:
-        """Monitored batch recommendation (same contract as the engine).
-
-        Degradation-aware: the vote runs through
-        ``predict_proba_detailed``, so failing ensemble members are
-        dropped (and eventually quarantined) rather than failing the
-        request; a fully failed ensemble falls back to the engine's
-        static recommendation.  Both conditions are counted, surfaced
-        through ``on_degraded`` / ``on_member_quarantined`` observer
-        callbacks, and reported by :class:`HealthSnapshot`.
-        """
-        from repro.exceptions import EnsembleError
-
-        engine = self.engine
-        ensemble = engine._ensemble
-        n_series = len(series_list)
-        start = time.perf_counter()
-        with get_tracer().span(
-            "serving.recommend_many", subsystem="inference", n_series=n_series
-        ):
-            X = engine.extract_features(series_list)
-            try:
-                detail = ensemble.predict_proba_detailed(X)
-            except EnsembleError as exc:
-                _log.error(
-                    "monitored vote failed entirely (%s); serving the "
-                    "static fallback",
-                    exc,
-                )
-                detail = None
-            engine.last_vote_detail_ = detail
-            if detail is None:
-                recommendations = engine._fallback_recommendations(n_series)
-            else:
-                recommendations = engine._recommendations_from_proba(
-                    detail.proba, degraded=detail.degraded
-                )
-            # Provenance: one ledger "repair" row per series (a no-op
-            # pass-through unless a RepairLedger is installed); emitted
-            # inside the span so rows carry this request's trace id.
-            recommendations = engine.annotate_with_ledger(
-                series_list, recommendations, detail, source="monitor"
-            )
-        elapsed = time.perf_counter() - start
-
-        # -- degradation accounting --------------------------------------
-        metrics = get_metrics()
-        if detail is None or detail.degraded:
-            with self._lock:
-                self.n_degraded += 1
-                if detail is None:
-                    self.n_fallback += 1
-            metrics.counter(
-                "repro_serving_degraded_total",
-                "Monitored requests served in degraded mode",
-            ).inc()
-            if detail is None:
-                metrics.counter(
-                    "repro_serving_fallback_total",
-                    "Monitored requests answered by the static fallback",
-                ).inc()
-            for observer in self.observers:
-                observer.on_degraded(n_series, detail)
-        # Newly quarantined members are announced exactly once each; the
-        # check-and-claim runs under the lock so concurrent callers can't
-        # both announce (and double-count) the same member.
-        for member in getattr(ensemble, "quarantined_members", ()):
-            with self._lock:
-                if member in self._announced_quarantined:
-                    continue
-                self._announced_quarantined.add(member)
-            metrics.counter(
-                "repro_serving_member_quarantines_total",
-                "Ensemble members quarantined while serving",
-            ).inc()
-            for observer in self.observers:
-                observer.on_member_quarantined(member)
-
-        # -- the sink: one call per request, one event per series --------
-        events = self._series_events(
-            series_list, recommendations, detail, elapsed
-        )
-        self.slo_tracker.record_request(elapsed, events)
-
-        # -- metrics registry (no-op unless installed) --------------------
-        metrics.counter(
-            "repro_serving_requests_total", "Requests served through the monitor"
-        ).inc()
-        metrics.counter(
-            "repro_serving_series_total", "Series served through the monitor"
-        ).inc(n_series)
-        metrics.histogram(
-            "repro_serving_latency_seconds", "Monitored request latency"
-        ).observe(elapsed)
-        for rec in recommendations:
-            metrics.counter(
-                "repro_serving_recommendations_total",
-                "Recommendations by algorithm",
-                labels={"algorithm": rec.algorithm},
-            ).inc()
-
-        # -- drift + observers --------------------------------------------
-        if self.drift_detector is not None:
-            self.drift_detector.update(X)
-        for observer in self.observers:
-            observer.on_request(n_series, elapsed, recommendations)
-        return recommendations
-
-    def _series_events(self, series_list, recommendations, detail, elapsed):
-        """One sink event per series, keyed ``imputer:<alg>`` (plus
-        ``cluster:<id>`` with a fit-time atlas); a fallback answer is an
-        error event."""
-        atlas = getattr(self.engine, "cluster_atlas_", None)
-        assignments = [None] * len(series_list)
-        if atlas is not None and len(atlas):
-            # NCC against a handful of representatives: cheap relative
-            # to feature extraction.
-            assignments = [
-                atlas.assign(np.asarray(s.values, dtype=float))
-                for s in series_list
-            ]
-        disagreement = (
-            vote_disagreement(detail.member_probas)
-            if detail is not None and detail.member_probas is not None
-            else None
-        )
-        per_series = elapsed / len(series_list) if series_list else elapsed
-        events = []
-        for idx, rec in enumerate(recommendations):
-            slices = [f"imputer:{rec.algorithm}"]
-            assignment = assignments[idx]
-            if assignment is not None:
-                slices.append(f"cluster:{assignment['cluster']}")
-            events.append({
-                "seconds": per_series,
-                "algorithm": rec.algorithm,
-                "confidence": rec.probabilities.get(rec.algorithm),
-                "disagreement": (
-                    None if disagreement is None else disagreement[idx]
-                ),
-                "ncc": None if assignment is None else assignment["ncc"],
-                "degraded": rec.degraded,
-                "error": detail is None,
-                "slices": slices,
-            })
-        return events
-
-    @property
-    def uptime(self) -> float:
-        return time.time() - self.started_at
-
-    def snapshot(self) -> "HealthSnapshot":
-        """Aggregate the monitor state into a :class:`HealthSnapshot`."""
-        return HealthSnapshot.collect(self)
-
-
 # ---------------------------------------------------------------------------
 # Health snapshot
 # ---------------------------------------------------------------------------
@@ -673,8 +449,9 @@ class InferenceMonitor:
 class HealthSnapshot:
     """One serving-health document: sink views + drift + caches + backends.
 
-    Build via :meth:`collect` (the only constructor the serving code
-    uses); render via :meth:`to_json` (nested JSON) or
+    Build via :meth:`collect`; a document read back from JSON (a
+    ``health`` line's answer) rebuilds with ``HealthSnapshot(**doc)``.
+    Render via :meth:`to_json` (nested JSON) or
     :meth:`to_prometheus` (gauge-based text exposition, suitable for a
     node-exporter-style scrape file).  The traffic sections are the
     sink's lifetime views and the ``slo`` section its burn windows (see
@@ -705,54 +482,31 @@ class HealthSnapshot:
     build: dict = field(default_factory=dict)
 
     @classmethod
-    def collect(
-        cls,
-        source,
-        *,
-        feature_cache=None,
-        score_memo=None,
-        backends: dict | None = None,
-        resilience: dict | None = None,
-        alerts: dict | None = None,
-        scorecards: dict | None = None,
-    ) -> "HealthSnapshot":
-        """Assemble the health document of a monitor or daemon.
+    def collect(cls, daemon) -> "HealthSnapshot":
+        """Assemble the health document of a
+        :class:`~repro.serving.daemon.ServingDaemon`.
 
-        ``source`` has an ``engine``, an ``uptime`` and an
-        ``slo_tracker`` sink (optionally a ``drift_detector`` and
-        ``n_degraded``/``n_fallback``); the traffic sections come from
-        the sink.  The caller's ``resilience``/``alerts``/``scorecards``
-        entries merge on top; ``per_shard`` cards get ``series``,
-        ``p50_s`` and ``p99_s`` from the ``shard:<id>`` slices.
-        ``feature_cache`` defaults to the engine extractor's cache;
-        ``backends`` to :func:`repro.parallel.executor.engine_stats`.
+        The traffic sections come from the daemon's sink; ``per_shard``
+        cards get ``series``, ``p50_s`` and ``p99_s`` from its
+        ``shard:<id>`` slices.  The drift section is the detector's last
+        report (``None`` without a detector).
         """
+        from repro.parallel.executor import engine_stats
         from repro.resilience.stats import resilience_stats
         from repro.timeseries.batch import bank_cache_stats
 
-        engine = source.engine
-        if feature_cache is None:
-            feature_cache = getattr(
-                getattr(engine, "extractor", None), "cache", None
-            )
-        # ``is not None`` matters: both caches define ``__len__``, so an
+        feature_cache = daemon.engine.extractor.cache
+        # ``is not None`` matters: the cache defines ``__len__``, so an
         # *empty* cache is falsy but still worth reporting.
         caches = {
             "feature_cache": (
                 feature_cache.stats() if feature_cache is not None else None
             ),
-            "score_memo": (
-                score_memo.stats() if score_memo is not None else None
-            ),
             # Process-wide SeriesBank derived-array cache (rFFT banks,
             # extractor spectra) — always reportable.
             "series_bank": bank_cache_stats(),
         }
-        if backends is None:
-            from repro.parallel.executor import engine_stats
-
-            backends = engine_stats()
-        detector = getattr(source, "drift_detector", None)
+        detector = daemon.drift_detector
         drift = None
         if detector is not None:
             report = detector.last_report
@@ -761,38 +515,46 @@ class HealthSnapshot:
                 "n_alerts": detector.n_alerts,
                 "report": report.as_dict() if report is not None else None,
             }
-        ensemble = getattr(engine, "_ensemble", None)
+        counts = daemon.stats()
+        pool = counts["pool"]
         resilience = {
-            "degraded_requests": getattr(source, "n_degraded", 0),
-            "fallback_requests": getattr(source, "n_fallback", 0),
-            "quarantined_members": list(
-                getattr(ensemble, "quarantined_members", ())
+            "degraded_requests": counts["degraded"],
+            "fallback_requests": counts["fallback"],
+            "quarantined_members": (
+                [f"shard-{i}" for i in pool["quarantined"]]
+                + daemon.quarantined_members()
             ),
             "process": resilience_stats(),
-            **(resilience or {}),
+            "resubmissions": pool["resubmissions"],
+            "demotions": pool["demotions"],
         }
-        tracker = source.slo_tracker
+        tracker = daemon.slo_tracker
         views = tracker.views()
         slo = tracker.status()
-        scorecards = {**views.pop("scorecards"), **(scorecards or {})}
-        for shard_id, card in scorecards.get("per_shard", {}).items():
+        scorecards = {
+            **views.pop("scorecards"),
+            "per_shard": pool["per_shard"],
+            "batching": counts["batching"],
+        }
+        for shard_id, card in scorecards["per_shard"].items():
             row = slo["slices"].get(f"shard:{shard_id}", {})
             card["series"] = row.get("n", 0)
             card["p50_s"] = row.get("p50", 0.0)
             card["p99_s"] = row.get("p99", 0.0)
         return cls(
             generated_at=_dt.datetime.now(_dt.timezone.utc).isoformat(),
-            uptime_s=source.uptime,
+            uptime_s=daemon.uptime,
             drift=drift,
             caches=caches,
-            backends=backends,
+            backends=engine_stats(),
             alerts={
                 "drift_alerts": detector.n_alerts if detector else 0,
                 "slo_alerts": slo["n_alerts"],
                 "degraded_requests": resilience["degraded_requests"],
                 "fallback_requests": resilience["fallback_requests"],
                 "quarantined_members": len(resilience["quarantined_members"]),
-                **(alerts or {}),
+                "shed_requests": counts["shed"],
+                "error_requests": counts["errors"],
             },
             resilience=resilience,
             scorecards=scorecards,
@@ -812,7 +574,7 @@ class HealthSnapshot:
         """Render the snapshot as Prometheus gauges/counters."""
         registry = MetricsRegistry()
         registry.gauge(
-            "repro_serving_uptime_seconds", "Monitor uptime"
+            "repro_serving_uptime_seconds", "Daemon uptime"
         ).set(self.uptime_s)
         registry.counter(
             "repro_serving_requests_total", "Requests served"

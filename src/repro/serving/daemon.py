@@ -21,11 +21,15 @@ the deterministic test harness (:mod:`repro.serving.testing`) drives
 directly without sockets.
 
 Telemetry: every resolved request makes one call into the daemon's
-:class:`~repro.observability.slo.SloTracker` sink; a rejected request
-carries no latency, so it counts only toward errors and error-rate
-policies.  :meth:`ServingDaemon.health` is
-:meth:`~repro.observability.serving.HealthSnapshot.collect` over that
-sink plus the shard and batching sections.
+:class:`~repro.observability.slo.SloTracker` sink — latency, confidence,
+vote disagreement, cluster NCC and its ``shard:``/``imputer:``/
+``cluster:`` slices; a rejected request carries no latency, so it counts
+only toward errors and error-rate policies.  Each batch's feature rows
+feed the daemon's :class:`~repro.observability.serving.DriftDetector`
+after its futures resolve, and the detector scores once per
+``min_samples`` new rows and on every :meth:`ServingDaemon.health` —
+:meth:`~repro.observability.serving.HealthSnapshot.collect` over the
+daemon.  A ``health`` line on the socket answers that document live.
 """
 
 from __future__ import annotations
@@ -36,21 +40,29 @@ import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 
+import numpy as np
+
 from repro.exceptions import (
     AllShardsQuarantinedError,
+    NotFittedError,
     OverloadedError,
     ProtocolError,
     ServingError,
     ValidationError,
 )
 from repro.observability import get_logger, get_metrics
-from repro.observability.serving import HealthSnapshot, slice_budget
+from repro.observability.serving import (
+    DriftDetector,
+    HealthSnapshot,
+    slice_budget,
+)
 from repro.observability.slo import SloTracker
 from repro.serving.batching import MicroBatcher
 from repro.serving.protocol import (
     STATUS_BAD_REQUEST,
     STATUS_ERROR,
     STATUS_OK,
+    HealthRequest,
     RepairRequest,
     RepairResponse,
     decode_request,
@@ -97,6 +109,10 @@ class ServingDaemon:
         Forwarded to the :class:`ShardPool`.
     slo_policies:
         Optional :class:`SloPolicy` list for the daemon-level tracker.
+    drift_detector:
+        The :class:`DriftDetector` fed with every served feature row;
+        by default one with its stock window over the engine's
+        ``feature_baseline_`` (none when the engine has no baseline).
     clock:
         Monotonic clock for the batcher (inject a fake in tests).
     """
@@ -114,10 +130,13 @@ class ServingDaemon:
         injector=None,
         timeout_s: float = 30.0,
         slo_policies=None,
+        drift_detector: DriftDetector | None = None,
         clock=time.monotonic,
     ):
         if max_pending < 1:
             raise ValidationError("max_pending must be >= 1")
+        if not engine.is_fitted:
+            raise NotFittedError("ServingDaemon requires a fitted engine")
         self.engine = engine
         self.clock = clock
         self.max_pending = int(max_pending)
@@ -136,6 +155,9 @@ class ServingDaemon:
             clock=clock,
             max_slices=slice_budget(engine, self.pool.n_shards),
         )
+        if drift_detector is None and engine.feature_baseline_ is not None:
+            drift_detector = DriftDetector(engine.feature_baseline_)
+        self.drift_detector = drift_detector
         self._intake: deque[_Entry] = deque()
         self._cond = threading.Condition()
         self._in_flight = 0
@@ -150,6 +172,12 @@ class ServingDaemon:
         self.n_served = 0
         self.n_shed = 0
         self.n_errors = 0
+        #: Requests answered with members dropped, or by the fallback.
+        self.n_degraded = 0
+        #: Requests answered by the static fallback (no member voted).
+        self.n_fallback = 0
+        #: Per shard: the ensemble members its last batch's votes skip.
+        self._quarantined: dict[int, tuple] = {}
         self._count_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -299,10 +327,12 @@ class ServingDaemon:
             return
         entry.future.set_result(response)
 
-    def _count(self, response: RepairResponse) -> None:
+    def _count(self, response: RepairResponse, fallback: bool = False) -> None:
         with self._count_lock:
             if response.ok:
                 self.n_served += 1
+                self.n_degraded += response.degraded
+                self.n_fallback += fallback
             elif response.shed:
                 self.n_shed += 1
             else:
@@ -361,23 +391,39 @@ class ServingDaemon:
                     str(row.get("error", "bad request")),
                     status=status,
                 )
-            self._count(response)
+            fallback = bool(row.get("fallback"))
+            self._count(response, fallback)
+            slices = [
+                f"shard:{shard_id}",
+                f"imputer:{row.get('algorithm') or 'none'}",
+            ]
+            if row.get("cluster") is not None:
+                slices.append(f"cluster:{row['cluster']}")
             event = {
                 "seconds": per_series,
                 "algorithm": response.algorithm,
                 "confidence": response.confidence,
+                "disagreement": row.get("disagreement"),
+                "ncc": row.get("ncc"),
                 "degraded": response.degraded,
-                "error": status != STATUS_OK,
-                "slices": (
-                    f"shard:{shard_id}",
-                    f"imputer:{row.get('algorithm') or 'none'}",
-                ),
+                # A fallback answer is served, but it is not a vote.
+                "error": status != STATUS_OK or fallback,
+                "slices": slices,
             }
             self.slo_tracker.record_request(
                 now - entry.arrived, (event,), check=False
             )
             self._resolve(entry, response)
         self.slo_tracker.evaluate()
+        served = [row for row in results if "features" in row]
+        if served:
+            with self._count_lock:
+                self._quarantined[shard_id] = served[-1]["quarantined"]
+        detector = self.drift_detector
+        if detector is not None and served and detector.add(
+            np.stack([row["features"] for row in served])
+        ):
+            detector.check()
 
     def _record_rejection(self) -> None:
         # No latency: a rejection must not look like a fast answer.
@@ -407,27 +453,16 @@ class ServingDaemon:
     # Health / introspection
     # ------------------------------------------------------------------
     def health(self) -> HealthSnapshot:
-        """The monitor's health document over the daemon's sink, plus
-        shard quarantines/resubmissions/demotions, shed/error counts,
-        per-shard cards and batching stats."""
-        pool_stats = self.pool.stats()
+        """The live health document: the sink's views, drift (scored
+        now), resilience counters, per-shard cards and batching stats."""
+        if self.drift_detector is not None and self.drift_detector.warm:
+            self.drift_detector.check()
+        return HealthSnapshot.collect(self)
+
+    def quarantined_members(self) -> list[str]:
+        """Ensemble members some shard's votes currently skip."""
         with self._count_lock:
-            shed, errors = self.n_shed, self.n_errors
-        return HealthSnapshot.collect(
-            self,
-            resilience={
-                "quarantined_members": [
-                    f"shard-{i}" for i in pool_stats["quarantined"]
-                ],
-                "resubmissions": pool_stats["resubmissions"],
-                "demotions": pool_stats["demotions"],
-            },
-            alerts={"shed_requests": shed, "error_requests": errors},
-            scorecards={
-                "per_shard": pool_stats["per_shard"],
-                "batching": self.batcher.stats(),
-            },
-        )
+            return sorted(set().union(*self._quarantined.values()))
 
     def stats(self) -> dict:
         """Compact counters for tests and the CLI summary line."""
@@ -437,6 +472,8 @@ class ServingDaemon:
                 "served": self.n_served,
                 "shed": self.n_shed,
                 "errors": self.n_errors,
+                "degraded": self.n_degraded,
+                "fallback": self.n_fallback,
                 "pending": self._in_flight,
                 "batching": self.batcher.stats(),
                 "pool": self.pool.stats(),
@@ -505,9 +542,19 @@ class SocketServer:
             try:
                 request = decode_request(line)
                 request_id = request.id
-                response = await asyncio.wrap_future(
-                    self.daemon.submit(request)
-                )
+                if isinstance(request, HealthRequest):
+                    # Off the event loop: scoring the drift window and
+                    # sampling resources take milliseconds.
+                    document = await asyncio.to_thread(
+                        lambda: self.daemon.health().as_dict()
+                    )
+                    response = RepairResponse.health_response(
+                        request_id, document
+                    )
+                else:
+                    response = await asyncio.wrap_future(
+                        self.daemon.submit(request)
+                    )
             except ProtocolError as exc:
                 response = RepairResponse.error_response(
                     request_id, str(exc), status=STATUS_BAD_REQUEST
@@ -550,6 +597,11 @@ class SocketServer:
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
         except (ConnectionResetError, BrokenPipeError):
+            pass
+        except asyncio.CancelledError:
+            # The server is stopping.  Ending normally matters: asyncio's
+            # stream protocol reads this task's exception when it is done,
+            # and a cancelled task would make it log a traceback.
             pass
         finally:
             self._conn_tasks.discard(conn_task)

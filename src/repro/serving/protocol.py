@@ -19,6 +19,10 @@ Status codes follow the HTTP convention the rest of the stack speaks:
 ``503``   shed — admission control or every shard quarantined; the
           typed backpressure signal, retry after ``retry_after_ms``
 ========  ==========================================================
+
+A ``{"id": ..., "mode": "health"}`` line asks for the daemon's live
+:class:`~repro.observability.serving.HealthSnapshot`; it is answered 200
+with the document under the ``health`` key and never enters the batcher.
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ STATUS_SHED = 503
 #: Request modes: ``recommend`` returns only the ranking, ``repair``
 #: also imputes and returns the completed values.
 MODES = ("recommend", "repair")
+
+#: The mode of a line that asks for the health document instead of a repair.
+HEALTH_MODE = "health"
 
 
 def _encode_values(values) -> list:
@@ -94,6 +101,13 @@ class RepairRequest:
 
 
 @dataclass(frozen=True)
+class HealthRequest:
+    """A request for the daemon's live health document."""
+
+    id: str
+
+
+@dataclass(frozen=True)
 class RepairResponse:
     """One response line, correlated to its request by ``id``."""
 
@@ -137,19 +151,24 @@ class RepairResponse:
     ) -> "RepairResponse":
         return cls(id=str(request_id), status=int(status), error=message)
 
+    @classmethod
+    def health_response(cls, request_id: str, document: dict) -> "RepairResponse":
+        """The 200 answer to a health line: the document under ``health``."""
+        return cls(id=str(request_id), status=STATUS_OK, extra={"health": document})
+
     def as_dict(self) -> dict:
         doc: dict = {"id": str(self.id), "status": int(self.status)}
-        if self.status == STATUS_OK:
+        if self.status != STATUS_OK:
+            doc["error"] = self.error
+            if self.retry_after_ms is not None:
+                doc["retry_after_ms"] = int(self.retry_after_ms)
+        elif "health" not in self.extra:
             doc["algorithm"] = self.algorithm
             doc["ranking"] = list(self.ranking)
             doc["confidence"] = self.confidence
             doc["degraded"] = bool(self.degraded)
             if self.values is not None:
                 doc["values"] = _encode_values(self.values)
-        else:
-            doc["error"] = self.error
-            if self.retry_after_ms is not None:
-                doc["retry_after_ms"] = int(self.retry_after_ms)
         if self.shard is not None:
             doc["shard"] = int(self.shard)
         if self.latency_s is not None:
@@ -167,7 +186,7 @@ def encode_request(request: RepairRequest) -> bytes:
     return json.dumps(request.as_dict(), separators=(",", ":")).encode("utf-8")
 
 
-def decode_request(line: bytes | str) -> RepairRequest:
+def decode_request(line: bytes | str) -> RepairRequest | HealthRequest:
     """Parse one request line; raises :class:`ProtocolError` on garbage."""
     try:
         return _decode_request(line)
@@ -177,20 +196,28 @@ def decode_request(line: bytes | str) -> RepairRequest:
         raise ProtocolError("request is nested too deeply") from None
 
 
-def _decode_request(line: bytes | str) -> RepairRequest:
+def _load_object(line: bytes | str, what: str) -> dict:
+    """One JSON object from a wire line, or :class:`ProtocolError`."""
     if isinstance(line, bytes):
         line = line.decode("utf-8", errors="replace")
     line = line.strip()
     if not line:
-        raise ProtocolError("empty request line")
+        raise ProtocolError(f"empty {what} line")
     try:
         doc = json.loads(line)
     except ValueError as exc:
-        raise ProtocolError(f"request is not valid JSON: {exc}") from None
+        raise ProtocolError(f"{what} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise ProtocolError("request must be a JSON object")
+        raise ProtocolError(f"{what} must be a JSON object")
+    return doc
+
+
+def _decode_request(line: bytes | str) -> RepairRequest | HealthRequest:
+    doc = _load_object(line, "request")
     if "id" not in doc:
         raise ProtocolError("request is missing 'id'")
+    if doc.get("mode") == HEALTH_MODE:
+        return HealthRequest(id=str(doc["id"]))
     if "values" not in doc:
         raise ProtocolError("request is missing 'values'")
     return RepairRequest(
@@ -209,18 +236,23 @@ def encode_response(response: RepairResponse) -> bytes:
 
 
 def decode_response(line: bytes | str) -> RepairResponse:
-    """Parse one response line (client side of the codec)."""
-    if isinstance(line, bytes):
-        line = line.decode("utf-8", errors="replace")
-    line = line.strip()
-    if not line:
-        raise ProtocolError("empty response line")
+    """Parse one response line (client side of the codec); raises
+    :class:`ProtocolError` on garbage, like :func:`decode_request`."""
     try:
-        doc = json.loads(line)
-    except ValueError as exc:
-        raise ProtocolError(f"response is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "id" not in doc or "status" not in doc:
+        return _decode_response(line)
+    except RecursionError:
+        raise ProtocolError("response is nested too deeply") from None
+
+
+def _decode_response(line: bytes | str) -> RepairResponse:
+    doc = _load_object(line, "response")
+    if "id" not in doc or "status" not in doc:
         raise ProtocolError("response must be a JSON object with id/status")
+    status, ranking = doc["status"], doc.get("ranking", ())
+    if not isinstance(status, int) or isinstance(status, bool):
+        raise ProtocolError(f"'status' must be an integer, got {status!r}")
+    if not isinstance(ranking, (list, tuple)):
+        raise ProtocolError(f"'ranking' must be a list, got {ranking!r}")
     values = doc.get("values")
     known = {
         "id", "status", "algorithm", "ranking", "confidence", "degraded",
@@ -228,9 +260,9 @@ def decode_response(line: bytes | str) -> RepairResponse:
     }
     return RepairResponse(
         id=str(doc["id"]),
-        status=int(doc["status"]),
+        status=status,
         algorithm=doc.get("algorithm"),
-        ranking=tuple(doc.get("ranking", ())),
+        ranking=tuple(ranking),
         confidence=doc.get("confidence"),
         degraded=bool(doc.get("degraded", False)),
         values=None if values is None else _decode_values(values),

@@ -170,7 +170,12 @@ def serve_payload(engine, payload: list[tuple]) -> list[dict]:
     ``payload`` rows are ``(request_id, values, mode, name)``.  Returns
     one plain result dict per row, aligned with the input:
     ``{"id", "status", "algorithm", "ranking", "confidence",
-    "degraded", "values"?, "error"?}``.  Rows that fail validation
+    "degraded", "values"?, "error"?}``.  A served row also carries the
+    daemon's telemetry, which never reaches the wire: ``features`` (the
+    row the vote saw), ``disagreement``, the atlas ``cluster`` and
+    ``ncc`` (``None`` without an atlas), ``fallback`` (the static
+    fallback answered) and ``quarantined`` (the members the engine's
+    votes skip after this batch).  Rows that fail validation
     become 400 rows without failing the batch.  When the batched engine
     call raises, the rows are re-served one at a time, so only the rows
     that raise on their own get an error row (400 ``invalid series`` for
@@ -212,6 +217,8 @@ def serve_payload(engine, payload: list[tuple]) -> list[dict]:
 def _serve_series(engine, series_list: list, modes: list) -> list[dict]:
     """One engine call for validated series; result rows without ids."""
     recommendations = engine.recommend_many(series_list)
+    quarantined = engine.quarantined_members
+    atlas = engine.cluster_atlas_
     repair_positions = [j for j, mode in enumerate(modes) if mode == "repair"]
     repaired: dict[int, TimeSeries] = {}
     if repair_positions:
@@ -222,12 +229,22 @@ def _serve_series(engine, series_list: list, modes: list) -> list[dict]:
         repaired = dict(zip(repair_positions, fixed))
     rows = []
     for j, rec in enumerate(recommendations):
+        assignment = (
+            atlas.assign(series_list[j].values) if atlas is not None else None
+        ) or {"cluster": None, "ncc": None}
         row = {
             "status": STATUS_OK,
             "algorithm": rec.algorithm,
             "ranking": list(rec.ranking),
             "confidence": float(rec.probabilities.get(rec.algorithm, 0.0)),
             "degraded": bool(rec.degraded),
+            "features": rec.features,
+            "disagreement": rec.disagreement,
+            "cluster": assignment["cluster"],
+            "ncc": assignment["ncc"],
+            # Only the static fallback answers without a vote.
+            "fallback": rec.disagreement is None,
+            "quarantined": quarantined,
         }
         if j in repaired:
             row["values"] = np.asarray(repaired[j].values, dtype=float)

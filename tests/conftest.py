@@ -10,6 +10,35 @@ from repro.features import FeatureExtractor
 from repro.timeseries import TimeSeries, TimeSeriesDataset
 
 
+class StubEngine:
+    """What a ServingDaemon reads of its engine, without a model."""
+
+    is_fitted = True
+    feature_baseline_ = None
+    cluster_atlas_ = None
+
+    def __init__(self):
+        from types import SimpleNamespace
+
+        self.extractor = SimpleNamespace(cache=None)
+
+
+@pytest.fixture
+def idle_daemon():
+    """Factory of unstarted inline daemons around a :class:`StubEngine`:
+    their health document holds only what a test records into the sink
+    and the drift detector it passes."""
+    from repro.serving import ServingDaemon
+
+    def make(drift_detector=None):
+        return ServingDaemon(
+            StubEngine(), n_shards=1, shard_backend="inline",
+            drift_detector=drift_detector,
+        )
+
+    return make
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(12345)

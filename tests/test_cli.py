@@ -494,15 +494,20 @@ class TestTopCommand:
         assert args.once is True
 
     def test_top_once_live_engine(self, serving_artifacts, capsys):
-        engine_path, data_path = serving_artifacts
-        code = main(
-            [
-                "top",
-                "--engine", str(engine_path),
-                "--data", str(data_path),
-                "--once", "--no-color",
-            ]
-        )
+        """One frame polled from a live daemon over a unix socket."""
+        import tempfile
+
+        from repro.core import load_engine
+        from repro.serving import ServingDaemon, SocketServer
+
+        engine_path, _data_path = serving_artifacts
+        engine = load_engine(engine_path)
+        # A short directory: unix socket paths are limited to ~100 bytes.
+        with tempfile.TemporaryDirectory() as short, ServingDaemon(
+            engine, n_shards=1, shard_backend="inline"
+        ) as daemon, SocketServer(daemon, path=f"{short}/s") as server:
+            code = main(["top", "--connect", server.address, "--once",
+                         "--no-color"])
         assert code == 0
         out = capsys.readouterr().out
         assert "repro top" in out
@@ -536,19 +541,23 @@ class TestTopCommand:
         assert "error:" in capsys.readouterr().err
 
     def test_top_loop_exits_cleanly_on_interrupt(
-        self, serving_artifacts, monkeypatch, capsys
+        self, serving_artifacts, tmp_path, monkeypatch, capsys
     ):
         import time as _time
 
         engine_path, data_path = serving_artifacts
+        snapshot_path = tmp_path / "health.json"
+        assert main(
+            ["monitor", "--engine", str(engine_path), "--data",
+             str(data_path), "--out", str(snapshot_path)]
+        ) == 0
+        capsys.readouterr()
 
         def _interrupt(_seconds):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(_time, "sleep", _interrupt)
-        code = main(
-            ["top", "--engine", str(engine_path), "--data", str(data_path)]
-        )
+        code = main(["top", "--snapshot", str(snapshot_path)])
         assert code == 0
         captured = capsys.readouterr()
         assert "\x1b[2J" in captured.out  # at least one frame was drawn

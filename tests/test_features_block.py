@@ -232,14 +232,8 @@ class TestExtractorBlock:
         assert 0.0 < stats["hit_rate"] <= 1.0
         np.testing.assert_array_equal(first, second)
 
-    def test_health_snapshot_reports_series_bank_cache(self):
-        from repro.observability.serving import HealthSnapshot, InferenceMonitor
-
-        class _Engine:
-            extractor = None
-            is_fitted = True
-
-        snapshot = HealthSnapshot.collect(InferenceMonitor(_Engine()))
+    def test_health_snapshot_reports_series_bank_cache(self, idle_daemon):
+        snapshot = idle_daemon().health()
         assert "series_bank" in snapshot.caches
         assert set(snapshot.caches["series_bank"]) == {
             "hits", "misses", "hit_rate",

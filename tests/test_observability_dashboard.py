@@ -5,12 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from repro.observability import DriftDetector, FeatureBaseline, InferenceMonitor
+from repro.observability import DriftDetector, FeatureBaseline
 from repro.observability.dashboard import (
     human_bytes,
     load_snapshot,
     render_top,
 )
+from repro.serving import ServingDaemon
+from tests.conftest import StubEngine
 
 
 def _fired_drift_section():
@@ -19,13 +21,10 @@ def _fired_drift_section():
     baseline = FeatureBaseline.from_matrix(rng.normal(size=(200, 3)))
     detector = DriftDetector(baseline, window_size=32, min_samples=8)
     detector.update(50.0 + rng.normal(size=(32, 3)))
-
-    class _Engine:
-        extractor = None
-        is_fitted = True
-
-    monitor = InferenceMonitor(_Engine(), drift_detector=detector)
-    return monitor.snapshot().as_dict()["drift"]
+    daemon = ServingDaemon(
+        StubEngine(), shard_backend="inline", drift_detector=detector
+    )
+    return daemon.health().as_dict()["drift"]
 
 
 def _snapshot_dict():

@@ -11,8 +11,6 @@ from repro.observability import (
     DriftDetector,
     DriftReport,
     FeatureBaseline,
-    HealthSnapshot,
-    InferenceMonitor,
     MetricsRegistry,
     RecordingServingObserver,
     SloPolicy,
@@ -27,6 +25,7 @@ from repro.observability.serving import (
     vote_entropy,
 )
 from repro.pipeline.scoring import ScoreWeights
+from repro.serving import RepairRequest, ServingDaemon
 
 FAST_CONFIG = ModelRaceConfig(
     n_partial_sets=2, n_folds=2, max_elite=2, random_state=0,
@@ -71,6 +70,23 @@ def served_engine():
     X = engine.extractor.extract_many(series)
     engine.fit_features(X, labels)
     return engine, series
+
+
+def _daemon(engine, batch=1, **kwargs):
+    """One inline shard serving ``batch`` requests per batch."""
+    return ServingDaemon(
+        engine, n_shards=1, shard_backend="inline", max_batch=batch,
+        max_delay_s=1.0, **kwargs,
+    )
+
+
+def _serve(daemon, series):
+    """Submit one recommend request per series; block for the answers."""
+    futures = daemon.submit_many([
+        RepairRequest(id=s.name, values=s.values, mode="recommend")
+        for s in series
+    ])
+    return [future.result(timeout=60) for future in futures]
 
 
 def _shifted_series(rng, n, length=120):
@@ -255,6 +271,16 @@ class TestDriftDetector:
         with pytest.raises(ValueError):
             detector.update(rng.normal(size=(4, 5)))
 
+    def test_add_is_due_once_per_min_samples_rows(self, baseline, rng):
+        detector = DriftDetector(baseline, window_size=64, min_samples=16)
+        due = [detector.add(rng.normal(size=(5, 3))) for _ in range(10)]
+        # Five rows per call: due at row 20 (warm, 20 unscored), then at
+        # row 40, the first call after 16 more rows.
+        assert due == [False, False, False, True, False, False, False,
+                       True, False, False]
+        assert detector.last_report is None  # add() never scores
+        assert detector.warm and detector._total == 50
+
 
 class TestVoteDisagreement:
     def test_uniform_entropy(self):
@@ -279,27 +305,29 @@ class TestVoteDisagreement:
 
 
 class TestInferenceMonitor:
+    """The per-request telemetry the serving daemon reports."""
+
     def test_unfitted_engine_rejected(self):
         with pytest.raises(NotFittedError):
-            InferenceMonitor(ADarts())
+            ServingDaemon(ADarts())
 
     def test_recommend_matches_engine(self, served_engine):
         engine, series = served_engine
-        monitor = InferenceMonitor(engine)
         direct = engine.recommend(series[0])
-        monitored = monitor.recommend(series[0])
-        assert monitored.algorithm == direct.algorithm
-        assert monitored.ranking == direct.ranking
+        with _daemon(engine) as daemon:
+            (served,) = _serve(daemon, series[:1])
+        assert served.algorithm == direct.algorithm
+        assert served.ranking == direct.ranking
 
     def test_windows_and_mix_accumulate(self, served_engine):
         engine, series = served_engine
-        monitor = InferenceMonitor(engine)
-        monitor.recommend_many(series[:10])
-        monitor.recommend(series[0])
-        assert monitor.n_requests == 2
-        assert monitor.n_series == 11
-        views = monitor.slo_tracker.views()
-        assert views["latency"]["count"] == 2
+        with _daemon(engine, batch=10) as daemon:
+            _serve(daemon, series[:10])
+            _serve(daemon, series[:1])
+            views = daemon.slo_tracker.views()
+        assert views["n_requests"] == 11
+        assert views["n_series"] == 11
+        assert views["latency"]["count"] == 11
         assert views["series_latency"]["count"] == 11
         assert views["confidence"]["count"] == 11
         assert views["disagreement"]["count"] == 11
@@ -311,39 +339,30 @@ class TestInferenceMonitor:
 
     def test_drift_detector_autobuilt(self, served_engine):
         engine, _ = served_engine
-        monitor = InferenceMonitor(engine, drift_min_samples=8)
-        assert monitor.drift_detector is not None
-        assert monitor.drift_detector.baseline is engine.feature_baseline_
-
-    def test_observer_receives_requests(self, served_engine):
-        engine, series = served_engine
-        observer = RecordingServingObserver()
-        monitor = InferenceMonitor(engine, observer=observer)
-        monitor.recommend_many(series[:3])
-        requests = observer.of_type("request")
-        assert len(requests) == 1
-        assert requests[0]["n_series"] == 3
-        assert len(requests[0]["recommendations"]) == 3
+        daemon = _daemon(engine)
+        assert daemon.drift_detector is not None
+        assert daemon.drift_detector.baseline is engine.feature_baseline_
 
     def test_metrics_recorded_when_installed(self, served_engine):
         engine, series = served_engine
         registry = MetricsRegistry()
-        with use_metrics(registry):
-            InferenceMonitor(engine).recommend_many(series[:4])
+        with use_metrics(registry), _daemon(engine, batch=4) as daemon:
+            _serve(daemon, series[:4])
         text = registry.to_prometheus()
-        assert "repro_serving_requests_total 1" in text
-        assert "repro_serving_series_total 4" in text
-        assert "repro_serving_recommendations_total" in text
+        # One batch: one engine call over four series.
+        assert "repro_inference_requests_total 1" in text
+        assert "repro_inference_series_total 4" in text
+        assert "repro_inference_seconds" in text
 
 
 class TestHealthSnapshot:
     @pytest.fixture
     def snapshot(self, served_engine):
         engine, series = served_engine
-        monitor = InferenceMonitor(engine, drift_min_samples=8)
-        for item in series[:12]:
-            monitor.recommend(item)
-        return monitor.snapshot()
+        detector = DriftDetector(engine.feature_baseline_, min_samples=8)
+        with _daemon(engine, drift_detector=detector) as daemon:
+            _serve(daemon, series[:12])
+            return daemon.health()
 
     def test_document_keys(self, snapshot):
         document = snapshot.as_dict()
@@ -357,7 +376,7 @@ class TestHealthSnapshot:
         for stat in ("p50", "p95", "p99", "mean"):
             assert stat in document["latency"]
         assert document["drift"]["enabled"] is True
-        assert document["drift"]["report"] is not None
+        assert document["drift"]["report"]["n_samples"] == 12
 
     def test_json_round_trip(self, snapshot):
         document = json.loads(snapshot.to_json())
@@ -379,16 +398,18 @@ class TestHealthSnapshot:
         assert "# TYPE" in prom_path.read_text()
 
     def test_collect_with_explicit_caches(self, served_engine):
-        from repro.parallel import FeatureCache, ScoreMemo
+        """The feature-cache section is the engine extractor's cache."""
+        import copy
+
+        from repro.parallel import FeatureCache
 
         engine, series = served_engine
-        cache, memo = FeatureCache(), ScoreMemo()
-        cache.put("k", np.ones(3))
-        cache.get("k")
-        monitor = InferenceMonitor(engine)
-        monitor.recommend(series[0])
-        snapshot = HealthSnapshot.collect(
-            monitor, feature_cache=cache, score_memo=memo
-        )
+        engine = copy.deepcopy(engine)
+        engine.extractor.cache = FeatureCache()
+        with _daemon(engine) as daemon:
+            _serve(daemon, series[:1])
+            _serve(daemon, series[:1])
+            snapshot = daemon.health()
         assert snapshot.caches["feature_cache"]["hits"] == 1
-        assert snapshot.caches["score_memo"]["entries"] == 0
+        assert snapshot.caches["feature_cache"]["misses"] == 1
+        assert "series_bank" in snapshot.caches

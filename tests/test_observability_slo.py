@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from repro import TimeSeries
-from repro.observability import InferenceMonitor, RecordingServingObserver
+from repro.observability import RecordingServingObserver
 from repro.observability.slo import (
     QuantileSketch,
     SloPolicy,
     SloTracker,
     default_policies,
 )
+from repro.serving import RepairRequest, ServingDaemon
 
 QS = (0.5, 0.95, 0.99)
 
@@ -488,7 +489,7 @@ class TestShardFoldPattern:
 
 class TestMonitoredTraffic:
     def test_one_slo_event_per_served_series(self, serving_engine):
-        # One monitored request per series under the stock policies.
+        # One request per series, through the daemon's stock policies.
         rng = np.random.default_rng(23)
         t = np.linspace(0, 4 * np.pi, 96)
         traffic = []
@@ -497,11 +498,14 @@ class TestMonitoredTraffic:
             lo = 10 + (i % 5)
             values[lo : lo + 16] = np.nan
             traffic.append(TimeSeries(values, name=f"live{i}"))
-        monitor = InferenceMonitor(serving_engine)
-        for series in traffic:
-            monitor.recommend_many([series])
-        tracker = monitor.slo_tracker
-        assert tracker is not None
+        with ServingDaemon(
+            serving_engine, n_shards=1, shard_backend="inline", max_batch=1
+        ) as daemon:
+            for series in traffic:
+                daemon.submit(RepairRequest(
+                    id=series.name, values=series.values, mode="recommend"
+                )).result(timeout=60)
+        tracker = daemon.slo_tracker
         status = tracker.status()
         assert status["n_events"] == len(traffic), (
             "one SLO event per served series"

@@ -114,21 +114,13 @@ def _parse_labels(body: str, line_no: int) -> list:
     return pairs
 
 
-def _snapshot(monitor):
-    from repro.observability.serving import HealthSnapshot
-
-    return HealthSnapshot.collect(monitor)
+def _snapshot(daemon):
+    return daemon.health()
 
 
 @pytest.fixture()
-def monitor():
-    from repro.observability.serving import InferenceMonitor
-
-    class _Engine:
-        extractor = None
-        is_fitted = True
-
-    return InferenceMonitor(_Engine())
+def daemon(idle_daemon):
+    return idle_daemon()
 
 
 class TestEscaping:
@@ -180,13 +172,13 @@ class TestEscaping:
 
 
 class TestHealthSnapshotExposition:
-    def test_every_line_parses_no_duplicates(self, monitor):
-        monitor.slo_tracker.record_request(0.01, check=False)
-        monitor.slo_tracker.record_series(
+    def test_every_line_parses_no_duplicates(self, daemon):
+        daemon.slo_tracker.record_request(0.01, check=False)
+        daemon.slo_tracker.record_series(
             0.01, slices=("imputer:cdrec",), check=False
         )
-        monitor.slo_tracker.evaluate()
-        text = _snapshot(monitor).to_prometheus()
+        daemon.slo_tracker.evaluate()
+        text = _snapshot(daemon).to_prometheus()
         series = parse_exposition(text)  # raises on any violation
         names = {name for name, _ in series}
         for expected in (
@@ -203,7 +195,7 @@ class TestHealthSnapshotExposition:
         ):
             assert expected in names, f"missing series {expected}"
 
-    def test_counters_monotone_across_snapshots(self, monitor):
+    def test_counters_monotone_across_snapshots(self, daemon):
         counter_names = (
             "repro_serving_requests_total",
             "repro_slo_events_total",
@@ -220,37 +212,37 @@ class TestHealthSnapshotExposition:
                 if key[0] in counter_names
             }
 
-        monitor.slo_tracker.record_series(0.01, check=False)
-        first = counters(_snapshot(monitor).to_prometheus())
+        daemon.slo_tracker.record_series(0.01, check=False)
+        first = counters(_snapshot(daemon).to_prometheus())
         # More traffic plus a kernel call in between.
         from repro.timeseries.batch import SeriesBank
 
         bank = SeriesBank(np.random.default_rng(0).normal(size=(4, 32)))
         bank.corr_matrix()
         for _ in range(5):
-            monitor.slo_tracker.record_series(0.01, check=False)
-        second = counters(_snapshot(monitor).to_prometheus())
+            daemon.slo_tracker.record_series(0.01, check=False)
+        second = counters(_snapshot(daemon).to_prometheus())
         assert second[("repro_slo_events_total", ())] > \
             first[("repro_slo_events_total", ())]
         for key, value in first.items():
             assert second.get(key, 0.0) >= value, f"counter {key} regressed"
 
-    def test_sketch_quantiles_exported(self, monitor):
+    def test_sketch_quantiles_exported(self, daemon):
         for value in (0.01, 0.02, 0.03):
-            monitor.slo_tracker.record_request(value, check=False)
-        series = parse_exposition(_snapshot(monitor).to_prometheus())
+            daemon.slo_tracker.record_request(value, check=False)
+        series = parse_exposition(_snapshot(daemon).to_prometheus())
         stats = {
             dict(labels)["stat"]: value
             for (name, labels), value in series.items()
             if name == "repro_serving_latency_seconds"
         }
         assert {"p50", "p95", "p99", "mean"} <= set(stats)
-        sketch = monitor.slo_tracker.request_latency
+        sketch = daemon.slo_tracker.request_latency
         assert stats["p50"] == pytest.approx(sketch.quantile(0.5)) == 0.02
         assert stats["p99"] == pytest.approx(sketch.quantile(0.99))
 
-    def test_build_info_emitted_once(self, monitor):
-        text = _snapshot(monitor).to_prometheus()
+    def test_build_info_emitted_once(self, daemon):
+        text = _snapshot(daemon).to_prometheus()
         rows = [
             line for line in text.splitlines()
             if line.startswith("repro_build_info{")

@@ -34,7 +34,7 @@ from repro.serving import (
     encode_response,
 )
 from repro.serving.batching import MicroBatcher
-from repro.serving.protocol import RepairResponse
+from repro.serving.protocol import HealthRequest, RepairResponse
 from repro.timeseries import TimeSeries
 
 json_values = st.recursive(
@@ -51,6 +51,21 @@ request_lines = st.one_of(
     st.fixed_dictionaries(
         {"id": json_values, "values": json_values},
         optional={"mode": json_values, "name": json_values},
+    ).map(lambda doc: json.dumps(doc).encode()),
+)
+
+#: Response lines: raw bytes, any JSON document, and JSON objects shaped
+#: like a response whose fields hold any JSON value.
+response_lines = st.one_of(
+    st.binary(max_size=256),
+    json_values.map(lambda doc: json.dumps(doc).encode()),
+    st.fixed_dictionaries(
+        {"id": json_values, "status": json_values},
+        optional={
+            key: json_values
+            for key in ("algorithm", "ranking", "confidence", "degraded",
+                        "values", "error", "shard", "latency_s", "health")
+        },
     ).map(lambda doc: json.dumps(doc).encode()),
 )
 
@@ -205,7 +220,31 @@ class TestProtocolProperties:
             request = decode_request(line)
         except ProtocolError:
             return
-        assert isinstance(request, RepairRequest)
+        assert isinstance(request, (RepairRequest, HealthRequest))
+
+    @given(line=response_lines)
+    @example(line=b'{"id":"a","status":null}')
+    @example(line=b'{"id":"a","status":"x"}')
+    @example(line=b'{"id":"a","status":200,"ranking":7}')
+    @example(line=b'{"id":"a","status":' + b"[" * 20000 + b"]" * 20000 + b"}")
+    @settings(max_examples=300, deadline=None)
+    def test_any_response_line_decodes_or_raises_protocol_error(self, line):
+        """The client side of the wire: a response or a ProtocolError."""
+        try:
+            response = decode_response(line)
+        except ProtocolError:
+            return
+        assert isinstance(response, RepairResponse)
+
+    def test_health_lines(self):
+        request = decode_request(b'{"id":"h","mode":"health"}')
+        assert isinstance(request, HealthRequest) and request.id == "h"
+        with pytest.raises(ProtocolError):
+            decode_request(b'{"mode":"health"}')
+        document = {"n_requests": 3, "drift": None}
+        line = encode_response(RepairResponse.health_response("h", document))
+        assert json.loads(line) == {"id": "h", "status": 200, "health": document}
+        assert decode_response(line).extra == {"health": document}
 
     def test_unknown_response_keys_preserved(self):
         line = (b'{"id":"a","status":200,"algorithm":"m","ranking":[],'

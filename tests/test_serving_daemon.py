@@ -49,6 +49,11 @@ def library_repairs(engine, requests):
 class SlowEngine:
     """Engine stub with a controllable per-batch service time."""
 
+    is_fitted = True
+    feature_baseline_ = None
+    cluster_atlas_ = None
+    quarantined_members = ()
+
     def __init__(self, delay_s: float = 0.0):
         self.delay_s = delay_s
 
@@ -58,6 +63,8 @@ class SlowEngine:
             ranking = ("stub",)
             probabilities = {"stub": 1.0}
             degraded = False
+            disagreement = 0.0
+            features = None
 
         if self.delay_s:
             time.sleep(self.delay_s)
@@ -271,13 +278,10 @@ class TestDaemonCore:
         assert merged.quantile(0.99) == fleet["p99"]
 
     def test_health_is_the_monitor_document(self, serving_engine):
-        """One builder: the daemon's document has the monitor's shape, and
-        per-shard cards read their quantiles from the sink's slices."""
-        from repro.observability import InferenceMonitor
-
+        """One builder: the daemon's document has the ``repro monitor``
+        document's sections, and per-shard cards read their quantiles
+        from the sink's slices."""
         generator = LoadGenerator(seed=6, length=96)
-        monitor = InferenceMonitor(serving_engine)
-        monitor.recommend_many([TimeSeries(generator.series(i)) for i in range(4)])
         with ServingDaemon(
             serving_engine, n_shards=2, shard_backend="inline",
             max_batch=4, max_delay_s=0.001,
@@ -285,7 +289,13 @@ class TestDaemonCore:
             client = ServingTestClient(daemon)
             client.send_many(generator.requests(12))
             document = daemon.health().as_dict()
-        assert set(document) == set(monitor.snapshot().as_dict())
+        assert set(document) == {
+            "generated_at", "uptime_s", "n_requests", "n_series", "latency",
+            "series_latency", "confidence", "disagreement",
+            "recommendation_mix", "drift", "caches", "backends", "alerts",
+            "resilience", "scorecards", "slo", "resources", "build",
+        }
+        assert document["disagreement"]["count"] == 12
         slices = document["slo"]["slices"]
         cards = document["scorecards"]["per_shard"]
         assert set(cards) == {"0", "1"}
@@ -459,3 +469,127 @@ class TestSocketServer:
         for requests, got in results.values():
             assert {r.id for r in got} == {r.id for r in requests}
             assert all(r.status == 200 for r in got)
+
+
+# ---------------------------------------------------------------------------
+# Live health: the ``health`` line, ``repro top --connect``, replay parity
+# ---------------------------------------------------------------------------
+def _health_line(stream, line: bytes):
+    stream.write(line + b"\n")
+    stream.flush()
+    return decode_response(stream.readline())
+
+
+class TestLiveHealth:
+    def test_health_line_is_answered_outside_the_batcher(self, serving_engine):
+        requests = LoadGenerator(seed=11, length=96).requests(4)
+        with ServingDaemon(
+            serving_engine, n_shards=1, shard_backend="inline",
+            max_batch=4, max_delay_s=0.001,
+        ) as daemon:
+            with SocketServer(daemon, port=0) as server:
+                with socket_mod.create_connection(server.address) as conn:
+                    conn.settimeout(60)
+                    stream = conn.makefile("rwb")
+                    for request in requests:
+                        stream.write(encode_request(request) + b"\n")
+                    stream.flush()
+                    served = [decode_response(stream.readline()) for _ in requests]
+                    first = _health_line(stream, b'{"id":"h1","mode":"health"}')
+                    second = _health_line(stream, b'{"id":"h2","mode":"health"}')
+                    malformed = _health_line(stream, b'{"mode":"health"}')
+            stats = daemon.stats()
+        assert all(r.status == 200 for r in served)
+        for response, request_id in ((first, "h1"), (second, "h2")):
+            assert (response.id, response.status) == (request_id, 200)
+            assert response.algorithm is None and response.values is None
+            document = response.extra["health"]
+            assert document["n_requests"] == 4
+            assert document["slo"]["n_events"] == 4
+            assert document["scorecards"]["batching"]["items"] == 4
+        assert stats["submitted"] == 4
+        assert malformed.status == 400
+        assert "id" in malformed.error
+
+    def test_top_connect_renders_a_frame(self, serving_engine, capsys):
+        from repro.cli import main
+
+        with ServingDaemon(
+            serving_engine, n_shards=1, shard_backend="inline",
+            max_batch=4, max_delay_s=0.001,
+        ) as daemon:
+            ServingTestClient(daemon).send_many(
+                LoadGenerator(seed=12, length=96).requests(3)
+            )
+            with SocketServer(daemon, port=0) as server:
+                host, port = server.address
+                code = main(
+                    ["top", "--connect", f"{host}:{port}", "--once", "--no-color"]
+                )
+        frame = capsys.readouterr().out
+        assert code == 0
+        assert frame.startswith("repro top")
+        assert "requests      3" in frame
+        assert "SLO" in frame
+
+    @pytest.mark.skipif(not shm_available(), reason="POSIX shm unavailable")
+    def test_live_drift_report_equals_the_replay(
+        self, serving_engine, tmp_path, capsys
+    ):
+        """The same 72 series through ``repro monitor`` (one inline shard)
+        and through two process shards score the same drift: the
+        256-row window holds every row, and PSI and KS are order-free."""
+        from repro.cli import main, write_series_csv
+        from repro.core.serialization import save_engine
+
+        requests = LoadGenerator(seed=13, length=96, mode="recommend").requests(72)
+        engine_path = save_engine(serving_engine, tmp_path / "engine.json")
+        csv_path = tmp_path / "traffic.csv"
+        write_series_csv(csv_path, [TimeSeries(r.values) for r in requests])
+        assert main([
+            "monitor", "--engine", str(engine_path), "--data", str(csv_path),
+            "--batch", "8", "--out", str(tmp_path / "replay.json"),
+        ]) == 0
+        capsys.readouterr()
+        replay = json.loads((tmp_path / "replay.json").read_text())
+
+        with ServingDaemon(
+            serving_engine, n_shards=2, shard_backend="process",
+            max_batch=8, max_delay_s=0.002,
+        ) as daemon:
+            with SocketServer(daemon, port=0) as server:
+                with socket_mod.create_connection(server.address) as conn:
+                    conn.settimeout(120)
+                    stream = conn.makefile("rwb")
+                    for request in requests:
+                        stream.write(encode_request(request) + b"\n")
+                    stream.flush()
+                    served = [decode_response(stream.readline()) for _ in requests]
+                    live = _health_line(stream, b'{"id":"h","mode":"health"}')
+        assert all(r.status == 200 for r in served)
+        live_report = live.extra["health"]["drift"]["report"]
+        replay_report = replay["drift"]["report"]
+        assert live_report["n_samples"] == replay_report["n_samples"] == 72
+        assert live_report["psi"] == replay_report["psi"]
+        assert live_report["ks"] == replay_report["ks"]
+        assert live.extra["health"]["n_series"] == replay["n_series"] == 72
+
+    def test_stop_with_a_client_connected_logs_no_error(
+        self, serving_engine, caplog
+    ):
+        """A client still attached when the server stops (a ``repro top
+        --connect`` left running) ends without an asyncio error."""
+        import logging
+
+        with ServingDaemon(
+            serving_engine, n_shards=1, shard_backend="inline"
+        ) as daemon:
+            server = SocketServer(daemon, port=0).start()
+            with socket_mod.create_connection(server.address) as conn:
+                conn.settimeout(60)
+                stream = conn.makefile("rwb")
+                assert _health_line(stream, b'{"id":"h","mode":"health"}').ok
+                with caplog.at_level(logging.ERROR, logger="asyncio"):
+                    server.stop()
+                assert stream.readline() == b""  # the server closed it
+        assert not [r for r in caplog.records if r.name == "asyncio"]

@@ -1,10 +1,10 @@
 """Serving-path degradation: member drops, quarantine, and static fallback.
 
 These tests poison ensemble members through the ``ensemble.member`` fault
-site and assert the monitored serving path *degrades* — drops the failing
-member, eventually quarantines it, or answers from the static fallback —
-while the request itself always succeeds and every degradation leaves an
-observable trace (counters, observer events, health-snapshot sections).
+site and assert the serving daemon *degrades* — drops the failing member,
+eventually quarantines it, or answers from the static fallback — while
+the request itself always succeeds and every degradation leaves an
+observable trace (counters, metrics, health-snapshot sections).
 """
 
 from __future__ import annotations
@@ -16,12 +16,7 @@ import pytest
 
 from repro import ADarts, ModelRaceConfig, TimeSeries
 from repro.core.voting import MEMBER_QUARANTINE_THRESHOLD
-from repro.observability import (
-    InferenceMonitor,
-    MetricsRegistry,
-    RecordingServingObserver,
-    use_metrics,
-)
+from repro.observability import MetricsRegistry, use_metrics
 from repro.pipeline.scoring import ScoreWeights
 from repro.resilience import (
     FaultPlan,
@@ -29,6 +24,7 @@ from repro.resilience import (
     reset_resilience_stats,
     use_fault_injector,
 )
+from repro.serving import RepairRequest, ServingDaemon
 
 pytestmark = pytest.mark.chaos
 
@@ -84,107 +80,118 @@ def _poison(match=None, **kwargs):
     )
 
 
+def _daemon(engine, batch):
+    """One inline shard that serves ``batch`` requests as one batch."""
+    return ServingDaemon(
+        engine, n_shards=1, shard_backend="inline", max_batch=batch,
+        max_delay_s=1.0,
+    )
+
+
+def _serve(daemon, series):
+    """One batch of recommend requests; blocks for the responses."""
+    futures = daemon.submit_many([
+        RepairRequest(id=f"r{i}", values=s.values, mode="recommend")
+        for i, s in enumerate(series)
+    ])
+    return [future.result(timeout=60) for future in futures]
+
+
 class TestMemberDegradation:
     def test_failing_member_is_dropped_not_fatal(self, engine_and_series):
         engine, series = engine_and_series
-        observer = RecordingServingObserver()
-        monitor = InferenceMonitor(engine, observer=observer)
-        with use_fault_injector(_poison(match="#0").injector()):
-            recs = monitor.recommend_many(series[:3])
-        assert len(recs) == 3
-        assert all(rec.degraded for rec in recs)
-        assert monitor.n_degraded == 1
-        assert monitor.n_fallback == 0
-        detail = engine.last_vote_detail_
-        assert detail is not None and detail.degraded
-        assert any(name.endswith("#0") for name in detail.failed_members)
-        assert detail.used_members  # the healthy member still voted
-        degraded = observer.of_type("degraded")
-        assert len(degraded) == 1
-        assert degraded[0]["detail"] is detail
+        with _daemon(engine, 3) as daemon:
+            with use_fault_injector(_poison(match="#0").injector()):
+                responses = _serve(daemon, series[:3])
+            snapshot = daemon.health()
+        assert [r.status for r in responses] == [200] * 3
+        assert all(r.degraded for r in responses)
+        assert snapshot.resilience["degraded_requests"] == 3
+        assert snapshot.resilience["fallback_requests"] == 0
+        # Member #0 failed the one vote; the healthy member still voted.
+        assert snapshot.resilience["process"]["member_failures"] == 1
+        assert snapshot.disagreement["count"] == 3
 
     def test_degradation_counters_recorded(self, engine_and_series):
         engine, series = engine_and_series
         registry = MetricsRegistry()
-        with use_metrics(registry):
-            monitor = InferenceMonitor(engine)
+        with use_metrics(registry), _daemon(engine, 2) as daemon:
             with use_fault_injector(_poison(match="#0").injector()):
-                monitor.recommend_many(series[:2])
+                _serve(daemon, series[:2])
         text = registry.to_prometheus()
-        assert "repro_serving_degraded_total 1" in text
+        assert "repro_inference_degraded_total 1" in text
         assert "repro_ensemble_member_failures_total" in text
 
     def test_repeated_failures_quarantine_member_once(self, engine_and_series):
         engine, series = engine_and_series
-        observer = RecordingServingObserver()
-        monitor = InferenceMonitor(engine, observer=observer)
-        with use_fault_injector(_poison(match="#0").injector()):
-            for _ in range(MEMBER_QUARANTINE_THRESHOLD + 2):
-                monitor.recommend_many(series[:2])
-        quarantined = engine._ensemble.quarantined_members
-        assert any(name.endswith("#0") for name in quarantined)
-        announcements = observer.of_type("member_quarantined")
-        assert len(announcements) == 1  # announced exactly once
-        assert announcements[0]["member"].endswith("#0")
-        # Post-quarantine requests skip the member but still answer.
-        recs = monitor.recommend_many(series[:2])
-        assert len(recs) == 2
-        assert all(rec.degraded for rec in recs)
+        with _daemon(engine, 2) as daemon:
+            with use_fault_injector(_poison(match="#0").injector()):
+                for _ in range(MEMBER_QUARANTINE_THRESHOLD + 2):
+                    _serve(daemon, series[:2])
+            quarantined = daemon.quarantined_members()
+            # Post-quarantine requests skip the member but still answer.
+            responses = _serve(daemon, series[:2])
+            members = daemon.health().resilience["quarantined_members"]
+        assert len(quarantined) == 1 and quarantined[0].endswith("#0")
+        assert members == quarantined  # listed once
+        assert [r.status for r in responses] == [200, 200]
+        assert all(r.degraded for r in responses)
 
     def test_full_ensemble_failure_serves_static_fallback(
         self, engine_and_series
     ):
         engine, series = engine_and_series
-        observer = RecordingServingObserver()
-        monitor = InferenceMonitor(engine, observer=observer)
-        with use_fault_injector(_poison().injector()):  # every member
-            recs = monitor.recommend_many(series[:4])
-        assert len(recs) == 4
-        assert all(rec.degraded for rec in recs)
+        with _daemon(engine, 4) as daemon:
+            with use_fault_injector(_poison().injector()):  # every member
+                responses = _serve(daemon, series[:4])
+            snapshot = daemon.health()
+        assert [r.status for r in responses] == [200] * 4
+        assert all(r.degraded for r in responses)
         # The documented fallback preference: "linear" when trained on it.
-        assert {rec.algorithm for rec in recs} == {"linear"}
-        assert monitor.n_fallback == 1
-        assert engine.last_vote_detail_ is None
-        degraded = observer.of_type("degraded")
-        assert len(degraded) == 1 and degraded[0]["detail"] is None
+        assert {r.algorithm for r in responses} == {"linear"}
+        assert snapshot.resilience["fallback_requests"] == 4
+        assert snapshot.resilience["degraded_requests"] == 4
+        # A fallback answer has no vote to disagree about.
+        assert snapshot.disagreement["count"] == 0
 
     def test_healthy_requests_are_not_flagged(self, engine_and_series):
         engine, series = engine_and_series
-        monitor = InferenceMonitor(engine)
-        recs = monitor.recommend_many(series[:3])
-        assert len(recs) == 3
-        assert not any(rec.degraded for rec in recs)
-        assert monitor.n_degraded == 0
-        assert monitor.n_fallback == 0
+        with _daemon(engine, 3) as daemon:
+            responses = _serve(daemon, series[:3])
+            stats = daemon.stats()
+        assert [r.status for r in responses] == [200] * 3
+        assert not any(r.degraded for r in responses)
+        assert stats["degraded"] == 0
+        assert stats["fallback"] == 0
 
 
 class TestHealthSnapshotResilience:
-    def _degraded_monitor(self, engine, series):
-        monitor = InferenceMonitor(engine)
+    def _degraded_daemon(self, engine, series):
+        daemon = _daemon(engine, 2).start()
         with use_fault_injector(_poison(match="#0").injector()):
             for _ in range(MEMBER_QUARANTINE_THRESHOLD):
-                monitor.recommend_many(series[:2])
-        return monitor
+                _serve(daemon, series[:2])
+        return daemon
 
     def test_snapshot_reports_degradation(self, engine_and_series):
         engine, series = engine_and_series
-        monitor = self._degraded_monitor(engine, series)
-        snapshot = monitor.snapshot()
+        with self._degraded_daemon(engine, series) as daemon:
+            snapshot = daemon.health()
         resilience = snapshot.resilience
-        assert resilience["degraded_requests"] == MEMBER_QUARANTINE_THRESHOLD
+        assert resilience["degraded_requests"] == 2 * MEMBER_QUARANTINE_THRESHOLD
         assert resilience["fallback_requests"] == 0
         assert any(m.endswith("#0") for m in resilience["quarantined_members"])
         assert "member_failures" in resilience["process"]
         alerts = snapshot.alerts
-        assert alerts["degraded_requests"] == MEMBER_QUARANTINE_THRESHOLD
+        assert alerts["degraded_requests"] == 2 * MEMBER_QUARANTINE_THRESHOLD
         assert alerts["quarantined_members"] >= 1
         document = snapshot.as_dict()
         assert document["resilience"] == resilience
 
     def test_snapshot_prometheus_exposition(self, engine_and_series):
         engine, series = engine_and_series
-        monitor = self._degraded_monitor(engine, series)
-        text = monitor.snapshot().to_prometheus()
+        with self._degraded_daemon(engine, series) as daemon:
+            text = daemon.health().to_prometheus()
         assert "repro_serving_degraded_total" in text
         assert "repro_serving_fallback_total" in text
         assert "repro_serving_quarantined_members 1" in text
@@ -192,9 +199,9 @@ class TestHealthSnapshotResilience:
 
     def test_clean_monitor_reports_zeroes(self, engine_and_series):
         engine, series = engine_and_series
-        monitor = InferenceMonitor(engine)
-        monitor.recommend_many(series[:2])
-        snapshot = monitor.snapshot()
+        with _daemon(engine, 2) as daemon:
+            _serve(daemon, series[:2])
+            snapshot = daemon.health()
         assert snapshot.resilience["degraded_requests"] == 0
         assert snapshot.resilience["fallback_requests"] == 0
         assert snapshot.resilience["quarantined_members"] == []

@@ -1,11 +1,11 @@
 """End-to-end serving observability: train, serve, drift, health document.
 
 The acceptance scenario for the serving layer: train A-DARTS on a
-synthetic corpus, push >= 200 recommendations through an
-:class:`InferenceMonitor`, verify that in-distribution traffic does NOT
-trigger the drift detector, then inject feature-shifted series and
-verify that it DOES — and that the resulting health document renders in
-both JSON and Prometheus forms.
+synthetic corpus, push >= 200 recommendations through a
+:class:`~repro.serving.ServingDaemon`, verify that in-distribution
+traffic does NOT trigger its drift detector, then inject feature-shifted
+series and verify that it DOES — and that the resulting health document
+renders in both JSON and Prometheus forms.
 
 When ``REPRO_HEALTH_SNAPSHOT_OUT`` is set (CI does this), the final
 health snapshot is also written there so the workflow can upload it as
@@ -24,7 +24,7 @@ import pytest
 from repro import ADarts, ModelRaceConfig, TimeSeries
 from repro.observability import (
     ClusterAtlas,
-    InferenceMonitor,
+    DriftDetector,
     RecordingServingObserver,
     RepairLedger,
     Tracer,
@@ -34,6 +34,7 @@ from repro.observability import (
     use_tracer,
 )
 from repro.pipeline.scoring import ScoreWeights
+from repro.serving import RepairRequest, ServingDaemon
 
 FAST_CONFIG = ModelRaceConfig(
     n_partial_sets=2, n_folds=2, max_elite=2, random_state=0,
@@ -82,6 +83,24 @@ def _shifted_series(rng, n):
     ]
 
 
+def _daemon(engine, batch, **kwargs):
+    """One inline shard serving ``batch`` requests per batch."""
+    return ServingDaemon(
+        engine, n_shards=1, shard_backend="inline", max_batch=batch,
+        max_delay_s=1.0, **kwargs,
+    )
+
+
+def _serve(daemon, series):
+    """One recommend request per series; blocks for the answers."""
+    futures = daemon.submit_many([
+        RepairRequest(id=s.name, values=s.values, mode="recommend",
+                      name=s.name)
+        for s in series
+    ])
+    return [future.result(timeout=60) for future in futures]
+
+
 @pytest.fixture(scope="module")
 def trained_engine():
     rng = np.random.default_rng(42)
@@ -100,21 +119,18 @@ class TestServingEndToEnd:
         engine, corpus = trained_engine
         rng = np.random.default_rng(99)
         observer = RecordingServingObserver()
-        monitor = InferenceMonitor(
-            engine,
-            drift_window=128,
-            drift_min_samples=64,
-            observer=observer,
+        detector = DriftDetector(
+            engine.feature_baseline_, window_size=128, min_samples=64
         )
+        detector.add_observer(observer)
+        daemon = _daemon(engine, 8, drift_detector=detector).start()
 
         # -- phase 1: >= 200 in-distribution recommendations --------------
         live = _in_distribution_series(rng, 200, corpus)
         for start in range(0, len(live), 8):
-            monitor.recommend_many(live[start : start + 8])
-        assert monitor.n_series >= 200
-        assert monitor.n_requests == 25
-        detector = monitor.drift_detector
-        assert detector is not None
+            _serve(daemon, live[start : start + 8])
+        views = daemon.slo_tracker.views()
+        assert views["n_series"] == views["n_requests"] == 200
         assert detector.last_report is not None, "drift window warmed up"
         assert not detector.last_report.triggered, (
             f"in-distribution traffic must not trigger drift "
@@ -122,23 +138,21 @@ class TestServingEndToEnd:
         )
         assert detector.n_alerts == 0
         assert observer.of_type("drift_alert") == []
-        assert len(observer.of_type("request")) == 25
 
         # Confidence/disagreement views carry plausible values.
-        views = monitor.slo_tracker.views()
         confidence = views["confidence"]
-        assert confidence["count"] == monitor.n_series
+        assert confidence["count"] == 200
         assert confidence["min"] > 0.0 and confidence["max"] <= 1.0
-        assert views["disagreement"]["count"] == monitor.n_series
+        assert views["disagreement"]["count"] == 200
         assert views["disagreement"]["min"] >= 0.0
         mix = views["recommendation_mix"]["counts"]
-        assert sum(mix.values()) == monitor.n_series
+        assert sum(mix.values()) == 200
         assert set(mix) <= {"linear", "mean"}
 
         # -- phase 2: feature-shifted traffic triggers the detector --------
         shifted = _shifted_series(rng, 160)
         for start in range(0, len(shifted), 8):
-            monitor.recommend_many(shifted[start : start + 8])
+            _serve(daemon, shifted[start : start + 8])
         assert detector.last_report.triggered, (
             f"shifted traffic must trigger drift "
             f"(max PSI {detector.last_report.max_psi:.3f})"
@@ -149,7 +163,8 @@ class TestServingEndToEnd:
         assert alerts[0]["report"].max_psi > detector.psi_threshold
 
         # -- phase 3: the health document, both renderings -----------------
-        snapshot = monitor.snapshot()
+        snapshot = daemon.health()
+        daemon.stop()
         document = json.loads(snapshot.to_json())
         assert document["n_series"] == 360
         assert document["latency"]["count"] > 0
@@ -184,16 +199,13 @@ class TestServingEndToEnd:
         engine, corpus = trained_engine
         rng = np.random.default_rng(5)
         series = _in_distribution_series(rng, 10, corpus)
-        monitor = InferenceMonitor(engine)
-        monitored = monitor.recommend_many(series)
+        with _daemon(engine, 10) as daemon:
+            served = _serve(daemon, series)
         bare = engine.recommend_many(series)
-        for a, b in zip(monitored, bare):
+        for a, b in zip(served, bare):
             assert a.algorithm == b.algorithm
             assert a.ranking == b.ranking
-            assert np.allclose(
-                sorted(a.probabilities.values()),
-                sorted(b.probabilities.values()),
-            )
+            assert a.confidence == b.probabilities[b.algorithm]
 
     def test_ledger_and_scorecards_during_serving(
         self, trained_engine, tmp_path
@@ -213,26 +225,28 @@ class TestServingEndToEnd:
 
         ledger_path = tmp_path / "serving_ledger.jsonl"
         ledger = RepairLedger(ledger_path)
-        monitor = InferenceMonitor(engine, drift_min_samples=8)
         rng = np.random.default_rng(7)
         live = _in_distribution_series(rng, 24, corpus)
-        with use_tracer(Tracer()), use_ledger(ledger):
-            recommendations = monitor.recommend_many(live)
+        try:
+            with use_tracer(Tracer()), use_ledger(ledger), \
+                    _daemon(engine, 24) as daemon:
+                _serve(daemon, live)
+                snapshot = daemon.health()
+        finally:
+            engine.cluster_atlas_ = None
         ledger.close()
 
         # Every served series produced a repair row with full lineage.
         rows = read_ledger(ledger_path)
         repairs = [r for r in rows if r["kind"] == "repair"]
         assert len(repairs) == 24
-        assert all(r["data"]["source"] == "monitor" for r in repairs)
+        assert [r["data"]["series"] for r in repairs] == [s.name for s in live]
         assert all(r["trace_id"] for r in repairs), (
-            "monitor spans must stamp trace ids onto ledger rows"
+            "the engine's span must stamp trace ids onto ledger rows"
         )
         assert all(r["data"]["cluster"]["cluster"] for r in repairs)
-        assert all(rec.repair_id for rec in recommendations)
 
         # Scorecards accumulate per imputer and per cluster.
-        snapshot = monitor.snapshot()
         cards = snapshot.scorecards
         assert set(cards["per_imputer"]) <= {"linear", "mean"}
         assert sum(c["n"] for c in cards["per_imputer"].values()) == 24
@@ -245,12 +259,12 @@ class TestServingEndToEnd:
 
         # The audited ledger cards are the same fold as the live ones.
         audited = summarize_ledger(rows)["repairs"]
-        for live, ledger_view in (
+        for live_cards, ledger_view in (
             (cards["per_imputer"], audited["per_algorithm"]),
             (cards["per_cluster"], audited["per_cluster"]),
         ):
-            assert list(live) == list(ledger_view)
-            for name, card in live.items():
+            assert list(live_cards) == list(ledger_view)
+            for name, card in live_cards.items():
                 other = ledger_view[name]
                 assert (card["n"], card["degraded"]) == (
                     other["n"], other["degraded"]
@@ -278,12 +292,13 @@ class TestServingEndToEnd:
         engine, corpus = trained_engine
         rng = np.random.default_rng(13)
         series = _in_distribution_series(rng, 6, corpus)
-        monitor = InferenceMonitor(engine)
-        recommendations = monitor.recommend_many(series)
-        # No ledger installed: no repair ids, but scorecards still work.
-        assert all(rec.repair_id is None for rec in recommendations)
-        cards = monitor.snapshot().scorecards
+        # No ledger installed: no repair rows, but scorecards still work.
+        with _daemon(engine, 6) as daemon:
+            served = _serve(daemon, series)
+            cards = daemon.health().scorecards
+        assert all(r.status == 200 for r in served)
         assert sum(c["n"] for c in cards["per_imputer"].values()) == 6
+        assert cards["per_cluster"] == {}
 
     def test_baseline_survives_save_load(self, trained_engine, tmp_path):
         from repro.core.serialization import load_engine, save_engine
@@ -292,11 +307,9 @@ class TestServingEndToEnd:
         path = save_engine(engine, tmp_path / "engine.json")
         restored = load_engine(path)
         assert restored.feature_baseline_ is not None
-        monitor = InferenceMonitor(restored, drift_min_samples=8)
-        assert monitor.drift_detector is not None
+        detector = DriftDetector(restored.feature_baseline_, min_samples=8)
         rng = np.random.default_rng(3)
-        recs = monitor.recommend_many(
-            _in_distribution_series(rng, 8, corpus)
-        )
-        assert len(recs) == 8
-        assert monitor.drift_detector.last_report is not None
+        with _daemon(restored, 8, drift_detector=detector) as daemon:
+            served = _serve(daemon, _in_distribution_series(rng, 8, corpus))
+        assert len(served) == 8
+        assert detector.last_report is not None

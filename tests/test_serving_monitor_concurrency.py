@@ -1,12 +1,13 @@
-"""Thread-safety regression tests for the monitor/drift serving plane.
+"""Thread-safety regression tests for the daemon's telemetry plane.
 
-The serving daemon is the first genuinely multi-threaded caller of
-:class:`InferenceMonitor` — its batch executor can run
-``recommend_many`` from several threads at once.  These tests hammer one
-monitor from 8 threads and assert the bookkeeping is *exact*: ledger row
-counts, request/series counters, recommendation-mix totals, and
-once-per-excursion alert announcement (previously racy check-then-act
-on ``_announced_quarantined`` and ``DriftDetector._alert_active``).
+The serving daemon runs batches on one executor thread per shard, and
+inline shards share one engine, so ``recommend_many``, the sink and the
+drift detector are all entered from several threads at once.  These
+tests hammer a 4-shard inline daemon from 8 client threads and assert
+the bookkeeping is *exact*: ledger row counts, request/series counters,
+recommendation-mix totals, drift-window row counts, the quarantined
+member list, and once-per-excursion alert announcement (previously racy
+check-then-act on ``DriftDetector._alert_active``).
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ import numpy as np
 import pytest
 
 from repro.observability import (
-    InferenceMonitor,
     RecordingServingObserver,
     RepairLedger,
     read_ledger,
     use_ledger,
 )
 from repro.observability.serving import DriftDetector
+from repro.serving import RepairRequest, ServingDaemon
 from repro.timeseries import TimeSeries
 
 N_THREADS = 8
@@ -49,15 +50,27 @@ def _request_batches(seed: int):
     return batches
 
 
-def _hammer(monitor, n_threads=N_THREADS):
-    """Run ``recommend_many`` concurrently; re-raise any worker error."""
+def _daemon(engine, **kwargs):
+    """Four inline shards over one engine, BATCH requests per batch."""
+    return ServingDaemon(
+        engine, n_shards=4, shard_backend="inline", max_batch=BATCH,
+        max_delay_s=0.002, **kwargs,
+    )
+
+
+def _hammer(daemon, n_threads=N_THREADS):
+    """Submit batches from concurrent clients; re-raise any worker error."""
     errors = []
 
     def worker(seed):
         try:
             for batch in _request_batches(seed):
-                out = monitor.recommend_many(batch)
-                assert len(out) == len(batch)
+                futures = daemon.submit_many([
+                    RepairRequest(id=s.name, values=s.values, mode="recommend")
+                    for s in batch
+                ])
+                out = [future.result(timeout=120) for future in futures]
+                assert [r.status for r in out] == [200] * len(batch)
         except Exception as exc:  # pragma: no cover - failure path
             errors.append(exc)
 
@@ -74,28 +87,27 @@ def _hammer(monitor, n_threads=N_THREADS):
 class TestMonitorHammer:
     def test_counters_and_ledger_rows_exact(self, serving_engine, tmp_path):
         path = tmp_path / "ledger.jsonl"
-        monitor = InferenceMonitor(serving_engine)
-        expected_requests = N_THREADS * N_CALLS
-        expected_series = expected_requests * BATCH
+        expected_series = N_THREADS * N_CALLS * BATCH
+        with use_ledger(RepairLedger(path)), _daemon(serving_engine) as daemon:
+            _hammer(daemon)
+            snapshot = daemon.health()
+            stats = daemon.stats()
 
-        with use_ledger(RepairLedger(path)):
-            _hammer(monitor)
-
-        assert monitor.n_requests == expected_requests
-        assert monitor.n_series == expected_series
-        views = monitor.slo_tracker.views()
+        assert stats["served"] == expected_series
+        views = daemon.slo_tracker.views()
+        assert views["n_requests"] == views["n_series"] == expected_series
         assert sum(views["recommendation_mix"]["counts"].values()) == (
             expected_series
         )
-        assert views["latency"]["count"] == expected_requests
+        assert views["latency"]["count"] == expected_series
         assert views["series_latency"]["count"] == expected_series
+        assert views["disagreement"]["count"] == expected_series
         # One provenance row per served series, none lost or duplicated.
         rows = [r for r in read_ledger(path) if r["kind"] == "repair"]
         assert len(rows) == expected_series
         assert len({r["id"] for r in rows}) == expected_series
 
-        snapshot = monitor.snapshot()
-        assert snapshot.n_requests == expected_requests
+        assert snapshot.n_requests == expected_series
         assert snapshot.n_series == expected_series
         mix = snapshot.recommendation_mix["counts"]
         assert sum(mix.values()) == expected_series
@@ -106,8 +118,9 @@ class TestMonitorHammer:
             window_size=128,
             min_samples=16,
         )
-        monitor = InferenceMonitor(serving_engine, drift_detector=detector)
-        _hammer(monitor)
+        with _daemon(serving_engine, drift_detector=detector) as daemon:
+            _hammer(daemon)
+            daemon.health()
         # Every series pushed exactly one vector into the drift window.
         assert detector._total == N_THREADS * N_CALLS * BATCH
         # The hammer traffic is one persistent excursion relative to the
@@ -158,8 +171,8 @@ class TestOncePerExcursionUnderConcurrency:
         assert len(observer.of_type("drift_alert")) == 1
 
     def test_member_quarantine_announced_once(self, serving_engine):
-        """Concurrent recommend_many calls seeing the same quarantined
-        ensemble member announce it exactly once."""
+        """Concurrent batches on four shards that all see the same
+        quarantined ensemble member list it exactly once."""
 
         class QuarantinedEnsemble:
             """Wraps the engine's ensemble, reporting one quarantine."""
@@ -171,14 +184,12 @@ class TestOncePerExcursionUnderConcurrency:
             def __getattr__(self, name):
                 return getattr(self._inner, name)
 
-        monitor = InferenceMonitor(serving_engine)
-        observer = RecordingServingObserver()
-        monitor.add_observer(observer)
         original = serving_engine._ensemble
         serving_engine._ensemble = QuarantinedEnsemble(original)
         try:
-            _hammer(monitor)
+            with _daemon(serving_engine) as daemon:
+                _hammer(daemon)
+                resilience = daemon.health().resilience
         finally:
             serving_engine._ensemble = original
-        quarantines = observer.of_type("member_quarantined")
-        assert [q["member"] for q in quarantines] == ["member-7"]
+        assert resilience["quarantined_members"] == ["member-7"]
