@@ -26,7 +26,8 @@ import numpy as np
 
 from conftest import emit
 from repro import ADarts, ModelRaceConfig, TimeSeries
-from repro.observability import ClusterAtlas, RepairLedger, read_ledger, use_ledger
+from repro.clustering.atlas import ClusterAtlas
+from repro.observability import RepairLedger, read_ledger, use_ledger
 from repro.pipeline.scoring import ScoreWeights
 
 TINY = os.environ.get("REPRO_BENCH_TINY", "") not in ("", "0")

@@ -16,7 +16,7 @@ from repro import ADarts, ModelRaceConfig
 from repro.clustering.labeling import ClusterLabeler
 from repro.datasets import load_category
 from repro.imputation import BaseImputer, register_imputer
-from repro.imputation.base import interpolate_rows
+from repro.imputation.base import interpolate_rows_block
 
 
 @register_imputer
@@ -43,7 +43,7 @@ class SeasonalMeanImputer(BaseImputer):
         return best_lag
 
     def _impute(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        out = interpolate_rows(X)
+        out = interpolate_rows_block(X, mask)
         for i in range(X.shape[0]):
             if not mask[i].any():
                 continue

@@ -1,5 +1,6 @@
 """Clustering and label propagation for cheap dataset labeling (Section VI)."""
 
+from repro.clustering.atlas import ClusterAtlas
 from repro.clustering.incremental import (
     IncrementalClustering,
     correlation_gain,
@@ -8,6 +9,7 @@ from repro.clustering.kshape import KShape, kshape_grid_search, kshape_iterative
 from repro.clustering.labeling import ClusterLabeler, LabeledCorpus
 
 __all__ = [
+    "ClusterAtlas",
     "IncrementalClustering",
     "correlation_gain",
     "KShape",

@@ -17,7 +17,8 @@ import numpy as np
 from repro.clustering.incremental import IncrementalClustering
 from repro.exceptions import ValidationError
 from repro.observability import get_logger, get_metrics, get_tracer
-from repro.observability.ledger import ClusterAtlas, get_ledger
+from repro.clustering.atlas import ClusterAtlas
+from repro.observability.ledger import get_ledger
 from repro.imputation.base import BaseImputer, get_imputer
 from repro.imputation.evaluation import rank_imputers
 from repro.parallel import ExecutionEngine, ParallelConfig
@@ -76,7 +77,7 @@ class LabeledCorpus:
         How many full algorithm races were executed (cluster count), the
         cost the clustering amortizes.
     atlas:
-        Fit-time :class:`~repro.observability.ledger.ClusterAtlas` — one
+        Fit-time :class:`~repro.clustering.atlas.ClusterAtlas` — one
         z-normalized representative + winning label per cluster, used at
         serving time to assign incoming series a cluster (and NCC) for
         repair provenance rows and per-cluster scorecards.

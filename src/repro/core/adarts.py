@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.clustering.atlas import ClusterAtlas
 from repro.clustering.labeling import ClusterLabeler, LabeledCorpus
 from repro.parallel import FeatureCache, ParallelConfig
 from repro.core.config import ModelRaceConfig
@@ -39,7 +40,6 @@ from repro.observability import (
     resource_stamp,
 )
 from repro.observability.ledger import (
-    ClusterAtlas,
     get_ledger,
     new_id,
     repair_context,
@@ -87,9 +87,13 @@ class Recommendation:
         ``None`` when the static fallback answered.
     features:
         The series' feature row, as the vote saw it.
+    cluster:
+        The series' :class:`~repro.clustering.atlas.ClusterAtlas`
+        assignment (``{"cluster", "ncc", "label"}``) when the ledger
+        annotation made one, so serving need not assign again.
 
-    ``disagreement`` and ``features`` are serving telemetry, not part of
-    the answer: they take no part in equality.
+    ``disagreement``, ``features`` and ``cluster`` are serving telemetry,
+    not part of the answer: they take no part in equality.
     """
 
     algorithm: str
@@ -99,6 +103,7 @@ class Recommendation:
     repair_id: str | None = None
     disagreement: float | None = field(default=None, compare=False)
     features: np.ndarray | None = field(default=None, compare=False, repr=False)
+    cluster: dict | None = field(default=None, compare=False, repr=False)
 
     def impute(self, series: TimeSeries) -> TimeSeries:
         """Apply the recommended algorithm to the faulty series.
@@ -418,8 +423,9 @@ class ADarts:
     ) -> list[Recommendation]:
         """Emit one ``repair`` provenance row per recommendation.
 
-        Returns the recommendations with their ``repair_id`` filled in
-        (via :func:`dataclasses.replace`); a no-op pass-through when no
+        Returns the recommendations with their ``repair_id`` and atlas
+        assignment (``cluster``) filled in (via
+        :func:`dataclasses.replace`); a no-op pass-through when no
         ledger is installed.  ``detail`` is the vote's
         :class:`~repro.core.voting.VoteDetail`, or ``None`` when the
         static fallback answered.
@@ -474,7 +480,7 @@ class ADarts:
                 },
                 record_id=new_id("rep"),
             )
-            out.append(replace(rec, repair_id=repair_id))
+            out.append(replace(rec, repair_id=repair_id, cluster=assignment))
         return out
 
     def recommend_many(self, series_list) -> list[Recommendation]:

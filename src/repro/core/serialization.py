@@ -21,7 +21,8 @@ from repro.core.adarts import ADarts
 from repro.core.voting import MajorityVotingEnsemble, SoftVotingEnsemble
 from repro.exceptions import NotFittedError, ValidationError
 from repro.features.extractor import FeatureExtractor
-from repro.observability.ledger import ClusterAtlas, upgrade_record
+from repro.clustering.atlas import ClusterAtlas
+from repro.observability.ledger import upgrade_record
 from repro.observability.serving import FeatureBaseline
 from repro.pipeline.pipeline import Pipeline
 
@@ -104,7 +105,11 @@ def export_engine(engine: ADarts) -> dict:
 
 
 def import_engine(document: dict) -> ADarts:
-    """Rebuild a fitted engine from :func:`export_engine`'s output."""
+    """Rebuild a fitted engine from :func:`export_engine`'s output.
+
+    A malformed document (a missing key, or a value of the wrong type or
+    shape, in any section) raises :class:`ValidationError`.
+    """
     if not isinstance(document, dict):
         raise ValidationError(
             f"engine document must be a JSON object, got "
@@ -117,16 +122,20 @@ def import_engine(document: dict) -> ADarts:
             f"(expected {FORMAT_VERSION})"
         )
     try:
-        extractor = FeatureExtractor(**document["extractor"])
-        engine = ADarts(extractor=extractor, voting=document["voting"])
-        X = np.asarray(document["training_features"], dtype=float)
-        y = np.asarray(document["training_labels"], dtype=object)
+        return _build_engine(document)
     except KeyError as exc:
         raise ValidationError(
             f"engine document is missing required key {exc}"
         ) from None
-    except TypeError as exc:
+    except (TypeError, ValueError, AttributeError, IndexError) as exc:
         raise ValidationError(f"malformed engine document: {exc}") from None
+
+
+def _build_engine(document: dict) -> ADarts:
+    extractor = FeatureExtractor(**document["extractor"])
+    engine = ADarts(extractor=extractor, voting=document["voting"])
+    X = np.asarray(document["training_features"], dtype=float)
+    y = np.asarray(document["training_labels"], dtype=object)
     members = []
     for spec in document.get("pipelines", []):
         pipeline = Pipeline(

@@ -94,6 +94,11 @@ class FeatureExtractor:
         self.use_missing_pattern = bool(use_missing_pattern)
         self.embedding_dimension = int(embedding_dimension)
         self.embedding_delay = int(embedding_delay)
+        if self.embedding_dimension < 1 or self.embedding_delay < 1:
+            raise ValidationError(
+                "embedding dimension and delay must be >= 1, got "
+                f"{self.embedding_dimension}, {self.embedding_delay}"
+            )
         self.cache = cache
         names: list[str] = []
         if self.use_statistical:

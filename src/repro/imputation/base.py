@@ -1,24 +1,24 @@
-"""Imputer base class, shared matrix helpers, and the algorithm registry.
+"""Imputer base class, row interpolation, and the algorithm registry.
 
 Conventions
 -----------
 * Input/output matrices have shape ``(n_series, length)`` — one row per time
   series, NaN marking missing values (matching
   :meth:`repro.timeseries.TimeSeriesDataset.to_matrix`).
-* :meth:`BaseImputer.impute` validates, copies, dispatches to ``_impute``,
-  and guarantees observed entries are returned untouched.
-* :meth:`BaseImputer.impute_many` is the corpus-scale batch entry point:
-  many *independent* imputation problems at once, shape-grouped into
-  ``(B, n, L)`` stacks and dispatched to ``_impute_block`` (vectorized in
-  the closed-form and SVD-family subclasses, a per-problem fallback loop
-  everywhere else), with a parity contract of ``<= 1e-9`` against the
-  scalar ``impute`` loop.
+* There is one imputation path.  :meth:`BaseImputer.impute_many`
+  validates many independent problems, stacks equal shapes into
+  ``(B, n, L)`` blocks, dispatches each block to ``_impute_block``,
+  checks the output, restores observed entries, and emits metrics and
+  ledger rows.  :meth:`BaseImputer.impute` is ``impute_many([X])[0]``.
+* Each (imputer, problem shape) pair has exactly one kernel: either the
+  imputer's ``_impute_block`` handles the shape, or the default
+  ``_impute_block`` loops the imputer's per-problem ``_impute``.  The
+  scalar loops that the block kernels replaced are parity oracles in
+  ``tests/imputer_oracles.py``.
 * Algorithms never mutate their input.
 """
 
 from __future__ import annotations
-
-from abc import ABC, abstractmethod
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from repro.observability.resources import get_accounting
 from repro.observability.ledger import (
     current_repair_id,
     get_ledger,
-    repair_quality_stats,
     repair_quality_stats_block,
 )
 from repro.resilience import (
@@ -40,97 +39,66 @@ from repro.timeseries.series import TimeSeries, TimeSeriesDataset
 from repro.utils.timing import Timer
 
 
-def interpolate_rows(X: np.ndarray) -> np.ndarray:
-    """Fill NaNs in each row by linear interpolation with edge extension.
-
-    Rows with no observed values are filled with the global observed mean
-    (0.0 when the whole matrix is missing).
-    """
-    out = X.copy()
-    observed_all = X[~np.isnan(X)]
-    global_mean = float(observed_all.mean()) if observed_all.size else 0.0
-    for i in range(out.shape[0]):
-        row = out[i]
-        mask = np.isnan(row)
-        if not mask.any():
-            continue
-        obs_idx = np.flatnonzero(~mask)
-        if obs_idx.size == 0:
-            row[:] = global_mean
-            continue
-        row[mask] = np.interp(np.flatnonzero(mask), obs_idx, row[obs_idx])
-    return out
-
-
 def interpolate_rows_block(X3: np.ndarray, mask3: np.ndarray) -> np.ndarray:
-    """Batched :func:`interpolate_rows` over a ``(B, n, L)`` problem stack.
+    """Fill NaNs in every row of a ``(B, n, L)`` problem stack.
 
-    Every row of every problem is linearly interpolated with edge
-    extension using the exact arithmetic of ``np.interp`` (segment slope
-    first, then ``slope * (t - t_prev) + v_prev``), so the result matches
-    the per-problem scalar reference bit-for-bit on interior gaps and
-    edges.  Rows with no observed values take their *problem's* global
-    observed mean, mirroring the scalar per-matrix fallback.
+    Each row is linearly interpolated with edge extension, using the
+    arithmetic of ``np.interp`` (segment slope first, then
+    ``slope * (t - t_prev) + v_prev``), so a row gets the same bytes as
+    ``np.interp`` would give it.  Rows with no observed values take their
+    problem's observed mean (0.0 when the whole problem is missing).
 
     Also accepts a 2-D ``(n, L)`` pair (treated as one problem).
     """
     X3 = np.asarray(X3)
-    mask3 = np.asarray(mask3, dtype=bool)
-    squeeze = X3.ndim == 2
-    if squeeze:
-        X3 = X3[None]
-        mask3 = mask3[None]
-    B, n, L = X3.shape
-    rows = X3.reshape(B * n, L)
-    miss = mask3.reshape(B * n, L)
-    obs = ~miss
+    shape = X3.shape
+    n, L = shape[-2:]
+    rows = X3.reshape(-1, L)
+    miss = np.asarray(mask3, dtype=bool).reshape(rows.shape)
     out = rows.copy()
-    if not miss.any():
-        return out[0].reshape(n, L) if squeeze else out.reshape(B, n, L)
+    r, c = np.nonzero(miss)
+    if not r.size:
+        return out.reshape(shape)
     idx = np.arange(L)
-    # Index of the previous / next observed position per cell.
-    prev = np.where(obs, idx[None, :], -1)
+    # Index of the previous / next observed position per cell (-1 / L
+    # when there is none).
+    prev = np.where(miss, -1, idx)
     np.maximum.accumulate(prev, axis=1, out=prev)
-    nxt = np.where(obs, idx[None, :], L)
-    nxt = np.flip(
-        np.minimum.accumulate(np.flip(nxt, axis=1), axis=1), axis=1
+    nxt = np.minimum.accumulate(np.where(miss, L, idx)[:, ::-1], axis=1)[:, ::-1]
+    p, q = prev[r, c], nxt[r, c]
+    v_prev = rows[r, np.maximum(p, 0)]
+    v_next = rows[r, np.minimum(q, L - 1)]
+    # Interior gaps interpolate, edges extend the nearest observed value
+    # (the slope of an edge cell is computed but never used).
+    slope = (v_next - v_prev) / np.maximum(q - p, 1)
+    has_prev = p >= 0
+    out[r, c] = np.where(
+        has_prev & (q < L),
+        slope * (c - p) + v_prev,
+        np.where(has_prev, v_prev, v_next),
     )
-    has_prev = prev >= 0
-    has_next = nxt < L
-    # Gather the bracketing observed values (clip keeps the gather legal;
-    # invalid positions are overwritten by the edge/fallback branches).
-    v_prev = np.take_along_axis(rows, np.clip(prev, 0, L - 1), axis=1)
-    v_next = np.take_along_axis(rows, np.clip(nxt, 0, L - 1), axis=1)
-    interior = miss & has_prev & has_next
-    span = (nxt - prev).astype(float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.where(interior, (v_next - v_prev) / span, 0.0)
-    filled = slope * (idx[None, :] - prev) + v_prev
-    out[interior] = filled[interior]
-    lead = miss & ~has_prev & has_next
-    out[lead] = v_next[lead]
-    trail = miss & has_prev & ~has_next
-    out[trail] = v_prev[trail]
-    # Fully-missing rows: the scalar path fills the *problem's* observed
-    # mean, computed over the same extraction order (row-major observed).
-    dead = ~obs.any(axis=1)
+    # Fully-missing rows take the problem's observed mean.
+    dead = miss.all(axis=1).reshape(-1, n)
     if dead.any():
-        for b in np.flatnonzero(dead.reshape(B, n).any(axis=1)):
-            observed_all = X3[b][~mask3[b]]
-            fill = float(observed_all.mean()) if observed_all.size else 0.0
-            block_rows = out.reshape(B, n, L)[b]
-            block_rows[~(~mask3[b]).any(axis=1)] = fill
-    return out[0:n].reshape(n, L) if squeeze else out.reshape(B, n, L)
+        problems = out.reshape(-1, n, L)
+        for b in np.flatnonzero(dead.any(axis=1)):
+            observed_all = rows.reshape(-1, n, L)[b][~miss.reshape(-1, n, L)[b]]
+            problems[b][dead[b]] = (
+                float(observed_all.mean()) if observed_all.size else 0.0
+            )
+    return out.reshape(shape)
 
 
-class BaseImputer(ABC):
-    """Abstract base class for all imputation algorithms.
+class BaseImputer:
+    """Base class for all imputation algorithms.
 
-    Subclasses set the class attribute ``name`` and implement
-    :meth:`_impute`, which receives a matrix whose NaNs must be filled and
-    the original missing mask, and returns a fully finite matrix of the same
-    shape.  The public :meth:`impute` restores observed entries afterwards,
-    so algorithms may overwrite them freely during internal iterations.
+    Subclasses set the class attribute ``name`` and implement a kernel:
+    :meth:`_impute_block`, which fills a ``(B, n, L)`` stack of
+    independent problems, or :meth:`_impute`, which fills one ``(n, L)``
+    problem and which the default :meth:`_impute_block` loops.  Kernels
+    must return finite values at the missing positions;
+    :meth:`impute_many` restores observed entries afterwards, so
+    algorithms may overwrite them freely during internal iterations.
     """
 
     #: Registry key; subclasses must override.
@@ -139,123 +107,32 @@ class BaseImputer(ABC):
     def impute(self, matrix) -> np.ndarray:
         """Return a completed copy of ``matrix`` with NaNs replaced.
 
-        Parameters
-        ----------
-        matrix:
-            Array of shape (n_series, length) with NaN at missing positions.
+        ``matrix`` is an array of shape (n_series, length) (or one 1-D
+        series) with NaN at missing positions; this is
+        ``impute_many([matrix])[0]``.
         """
-        X = np.asarray(matrix, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
-        if X.ndim != 2:
-            raise ValidationError(f"matrix must be 1-D or 2-D, got shape {X.shape}")
-        if np.isinf(X).any():
-            raise ValidationError("matrix contains infinite values")
-        mask = np.isnan(X)
-        if not mask.any():
-            return X.copy()
-        if mask.all():
-            raise ImputationError("matrix is entirely missing; nothing to learn from")
-        tracer = get_tracer()
-        metrics = get_metrics()
-        # Resilience context: the ``imputer.impute`` fault site fires
-        # first (chaos testing), and a process-level FaultPolicy may put
-        # the algorithm under a wall-clock deadline.  With neither
-        # installed this is two ``is None`` branches.
-        injector = get_fault_injector()
-        policy = get_fault_policy()
-        deadline = policy.impute_deadline if policy is not None else None
-        timer = Timer()
-        with timer, tracer.span(
-            f"impute.{self.name}",
-            subsystem="imputation",
-            algorithm=self.name,
-            n_series=int(X.shape[0]),
-            length=int(X.shape[1]),
-            n_missing=int(mask.sum()),
-        ):
-            action = (
-                injector.check("imputer.impute", self.name)
-                if injector is not None
-                else None
-            )
-            work = X.copy()
-            if deadline is not None:
-                completed = call_with_deadline(
-                    lambda: self._impute(work, mask),
-                    deadline,
-                    label=f"imputer.impute:{self.name}",
-                )
-            else:
-                completed = self._impute(work, mask)
-            if action == "nan":
-                # Poison the completion: the finite check below turns
-                # this into a typed ImputationError, exercising the same
-                # path a numerically broken algorithm would.
-                completed = np.asarray(completed, dtype=float).copy()
-                completed[mask] = np.nan
-        metrics.counter(
-            "repro_imputation_runs_total",
-            "Imputation invocations per algorithm",
-            labels={"algorithm": self.name},
-        ).inc()
-        metrics.histogram(
-            "repro_imputation_seconds",
-            "Per-invocation imputation wall seconds",
-            labels={"algorithm": self.name},
-        ).observe(timer.elapsed)
-        completed = np.asarray(completed, dtype=float)
-        if completed.shape != X.shape:
-            raise ImputationError(
-                f"{self.name}: imputer changed shape {X.shape} -> {completed.shape}"
-            )
-        if not np.isfinite(completed[mask]).all():
-            raise ImputationError(
-                f"{self.name}: imputer left non-finite values at missing positions"
-            )
-        # Observed entries are ground truth; never let an algorithm drift them.
-        completed[~mask] = X[~mask]
-        ledger = get_ledger()
-        repair_id = current_repair_id()
-        # Provenance is per *repair*: only invocations inside a
-        # Recommendation.impute repair context emit rows, so labeling-time
-        # benchmark races never flood the ledger.
-        if ledger.enabled and repair_id is not None:
-            hyperparams = {
-                k: v
-                for k, v in sorted(vars(self).items())
-                if not k.startswith("_")
-                and isinstance(v, (str, int, float, bool, type(None)))
-            }
-            ledger.record(
-                "impute",
-                {
-                    "repair_id": repair_id,
-                    "algorithm": self.name,
-                    "hyperparameters": hyperparams,
-                    "n_series": int(X.shape[0]),
-                    "length": int(X.shape[1]),
-                    "n_missing": int(mask.sum()),
-                    "elapsed_s": timer.elapsed,
-                    "quality": repair_quality_stats(completed, mask),
-                },
-            )
-        return completed
+        return self.impute_many([matrix])[0]
 
-    # -- corpus-scale batch path ----------------------------------------
     def _impute_block(self, X3: np.ndarray, mask3: np.ndarray) -> np.ndarray:
         """Fill a ``(B, n, L)`` stack of *independent* problems.
 
-        The default loops :meth:`_impute` per problem, so every imputer
-        supports :meth:`impute_many` unchanged; vectorizing subclasses
-        (Mean/Linear/kNN, the SVD family) override this with true block
-        kernels.  Each problem gets a private copy, matching the scalar
-        path's ``work = X.copy()``.  Unlike :meth:`_impute`, overrides
-        must NOT mutate ``X3``/``mask3`` — the caller reuses them to
-        restore observed entries afterwards.
+        The default loops :meth:`_impute` over the problems, each on a
+        private copy.  Imputers with a block kernel override this; an
+        override must NOT mutate ``X3``/``mask3``, which the caller reuses
+        to restore observed entries afterwards.
         """
         return np.stack(
             [self._impute(X3[b].copy(), mask3[b]) for b in range(X3.shape[0])]
+        )
+
+    def _impute(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Fill NaNs in one problem ``X`` (a private copy) and return it.
+
+        Only the default :meth:`_impute_block` calls this; imputers whose
+        block kernel covers every shape leave it undefined.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} has no per-problem kernel"
         )
 
     def impute_many(self, problems, *, repair_ids=None) -> list[np.ndarray]:
@@ -274,14 +151,14 @@ class BaseImputer(ABC):
             When omitted, every row carries the thread's
             :func:`~repro.observability.ledger.current_repair_id`.
 
-        Returns the completed matrices in input order — numerically
-        within 1e-9 of ``[self.impute(p) for p in problems]``, with the
-        same typed errors on invalid input.  Problems of equal shape are
-        stacked into ``(B, n, L)`` blocks and dispatched to
-        :meth:`_impute_block`; ledger rows (one per problem) are emitted
-        through the batched
-        :meth:`~repro.observability.ledger.RepairLedger.record_many`
-        path so the provenance cost is amortized across the corpus.
+        Returns the completed matrices in input order.  Infinite values
+        raise :class:`ValidationError` and an all-missing problem raises
+        :class:`ImputationError`, for the first such problem in input
+        order; problems with nothing missing come back as copies.
+        Problems of equal shape are stacked into ``(B, n, L)`` blocks and
+        dispatched to :meth:`_impute_block`.  Under a repair context the
+        ledger gets one ``impute`` row per imputed problem, written
+        through :meth:`~repro.observability.ledger.RepairLedger.record_many`.
         """
         matrices = self._coerce_problems(problems)
         n_problems = len(matrices)
@@ -290,65 +167,54 @@ class BaseImputer(ABC):
                 f"repair_ids has {len(repair_ids)} entries for {n_problems} problems"
             )
         results: list[np.ndarray | None] = [None] * n_problems
-        # Validate every problem up front with the scalar path's checks
-        # and shape-group the ones that actually need work.  Uniform-shape
-        # corpora (the serving hot path) validate in one stacked pass; the
-        # first offending problem in input order still wins, matching the
-        # scalar loop's error ordering.
-        groups: dict[tuple[int, int], list[int]] = {}
-        masks: list[np.ndarray | None] = [None] * n_problems
-        shapes = {X.shape for X in matrices}
-        if len(shapes) == 1 and n_problems > 1:
-            X3 = np.stack(matrices)
-            inf_flags = np.isinf(X3).any(axis=(1, 2))
+        shapes: dict[tuple[int, int], list[int]] = {}
+        for i, X in enumerate(matrices):
+            shapes.setdefault(X.shape, []).append(i)
+        # Validate one stacked pass per shape, then shape-group the
+        # problems that need work; the first offending problem in input
+        # order decides the error.
+        blocks: list[tuple[list[int], np.ndarray, np.ndarray]] = []
+        first_bad: tuple[int, bool] | None = None
+        for indices in shapes.values():
+            X3 = np.stack([matrices[i] for i in indices])
             mask3 = np.isnan(X3)
-            all_nan = mask3.all(axis=(1, 2))
-            bad = inf_flags | all_nan
+            n_missing = mask3.reshape(len(indices), -1).sum(axis=1)
+            todo = n_missing > 0
+            has_inf = np.isinf(X3).reshape(len(indices), -1).any(axis=1)
+            bad = has_inf | (n_missing == X3[0].size) & todo
             if bad.any():
-                if inf_flags[int(np.argmax(bad))]:
-                    raise ValidationError("matrix contains infinite values")
-                raise ImputationError(
-                    "matrix is entirely missing; nothing to learn from"
+                pos = int(np.argmax(bad))
+                if first_bad is None or indices[pos] < first_bad[0]:
+                    first_bad = (indices[pos], bool(has_inf[pos]))
+                continue
+            if todo.all():
+                blocks.append((indices, X3, mask3))
+                continue
+            for pos in np.flatnonzero(~todo):
+                results[indices[pos]] = X3[pos]
+            if todo.any():
+                blocks.append(
+                    ([indices[p] for p in np.flatnonzero(todo)], X3[todo], mask3[todo])
                 )
-            any_nan = mask3.any(axis=(1, 2))
-            shape = matrices[0].shape
-            for i in range(n_problems):
-                if any_nan[i]:
-                    masks[i] = mask3[i]
-                    groups.setdefault(shape, []).append(i)
-                else:
-                    results[i] = matrices[i].copy()
-            if bool(any_nan.all()):
-                # Whole corpus needs work: reuse the validation stack
-                # instead of re-stacking in the dispatch loop below.
-                prestacked = (X3, mask3)
-            else:
-                prestacked = None
-        else:
-            prestacked = None
-            for i, X in enumerate(matrices):
-                if np.isinf(X).any():
-                    raise ValidationError("matrix contains infinite values")
-                mask = np.isnan(X)
-                if not mask.any():
-                    results[i] = X.copy()
-                    continue
-                if mask.all():
-                    raise ImputationError(
-                        "matrix is entirely missing; nothing to learn from"
-                    )
-                masks[i] = mask
-                groups.setdefault(X.shape, []).append(i)
-        if not groups:
-            return [results[i] for i in range(n_problems)]
+        if first_bad is not None:
+            if first_bad[1]:
+                raise ValidationError("matrix contains infinite values")
+            raise ImputationError("matrix is entirely missing; nothing to learn from")
+        if not blocks:
+            return results
         tracer = get_tracer()
         metrics = get_metrics()
+        # Resilience context: the ``imputer.impute`` fault site fires
+        # first (chaos testing), and a process-level FaultPolicy may put
+        # each block kernel under a wall-clock deadline.
         injector = get_fault_injector()
         policy = get_fault_policy()
         deadline = policy.impute_deadline if policy is not None else None
         ledger = get_ledger()
         thread_repair_id = current_repair_id()
-        n_imputed = sum(len(v) for v in groups.values())
+        n_imputed = sum(len(indices) for indices, _, _ in blocks)
+        ledger_rows: list[dict] = []
+        block_bytes = 0
         timer = Timer()
         with timer, tracer.span(
             f"impute_many.{self.name}",
@@ -356,23 +222,14 @@ class BaseImputer(ABC):
             algorithm=self.name,
             n_problems=int(n_problems),
             n_imputed=int(n_imputed),
-            n_groups=int(len(groups)),
+            n_groups=int(len(blocks)),
         ):
             action = (
                 injector.check("imputer.impute", self.name)
                 if injector is not None
                 else None
             )
-            ledger_rows: list[dict] = []
-            hyperparams = None
-            block_bytes = 0
-            n_blocks = 0
-            for shape, indices in groups.items():
-                if prestacked is not None:
-                    X3, mask3 = prestacked
-                else:
-                    X3 = np.stack([matrices[i] for i in indices])
-                    mask3 = np.stack([masks[i] for i in indices])
+            for indices, X3, mask3 in blocks:
                 if deadline is not None:
                     completed3 = call_with_deadline(
                         lambda X3=X3, mask3=mask3: self._impute_block(X3, mask3),
@@ -388,63 +245,44 @@ class BaseImputer(ABC):
                         f"{X3.shape} -> {completed3.shape}"
                     )
                 if action == "nan":
+                    # Poison the completion: the finite check below turns
+                    # this into a typed ImputationError, exercising the
+                    # path a numerically broken algorithm would take.
                     completed3 = completed3.copy()
                     completed3[mask3] = np.nan
-                if not np.isfinite(completed3[mask3]).all():
+                # Observed entries are ground truth; never let an
+                # algorithm drift them.  They are finite, so the whole
+                # block is finite iff the filled entries are.
+                np.copyto(completed3, X3, where=~mask3)
+                if not np.isfinite(completed3).all():
                     raise ImputationError(
                         f"{self.name}: imputer left non-finite values at "
                         "missing positions"
                     )
-                # Observed entries are ground truth per problem.
-                completed3[~mask3] = X3[~mask3]
-                n_blocks += 1
                 block_bytes += X3.nbytes + mask3.nbytes + completed3.nbytes
                 for pos, i in enumerate(indices):
                     results[i] = completed3[pos]
-                # Batched provenance: the quality stats for the whole
-                # group in one vectorized pass, one row per problem.
+                # Provenance is per *repair*: only problems with a repair
+                # id emit rows, so labeling-time races never flood the
+                # ledger.
                 if ledger.enabled and (
                     repair_ids is not None or thread_repair_id is not None
                 ):
-                    if hyperparams is None:
-                        hyperparams = {
-                            k: v
-                            for k, v in sorted(vars(self).items())
-                            if not k.startswith("_")
-                            and isinstance(v, (str, int, float, bool, type(None)))
-                        }
-                    quality = repair_quality_stats_block(completed3, mask3)
-                    for pos, i in enumerate(indices):
-                        rid = (
-                            repair_ids[i]
-                            if repair_ids is not None
-                            else thread_repair_id
+                    ledger_rows.extend(
+                        self._ledger_rows(
+                            indices, mask3, completed3, repair_ids, thread_repair_id
                         )
-                        if rid is None:
-                            continue
-                        ledger_rows.append(
-                            {
-                                "repair_id": rid,
-                                "algorithm": self.name,
-                                "hyperparameters": hyperparams,
-                                "n_series": int(shape[0]),
-                                "length": int(shape[1]),
-                                "n_missing": int(mask3[pos].sum()),
-                                "elapsed_s": None,  # filled after timing
-                                "quality": quality[pos],
-                                "batched": True,
-                            }
-                        )
+                    )
         if ledger_rows:
-            per_problem_s = timer.elapsed / max(n_imputed, 1)
+            per_problem_s = timer.elapsed / n_imputed
             for row in ledger_rows:
                 row["elapsed_s"] = per_problem_s
             ledger.record_many("impute", ledger_rows)
         get_accounting().record_kernel(
             f"impute_block.{self.name}",
             bytes_moved=block_bytes,
-            chunks=n_blocks,
-            scratch_allocations=n_blocks,
+            chunks=len(blocks),
+            scratch_allocations=len(blocks),
         )
         metrics.counter(
             "repro_imputation_runs_total",
@@ -456,7 +294,37 @@ class BaseImputer(ABC):
             "Per-invocation imputation wall seconds",
             labels={"algorithm": self.name},
         ).observe(timer.elapsed)
-        return [results[i] for i in range(n_problems)]
+        return results
+
+    def _ledger_rows(
+        self, indices, mask3, completed3, repair_ids, thread_repair_id
+    ) -> list[dict]:
+        """``impute`` ledger rows for one block (``elapsed_s`` left unset)."""
+        hyperparams = {
+            k: v
+            for k, v in sorted(vars(self).items())
+            if not k.startswith("_")
+            and isinstance(v, (str, int, float, bool, type(None)))
+        }
+        quality = repair_quality_stats_block(completed3, mask3)
+        rows = []
+        for pos, i in enumerate(indices):
+            rid = repair_ids[i] if repair_ids is not None else thread_repair_id
+            if rid is None:
+                continue
+            rows.append(
+                {
+                    "repair_id": rid,
+                    "algorithm": self.name,
+                    "hyperparameters": hyperparams,
+                    "n_series": int(mask3.shape[1]),
+                    "length": int(mask3.shape[2]),
+                    "n_missing": int(mask3[pos].sum()),
+                    "elapsed_s": None,
+                    "quality": quality[pos],
+                }
+            )
+        return rows
 
     @staticmethod
     def _coerce_problems(problems) -> list[np.ndarray]:
@@ -522,8 +390,8 @@ class BaseImputer(ABC):
     def _record_convergence(self, n_iterations: int, converged: bool) -> None:
         """Report an iterative algorithm's loop outcome to the telemetry.
 
-        Iterative imputers (CDRec, SVDImp, SoftImpute, ...) call this at
-        the end of ``_impute`` so the metrics registry accumulates
+        Iterative imputers (CDRec, SVDImp) call this once per problem
+        at the end of their kernel so the metrics registry accumulates
         per-algorithm iteration counts and convergence rates — free
         no-ops unless a registry is installed.
         """
@@ -539,10 +407,6 @@ class BaseImputer(ABC):
             "Iterative-imputer runs by convergence outcome",
             labels={**labels, "converged": str(bool(converged)).lower()},
         ).inc()
-
-    @abstractmethod
-    def _impute(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Fill NaNs in ``X`` (a private copy) and return the result."""
 
     def __repr__(self) -> str:
         params = ", ".join(
@@ -561,6 +425,11 @@ def register_imputer(cls: type[BaseImputer]) -> type[BaseImputer]:
         raise RegistryError(f"imputer class {cls.__name__} must define a unique name")
     if key in IMPUTER_REGISTRY and IMPUTER_REGISTRY[key] is not cls:
         raise RegistryError(f"imputer name {key!r} already registered")
+    if (
+        cls._impute is BaseImputer._impute
+        and cls._impute_block is BaseImputer._impute_block
+    ):
+        raise RegistryError(f"imputer class {cls.__name__} defines no kernel")
     IMPUTER_REGISTRY[key] = cls
     return cls
 

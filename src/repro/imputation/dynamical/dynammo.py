@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.imputation.base import BaseImputer, interpolate_rows, register_imputer
+from repro.imputation.base import BaseImputer, interpolate_rows_block, register_imputer
 from repro.utils.rng import ensure_rng
 
 
@@ -85,7 +85,7 @@ class DynaMMoImputer(BaseImputer):
         rng = ensure_rng(self.random_state)
         h = self.hidden_dim if self.hidden_dim is not None else min(8, max(1, n // 2))
         h = min(h, n)
-        Y = interpolate_rows(X)
+        Y = interpolate_rows_block(X, mask)
         # Standardize rows for numerically stable EM; remember the transform.
         row_mean = Y.mean(axis=1, keepdims=True)
         row_std = Y.std(axis=1, keepdims=True)
@@ -120,6 +120,6 @@ class DynaMMoImputer(BaseImputer):
         out = X.copy()
         reconstructed = Yz * row_std + row_mean
         if not np.isfinite(reconstructed).all():
-            return interpolate_rows(X)
+            return interpolate_rows_block(X, mask)
         out[mask] = reconstructed[mask]
         return out

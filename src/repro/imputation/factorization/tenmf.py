@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.imputation.base import BaseImputer, interpolate_rows, register_imputer
+from repro.imputation.base import BaseImputer, interpolate_rows_block, register_imputer
 from repro.utils.rng import ensure_rng
 
 _EPS = 1e-10
@@ -87,7 +87,7 @@ class TeNMFImputer(BaseImputer):
             H *= numer_h / denom_h
         approx = W @ H + shift
         if not np.isfinite(approx).all():
-            return interpolate_rows(X)
+            return interpolate_rows_block(X, mask)
         out = X.copy()
         out[mask] = approx[mask]
         return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.imputation.base import BaseImputer, interpolate_rows, register_imputer
+from repro.imputation.base import BaseImputer, interpolate_rows_block, register_imputer
 from repro.utils.rng import ensure_rng
 
 
@@ -67,7 +67,7 @@ class TRMFImputer(BaseImputer):
         rank = self.rank if self.rank is not None else max(1, n // 3)
         rank = min(rank, n, m)
         observed = ~mask
-        filled = interpolate_rows(X)
+        filled = interpolate_rows_block(X, mask)
         # Warm-start factors from the SVD of the interpolated fill.
         U, s, Vt = np.linalg.svd(filled, full_matrices=False)
         W = U[:, :rank] * np.sqrt(s[:rank])

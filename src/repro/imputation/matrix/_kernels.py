@@ -6,14 +6,17 @@ The SVD-family imputers (SVDImp, SoftImpute, SVT, ROSL) all iterate
 hands them a ``(B, n, L)`` stack of *independent* problems, and numpy's
 gufunc ``svd`` runs the same LAPACK factorization over the whole stack in
 one call — one Python-loop iteration per *corpus* instead of per series.
+Every problem shape, one-series problems included, goes through that one
+factorization; there is no closed form for single rows, whose last bits
+would differ from LAPACK's and could decide a labeling tie.
 
-Parity with the scalar loops (``<= 1e-9``) holds because the batched
-ops are the same BLAS/LAPACK routines per matrix; the only reordering is
-in the convergence norms, which are taken as masked full-matrix sums
-instead of per-problem extractions (identical values up to summation
-order, ~1e-16 relative).  A problem that converges is *frozen*: dropped
-from the active stack while the rest keep iterating, so mixed-difficulty
-corpora don't pay for their hardest member.
+Each problem sees the arithmetic of the scalar loop it replaced
+(``tests/imputer_oracles.py``): the batched ops are the same BLAS/LAPACK
+routines per matrix.  The convergence norms are taken as masked
+full-matrix sums instead of per-problem extractions, which can only
+differ in summation order.  A problem that converges is *frozen*:
+dropped from the active stack while the rest keep iterating, so
+mixed-difficulty corpora don't pay for their hardest member.
 """
 
 from __future__ import annotations
@@ -24,37 +27,14 @@ from repro.observability.resources import get_accounting
 
 
 def svd_block(stack: np.ndarray):
-    """Thin SVD of every matrix in a ``(B, n, L)`` stack.
-
-    Single-row matrices — the dominant corpus-repair case — have the
-    closed form ``s = ||row||, Vt = row / s`` (up to sign, which cancels
-    in every reconstruction below), avoiding one LAPACK call per matrix
-    per iteration.  Everything else goes through the gufunc ``svd``.
-    """
-    B, n, L = stack.shape
+    """Thin SVD of every matrix in a ``(B, n, L)`` stack."""
     get_accounting().record_kernel(
         "svd_block",
         bytes_moved=stack.nbytes,
         chunks=1,
         scratch_allocations=3,
     )
-    if n == 1:
-        rows = stack[:, 0, :]
-        s = np.linalg.norm(rows, axis=1)
-        safe = np.where(s > 0, s, 1.0)
-        return (
-            np.ones((B, 1, 1)),
-            s[:, None],
-            (rows / safe[:, None])[:, None, :],
-        )
     return np.linalg.svd(stack, full_matrices=False)
-
-
-def svdvals_block(stack: np.ndarray) -> np.ndarray:
-    """Singular values of every matrix in a stack (same fast path)."""
-    if stack.shape[1] == 1:
-        return np.linalg.norm(stack[:, 0, :], axis=1)[:, None]
-    return np.linalg.svd(stack, compute_uv=False)
 
 
 def reconstruct_truncated(
@@ -79,7 +59,7 @@ def masked_norms(values3: np.ndarray) -> np.ndarray:
 class ActiveStack:
     """Compacted active-problem state for a frozen-stack iteration loop.
 
-    Reproduces the scalar loops' relative-change test
+    Reproduces the per-problem relative-change test
     ``||new - prev|| / (||prev|| + 1e-12) < tol`` over each problem's
     imputed entries, batched: ``prev`` is held as a masked full matrix
     (zeros at observed cells) so the norms reduce over the whole stack
@@ -99,6 +79,7 @@ class ActiveStack:
         self.prev = np.where(mask3, cur3, 0.0)
         self.converged = np.zeros(B, dtype=bool)
         self.iters = np.zeros(B, dtype=int)
+        self.iteration = 0
 
     @property
     def alive(self) -> bool:
@@ -115,10 +96,11 @@ class ActiveStack:
         num = masked_norms(newm - self.prev)
         den = masked_norms(self.prev) + 1e-12
         conv = num / den < self.tol
-        self.iters[self.idx] = iteration
+        self.iteration = iteration
         if conv.any():
             frozen = self.idx[conv]
             self.converged[frozen] = True
+            self.iters[frozen] = iteration
             self.out[frozen] = new_cur[conv]
             keep = ~conv
             self.idx = self.idx[keep]
@@ -134,4 +116,5 @@ class ActiveStack:
         """Write any still-active problems back; returns the full stack."""
         if self.idx.size:
             self.out[self.idx] = self.cur
+            self.iters[self.idx] = self.iteration
         return self.out

@@ -15,7 +15,6 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.imputation.base import (
     BaseImputer,
-    interpolate_rows,
     interpolate_rows_block,
     register_imputer,
 )
@@ -97,7 +96,7 @@ class CDRecImputer(BaseImputer):
         self.tol = float(tol)
 
     def _impute(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        current = interpolate_rows(X)
+        current = interpolate_rows_block(X, mask)
         n = X.shape[0]
         rank = self.rank if self.rank is not None else max(1, n // 3)
         prev = current[mask]
@@ -120,29 +119,25 @@ class CDRecImputer(BaseImputer):
         B, n, L = X3.shape
         if n != 1:
             # The greedy sign-vector search is sequential per matrix;
-            # multi-series problems keep the scalar loop.
+            # multi-series problems keep the per-problem loop.
             return super()._impute_block(X3, mask3)
         # Single-series problems: the sign vector of a 1-row matrix is
         # always [1] (a flip never improves ||X^T z||), so the centroid
-        # decomposition degenerates to the rank-1 pair
-        # r = row/||row||, l = row @ r — vectorizable across the stack.
+        # decomposition is the rank-1 pair r = row/||row||, l = row @ r.
+        # Stacked (1, L) @ (L, 1) products are the dot products the
+        # per-problem loop takes, so each problem gets its bytes.
         cur3 = interpolate_rows_block(X3, mask3)
         state = ActiveStack(cur3, mask3, self.tol)
         for it in range(1, self.max_iter + 1):
             if not state.alive:
                 break
-            rows = state.cur[:, 0, :]
-            norms = np.linalg.norm(rows, axis=1)
-            live = norms >= 1e-12  # scalar loop's deflation break
-            safe = np.maximum(norms, 1e-300)
-            r = rows / safe[:, None]
-            loading = np.einsum("al,al->a", rows, r)
-            approx = np.where(
-                live[:, None], loading[:, None] * r, 0.0
-            )
-            state.advance(
-                np.where(state.mask, approx[:, None, :], state.cur), it
-            )
+            rows = state.cur
+            norms = np.sqrt(rows @ rows.transpose(0, 2, 1))
+            live = norms >= 1e-12  # the decomposition's deflation break
+            r = rows / np.where(live, norms, 1.0)
+            loading = rows @ r.transpose(0, 2, 1)
+            approx = np.where(live, loading * r, 0.0)
+            state.advance(np.where(state.mask, approx, state.cur), it)
         result = state.finalize()
         for b in range(B):
             self._record_convergence(state.iters[b], state.converged[b])

@@ -14,7 +14,6 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.imputation.base import (
     BaseImputer,
-    interpolate_rows,
     interpolate_rows_block,
     register_imputer,
 )
@@ -57,8 +56,6 @@ class GROUSEImputer(BaseImputer):
 
     def _impute(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
         n_series, length = X.shape
-        if n_series < 2:
-            return interpolate_rows(X)
         rng = ensure_rng(self.random_state)
         observed = ~mask
         # Standardize rows on observed values: subspace tracking assumes
@@ -76,7 +73,7 @@ class GROUSEImputer(BaseImputer):
         # rather than a random basis: far fewer passes to converge.  When
         # rank is unset, pick the smallest dimension explaining 90% of the
         # warm fill's energy — oversized subspaces extrapolate noise.
-        warm = interpolate_rows(X)
+        warm = interpolate_rows_block(X, mask)
         U_full, s_full, _ = np.linalg.svd(warm, full_matrices=False)
         if self.rank is not None:
             rank = min(self.rank, n_series)
@@ -122,7 +119,7 @@ class GROUSEImputer(BaseImputer):
         # regularization keeps overparameterized subspaces (rank above the
         # data's true rank) from extrapolating noise into the gap.
         out = X.copy()
-        fallback = interpolate_rows(X)
+        fallback = interpolate_rows_block(X, mask)
         eye_r = np.eye(U.shape[1])
         for t in range(length):
             miss = mask[:, t]
@@ -142,9 +139,9 @@ class GROUSEImputer(BaseImputer):
         return out * row_std + row_mean
 
     def _impute_block(self, X3: np.ndarray, mask3: np.ndarray) -> np.ndarray:
-        # Single-series problems hit the scalar n_series < 2 shortcut
-        # (plain interpolation), which vectorizes across the stack; true
-        # multi-series subspace tracking stays sequential per problem.
+        # A single series spans no subspace to track, so it is
+        # interpolated; multi-series subspace tracking stays sequential
+        # per problem.
         if X3.shape[1] < 2:
             return interpolate_rows_block(X3, mask3)
         return super()._impute_block(X3, mask3)

@@ -15,7 +15,6 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.imputation.base import (
     BaseImputer,
-    interpolate_rows,
     interpolate_rows_block,
     register_imputer,
 )
@@ -24,10 +23,6 @@ from repro.imputation.matrix._kernels import (
     reconstruct_truncated,
     svd_block,
 )
-
-
-def _soft(arr: np.ndarray, threshold: float) -> np.ndarray:
-    return np.sign(arr) * np.maximum(np.abs(arr) - threshold, 0.0)
 
 
 @register_imputer
@@ -64,31 +59,6 @@ class ROSLImputer(BaseImputer):
         self.sparsity = float(sparsity)
         self.max_iter = int(max_iter)
         self.tol = float(tol)
-
-    def _impute(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        current = interpolate_rows(X)
-        n = X.shape[0]
-        rank = self.rank if self.rank is not None else max(1, n // 3)
-        rank = min(rank, min(current.shape))
-        E = np.zeros_like(current)
-        prev = current[mask]
-        for _ in range(self.max_iter):
-            # Subspace step on the outlier-cleaned matrix.
-            U, s, Vt = np.linalg.svd(current - E, full_matrices=False)
-            low_rank = (U[:, :rank] * s[:rank]) @ Vt[:rank]
-            # Sparse step: residual entries beyond a robust scale are outliers.
-            residual = current - low_rank
-            scale = np.median(np.abs(residual - np.median(residual))) + 1e-12
-            E = _soft(residual, self.sparsity * scale)
-            # Missing entries take the *clean* low-rank value: outliers do
-            # not propagate into the gap.
-            current[mask] = low_rank[mask]
-            new = current[mask]
-            denom = np.linalg.norm(prev) + 1e-12
-            if np.linalg.norm(new - prev) / denom < self.tol:
-                break
-            prev = new
-        return current
 
     def _impute_block(self, X3: np.ndarray, mask3: np.ndarray) -> np.ndarray:
         B, n, L = X3.shape

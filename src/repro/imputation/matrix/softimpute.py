@@ -13,7 +13,6 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.imputation.base import (
     BaseImputer,
-    interpolate_rows,
     interpolate_rows_block,
     register_imputer,
 )
@@ -21,7 +20,6 @@ from repro.imputation.matrix._kernels import (
     ActiveStack,
     reconstruct_shrunk,
     svd_block,
-    svdvals_block,
 )
 
 
@@ -49,28 +47,10 @@ class SoftImputer(BaseImputer):
         self.max_iter = int(max_iter)
         self.tol = float(tol)
 
-    def _impute(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        current = interpolate_rows(X)
-        s0 = np.linalg.svd(current, compute_uv=False)
-        threshold = self.lam * (s0[0] if s0.size else 1.0)
-        prev = current[mask]
-        for _ in range(self.max_iter):
-            U, s, Vt = np.linalg.svd(current, full_matrices=False)
-            s_shrunk = np.maximum(s - threshold, 0.0)
-            approx = (U * s_shrunk) @ Vt
-            current[mask] = approx[mask]
-            new = current[mask]
-            denom = np.linalg.norm(prev) + 1e-12
-            if np.linalg.norm(new - prev) / denom < self.tol:
-                break
-            prev = new
-        return current
-
     def _impute_block(self, X3: np.ndarray, mask3: np.ndarray) -> np.ndarray:
         cur3 = interpolate_rows_block(X3, mask3)
-        # Per-problem threshold from each problem's own initial spectrum,
-        # exactly as the scalar path derives it.
-        s0 = svdvals_block(cur3)
+        # Per-problem threshold from each problem's own initial spectrum.
+        s0 = np.linalg.svd(cur3, compute_uv=False)
         thresholds = self.lam * (
             s0[:, 0] if s0.shape[1] else np.ones(cur3.shape[0])
         )

@@ -12,7 +12,6 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.imputation.base import (
     BaseImputer,
-    interpolate_rows,
     interpolate_rows_block,
     register_imputer,
 )
@@ -45,27 +44,6 @@ class SVDImputer(BaseImputer):
         self.rank = rank
         self.max_iter = int(max_iter)
         self.tol = float(tol)
-
-    def _impute(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        current = interpolate_rows(X)
-        n = X.shape[0]
-        rank = self.rank if self.rank is not None else max(1, n // 3)
-        rank = min(rank, min(current.shape))
-        prev = current[mask]
-        converged = False
-        n_iter = 0
-        for n_iter in range(1, self.max_iter + 1):
-            U, s, Vt = np.linalg.svd(current, full_matrices=False)
-            approx = (U[:, :rank] * s[:rank]) @ Vt[:rank]
-            current[mask] = approx[mask]
-            new = current[mask]
-            denom = np.linalg.norm(prev) + 1e-12
-            if np.linalg.norm(new - prev) / denom < self.tol:
-                converged = True
-                break
-            prev = new
-        self._record_convergence(n_iter, converged)
-        return current
 
     def _impute_block(self, X3: np.ndarray, mask3: np.ndarray) -> np.ndarray:
         B, n, L = X3.shape

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.imputation.base import (
     BaseImputer,
-    interpolate_rows,
     interpolate_rows_block,
     register_imputer,
 )
@@ -57,34 +56,6 @@ class SVTImputer(BaseImputer):
         self.max_iter = int(max_iter)
         self.tol = float(tol)
 
-    def _impute(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        observed = ~mask
-        M = np.where(observed, X, 0.0)
-        n, m = X.shape
-        tau = self.tau if self.tau is not None else self.tau_scale * np.sqrt(n * m)
-        p = observed.mean()
-        delta = 1.2 / max(p, 1e-6)
-        norm_M = np.linalg.norm(M[observed]) + 1e-12
-        Y = np.zeros_like(M)
-        best = interpolate_rows(X)
-        for _ in range(self.max_iter):
-            U, s, Vt = np.linalg.svd(Y, full_matrices=False)
-            s_shrunk = np.maximum(s - tau, 0.0)
-            Xk = (U * s_shrunk) @ Vt
-            residual = np.where(observed, M - Xk, 0.0)
-            rel = np.linalg.norm(residual[observed]) / norm_M
-            best = Xk
-            if rel < self.tol:
-                break
-            Y = Y + delta * residual
-        out = X.copy()
-        # If SVT collapsed to zero rank (threshold too high for the data),
-        # fall back to interpolation rather than filling zeros.
-        if not np.any(best):
-            return interpolate_rows(X)
-        out[mask] = best[mask]
-        return out
-
     def _impute_block(self, X3: np.ndarray, mask3: np.ndarray) -> np.ndarray:
         B, n, m = X3.shape
         obs3 = ~mask3
@@ -93,9 +64,10 @@ class SVTImputer(BaseImputer):
         p = obs3.mean(axis=(1, 2))
         delta = 1.2 / np.maximum(p, 1e-6)
         # M3 is already zero at unobserved cells, so the full-matrix norm
-        # equals the scalar path's observed-entry extraction norm.
+        # equals the norm of the observed entries.
         norm_M = masked_norms(M3) + 1e-12
-        best3 = interpolate_rows_block(X3, mask3)
+        interp3 = interpolate_rows_block(X3, mask3)
+        best3 = interp3.copy()
         # Compacted active-problem state: converged problems are dropped
         # from the working arrays; their best iterate is already in best3.
         idx = np.arange(B)
@@ -119,10 +91,8 @@ class SVTImputer(BaseImputer):
                 norm_act, delta_act = norm_act[keep], delta_act[keep]
             else:
                 Y = Y + delta_act[:, None, None] * residual
-        out3 = X3.copy()
-        for b in range(B):
-            if not np.any(best3[b]):
-                out3[b] = interpolate_rows(X3[b])
-            else:
-                out3[b][mask3[b]] = best3[b][mask3[b]]
-        return out3
+        # A threshold too high for the data collapses SVT to rank zero;
+        # such problems keep the interpolation instead of filling zeros.
+        collapsed = ~best3.any(axis=(1, 2))
+        best3[collapsed] = interp3[collapsed]
+        return np.where(mask3, best3, X3)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.imputation.base import BaseImputer, interpolate_rows, register_imputer
+from repro.imputation.base import BaseImputer, interpolate_rows_block, register_imputer
 from repro.utils.rng import ensure_rng
 
 
@@ -117,7 +117,7 @@ class MLPImputer(BaseImputer):
         return np.asarray(feats), np.asarray(targets)
 
     def _impute(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        filled = interpolate_rows(X)
+        filled = interpolate_rows_block(X, mask)
         rng = ensure_rng(self.random_state)
         feats, targets = self._windows(filled, mask)
         if feats is None or feats.shape[0] < 8:

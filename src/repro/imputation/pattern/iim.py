@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.imputation.base import BaseImputer, interpolate_rows, register_imputer
+from repro.imputation.base import BaseImputer, interpolate_rows_block, register_imputer
 
 
 @register_imputer
@@ -39,7 +39,7 @@ class IIMImputer(BaseImputer):
 
     def _impute(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
         n, m = X.shape
-        filled = interpolate_rows(X)
+        filled = interpolate_rows_block(X, mask)
         if n < 2:
             return filled
         out = filled.copy()

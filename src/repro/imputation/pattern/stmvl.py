@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.imputation.base import BaseImputer, interpolate_rows, register_imputer
+from repro.imputation.base import BaseImputer, interpolate_rows_block, register_imputer
 
 
 @register_imputer
@@ -87,7 +87,7 @@ class STMVLImputer(BaseImputer):
         return ucf, icf, ses, tes
 
     def _impute(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        filled = interpolate_rows(X)
+        filled = interpolate_rows_block(X, mask)
         ucf, icf, ses, tes = self._views(filled, X, mask)
         observed = ~mask
         design = np.stack(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.imputation.base import BaseImputer, interpolate_rows, register_imputer
+from repro.imputation.base import BaseImputer, interpolate_rows_block, register_imputer
 
 
 def _znorm(w: np.ndarray) -> np.ndarray:
@@ -46,7 +46,7 @@ class TKCMImputer(BaseImputer):
         self.window = window
 
     def _impute(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        out = interpolate_rows(X)
+        out = interpolate_rows_block(X, mask)
         for i in range(X.shape[0]):
             row_mask = mask[i]
             if not row_mask.any():

@@ -6,7 +6,6 @@ import numpy as np
 
 from repro.imputation.base import (
     BaseImputer,
-    interpolate_rows,
     interpolate_rows_block,
     register_imputer,
 )
@@ -23,26 +22,13 @@ class MeanImputer(BaseImputer):
 
     name = "mean"
 
-    def _impute(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        observed_all = X[~mask]
-        global_mean = float(observed_all.mean())
-        for i in range(X.shape[0]):
-            row_mask = mask[i]
-            if not row_mask.any():
-                continue
-            observed = X[i, ~row_mask]
-            fill = float(observed.mean()) if observed.size else global_mean
-            X[i, row_mask] = fill
-        return X
-
     def _impute_block(self, X3: np.ndarray, mask3: np.ndarray) -> np.ndarray:
         # Closed form over the whole (B, n, L) stack: masked row means
         # with a per-problem global-mean fallback for dead rows.
         obs3 = ~mask3
         counts = obs3.sum(axis=2)
         sums = np.where(obs3, X3, 0.0).sum(axis=2)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            row_mean = sums / np.maximum(counts, 1)
+        row_mean = sums / np.maximum(counts, 1)
         total = counts.sum(axis=1)
         global_mean = sums.sum(axis=1) / np.maximum(total, 1)
         fill = np.where(counts > 0, row_mean, global_mean[:, None])
@@ -60,9 +46,6 @@ class LinearImputer(BaseImputer):
     """
 
     name = "linear"
-
-    def _impute(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        return interpolate_rows(X)
 
     def _impute_block(self, X3: np.ndarray, mask3: np.ndarray) -> np.ndarray:
         return interpolate_rows_block(X3, mask3)
@@ -92,9 +75,7 @@ class KNNImputer(BaseImputer):
 
     def _impute(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
         n_series = X.shape[0]
-        if n_series < 2:
-            return interpolate_rows(X)
-        base = interpolate_rows(X)
+        base = interpolate_rows_block(X, mask)
         out = base.copy()
         for i in range(n_series):
             row_mask = mask[i]
@@ -142,9 +123,8 @@ class KNNImputer(BaseImputer):
         return out
 
     def _impute_block(self, X3: np.ndarray, mask3: np.ndarray) -> np.ndarray:
-        # Single-series problems degenerate to interpolation (the scalar
-        # n_series < 2 branch) and vectorize across the whole stack; the
-        # multi-series case keeps the scalar neighbour search, whose
+        # A single series has no neighbours, so it is interpolated; the
+        # multi-series case keeps the per-problem neighbour search, whose
         # |corr| ranking is too order-sensitive to re-derive blockwise
         # without risking different neighbour picks.
         if X3.shape[1] < 2:

@@ -56,7 +56,6 @@ from repro.observability.dashboard import (
     render_top,
 )
 from repro.observability.ledger import (
-    ClusterAtlas,
     NULL_LEDGER,
     NullLedger,
     RepairLedger,
@@ -70,7 +69,6 @@ from repro.observability.ledger import (
     render_explanation,
     render_summary,
     repair_context,
-    repair_quality_stats,
     repair_quality_stats_block,
     set_ledger,
     summarize_ledger,
@@ -197,14 +195,12 @@ __all__ = [
     "NullLedger",
     "NULL_LEDGER",
     "LEDGER_SCHEMA_VERSION",
-    "ClusterAtlas",
     "get_ledger",
     "set_ledger",
     "use_ledger",
     "new_id",
     "current_repair_id",
     "repair_context",
-    "repair_quality_stats",
     "repair_quality_stats_block",
     "read_ledger",
     "upgrade_record",

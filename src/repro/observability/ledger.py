@@ -377,11 +377,15 @@ class repair_context:
 # ---------------------------------------------------------------------------
 # Post-repair quality statistics
 # ---------------------------------------------------------------------------
-def repair_quality_stats(completed: np.ndarray, mask: np.ndarray) -> dict:
-    """Residual/quality proxies of one completed matrix.
+def repair_quality_stats_block(
+    completed3: np.ndarray, mask3: np.ndarray
+) -> list[dict]:
+    """Residual/quality proxies of each completed matrix in a stack.
 
-    Ground truth at the missing positions is unknown at serving time, so
-    quality is scored against the *observed region*:
+    ``completed3``/``mask3`` are a ``(B, n, L)`` stack (or one ``(n, L)``
+    matrix); one stats dict is returned per problem.  Ground truth at
+    the missing positions is unknown at serving time, so quality is
+    scored against the *observed region*:
 
     * ``plausibility_z`` — distance of the imputed-value mean from the
       observed mean, in observed standard deviations (large values mean
@@ -392,270 +396,59 @@ def repair_quality_stats(completed: np.ndarray, mask: np.ndarray) -> dict:
       repair-block boundaries over the series' own mean absolute first
       difference (large values flag visible seams).
     """
-    completed = np.atleast_2d(np.asarray(completed, dtype=float))
-    mask = np.atleast_2d(np.asarray(mask, dtype=bool))
-    observed = completed[~mask]
-    imputed = completed[mask]
-    obs_mean = float(observed.mean()) if observed.size else 0.0
-    obs_std = float(observed.std()) if observed.size else 0.0
-    imp_mean = float(imputed.mean()) if imputed.size else 0.0
-    imp_std = float(imputed.std()) if imputed.size else 0.0
-    plausibility = abs(imp_mean - obs_mean) / max(obs_std, _EPS)
-    scale_ratio = imp_std / max(obs_std, _EPS)
-    # Boundary seams: |x[t] - x[t-1]| wherever the mask flips.
-    diffs = np.abs(np.diff(completed, axis=1))
-    flips = mask[:, 1:] != mask[:, :-1]
-    overall = float(diffs.mean()) if diffs.size else 0.0
-    boundary = float(diffs[flips].mean()) if flips.any() else 0.0
-    return {
-        "n_missing": int(mask.sum()),
-        "missing_fraction": float(mask.mean()) if mask.size else 0.0,
-        "observed_mean": obs_mean,
-        "observed_std": obs_std,
-        "imputed_mean": imp_mean,
-        "imputed_std": imp_std,
-        "plausibility_z": float(plausibility),
-        "scale_ratio": float(scale_ratio),
-        "roughness_ratio": float(boundary / max(overall, _EPS)) if boundary else 0.0,
-    }
-
-
-def repair_quality_stats_block(
-    completed3: np.ndarray, mask3: np.ndarray
-) -> list[dict]:
-    """Batched :func:`repair_quality_stats` over a ``(B, n, L)`` stack.
-
-    Returns one stats dict per problem, numerically matching the scalar
-    function applied per problem (same reduction structure: flat means
-    and stds over the problem's observed/imputed cells).  Used by
-    :meth:`BaseImputer.impute_many
-    <repro.imputation.base.BaseImputer.impute_many>` to amortize the
-    per-call setup when emitting a batch of ``impute`` rows.
-    """
     completed3 = np.asarray(completed3, dtype=float)
     mask3 = np.asarray(mask3, dtype=bool)
     if completed3.ndim == 2:
         completed3 = completed3[None]
         mask3 = mask3[None]
     B = completed3.shape[0]
-    obs3 = ~mask3
-    n_missing = mask3.sum(axis=(1, 2))
-    n_observed = obs3.sum(axis=(1, 2))
-    cells = mask3[0].size
-    # Masked means/stds per problem via sums (empty selections -> 0.0,
-    # matching the scalar guards).
-    obs_vals = np.where(obs3, completed3, 0.0)
-    imp_vals = np.where(mask3, completed3, 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        obs_mean = np.where(
-            n_observed > 0, obs_vals.sum(axis=(1, 2)) / np.maximum(n_observed, 1), 0.0
-        )
-        imp_mean = np.where(
-            n_missing > 0, imp_vals.sum(axis=(1, 2)) / np.maximum(n_missing, 1), 0.0
-        )
-        obs_var = (
-            np.where(obs3, (completed3 - obs_mean[:, None, None]) ** 2, 0.0).sum(
-                axis=(1, 2)
-            )
-            / np.maximum(n_observed, 1)
-        )
-        imp_var = (
-            np.where(mask3, (completed3 - imp_mean[:, None, None]) ** 2, 0.0).sum(
-                axis=(1, 2)
-            )
-            / np.maximum(n_missing, 1)
-        )
-    obs_std = np.where(n_observed > 0, np.sqrt(obs_var), 0.0)
-    imp_std = np.where(n_missing > 0, np.sqrt(imp_var), 0.0)
+    values = completed3.reshape(B, -1)
+    miss = mask3.reshape(B, -1)
+    cells = values.shape[1]
+    n_missing = miss.sum(axis=1)
+    obs_mean, obs_std = _masked_moments(values, ~miss, cells - n_missing)
+    imp_mean, imp_std = _masked_moments(values, miss, n_missing)
     plausibility = np.abs(imp_mean - obs_mean) / np.maximum(obs_std, _EPS)
     scale_ratio = imp_std / np.maximum(obs_std, _EPS)
-    diffs = np.abs(np.diff(completed3, axis=2))
-    flips = mask3[:, :, 1:] != mask3[:, :, :-1]
-    n_flips = flips.sum(axis=(1, 2))
-    overall = diffs.mean(axis=(1, 2)) if diffs.size else np.zeros(B)
-    boundary = np.where(
-        n_flips > 0,
-        np.where(flips, diffs, 0.0).sum(axis=(1, 2)) / np.maximum(n_flips, 1),
-        0.0,
+    # Boundary seams: |x[t] - x[t-1]| wherever the mask flips.
+    diffs = np.abs(np.diff(completed3, axis=2)).reshape(B, -1)
+    flips = (mask3[:, :, 1:] != mask3[:, :, :-1]).reshape(B, -1)
+    overall = diffs.mean(axis=1) if diffs.size else np.zeros(B)
+    boundary = np.where(flips, diffs, 0.0).sum(axis=1) / np.maximum(
+        flips.sum(axis=1), 1
     )
-    rough = np.where(
-        boundary != 0.0, boundary / np.maximum(overall, _EPS), 0.0
-    )
+    rough = np.where(boundary != 0.0, boundary / np.maximum(overall, _EPS), 0.0)
     return [
         {
-            "n_missing": int(n_missing[b]),
-            "missing_fraction": float(n_missing[b] / cells) if cells else 0.0,
-            "observed_mean": float(obs_mean[b]),
-            "observed_std": float(obs_std[b]),
-            "imputed_mean": float(imp_mean[b]),
-            "imputed_std": float(imp_std[b]),
-            "plausibility_z": float(plausibility[b]),
-            "scale_ratio": float(scale_ratio[b]),
-            "roughness_ratio": float(rough[b]),
+            "n_missing": n,
+            "missing_fraction": n / cells if cells else 0.0,
+            "observed_mean": om,
+            "observed_std": os_,
+            "imputed_mean": im,
+            "imputed_std": is_,
+            "plausibility_z": pz,
+            "scale_ratio": sr,
+            "roughness_ratio": rr,
         }
-        for b in range(B)
+        for n, om, os_, im, is_, pz, sr, rr in zip(
+            n_missing.tolist(),
+            obs_mean.tolist(),
+            obs_std.tolist(),
+            imp_mean.tolist(),
+            imp_std.tolist(),
+            plausibility.tolist(),
+            scale_ratio.tolist(),
+            rough.tolist(),
+        )
     ]
 
 
-# ---------------------------------------------------------------------------
-# Cluster atlas: fit-time representatives for serving-side assignment
-# ---------------------------------------------------------------------------
-class ClusterAtlas:
-    """Fit-time cluster representatives, queryable at serving time.
-
-    Built by :class:`~repro.clustering.labeling.ClusterLabeler`: one
-    z-normalized representative series per labeling cluster, together
-    with the cluster's winning imputer.  :meth:`assign` then gives any
-    incoming series a cluster assignment — the nearest representative by
-    NCC (:func:`~repro.timeseries.batch.ncc_rowwise`) — which repair
-    ledger rows and the per-cluster serving scorecard both use.
-    """
-
-    def __init__(self):
-        self.ids: list[str] = []
-        self.labels: list[str] = []
-        self.representatives: list[np.ndarray] = []
-        # Serving traffic is usually fixed-length, so the z-normed,
-        # truncated representative matrices are cached per query length.
-        self._prepared: dict[int, list] = {}
-
-    @property
-    def n_clusters(self) -> int:
-        return len(self.ids)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def add(self, cluster_id: str, label: str, representative) -> None:
-        """Register one cluster; ``representative`` is z-normalized here."""
-        values = np.asarray(representative, dtype=float).ravel()
-        if values.size < 2:
-            raise ValidationError("cluster representative needs >= 2 points")
-        self.ids.append(str(cluster_id))
-        self.labels.append(str(label))
-        self.representatives.append(_znorm(values))
-        self._prepared.clear()
-
-    def merge(self, other: "ClusterAtlas") -> "ClusterAtlas":
-        """Fold another atlas's clusters into this one (corpus labeling)."""
-        self.ids.extend(other.ids)
-        self.labels.extend(other.labels)
-        self.representatives.extend(other.representatives)
-        self._prepared.clear()
-        return self
-
-    # -- assignment ------------------------------------------------------
-    def assign(self, values) -> dict | None:
-        """Nearest-representative assignment of one series.
-
-        Returns ``{"cluster", "ncc", "label"}`` or ``None`` for an empty
-        atlas.  NaNs are linearly interpolated first (serving series are
-        faulty by definition); both sides are truncated to the common
-        length and z-normalized, matching the labeling-time treatment.
-        """
-        if not self.ids:
-            return None
-        series = _interpolate(np.asarray(values, dtype=float).ravel())
-        if series.size < 2:
-            return None
-        best_idx, best_ncc = 0, -np.inf
-        for length, indices, conj_fft, norms, size in self._prepare(
-            series.size
-        ):
-            x = _znorm(series[:length])
-            # Shift-maximized NCC against every representative at once
-            # (the ncc_rowwise recipe with the representatives' FFTs and
-            # norms precomputed — this runs once per served series).
-            cc = np.fft.irfft(
-                np.fft.rfft(x, size)[None, :] * conj_fft, size, axis=1
-            )
-            if length > 1:
-                cc = np.concatenate(
-                    (cc[:, -(length - 1):], cc[:, :length]), axis=1
-                )
-            peaks = cc.max(axis=1)
-            denom = np.linalg.norm(x) * norms
-            nccs = np.divide(
-                peaks, denom, out=np.zeros_like(peaks), where=denom != 0.0
-            )
-            group_best = int(np.argmax(nccs))
-            if nccs[group_best] > best_ncc:
-                best_idx, best_ncc = indices[group_best], float(nccs[group_best])
-        return {
-            "cluster": self.ids[best_idx],
-            "ncc": best_ncc,
-            "label": self.labels[best_idx],
-        }
-
-    def _prepare(self, n: int) -> list:
-        """Representatives grouped by common length with ``n``-point series.
-
-        Each entry is ``(length, indices, conj_fft, norms, fft_size)``
-        with the z-normed, truncated representatives' conjugate FFTs and
-        norms precomputed, so :meth:`assign` only transforms the query.
-        """
-        cached = self._prepared.get(n)
-        if cached is None:
-            from repro.timeseries.batch import _fft_size
-
-            groups: dict[int, list[int]] = {}
-            for idx, rep in enumerate(self.representatives):
-                groups.setdefault(min(n, rep.size), []).append(idx)
-            cached = []
-            for length, indices in groups.items():
-                matrix = np.vstack(
-                    [_znorm(self.representatives[i][:length]) for i in indices]
-                )
-                size = _fft_size(length)
-                cached.append(
-                    (
-                        length,
-                        indices,
-                        np.conj(np.fft.rfft(matrix, size, axis=1)),
-                        np.linalg.norm(matrix, axis=1),
-                        size,
-                    )
-                )
-            if len(self._prepared) >= 32:  # unbounded-length traffic guard
-                self._prepared.clear()
-            self._prepared[n] = cached
-        return cached
-
-    # -- persistence -----------------------------------------------------
-    def as_dict(self) -> dict:
-        return {
-            "ids": list(self.ids),
-            "labels": list(self.labels),
-            "representatives": [r.tolist() for r in self.representatives],
-        }
-
-    @classmethod
-    def from_dict(cls, document: dict) -> "ClusterAtlas":
-        atlas = cls()
-        for cluster_id, label, rep in zip(
-            document["ids"], document["labels"], document["representatives"]
-        ):
-            atlas.ids.append(str(cluster_id))
-            atlas.labels.append(str(label))
-            atlas.representatives.append(np.asarray(rep, dtype=float))
-        return atlas
-
-
-def _znorm(values: np.ndarray) -> np.ndarray:
-    std = values.std()
-    return (values - values.mean()) / (std if std > _EPS else 1.0)
-
-
-def _interpolate(values: np.ndarray) -> np.ndarray:
-    mask = np.isnan(values)
-    if not mask.any():
-        return values
-    obs = np.flatnonzero(~mask)
-    if obs.size == 0:
-        return np.zeros_like(values)
-    out = values.copy()
-    out[mask] = np.interp(np.flatnonzero(mask), obs, values[obs])
-    return out
+def _masked_moments(values, selected, count):
+    """Mean and std of each row's selected entries (0.0 for none)."""
+    denom = np.maximum(count, 1)
+    mean = np.where(selected, values, 0.0).sum(axis=1) / denom
+    var = np.where(selected, (values - mean[:, None]) ** 2, 0.0).sum(axis=1) / denom
+    return mean, np.sqrt(var)
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ class FeatureCache:
             if path.exists():
                 try:
                     vector = np.load(path)
-                except (OSError, ValueError) as exc:  # corrupt entry
+                except (OSError, ValueError, EOFError) as exc:  # corrupt entry
                     _log.warning("dropping unreadable cache entry %s: %s", path, exc)
                     vector = None
                 else:

@@ -229,9 +229,11 @@ def _serve_series(engine, series_list: list, modes: list) -> list[dict]:
         repaired = dict(zip(repair_positions, fixed))
     rows = []
     for j, rec in enumerate(recommendations):
-        assignment = (
-            atlas.assign(series_list[j].values) if atlas is not None else None
-        ) or {"cluster": None, "ncc": None}
+        # The ledger annotation, when installed, already assigned it.
+        assignment = rec.cluster
+        if assignment is None and atlas is not None:
+            assignment = atlas.assign(series_list[j].values)
+        assignment = assignment or {"cluster": None, "ncc": None}
         row = {
             "status": STATUS_OK,
             "algorithm": rec.algorithm,

@@ -212,6 +212,49 @@ class TestCommands:
         repaired = read_series_csv(out_path)
         assert not repaired[0].has_missing
 
+    @pytest.mark.parametrize(
+        "break_document",
+        [
+            lambda d: d["pipelines"][0].pop("classifier_name"),
+            lambda d: d["cluster_atlas"].pop("ids"),
+            lambda d: d.__setitem__("pipelines", 3),
+            lambda d: d.__setitem__("feature_baseline", "x"),
+            lambda d: d.__setitem__("ledger_head", []),
+        ],
+        ids=["spec-key", "atlas-ids", "pipelines-int", "baseline-str", "head-list"],
+    )
+    def test_repair_with_malformed_engine_exits_2(
+        self, tmp_path, capsys, labeled_features, break_document
+    ):
+        import json
+
+        from repro import ADarts, ModelRaceConfig
+        from repro.core import export_engine
+
+        X, y = labeled_features
+        engine = ADarts(
+            config=ModelRaceConfig(n_partial_sets=2, n_folds=2, max_elite=1),
+            classifier_names=["gaussian_nb"],
+        ).fit_features(X, y)
+        document = export_engine(engine)
+        document["cluster_atlas"] = {
+            "ids": ["c0"], "labels": ["linear"], "representatives": [[0.0, 1.0]],
+        }
+        document["ledger_head"] = {"run_id": "run_x", "records": []}
+        break_document(document)
+        engine_path = tmp_path / "engine.json"
+        engine_path.write_text(json.dumps(document))
+        data_path = tmp_path / "faulty.csv"
+        write_series_csv(data_path, [TimeSeries([1.0, np.nan, 3.0, 4.0])])
+        code = main([
+            "repair", "--engine", str(engine_path), "--data", str(data_path),
+            "--out", str(tmp_path / "fixed.csv"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err
+        assert "Traceback" not in err
+
     def test_train_unknown_category_errors(self, tmp_path, capsys):
         code = main(
             ["train", "--categories", "Bogus", "--out", str(tmp_path / "e.json")]

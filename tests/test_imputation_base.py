@@ -7,10 +7,14 @@ from repro.exceptions import ImputationError, RegistryError, ValidationError
 from repro.imputation import available_imputers, get_imputer
 from repro.imputation.base import (
     BaseImputer,
-    interpolate_rows,
+    interpolate_rows_block,
     register_imputer,
 )
 from repro.timeseries import TimeSeries, TimeSeriesDataset
+
+
+def interpolate_rows(X):
+    return interpolate_rows_block(X, np.isnan(X))
 
 
 class TestInterpolateRows:
@@ -58,6 +62,12 @@ class TestRegistry:
 
                 def _impute(self, X, mask):
                     return X
+
+    def test_register_without_kernel_raises(self):
+        with pytest.raises(RegistryError, match="defines no kernel"):
+            @register_imputer
+            class Kernelless(BaseImputer):
+                name = "kernelless_test"
 
     def test_register_unnamed_raises(self):
         with pytest.raises(RegistryError):

@@ -9,8 +9,8 @@ import pytest
 from repro import ADarts, ModelRaceConfig, TimeSeries
 from repro.clustering.labeling import ClusterLabeler
 from repro.exceptions import ValidationError
+from repro.clustering.atlas import ClusterAtlas
 from repro.observability import (
-    ClusterAtlas,
     LEDGER_SCHEMA_VERSION,
     NULL_LEDGER,
     RepairLedger,
@@ -23,7 +23,7 @@ from repro.observability import (
     render_explanation,
     render_summary,
     repair_context,
-    repair_quality_stats,
+    repair_quality_stats_block,
     set_ledger,
     summarize_ledger,
     upgrade_record,
@@ -172,7 +172,7 @@ class TestQualityStats:
         completed = rng.normal(size=(1, 200))
         mask = np.zeros((1, 200), dtype=bool)
         mask[0, 50:70] = True
-        stats = repair_quality_stats(completed, mask)
+        (stats,) = repair_quality_stats_block(completed, mask)
         assert stats["n_missing"] == 20
         assert stats["plausibility_z"] < 1.0
         assert 0.3 < stats["scale_ratio"] < 3.0
@@ -183,7 +183,7 @@ class TestQualityStats:
         mask = np.zeros((1, 200), dtype=bool)
         mask[0, 50:70] = True
         completed[mask] = 25.0  # constant, far outside the observed range
-        stats = repair_quality_stats(completed, mask)
+        (stats,) = repair_quality_stats_block(completed, mask)
         assert stats["plausibility_z"] > 5.0
         assert stats["scale_ratio"] < 0.1
         assert stats["roughness_ratio"] > 1.0
@@ -209,6 +209,23 @@ class TestClusterAtlas:
         faulty[30:50] = np.nan
         hit = atlas.assign(faulty)
         assert hit["cluster"] == "c_sine"
+
+    @pytest.mark.parametrize("query", ["gapped", "all-nan"])
+    def test_assignment_matches_np_interp_fill(self, query):
+        from tests.imputer_oracles import atlas_interpolate
+
+        t = np.linspace(0, 6 * np.pi, 120)
+        atlas = ClusterAtlas()
+        atlas.add("c_sine", "linear", np.sin(t))
+        atlas.add("c_ramp", "mean", np.linspace(0, 10, 120))
+        values = np.sin(1.3 * t) + 0.01 * t
+        if query == "gapped":
+            values[:4] = values[30:50] = values[-3:] = np.nan
+        else:
+            values[:] = np.nan
+        # A NaN-free query is not interpolated, so this is the
+        # assignment np.interp's fill gives.
+        assert atlas.assign(values) == atlas.assign(atlas_interpolate(values))
 
     def test_empty_atlas_returns_none(self):
         assert ClusterAtlas().assign(np.ones(10)) is None

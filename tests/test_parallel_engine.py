@@ -190,6 +190,35 @@ class TestFeatureCache:
         assert len(cache) == 0
         assert cache.get(key) is None
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda raw: b"",
+            lambda raw: raw[:20],
+            lambda raw: raw[:-8],
+            lambda raw: b"these bytes are not an npy file",
+        ],
+        ids=["empty", "truncated-header", "truncated-data", "not-npy"],
+    )
+    def test_unreadable_entry_is_a_miss(self, tmp_path, caplog, corrupt):
+        from repro.features.extractor import FeatureExtractor
+        from repro.timeseries.series import TimeSeries
+
+        rng = np.random.default_rng(5)
+        series = [TimeSeries(rng.normal(size=48).cumsum(), name=f"s{i}")
+                  for i in range(3)]
+        cold = FeatureExtractor().extract_many(series)
+        FeatureExtractor(cache=FeatureCache(tmp_path)).extract_many(series)
+        entry = sorted(tmp_path.glob("*.npy"))[0]
+        entry.write_bytes(corrupt(entry.read_bytes()))
+        cache = FeatureCache(tmp_path)
+        with caplog.at_level("WARNING", logger="repro"):
+            warm = FeatureExtractor(cache=cache).extract_many(series)
+        assert any("unreadable cache entry" in r.getMessage()
+                   for r in caplog.records)
+        assert cache.misses == 1 and cache.hits == 2
+        assert warm.tobytes() == cold.tobytes()
+
     def test_metrics_counters_flow(self):
         registry = MetricsRegistry()
         cache = FeatureCache()

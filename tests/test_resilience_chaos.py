@@ -466,9 +466,9 @@ class TestImputerChaos:
             ],
             seed=0,
         )
-        # The site hang fires *before* ``_impute`` (outside the deadline
+        # The site hang fires *before* the kernel (outside the deadline
         # window), so the call is delayed but completes; the companion
-        # test below puts the slowness inside ``_impute`` where the
+        # test below puts the slowness inside the kernel where the
         # deadline actually bites.
         start = time.perf_counter()
         with use_fault_policy(FaultPolicy(impute_deadline=0.5)):
@@ -481,11 +481,11 @@ class TestImputerChaos:
         from repro.imputation.simple import MeanImputer
         from repro.resilience import use_fault_policy
 
-        def slow_impute(self, X, mask):
+        def slow_impute(self, X3, mask3):
             time.sleep(2.0)
-            return X
+            return X3
 
-        monkeypatch.setattr(MeanImputer, "_impute", slow_impute)
+        monkeypatch.setattr(MeanImputer, "_impute_block", slow_impute)
         start = time.perf_counter()
         with use_fault_policy(FaultPolicy(impute_deadline=0.2)):
             with pytest.raises(DeadlineExceededError):

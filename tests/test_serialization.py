@@ -1,10 +1,14 @@
 """Tests for engine export/import (JSON persistence)."""
 
+import copy
 import json
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro import ADarts, ModelRaceConfig
+from repro import ADarts, ModelRaceConfig, TimeSeries
 from repro.core import export_engine, import_engine, load_engine, save_engine
 from repro.exceptions import NotFittedError, ValidationError
 
@@ -208,3 +212,103 @@ class TestMalformedDocuments:
         path.write_text("{ this is not json")
         with pytest.raises(ValidationError, match="not valid JSON"):
             load_engine(path)
+
+
+@pytest.fixture(scope="module")
+def full_document():
+    """Exported engine with every section: pipelines, atlas, ledger head,
+    feature baseline."""
+    from repro.datasets import load_category
+    from repro.observability import RepairLedger, use_ledger
+
+    engine = ADarts(**FAST)
+    with use_ledger(RepairLedger()):
+        engine.fit_datasets(load_category("Climate", n_series=8, n_datasets=1))
+    document = json.loads(json.dumps(export_engine(engine)))
+    assert {"cluster_atlas", "ledger_head", "feature_baseline"} <= set(document)
+    return document
+
+
+def _faulty_series():
+    t = np.arange(96, dtype=float)
+    out = []
+    for i in range(2):
+        values = np.sin(2 * np.pi * t / (12 + 6 * i)) + 0.1 * t
+        values[30 + i : 45 + i] = np.nan
+        out.append(TimeSeries(values, name=f"f{i}"))
+    return out
+
+
+def _assert_engine_works(engine):
+    """Recommend and repair two gapped series with a ledger installed."""
+    from repro.observability import RepairLedger, use_ledger
+
+    series = _faulty_series()
+    with use_ledger(RepairLedger()):
+        recommendations = engine.recommend_many(series)
+        repaired = engine.repair_many(series, recommendations)
+    assert [len(s) for s in repaired] == [len(s) for s in series]
+    assert not any(s.has_missing for s in repaired)
+
+
+_SWAPS = (None, True, 7, 0.5, "x", [], {})
+
+
+def _mutate(data, document):
+    """Drop one key or swap one value's JSON type, anywhere in the tree."""
+    document = copy.deepcopy(document)
+    parent, key, node = None, None, document
+    while True:
+        if isinstance(node, dict):
+            children = sorted(node)
+        elif isinstance(node, list):
+            children = list(range(len(node)))
+        else:
+            children = []
+        if not children or (parent is not None and data.draw(st.booleans())):
+            break
+        key = data.draw(st.sampled_from(children))
+        parent, node = node, node[key]
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = data.draw(
+            st.sampled_from([v for v in _SWAPS if type(v) is not type(node)])
+        )
+    return document
+
+
+class TestMalformedEngineDocuments:
+    @pytest.mark.parametrize(
+        "break_document",
+        [
+            lambda d: d["pipelines"][0].pop("classifier_name"),
+            lambda d: d["cluster_atlas"].pop("ids"),
+            lambda d: d.__setitem__("pipelines", 3),
+            lambda d: d.__setitem__("feature_baseline", "x"),
+            lambda d: d.__setitem__("ledger_head", []),
+        ],
+        ids=["spec-key", "atlas-ids", "pipelines-int", "baseline-str", "head-list"],
+    )
+    def test_raises_validation_error(self, full_document, break_document):
+        document = copy.deepcopy(full_document)
+        break_document(document)
+        with pytest.raises(ValidationError):
+            import_engine(document)
+
+    def test_unbroken_document_works(self, full_document):
+        _assert_engine_works(import_engine(copy.deepcopy(full_document)))
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_fuzzed_document_is_rejected_or_works(self, full_document, data):
+        document = _mutate(data, full_document)
+        try:
+            engine = import_engine(document)
+        except ValidationError:
+            return
+        _assert_engine_works(engine)

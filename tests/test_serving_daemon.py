@@ -65,6 +65,7 @@ class SlowEngine:
             degraded = False
             disagreement = 0.0
             features = None
+            cluster = None
 
         if self.delay_s:
             time.sleep(self.delay_s)

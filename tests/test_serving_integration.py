@@ -13,6 +13,7 @@ an artifact; ``REPRO_LEDGER_OUT`` does the same for the serving-time
 repair provenance ledger.
 """
 
+import contextlib
 import json
 import os
 import pathlib
@@ -22,8 +23,8 @@ import numpy as np
 import pytest
 
 from repro import ADarts, ModelRaceConfig, TimeSeries
+from repro.clustering.atlas import ClusterAtlas
 from repro.observability import (
-    ClusterAtlas,
     DriftDetector,
     RecordingServingObserver,
     RepairLedger,
@@ -99,6 +100,20 @@ def _serve(daemon, series):
         for s in series
     ])
     return [future.result(timeout=60) for future in futures]
+
+
+def _family_atlas(corpus):
+    """fit_features has no clustering phase, so the two training
+    families are registered as atlas representatives by hand."""
+    t = np.linspace(0, 4 * np.pi, LENGTH)
+    atlas = ClusterAtlas()
+    atlas.add("corpus:c0", "linear", np.sin(t))
+    atlas.add(
+        "corpus:c1",
+        "mean",
+        np.mean([s.values for s in corpus[20:]], axis=0),
+    )
+    return atlas
 
 
 @pytest.fixture(scope="module")
@@ -211,17 +226,7 @@ class TestServingEndToEnd:
         self, trained_engine, tmp_path
     ):
         engine, corpus = trained_engine
-        # fit_features has no clustering phase, so register the two
-        # training families as atlas representatives by hand.
-        t = np.linspace(0, 4 * np.pi, LENGTH)
-        atlas = ClusterAtlas()
-        atlas.add("corpus:c0", "linear", np.sin(t))
-        atlas.add(
-            "corpus:c1",
-            "mean",
-            np.mean([s.values for s in corpus[20:]], axis=0),
-        )
-        engine.cluster_atlas_ = atlas
+        engine.cluster_atlas_ = _family_atlas(corpus)
 
         ledger_path = tmp_path / "serving_ledger.jsonl"
         ledger = RepairLedger(ledger_path)
@@ -287,6 +292,47 @@ class TestServingEndToEnd:
         out = os.environ.get("REPRO_LEDGER_OUT")
         if out:
             shutil.copyfile(ledger_path, pathlib.Path(out))
+
+    @pytest.mark.parametrize("with_ledger", [False, True], ids=["bare", "ledger"])
+    def test_one_atlas_assignment_per_served_series(
+        self, trained_engine, monkeypatch, with_ledger
+    ):
+        engine, corpus = trained_engine
+        monkeypatch.setattr(engine, "cluster_atlas_", _family_atlas(corpus))
+        assign = ClusterAtlas.assign
+        calls = []
+
+        def counting_assign(atlas, values):
+            calls.append(1)
+            return assign(atlas, values)
+
+        monkeypatch.setattr(ClusterAtlas, "assign", counting_assign)
+        live = _in_distribution_series(np.random.default_rng(9), 20, corpus)
+        ledger = RepairLedger()
+        events = []
+        with contextlib.ExitStack() as stack:
+            if with_ledger:
+                stack.enter_context(use_ledger(ledger))
+            daemon = stack.enter_context(_daemon(engine, 20))
+            record = daemon.slo_tracker.record_request
+
+            def capture(latency, batch_events, **kwargs):
+                events.extend(batch_events)
+                return record(latency, batch_events, **kwargs)
+
+            monkeypatch.setattr(daemon.slo_tracker, "record_request", capture)
+            _serve(daemon, live)
+        assert len(calls) == 20
+        slices = [
+            s for event in events for s in event["slices"]
+            if s.startswith("cluster:")
+        ]
+        assert len(slices) == 20
+        if with_ledger:
+            repairs = [r for r in ledger.records() if r["kind"] == "repair"]
+            assert [
+                f"cluster:{r['data']['cluster']['cluster']}" for r in repairs
+            ] == slices
 
     def test_serving_without_ledger_unchanged(self, trained_engine):
         engine, corpus = trained_engine
