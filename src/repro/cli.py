@@ -71,10 +71,9 @@ from repro.imputation import available_imputers
 from repro.observability import (
     DriftDetector,
     LoggingObserver,
-    MetricsRegistry,
     Tracer,
     enable_console_logging,
-    use_metrics,
+    get_metrics,
     use_tracer,
 )
 from repro.observability.ledger import (
@@ -90,6 +89,7 @@ from repro.observability.ledger import (
 from repro.observability.report import load_metrics, load_trace, render_report
 from repro.parallel import BACKENDS, FeatureCache, ParallelConfig
 from repro.resilience import FaultPolicy, use_fault_policy
+from repro.resilience.stats import declare_counters
 from repro.timeseries.series import TimeSeries
 
 
@@ -891,7 +891,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_with_observability(args) -> int:
-    """Execute the subcommand, installing tracer/metrics when requested.
+    """Execute the subcommand, installing a tracer/ledger when requested.
+
+    ``--metrics-out`` exports the process metrics registry, which counts
+    every run whether or not it is written out.
 
     The resilience flags install a process-level
     :class:`~repro.resilience.FaultPolicy` for the duration of the
@@ -911,18 +914,18 @@ def _run_with_observability(args) -> int:
         with use_fault_policy(policy):
             return args.func(args)
     tracer = Tracer() if trace_out else None
-    registry = MetricsRegistry() if metrics_out else None
     ledger = RepairLedger(ledger_out) if ledger_out else None
+    if metrics_out:
+        declare_counters()
     try:
-        with use_tracer(tracer), use_metrics(registry), \
-                use_ledger(ledger), use_fault_policy(policy):
+        with use_tracer(tracer), use_ledger(ledger), use_fault_policy(policy):
             return args.func(args)
     finally:
         if tracer is not None:
             path = tracer.export_chrome_trace(trace_out)
             print(f"wrote trace to {path}", file=sys.stderr)
-        if registry is not None:
-            path = registry.export(metrics_out)
+        if metrics_out:
+            path = get_metrics().export(metrics_out)
             print(f"wrote metrics to {path}", file=sys.stderr)
         if ledger is not None:
             ledger.close()

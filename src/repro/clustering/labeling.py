@@ -36,7 +36,7 @@ def _rank_worker(
 
     Returns the ranking plus the wall seconds it took, so the parent
     process can record per-race latency even under the process backend
-    (where worker-side metrics registries are no-ops).
+    (where a worker counts into its own, never exported, registry).
     """
     truth, mask = job
     imputers = [get_imputer(name) for name in imputer_names]

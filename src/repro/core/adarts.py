@@ -47,7 +47,7 @@ from repro.observability.ledger import (
 from repro.observability.serving import vote_disagreement
 from repro.parallel.cache import hash_arrays
 from repro.pipeline.pipeline import Pipeline, make_seed_pipelines
-from repro.resilience.stats import tick
+from repro.resilience.stats import count_event
 from repro.timeseries.series import TimeSeries, TimeSeriesDataset
 from repro.utils.timing import Timer
 
@@ -520,22 +520,14 @@ class ADarts:
                         exc,
                     )
                     detail = None
-                    tick("fallback_requests")
-                    metrics.counter(
-                        "repro_inference_fallback_total",
-                        "Requests answered by the static fallback",
-                    ).inc()
+                    count_event("fallback_requests")
             if detail is None:
                 out = self._fallback_recommendations(X)
             else:
                 out = self._recommendations_from_proba(detail.proba, X, detail)
             out = self.annotate_with_ledger(series_list, out, detail)
             if detail is None or detail.degraded:
-                tick("degraded_requests")
-                metrics.counter(
-                    "repro_inference_degraded_total",
-                    "Requests served in degraded mode",
-                ).inc()
+                count_event("degraded_requests")
                 if detail is not None:
                     _log.warning(
                         "degraded vote: %d/%d members used (failed: %s; "

@@ -33,10 +33,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.exceptions import EnsembleError, NotFittedError, ValidationError
-from repro.observability import get_logger, get_metrics
+from repro.observability import get_logger
 from repro.pipeline.pipeline import Pipeline
 from repro.resilience import CircuitBreaker, get_fault_injector
-from repro.resilience.stats import tick
+from repro.resilience.stats import count_event
 
 _log = get_logger(__name__)
 
@@ -176,12 +176,10 @@ class _BaseEnsemble:
                     )
             except Exception as exc:
                 failed.append(name)
-                tick("member_failures")
-                get_metrics().counter(
-                    "repro_ensemble_member_failures_total",
-                    "Ensemble members dropped from a vote after failing",
+                count_event(
+                    "member_failures",
                     labels={"member": pipeline.classifier_name},
-                ).inc()
+                )
                 _log.warning(
                     "ensemble member %s failed to vote (%s: %s); dropping "
                     "it from this vote",

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.observability import get_metrics, get_tracer
-from repro.observability.resources import get_accounting
+from repro.observability.resources import count_kernel
 from repro.parallel import FeatureCache
 from repro.features.statistical import (
     STATISTICAL_FEATURE_NAMES,
@@ -205,7 +205,7 @@ class FeatureExtractor:
         out = np.empty((X.shape[0], self.n_features), dtype=float)
         for col_idx, name in enumerate(self._names):
             out[:, col_idx] = cols[name]
-        get_accounting().record_kernel(
+        count_kernel(
             "extract_block",
             bytes_moved=X.nbytes + out.nbytes,
             chunks=len(cols),

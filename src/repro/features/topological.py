@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.observability.resources import get_accounting
+from repro.observability.resources import count_kernel
 
 
 def _sublevel_pairs(values: list, order: list) -> list[tuple[float, float]]:
@@ -274,7 +274,7 @@ def topological_features_block(
         edges[start : start + chunk] = _mst_edge_lengths_block(sq)
         n_chunks += 1
         scratch_bytes += sq.nbytes
-    get_accounting().record_kernel(
+    count_kernel(
         "topological_mst",
         bytes_moved=cloud.nbytes + edges.nbytes + scratch_bytes,
         chunks=n_chunks,

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.exceptions import ImputationError, RegistryError, ValidationError
 from repro.observability import get_metrics, get_tracer
-from repro.observability.resources import get_accounting
+from repro.observability.resources import count_kernel
 from repro.observability.ledger import (
     current_repair_id,
     get_ledger,
@@ -278,7 +278,7 @@ class BaseImputer:
             for row in ledger_rows:
                 row["elapsed_s"] = per_problem_s
             ledger.record_many("impute", ledger_rows)
-        get_accounting().record_kernel(
+        count_kernel(
             f"impute_block.{self.name}",
             bytes_moved=block_bytes,
             chunks=len(blocks),
@@ -392,8 +392,7 @@ class BaseImputer:
 
         Iterative imputers (CDRec, SVDImp) call this once per problem
         at the end of their kernel so the metrics registry accumulates
-        per-algorithm iteration counts and convergence rates — free
-        no-ops unless a registry is installed.
+        per-algorithm iteration counts and convergence rates.
         """
         metrics = get_metrics()
         labels = {"algorithm": self.name}

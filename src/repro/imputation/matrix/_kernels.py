@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.observability.resources import get_accounting
+from repro.observability.resources import count_kernel
 
 
 def svd_block(stack: np.ndarray):
     """Thin SVD of every matrix in a ``(B, n, L)`` stack."""
-    get_accounting().record_kernel(
+    count_kernel(
         "svd_block",
         bytes_moved=stack.nbytes,
         chunks=1,

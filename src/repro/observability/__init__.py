@@ -4,8 +4,9 @@ The instrumentation substrate for every performance claim in the repro:
 
 * :mod:`repro.observability.tracing` — nested :class:`Span` context
   managers with JSON and Chrome ``trace_event`` export;
-* :mod:`repro.observability.metrics` — counters, gauges, and
-  numpy-backed histograms with JSON / Prometheus text export;
+* :mod:`repro.observability.metrics` — the always-on process registry
+  of counters, gauges and sketch-backed histograms (the one
+  :class:`QuantileSketch`), with JSON / Prometheus text export;
 * :mod:`repro.observability.observer` — the :class:`RaceObserver`
   event-callback API that :class:`~repro.core.modelrace.ModelRace`
   emits into, plus the structured :class:`IterationRecord`;
@@ -21,14 +22,15 @@ The instrumentation substrate for every performance claim in the repro:
   with ``repro monitor``);
 * :mod:`repro.observability.slo` — the serving telemetry sink:
   :class:`SloTracker` takes one call per served request and keeps
-  lifetime :class:`QuantileSketch` views (latency, confidence,
+  lifetime sketch views (latency, confidence,
   disagreement), the recommendation mix, per-imputer / per-cluster /
   per-shard scorecards, and multi-window burn-rate alerting over
   declarative :class:`SloPolicy` objectives (the recent view);
 * :mod:`repro.observability.resources` — :class:`AccountingRegistry`
-  process/resource accounting: RSS high-water, live component byte
-  counts (series bank, caches, shared memory), and per-kernel counters
-  (bytes moved, chunks, scratch allocations, backend decisions);
+  process/resource accounting (RSS high-water, live component byte
+  counts of the series bank, caches and shared memory) and the
+  per-kernel counters (calls, bytes moved, chunks, scratch
+  allocations) kept in the metrics registry;
 * :mod:`repro.observability.dashboard` — the ``repro top`` ANSI
   dashboard;
 * :mod:`repro.observability.ledger` — the append-only, schema-versioned
@@ -42,12 +44,15 @@ Performance is measured end to end by ``benchmarks/e2e/run.py``
 function-level hotspots use the stdlib profiler, e.g.
 ``python -m cProfile -s cumtime -m repro.cli repair ...``.
 
-Everything is zero-dependency, thread-safe, and free when disabled: the
-module-level defaults are no-op singletons, so library code instruments
-hot paths unconditionally and users pay only when they install a real
-:class:`Tracer` / :class:`MetricsRegistry` via :func:`set_tracer`,
-:func:`set_metrics`, or the scoped :class:`use_tracer` /
-:class:`use_metrics` context managers.
+Everything is zero-dependency and thread-safe.  Metrics are always on:
+:func:`get_metrics` is the process :class:`MetricsRegistry` from import
+time, each event is counted there once, and the health document,
+``repro top`` and ``--metrics-out`` read it; :func:`set_metrics` /
+:class:`use_metrics` scope another registry (``None`` restores the
+process one).  A counter costs a dict lookup and a lock and allocates
+nothing.  Tracing stays opt-in, because a span allocates per call: the
+default is the no-op ``NULL_TRACER`` until a :class:`Tracer` is
+installed via :func:`set_tracer` or :class:`use_tracer`.
 """
 
 from repro.observability.dashboard import (
@@ -86,8 +91,7 @@ from repro.observability.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_METRICS,
-    NullMetricsRegistry,
+    QuantileSketch,
     build_info,
     get_metrics,
     set_metrics,
@@ -100,8 +104,6 @@ from repro.observability.observer import (
     NULL_OBSERVER,
     RaceObserver,
     RecordingObserver,
-    RecordingServingObserver,
-    ServingObserver,
 )
 from repro.observability.resources import (
     AccountingRegistry,
@@ -116,7 +118,6 @@ from repro.observability.serving import (
     HealthSnapshot,
 )
 from repro.observability.slo import (
-    QuantileSketch,
     SloAlert,
     SloPolicy,
     SloTracker,
@@ -150,8 +151,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullMetricsRegistry",
-    "NULL_METRICS",
+    "QuantileSketch",
     "get_metrics",
     "set_metrics",
     "use_metrics",
@@ -163,15 +163,12 @@ __all__ = [
     "LoggingObserver",
     "IterationRecord",
     "NULL_OBSERVER",
-    "ServingObserver",
-    "RecordingServingObserver",
     # serving
     "DriftDetector",
     "DriftReport",
     "FeatureBaseline",
     "HealthSnapshot",
     # slo
-    "QuantileSketch",
     "SloPolicy",
     "SloAlert",
     "SloTracker",

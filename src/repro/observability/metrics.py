@@ -1,10 +1,19 @@
-"""Metrics registry: counters, gauges, and numpy-backed histograms.
+"""Metrics registry: counters, gauges, and sketch-backed histograms.
 
 Zero-dependency (numpy is already a core dependency) and thread-safe.
-Like tracing, the module-level default is a :class:`NullMetricsRegistry`
-whose instruments are shared no-op singletons, so instrumented library
-code pays nothing until a real :class:`MetricsRegistry` is installed via
-:func:`set_metrics` / :class:`use_metrics`.
+:func:`get_metrics` returns the process registry, a real
+:class:`MetricsRegistry` from import time: every instrumented event of
+the library is counted there once, and the serving health document,
+``repro top`` and ``--metrics-out`` all read it.  :func:`set_metrics` /
+:class:`use_metrics` install another registry (tests scope a fresh one);
+``None`` restores the process registry.  A forked worker starts with an
+empty process registry, so counts made in workers stay in the worker.
+
+Looking up a registered instrument is one dict read (a legal name is
+never re-sanitized) and an update one lock acquisition, so library code
+instruments hot paths unconditionally.  Histograms keep a
+:class:`QuantileSketch`: O(k) memory for a whole process lifetime, and
+exact (equal to ``np.percentile``) below ``k`` observations.
 
 Export formats:
 
@@ -24,9 +33,12 @@ registry without bound.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import pathlib
 import threading
+import time
 
 import numpy as np
 
@@ -40,6 +52,9 @@ OVERFLOW_LABELS: _LabelKey = (("overflow", "true"),)
 def _label_key(labels: dict | None) -> _LabelKey:
     if not labels:
         return ()
+    if len(labels) == 1:  # the common case: skip the sort
+        ((key, value),) = labels.items()
+        return ((str(key), str(value)),)
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
@@ -99,15 +114,12 @@ def build_info(*, refresh: bool = False) -> dict:
             version = _md.version("repro")
         except Exception:
             pass
-    import os as _os
-
-    sha = _os.environ.get("REPRO_BUILD_SHA", "").strip() or "unknown"
+    sha = os.environ.get("REPRO_BUILD_SHA", "").strip() or "unknown"
     if sha == "unknown":
         try:
-            import pathlib as _pathlib
             import subprocess as _subprocess
 
-            here = _pathlib.Path(__file__).resolve().parent
+            here = pathlib.Path(__file__).resolve().parent
             out = _subprocess.run(
                 ["git", "rev-parse", "--short", "HEAD"],
                 cwd=here,
@@ -205,13 +217,272 @@ class Gauge:
         return {"type": self.kind, "value": self._value}
 
 
-class Histogram:
-    """Observation store with numpy-computed percentile summaries.
+# ---------------------------------------------------------------------------
+# Streaming quantile sketch
+# ---------------------------------------------------------------------------
+class QuantileSketch:
+    """Mergeable KLL-style streaming quantile sketch with fixed memory.
 
-    Keeps raw observations (float64, amortized-growth buffer) so the
-    p50/p95/p99 summaries are exact rather than bucket-approximated — the
-    right trade-off at reproduction scale where a run records thousands,
-    not billions, of samples.
+    Observations land in a hierarchy of level buffers; level ``l`` items
+    each represent ``2**l`` original observations.  When the sketch
+    exceeds its memory budget the fullest low level is sorted and every
+    other item (deterministic alternating offset) is promoted one level
+    up — the classic KLL compaction, with REQ-style tail protection (the
+    extreme items of each level never compact) so the upper quantiles an
+    SLO pages on stay near-exact.  Memory stays O(k); rank error shrinks
+    as ``k`` grows (the default ``k=1024`` keeps p50/p95/p99 within 1%
+    relative error at n=10k across normal/lognormal/uniform/exponential
+    streams, which the test suite pins).
+
+    The sketch is:
+
+    * **picklable** — plain lists and ints, no locks in the state
+      (the lock is rebuilt on unpickle);
+    * **mergeable** — :meth:`merge` concatenates level buffers and
+      re-compacts, so merge-of-halves ≈ whole-stream;
+    * **exact below capacity** — until the first compaction the sketch
+      holds the raw sample and :meth:`quantile` equals
+      ``np.percentile`` bit-for-bit.
+    """
+
+    __slots__ = (
+        "k", "_levels", "_count", "_sum", "_min", "_max", "_coin", "_lock",
+    )
+
+    def __init__(self, k: int = 1024):
+        if k < 8:
+            raise ValueError("sketch k must be >= 8")
+        self.k = int(k)
+        self._levels: list[list[float]] = [[]]
+        self._count = 0
+        self._sum = 0.0
+        self._min = float("inf")
+        self._max = float("-inf")
+        # Deterministic compaction coin (xorshift state).  Seeding from k
+        # keeps behaviour reproducible run-to-run without any global RNG.
+        self._coin = (self.k * 2654435761) & 0xFFFFFFFF or 1
+        self._lock = threading.Lock()
+
+    # -- pickling (drop the lock) ---------------------------------------
+    def __getstate__(self) -> dict:
+        with self._lock:
+            return {
+                "k": self.k,
+                "levels": [list(level) for level in self._levels],
+                "count": self._count,
+                "sum": self._sum,
+                "min": self._min,
+                "max": self._max,
+                "coin": self._coin,
+            }
+
+    def __setstate__(self, state: dict) -> None:
+        self.k = state["k"]
+        self._levels = [list(level) for level in state["levels"]]
+        self._count = state["count"]
+        self._sum = state["sum"]
+        self._min = state["min"]
+        self._max = state["max"]
+        self._coin = state["coin"]
+        self._lock = threading.Lock()
+
+    # ------------------------------------------------------------------
+    def __len__(self) -> int:
+        return self._count
+
+    @property
+    def count(self) -> int:
+        """Lifetime number of observations folded into the sketch."""
+        return self._count
+
+    @property
+    def sum(self) -> float:
+        """Running sum of every observation (in arrival order)."""
+        return self._sum
+
+    @property
+    def mean(self) -> float:
+        """Exact running mean of every observation."""
+        return self._sum / self._count if self._count else 0.0
+
+    def _capacity(self, level: int, n_levels: int) -> int:
+        """Target capacity of ``level`` given ``n_levels`` total levels."""
+        # Higher levels hold more items (they are cheaper per represented
+        # observation); the 2/3 geometric decay is the KLL schedule.
+        cap = int(self.k * (2.0 / 3.0) ** (n_levels - 1 - level))
+        return max(8, cap)
+
+    def _flip(self) -> int:
+        """Deterministic coin: one xorshift32 step, returns 0 or 1."""
+        x = self._coin
+        x ^= (x << 13) & 0xFFFFFFFF
+        x ^= x >> 17
+        x ^= (x << 5) & 0xFFFFFFFF
+        self._coin = x
+        return x & 1
+
+    def _compact_locked(self) -> None:
+        """Compact the fullest over-capacity level (caller holds the lock)."""
+        n_levels = len(self._levels)
+        if n_levels == 1 and len(self._levels[0]) <= self.k:
+            return  # one level holds up to k items (the common case)
+        total_cap = sum(self._capacity(lv, n_levels) for lv in range(n_levels))
+        if sum(len(level) for level in self._levels) <= total_cap:
+            return
+        for lv in range(n_levels):
+            level = self._levels[lv]
+            cap = self._capacity(lv, n_levels)
+            if len(level) > cap:
+                level.sort()
+                # Tail protection (REQ-style): the lowest/highest few
+                # items stay at this level with their exact weight, so
+                # extreme quantiles — the ones SLOs page on — keep
+                # near-exact resolution while the bulk compacts.
+                tail = max(2, cap // 6)
+                promoted = level[tail:-tail][self._flip()::2]
+                if lv + 1 == n_levels:
+                    self._levels.append([])
+                self._levels[lv + 1].extend(promoted)
+                self._levels[lv] = level[:tail] + level[-tail:]
+                return
+
+    def update(self, value: float) -> None:
+        """Fold one observation into the sketch (non-finite are dropped)."""
+        value = float(value)
+        if not np.isfinite(value):
+            return
+        with self._lock:
+            self._levels[0].append(value)
+            self._count += 1
+            self._sum += value
+            if value < self._min:
+                self._min = value
+            if value > self._max:
+                self._max = value
+            self._compact_locked()
+
+    def extend(self, values) -> None:
+        """Fold many observations (any array-like)."""
+        for value in np.asarray(values, dtype=float).ravel():
+            self.update(value)
+
+    def merge(self, other: "QuantileSketch") -> "QuantileSketch":
+        """Fold ``other`` into ``self`` (returns ``self``).
+
+        Level buffers concatenate weight-for-weight, then the combined
+        sketch re-compacts down to its own memory budget, so merging N
+        shard sketches costs the same memory as one.
+        """
+        if not isinstance(other, QuantileSketch):
+            raise TypeError("can only merge another QuantileSketch")
+        # Snapshot the other side first: merging a sketch into itself or
+        # concurrent updates must not corrupt the level lists.
+        state = other.__getstate__()
+        with self._lock:
+            for lv, level in enumerate(state["levels"]):
+                while lv >= len(self._levels):
+                    self._levels.append([])
+                self._levels[lv].extend(level)
+            self._count += state["count"]
+            self._sum += state["sum"]
+            self._min = min(self._min, state["min"])
+            self._max = max(self._max, state["max"])
+            for _ in range(len(self._levels) + 8):
+                before = sum(len(level) for level in self._levels)
+                self._compact_locked()
+                if sum(len(level) for level in self._levels) == before:
+                    break
+        return self
+
+    # ------------------------------------------------------------------
+    def _weighted_items(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values, weights) of every stored item, unsorted."""
+        with self._lock:
+            values: list[float] = []
+            weights: list[float] = []
+            for lv, level in enumerate(self._levels):
+                values.extend(level)
+                weights.extend([float(1 << lv)] * len(level))
+        return np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
+
+    def quantile(self, q: float) -> float:
+        """Estimate the ``q``-quantile (0 <= q <= 1).
+
+        Uses the weighted analogue of ``np.percentile``'s linear
+        interpolation: stored item ``i`` (value-sorted) sits at rank
+        position ``cumw_{i-1} + (w_i - 1) / 2`` and the target rank
+        ``q * (count - 1)`` interpolates between its bracketing items,
+        with numpy's own lerp (from the upper item when the fraction is
+        at least 1/2).  With no compactions (all weights 1) this equals
+        ``np.percentile`` bit for bit.
+        """
+        if not 0.0 <= q <= 1.0:
+            raise ValueError("quantile must be in [0, 1]")
+        values, weights = self._weighted_items()
+        if values.size == 0:
+            return 0.0
+        order = np.argsort(values, kind="stable")
+        values = values[order]
+        weights = weights[order]
+        positions = np.cumsum(weights) - (weights + 1.0) / 2.0
+        target = q * (weights.sum() - 1.0)
+        if target <= positions[0]:
+            return float(self._min)
+        if target >= positions[-1]:
+            return float(self._max)
+        idx = int(np.searchsorted(positions, target, side="right"))
+        lo, hi = positions[idx - 1], positions[idx]
+        frac = 0.0 if hi == lo else (target - lo) / (hi - lo)
+        below, above = values[idx - 1], values[idx]
+        if frac >= 0.5:
+            return float(above - (above - below) * (1.0 - frac))
+        return float(below + (above - below) * frac)
+
+    def quantiles(self, qs) -> list[float]:
+        """Estimate several quantiles in one pass."""
+        return [self.quantile(q) for q in qs]
+
+    def counts_at_or_below(self, edges) -> list[int]:
+        """Estimated number of observations ``<= edge`` for each edge
+        (exact, like ``np.searchsorted(side="right")``, below ``k``)."""
+        values, weights = self._weighted_items()
+        order = np.argsort(values, kind="stable")
+        cumulative = np.concatenate(([0.0], np.cumsum(weights[order])))
+        idx = np.searchsorted(values[order], list(edges), side="right")
+        return [min(int(c), self._count) for c in cumulative[idx]]
+
+    def summary(self) -> dict:
+        """Health-document payload: count/mean/min/max/p50/p95/p99."""
+        if self._count == 0:
+            return {
+                "count": 0, "mean": 0.0, "min": 0.0, "max": 0.0,
+                "p50": 0.0, "p95": 0.0, "p99": 0.0,
+            }
+        p50, p95, p99 = self.quantiles((0.5, 0.95, 0.99))
+        return {
+            "count": int(self._count),
+            "mean": float(self.mean),
+            "min": float(self._min),
+            "max": float(self._max),
+            "p50": p50,
+            "p95": p95,
+            "p99": p99,
+        }
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        stored = sum(len(level) for level in self._levels)
+        return (
+            f"QuantileSketch(k={self.k}, count={self._count}, "
+            f"stored={stored}, levels={len(self._levels)})"
+        )
+
+
+class Histogram:
+    """Observation store summarised by a :class:`QuantileSketch`.
+
+    Memory stays O(k) however long the process runs; below ``k``
+    observations the quantiles and bucket counts are exact (they equal
+    ``np.percentile`` / ``np.searchsorted`` over the raw values).
     """
 
     kind = "histogram"
@@ -229,174 +500,44 @@ class Histogram:
     def __init__(self, name: str, help: str = ""):
         self.name = name
         self.help = help
-        self._buffer = np.empty(64, dtype=float)
-        self._n = 0
-        self._lock = threading.Lock()
+        self.sketch = QuantileSketch()
 
     def observe(self, value: float) -> None:
         """Record one observation (non-finite values are dropped)."""
-        value = float(value)
-        if not np.isfinite(value):
-            return
-        with self._lock:
-            if self._n == len(self._buffer):
-                self._buffer = np.concatenate(
-                    [self._buffer, np.empty(len(self._buffer), dtype=float)]
-                )
-            self._buffer[self._n] = value
-            self._n += 1
+        self.sketch.update(value)
 
+    @contextlib.contextmanager
     def time(self):
         """Context manager observing the elapsed wall seconds of a block."""
-        return _HistogramTimer(self)
+        start = time.perf_counter()
+        try:
+            yield self
+        finally:
+            self.observe(time.perf_counter() - start)
 
     @property
     def count(self) -> int:
-        return self._n
-
-    def values(self) -> np.ndarray:
-        """Copy of the recorded observations."""
-        with self._lock:
-            return self._buffer[: self._n].copy()
+        return self.sketch.count
 
     def summary(self) -> dict:
         """count / sum / mean / min / max / p50 / p95 / p99."""
-        data = self.values()
-        if data.size == 0:
-            return {
-                "count": 0,
-                "sum": 0.0,
-                "mean": 0.0,
-                "min": 0.0,
-                "max": 0.0,
-                "p50": 0.0,
-                "p95": 0.0,
-                "p99": 0.0,
-            }
-        quantiles = np.percentile(data, [100 * q for q in self.QUANTILES])
-        return {
-            "count": int(data.size),
-            "sum": float(data.sum()),
-            "mean": float(data.mean()),
-            "min": float(data.min()),
-            "max": float(data.max()),
-            "p50": float(quantiles[0]),
-            "p95": float(quantiles[1]),
-            "p99": float(quantiles[2]),
-        }
+        out = self.sketch.summary()
+        return {"count": out.pop("count"), "sum": self.sketch.sum, **out}
 
     def bucket_counts(self, buckets=None) -> list[tuple[float, int]]:
         """Cumulative ``(le, count)`` pairs for native Prometheus buckets.
 
-        Exact (computed from the raw observations), monotonically
-        non-decreasing, and always ending with ``(inf, count)``.
+        Monotonically non-decreasing and always ending with
+        ``(inf, count)``; exact below ``k`` observations.
         """
         edges = tuple(buckets) if buckets is not None else self.DEFAULT_BUCKETS
-        data = np.sort(self.values())
-        out = [
-            (float(le), int(np.searchsorted(data, le, side="right")))
-            for le in edges
-        ]
-        out.append((float("inf"), int(data.size)))
+        counts = self.sketch.counts_at_or_below(edges)
+        out = [(float(le), count) for le, count in zip(edges, counts)]
+        out.append((float("inf"), self.count))
         return out
 
     def as_dict(self) -> dict:
         return {"type": self.kind, **self.summary()}
-
-
-class _HistogramTimer:
-    __slots__ = ("_histogram", "_start")
-
-    def __init__(self, histogram):
-        self._histogram = histogram
-        self._start = 0.0
-
-    def __enter__(self):
-        import time
-
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        import time
-
-        self._histogram.observe(time.perf_counter() - self._start)
-        return False
-
-
-# ---------------------------------------------------------------------------
-# No-op instruments (module-wide singletons)
-# ---------------------------------------------------------------------------
-class _NullInstrument:
-    """Accepts every instrument method as a no-op."""
-
-    __slots__ = ()
-    kind = "null"
-    name = "null"
-    value = 0.0
-    count = 0
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def time(self):
-        return _NULL_TIMER
-
-    def values(self):
-        return np.empty(0)
-
-    def summary(self) -> dict:
-        return {}
-
-    def as_dict(self) -> dict:
-        return {}
-
-
-class _NullTimer:
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NULL_TIMER = _NullTimer()
-NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullMetricsRegistry:
-    """Default registry: every instrument is the shared no-op singleton."""
-
-    enabled = False
-
-    def counter(self, name: str, help: str = "", labels: dict | None = None):
-        return NULL_INSTRUMENT
-
-    def gauge(self, name: str, help: str = "", labels: dict | None = None):
-        return NULL_INSTRUMENT
-
-    def histogram(self, name: str, help: str = "", labels: dict | None = None):
-        return NULL_INSTRUMENT
-
-    def as_dict(self) -> dict:
-        return {}
-
-    def clear(self) -> None:
-        pass
-
-
-NULL_METRICS = NullMetricsRegistry()
 
 
 class MetricsRegistry:
@@ -420,8 +561,6 @@ class MetricsRegistry:
         quantiles.
     """
 
-    enabled = True
-
     _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
     def __init__(
@@ -444,8 +583,14 @@ class MetricsRegistry:
     def _get_or_create(
         self, kind: str, name: str, help: str, labels: dict | None
     ):
-        name = sanitize_metric_name(name)
         label_key = _label_key(labels)
+        # Fast path: library names are already legal, so the raw key
+        # finds every registered instrument without the sanitizing loop
+        # or the lock (a dict read is atomic).
+        instrument = self._instruments.get((name, label_key))
+        if instrument is not None and instrument.kind == kind:
+            return instrument
+        name = sanitize_metric_name(name)
         key = (name, label_key)
         with self._lock:
             existing_kind = self._kinds.get(name)
@@ -509,6 +654,29 @@ class MetricsRegistry:
     ) -> Histogram:
         """Get or create a histogram."""
         return self._get_or_create("histogram", name, help, labels)
+
+    # -- reads ------------------------------------------------------------
+    def by_label(self, name: str, label: str) -> dict[str, float]:
+        """Values of counter/gauge ``name`` summed per value of ``label``,
+        sorted (the overflow set reports as ``"overflow"``)."""
+        out: dict[str, float] = {}
+        for labels, inst in self._family(name):
+            key = dict(labels).get(label, "overflow")
+            out[key] = out.get(key, 0.0) + inst.value
+        return dict(sorted(out.items()))
+
+    def total(self, name: str) -> float:
+        """Value of counter/gauge ``name`` summed over its label sets
+        (0 when it was never registered)."""
+        return sum(inst.value for _, inst in self._family(name))
+
+    def _family(self, name: str) -> list[tuple[_LabelKey, object]]:
+        with self._lock:
+            return [
+                (labels, inst)
+                for (n, labels), inst in self._instruments.items()
+                if n == name
+            ]
 
     def clear(self) -> None:
         """Drop every registered instrument."""
@@ -590,33 +758,53 @@ class MetricsRegistry:
 
     def export(self, path) -> pathlib.Path:
         """Write metrics to ``path``; ``.prom``/``.txt`` selects text format."""
-        path = pathlib.Path(path)
-        if path.suffix in (".prom", ".txt"):
-            path.write_text(self.to_prometheus())
-        else:
-            path.write_text(self.to_json())
-        return path
+        return export_document(self, path)
+
+
+def export_document(document, path) -> pathlib.Path:
+    """Write ``document`` (a registry or a health snapshot) to ``path``:
+    Prometheus text for a ``.prom``/``.txt`` suffix, JSON otherwise."""
+    path = pathlib.Path(path)
+    if path.suffix in (".prom", ".txt"):
+        path.write_text(document.to_prometheus())
+    else:
+        path.write_text(document.to_json())
+    return path
 
 
 # ---------------------------------------------------------------------------
-# Module-level default registry (a no-op unless explicitly installed).
+# The process registry (always on; reset in a forked child).
 # ---------------------------------------------------------------------------
-_default_metrics: MetricsRegistry | NullMetricsRegistry = NULL_METRICS
+_process_metrics = MetricsRegistry()
+_default_metrics = _process_metrics
 _default_lock = threading.Lock()
 
 
-def get_metrics() -> MetricsRegistry | NullMetricsRegistry:
-    """The currently installed registry (a shared no-op by default)."""
+def _reset_after_fork() -> None:
+    """A forked child starts with an empty process registry, so a lock
+    inherited mid-update cannot deadlock it and its counts stay its own."""
+    global _process_metrics, _default_metrics, _default_lock
+    _default_lock = threading.Lock()
+    _process_metrics = _default_metrics = MetricsRegistry()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_after_fork)
+
+
+def get_metrics() -> MetricsRegistry:
+    """The installed registry (the process registry by default)."""
     return _default_metrics
 
 
-def set_metrics(
-    registry: MetricsRegistry | None,
-) -> MetricsRegistry | NullMetricsRegistry:
-    """Install ``registry`` as the process-wide default; ``None`` resets."""
+def set_metrics(registry: MetricsRegistry | None) -> MetricsRegistry:
+    """Install ``registry`` as the default; ``None`` restores the
+    process registry."""
     global _default_metrics
     with _default_lock:
-        _default_metrics = registry if registry is not None else NULL_METRICS
+        _default_metrics = (
+            registry if registry is not None else _process_metrics
+        )
     return _default_metrics
 
 
@@ -625,16 +813,12 @@ class use_metrics:
 
     def __init__(self, registry: MetricsRegistry | None):
         self.registry = registry
-        self._previous: MetricsRegistry | NullMetricsRegistry | None = None
+        self._previous: MetricsRegistry | None = None
 
-    def __enter__(self) -> MetricsRegistry | NullMetricsRegistry:
+    def __enter__(self) -> MetricsRegistry:
         self._previous = get_metrics()
         return set_metrics(self.registry)
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        set_metrics(
-            self._previous
-            if isinstance(self._previous, MetricsRegistry)
-            else None
-        )
+        set_metrics(self._previous)
         return False

@@ -245,42 +245,6 @@ class RecordingObserver(RaceObserver):
         self._push("race_end", result=result)
 
 
-class ServingObserver:
-    """Event-callback API for the serving path (the inference-side bus).
-
-    :class:`~repro.observability.serving.DriftDetector` and
-    :class:`~repro.observability.slo.SloTracker` emit into this
-    interface, mirroring how ModelRace emits into :class:`RaceObserver`.
-    Every callback is a no-op; subclass and override what you need.
-    """
-
-    def on_drift_alert(self, report) -> None:
-        """The drift detector crossed a threshold (``report`` is a
-        :class:`~repro.observability.serving.DriftReport`)."""
-
-    def on_slo_alert(self, alert) -> None:
-        """An SLO burn-rate alert fired (``alert`` is an
-        :class:`~repro.observability.slo.SloAlert`).  Like drift alerts
-        it fires once per excursion and re-arms on recovery."""
-
-
-@dataclass
-class RecordingServingObserver(ServingObserver):
-    """Records serving events as ``(event_name, payload)`` tuples."""
-
-    events: list = field(default_factory=list)
-
-    def of_type(self, name: str) -> list:
-        """Payloads of every recorded event called ``name``."""
-        return [payload for event, payload in self.events if event == name]
-
-    def on_drift_alert(self, report):
-        self.events.append(("drift_alert", {"report": report}))
-
-    def on_slo_alert(self, alert):
-        self.events.append(("slo_alert", {"alert": alert}))
-
-
 class LoggingObserver(RaceObserver):
     """Narrates race progress through the ``repro`` logger hierarchy."""
 

@@ -1,37 +1,50 @@
-"""Resource accounting: live byte gauges, kernel counters, RSS sampling.
+"""Resource accounting: live byte gauges, RSS sampling, kernel counters.
 
-PR 5/7 gave the hot path real memory consumers — the
+The hot path has real memory consumers — the
 :class:`~repro.timeseries.batch.SeriesBank` derived-array memo, the
 :class:`~repro.parallel.cache.FeatureCache` / ``ScoreMemo`` stores and
-the shared-memory segments of serving shards — but nothing
-accounted for what they hold.  This module is the ledger of bytes:
+the shared-memory segments of serving shards.  This module is the
+ledger of bytes:
 
 * :class:`AccountingRegistry` — a process-wide registry of **accounts**
   (live byte gauges per component: ``series_bank``, ``feature_cache``,
-  ``score_memo``, ``shared_memory``), **kernel counters** (bytes moved,
-  blockwise chunk counts, scratch allocations per named kernel) and
-  **backend decisions** (how often the executor resolved to
-  serial/thread/process).
+  ``score_memo``, ``shared_memory``) plus a tracked RSS high-water;
 * :func:`sample_rss` — the OS view (``/proc/self/status`` VmRSS/VmHWM
-  with a ``resource.getrusage`` fallback), plus a registry-tracked
-  high-water mark so snapshots record the worst point, not just now.
+  with a ``resource.getrusage`` fallback);
+* :func:`count_kernel` / :func:`kernel_stats` — per-kernel counters
+  (calls, bytes moved, blockwise chunks, scratch allocations), kept in
+  the process metrics registry as ``repro_kernel_*_total{kernel}``.
 
-Everything is O(1) dict arithmetic under one lock, cheap enough for the
-block loops of ``ncc_cross``/``impute_many`` (which accumulate locally
-and record once per call).  The registry feeds
+Accounts are O(1) dict arithmetic under one lock; kernels accumulate
+locally and count once per public call, so the block loops of
+``ncc_cross``/``impute_many`` pay nothing per chunk.  Both feed
 :class:`~repro.observability.serving.HealthSnapshot` (JSON and
-Prometheus) and stamps ledger "fit"/"repair" rows via
-:func:`resource_stamp`, so every repair's provenance includes the memory
-state it ran under.
+Prometheus), and :func:`resource_stamp` stamps ledger "fit"/"repair"
+rows, so every repair's provenance includes the memory state it ran
+under.
 
-Like the tracer/metrics/ledger singletons, accounting is process-global
-(``get_accounting()``); tests call ``reset()`` between cases.
+Accounting is process-global (``get_accounting()``); tests call
+``reset()`` between cases.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+
+from repro.observability.metrics import get_metrics
+
+#: Kernel counter field -> its registry family (labelled ``kernel``)
+#: and help text.
+KERNEL_FAMILIES = {
+    "calls": ("repro_kernel_calls_total", "Instrumented kernel invocations"),
+    "bytes_moved": ("repro_kernel_bytes_moved_total",
+                    "Working-set bytes moved per kernel"),
+    "chunks": ("repro_kernel_chunks_total",
+               "Blockwise chunks executed per kernel"),
+    "scratch_allocations": ("repro_kernel_scratch_allocations_total",
+                            "Scratch allocations per kernel"),
+}
 
 
 class _Account:
@@ -53,26 +66,6 @@ class _Account:
             "peak_bytes": int(self.peak_bytes),
             "allocated_bytes": int(self.allocated_bytes),
             "allocations": int(self.allocations),
-        }
-
-
-class _Kernel:
-    """Lifetime counters of one named kernel."""
-
-    __slots__ = ("calls", "bytes_moved", "chunks", "scratch_allocations")
-
-    def __init__(self):
-        self.calls = 0
-        self.bytes_moved = 0
-        self.chunks = 0
-        self.scratch_allocations = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "calls": int(self.calls),
-            "bytes_moved": int(self.bytes_moved),
-            "chunks": int(self.chunks),
-            "scratch_allocations": int(self.scratch_allocations),
         }
 
 
@@ -108,19 +101,15 @@ def sample_rss() -> dict:
 
 
 class AccountingRegistry:
-    """Process-wide resource ledger: accounts, kernels, backend decisions.
+    """Process-wide resource ledger: live byte accounts and RSS.
 
     All mutators are safe to call from worker threads; the per-call cost
-    is a lock acquisition and a couple of integer adds.  Hot block loops
-    should accumulate locally and call :meth:`record_kernel` once per
-    public-API call, not once per chunk.
+    is a lock acquisition and a couple of integer adds.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._accounts: dict[str, _Account] = {}
-        self._kernels: dict[str, _Kernel] = {}
-        self._backend_decisions: dict[str, int] = {}
         self._rss_hwm = 0
 
     # -- accounts -------------------------------------------------------
@@ -162,40 +151,6 @@ class AccountingRegistry:
             account = self._accounts.get(name)
             return int(account.bytes) if account else 0
 
-    # -- kernels --------------------------------------------------------
-    def record_kernel(
-        self,
-        name: str,
-        *,
-        bytes_moved: int = 0,
-        chunks: int = 0,
-        scratch_allocations: int = 0,
-        calls: int = 1,
-    ) -> None:
-        """Fold one kernel invocation's counters into the registry.
-
-        ``bytes_moved`` is the kernel's working-set traffic (inputs
-        touched + outputs written), ``chunks`` the number of blockwise
-        iterations, ``scratch_allocations`` the temporary arrays it
-        allocated.
-        """
-        with self._lock:
-            kernel = self._kernels.get(name)
-            if kernel is None:
-                kernel = self._kernels.setdefault(name, _Kernel())
-            kernel.calls += calls
-            kernel.bytes_moved += int(bytes_moved)
-            kernel.chunks += int(chunks)
-            kernel.scratch_allocations += int(scratch_allocations)
-
-    # -- backend decisions ---------------------------------------------
-    def record_backend_decision(self, backend: str) -> None:
-        """The executor resolved a batch to ``backend``."""
-        with self._lock:
-            self._backend_decisions[backend] = (
-                self._backend_decisions.get(backend, 0) + 1
-            )
-
     # -- process memory -------------------------------------------------
     def sample(self) -> dict:
         """Sample RSS now and fold it into the tracked high-water."""
@@ -208,7 +163,7 @@ class AccountingRegistry:
 
     # -- views ----------------------------------------------------------
     def snapshot(self) -> dict:
-        """Health-document payload: RSS + accounts + kernels + backends."""
+        """Health-document payload: RSS + accounts."""
         rss = self.sample()
         with self._lock:
             return {
@@ -217,31 +172,51 @@ class AccountingRegistry:
                     name: account.as_dict()
                     for name, account in sorted(self._accounts.items())
                 },
-                "kernels": {
-                    name: kernel.as_dict()
-                    for name, kernel in sorted(self._kernels.items())
-                },
-                "backend_decisions": dict(
-                    sorted(self._backend_decisions.items())
-                ),
             }
 
     def reset(self) -> None:
         """Forget everything (tests; a fresh process view)."""
         with self._lock:
             self._accounts.clear()
-            self._kernels.clear()
-            self._backend_decisions.clear()
             self._rss_hwm = 0
 
 
-#: Process-global registry, mirroring the tracer/metrics/ledger pattern.
+#: Process-global registry.
 _ACCOUNTING = AccountingRegistry()
 
 
 def get_accounting() -> AccountingRegistry:
     """The process-wide :class:`AccountingRegistry`."""
     return _ACCOUNTING
+
+
+def count_kernel(
+    name: str, *, bytes_moved: int = 0, chunks: int = 0,
+    scratch_allocations: int = 0,
+) -> None:
+    """Count one invocation of kernel ``name`` in the metrics registry.
+
+    ``bytes_moved`` is the kernel's working-set traffic (inputs touched
+    + outputs written), ``chunks`` the number of blockwise iterations,
+    ``scratch_allocations`` the temporary arrays it allocated.
+    """
+    metrics = get_metrics()
+    labels = {"kernel": name}
+    amounts = (1, bytes_moved, chunks, scratch_allocations)
+    for (family, help_text), amount in zip(KERNEL_FAMILIES.values(), amounts):
+        metrics.counter(family, help_text, labels=labels).inc(int(amount))
+
+
+def kernel_stats() -> dict[str, dict[str, int]]:
+    """``{kernel: {calls, bytes_moved, chunks, scratch_allocations}}``
+    read from the installed metrics registry, sorted by kernel."""
+    metrics = get_metrics()
+    out: dict[str, dict[str, int]] = {}
+    for field, (family, _) in KERNEL_FAMILIES.items():
+        for kernel, value in metrics.by_label(family, "kernel").items():
+            row = out.setdefault(kernel, dict.fromkeys(KERNEL_FAMILIES, 0))
+            row[field] = int(value)
+    return dict(sorted(out.items()))
 
 
 def resource_stamp() -> dict:

@@ -11,10 +11,9 @@ module holds what the serving daemon
   the engine by :mod:`repro.core.serialization`.
 * :class:`DriftDetector` — scores incoming feature vectors against a
   :class:`FeatureBaseline` with PSI (population stability index) and a
-  two-sample KS statistic per feature, raising threshold-crossing
-  :class:`DriftReport` events through
-  :class:`~repro.observability.observer.ServingObserver` callbacks and a
-  ``repro_drift_alerts_total`` counter.
+  two-sample KS statistic per feature; a threshold crossing is logged,
+  counted in ``repro_drift_alerts_total`` and kept as the detector's
+  ``n_alerts`` / ``last_report``.
 * :func:`vote_disagreement` — the soft-vote disagreement (Jensen-Shannon
   style entropy gap across member probabilities) that
   ``ADarts.recommend_many`` hands each recommendation.
@@ -22,7 +21,10 @@ module holds what the serving daemon
   sink's views (lifetime sketches; the SLO burn windows are the recent
   view, see :mod:`repro.observability.slo`), drift scores, cache hit
   rates, execution engine backend stats, resilience counters and the
-  per-imputer / per-cluster / per-shard / batching scorecards.
+  per-imputer / per-cluster / per-shard / batching scorecards.  The
+  process-wide sections (resilience events, kernels, backends, series
+  bank) are reads of the process metrics registry; :data:`PROMETHEUS_TABLE`
+  maps the document onto its Prometheus families.
   :meth:`HealthSnapshot.collect` builds it from a serving daemon: for
   ``repro serve`` (live, over a ``health`` line), ``repro monitor``
   (a CSV replayed through an inline daemon) and ``repro top``.
@@ -42,9 +44,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.observability.log import get_logger
-from repro.observability.metrics import MetricsRegistry, build_info, get_metrics
-from repro.observability.observer import ServingObserver
-from repro.observability.resources import get_accounting
+from repro.observability.metrics import (
+    MetricsRegistry,
+    build_info,
+    export_document,
+    get_metrics,
+)
+from repro.observability.resources import get_accounting, kernel_stats
 
 _log = get_logger(__name__)
 
@@ -248,8 +254,7 @@ class DriftDetector:
     which lets a caller score at that cadence instead of per row.  A
     report whose PSI or KS maximum crosses its threshold is announced
     once per excursion (re-arming when the scores fall back under the
-    thresholds) through the registered
-    :class:`~repro.observability.observer.ServingObserver` s and the
+    thresholds): logged, counted in ``n_alerts`` and the
     ``repro_drift_alerts_total`` counter.
 
     Parameters
@@ -288,14 +293,9 @@ class DriftDetector:
         self._total = 0
         self._unscored = 0
         self._lock = threading.Lock()
-        self._observers: list[ServingObserver] = []
         self._alert_active = False
         self.n_alerts = 0
         self.last_report: DriftReport | None = None
-
-    def add_observer(self, observer: ServingObserver) -> None:
-        """Register an observer for ``on_drift_alert`` callbacks."""
-        self._observers.append(observer)
 
     # ------------------------------------------------------------------
     @property
@@ -374,7 +374,7 @@ class DriftDetector:
         # Alert state transitions happen under the lock so concurrent
         # ``check()`` calls (the serving daemon's dispatcher + a health
         # poller) announce each excursion exactly once; the side effects
-        # (counter, log, observers) run outside it.
+        # (counter, log) run outside it.
         fire = False
         with self._lock:
             if report.triggered:
@@ -398,8 +398,6 @@ class DriftDetector:
                 report.worst_feature,
                 report.n_samples,
             )
-            for observer in self._observers:
-                observer.on_drift_alert(report)
         return report
 
 
@@ -515,6 +513,7 @@ class HealthSnapshot:
                 "n_alerts": detector.n_alerts,
                 "report": report.as_dict() if report is not None else None,
             }
+        backends = engine_stats()
         counts = daemon.stats()
         pool = counts["pool"]
         resilience = {
@@ -546,7 +545,7 @@ class HealthSnapshot:
             uptime_s=daemon.uptime,
             drift=drift,
             caches=caches,
-            backends=engine_stats(),
+            backends=backends,
             alerts={
                 "drift_alerts": detector.n_alerts if detector else 0,
                 "slo_alerts": slo["n_alerts"],
@@ -559,7 +558,14 @@ class HealthSnapshot:
             resilience=resilience,
             scorecards=scorecards,
             slo=slo,
-            resources=get_accounting().snapshot(),
+            resources={
+                **get_accounting().snapshot(),
+                "kernels": kernel_stats(),
+                "backend_decisions": {
+                    backend: stats["batches"]
+                    for backend, stats in backends.items()
+                },
+            },
             build=build_info(),
             **views,
         )
@@ -571,204 +577,147 @@ class HealthSnapshot:
         return json.dumps(self.as_dict(), indent=indent)
 
     def to_prometheus(self) -> str:
-        """Render the snapshot as Prometheus gauges/counters."""
+        """Render the snapshot as Prometheus gauges/counters, one family
+        per :data:`PROMETHEUS_TABLE` row."""
+        doc = self.as_dict()
+        if not (self.drift or {}).get("report"):
+            doc["drift"] = None  # a detector that never scored exports nothing
         registry = MetricsRegistry()
-        registry.gauge(
-            "repro_serving_uptime_seconds", "Daemon uptime"
-        ).set(self.uptime_s)
-        registry.counter(
-            "repro_serving_requests_total", "Requests served"
-        ).inc(self.n_requests)
-        registry.counter(
-            "repro_serving_series_total", "Series served"
-        ).inc(self.n_series)
-        for prefix, summary in (
-            ("repro_serving_latency_seconds", self.latency),
-            ("repro_serving_series_latency_seconds", self.series_latency),
-            ("repro_serving_confidence", self.confidence),
-            ("repro_serving_disagreement", self.disagreement),
-        ):
-            for stat in ("p50", "p95", "p99", "mean"):
-                registry.gauge(
-                    prefix, f"Lifetime {prefix} (sketch-backed)",
-                    labels={"stat": stat},
-                ).set(summary.get(stat, 0.0))
-        for name, count in self.recommendation_mix.get("counts", {}).items():
-            registry.counter(
-                "repro_serving_recommendations_total",
-                "Recommendations by algorithm",
-                labels={"algorithm": name},
-            ).inc(count)
-        if self.drift and self.drift.get("report"):
-            report = self.drift["report"]
-            registry.gauge(
-                "repro_drift_psi_max", "Max per-feature PSI"
-            ).set(report["max_psi"])
-            registry.gauge(
-                "repro_drift_ks_max", "Max per-feature KS"
-            ).set(report["max_ks"])
-            registry.gauge(
-                "repro_drift_triggered", "1 when drift thresholds are crossed"
-            ).set(1.0 if report["triggered"] else 0.0)
-            registry.counter(
-                "repro_drift_alerts_total", "Drift alerts announced"
-            ).inc(self.drift.get("n_alerts", 0))
-        for cache_name, stats in self.caches.items():
-            if not stats:
-                continue
-            registry.gauge(
-                "repro_cache_hit_rate", "Cache hit rate",
-                labels={"cache": cache_name},
-            ).set(stats.get("hit_rate", 0.0))
-            registry.gauge(
-                "repro_cache_entries", "Cache entry count",
-                labels={"cache": cache_name},
-            ).set(stats.get("entries", 0))
-        for backend, stats in self.backends.items():
-            registry.counter(
-                "repro_parallel_tasks_total", "Engine tasks by backend",
-                labels={"backend": backend},
-            ).inc(stats.get("tasks", 0))
-            registry.counter(
-                "repro_parallel_batches_total", "Engine batches by backend",
-                labels={"backend": backend},
-            ).inc(stats.get("batches", 0))
-        if self.resilience:
-            registry.counter(
-                "repro_serving_degraded_total", "Requests served degraded"
-            ).inc(self.resilience.get("degraded_requests", 0))
-            registry.counter(
-                "repro_serving_fallback_total",
-                "Requests answered by the static fallback",
-            ).inc(self.resilience.get("fallback_requests", 0))
-            registry.gauge(
-                "repro_serving_quarantined_members",
-                "Ensemble members currently quarantined",
-            ).set(len(self.resilience.get("quarantined_members", [])))
-            for key, value in self.resilience.get("process", {}).items():
-                registry.counter(
-                    "repro_resilience_events_total",
-                    "Process-wide resilience events",
-                    labels={"event": key},
-                ).inc(value)
-        for name, card in self.scorecards.get("per_imputer", {}).items():
-            labels = {"algorithm": name}
-            registry.counter(
-                "repro_serving_imputer_series_total",
-                "Series repaired per imputer", labels=labels,
-            ).inc(card.get("n", 0))
-            registry.counter(
-                "repro_serving_imputer_degraded_total",
-                "Degraded recommendations per imputer", labels=labels,
-            ).inc(card.get("degraded", 0))
-            registry.gauge(
-                "repro_serving_imputer_confidence_mean",
-                "Mean soft-vote confidence per imputer", labels=labels,
-            ).set(card.get("mean_confidence", 0.0))
-        for name, card in self.scorecards.get("per_cluster", {}).items():
-            labels = {"cluster": name}
-            registry.counter(
-                "repro_serving_cluster_series_total",
-                "Series assigned per fit-time cluster", labels=labels,
-            ).inc(card.get("n", 0))
-            registry.counter(
-                "repro_serving_cluster_degraded_total",
-                "Degraded recommendations per cluster", labels=labels,
-            ).inc(card.get("degraded", 0))
-            registry.gauge(
-                "repro_serving_cluster_ncc_mean",
-                "Mean NCC to the cluster representative", labels=labels,
-            ).set(card.get("mean_ncc", 0.0))
-        # -- SLO engine ----------------------------------------------------
-        if self.slo:
-            registry.counter(
-                "repro_slo_events_total", "Events recorded by the SLO tracker"
-            ).inc(self.slo.get("n_events", 0))
-            registry.counter(
-                "repro_slo_alerts_total", "Burn-rate SLO alerts announced"
-            ).inc(self.slo.get("n_alerts", 0))
-            for status in self.slo.get("policies", ()):
-                labels = {"policy": status["policy"]}
-                registry.gauge(
-                    "repro_slo_burn_rate_fast",
-                    "Fast-window error-budget burn rate per policy",
-                    labels=labels,
-                ).set(status.get("fast_burn", 0.0))
-                registry.gauge(
-                    "repro_slo_burn_rate_slow",
-                    "Slow-window error-budget burn rate per policy",
-                    labels=labels,
-                ).set(status.get("slow_burn", 0.0))
-                registry.gauge(
-                    "repro_slo_budget_remaining",
-                    "Remaining error-budget fraction per policy (slow window)",
-                    labels=labels,
-                ).set(status.get("budget_remaining", 0.0))
-                registry.gauge(
-                    "repro_slo_alerting",
-                    "1 while the policy's burn-rate alert is active",
-                    labels=labels,
-                ).set(1.0 if status.get("alerting") else 0.0)
-        # -- resource accounting -------------------------------------------
-        if self.resources:
-            process = self.resources.get("process", {})
-            registry.gauge(
-                "repro_process_rss_bytes", "Resident set size"
-            ).set(process.get("rss_bytes", 0))
-            registry.gauge(
-                "repro_process_rss_hwm_bytes", "Resident set high-water mark"
-            ).set(process.get("tracked_hwm_bytes", process.get("hwm_bytes", 0)))
-            for component, account in self.resources.get("accounts", {}).items():
-                labels = {"component": component}
-                registry.gauge(
-                    "repro_resource_bytes",
-                    "Live bytes held per instrumented component",
-                    labels=labels,
-                ).set(account.get("bytes", 0))
-                registry.gauge(
-                    "repro_resource_peak_bytes",
-                    "Peak live bytes per instrumented component",
-                    labels=labels,
-                ).set(account.get("peak_bytes", 0))
-                registry.gauge(
-                    "repro_resource_items",
-                    "Live items held per instrumented component",
-                    labels=labels,
-                ).set(account.get("items", 0))
-            for kernel, counters in self.resources.get("kernels", {}).items():
-                labels = {"kernel": kernel}
-                registry.counter(
-                    "repro_kernel_calls_total",
-                    "Instrumented kernel invocations", labels=labels,
-                ).inc(counters.get("calls", 0))
-                registry.counter(
-                    "repro_kernel_bytes_moved_total",
-                    "Working-set bytes moved per kernel", labels=labels,
-                ).inc(counters.get("bytes_moved", 0))
-                registry.counter(
-                    "repro_kernel_chunks_total",
-                    "Blockwise chunks executed per kernel", labels=labels,
-                ).inc(counters.get("chunks", 0))
-                registry.counter(
-                    "repro_kernel_scratch_allocations_total",
-                    "Scratch allocations per kernel", labels=labels,
-                ).inc(counters.get("scratch_allocations", 0))
-            for backend, count in self.resources.get(
-                "backend_decisions", {}
-            ).items():
-                registry.counter(
-                    "repro_backend_decisions_total",
-                    "Executor backend resolutions", labels={"backend": backend},
-                ).inc(count)
+        for path, label, kind, family, help_text in PROMETHEUS_TABLE:
+            for labels, value in _walk(doc, path.split("."), label, {}):
+                instrument = getattr(registry, kind)(
+                    family, help_text, labels=labels
+                )
+                if isinstance(value, (list, tuple)):
+                    value = len(value)
+                update = instrument.inc if kind == "counter" else instrument.set
+                update(float(value or 0))
         return registry.to_prometheus()
 
     def export(self, path):
         """Write the snapshot; ``.prom``/``.txt`` selects Prometheus text."""
-        import pathlib
+        return export_document(self, path)
 
-        path = pathlib.Path(path)
-        if path.suffix in (".prom", ".txt"):
-            path.write_text(self.to_prometheus())
-        else:
-            path.write_text(self.to_json())
-        return path
+
+def _walk(node, steps, label, labels):
+    """Yield ``(labels, leaf)`` for one :data:`PROMETHEUS_TABLE` path."""
+    if not steps:
+        yield labels, node
+        return
+    if not node:  # missing, ``None`` or empty section: nothing to export
+        return
+    step, rest = steps[0], steps[1:]
+    if step == "*":
+        items = (
+            [(item[label], item) for item in node]
+            if isinstance(node, list)
+            else node.items()
+        )
+    elif "|" in step:
+        items = [(key, node.get(key)) for key in step.split("|")]
+    else:
+        yield from _walk(node.get(step), rest, label, labels)
+        return
+    for key, child in items:
+        yield from _walk(child, rest, label, {**labels, label: key})
+
+
+#: The Prometheus view of a health document, one row per family:
+#: ``(path, label, type, family, help)``.  A dotted path walks the
+#: document; a ``*`` step fans out over a section's keys (or, for a list,
+#: its items, keyed by their ``label`` field) and an ``a|b`` step over
+#: those fixed keys, each fan-out naming its series by ``label``.  A
+#: missing or empty section exports nothing, a missing leaf reads 0, a
+#: list leaf its length and a boolean 0/1.
+PROMETHEUS_TABLE = (
+    ("uptime_s", None, "gauge", "repro_serving_uptime_seconds", "Daemon uptime"),
+    ("n_requests", None, "counter", "repro_serving_requests_total",
+     "Requests served"),
+    ("n_series", None, "counter", "repro_serving_series_total", "Series served"),
+    *(
+        (f"{section}.p50|p95|p99|mean", "stat", "gauge", family,
+         f"Lifetime {family} (sketch-backed)")
+        for section, family in (
+            ("latency", "repro_serving_latency_seconds"),
+            ("series_latency", "repro_serving_series_latency_seconds"),
+            ("confidence", "repro_serving_confidence"),
+            ("disagreement", "repro_serving_disagreement"),
+        )
+    ),
+    ("recommendation_mix.counts.*", "algorithm", "counter",
+     "repro_serving_recommendations_total", "Recommendations by algorithm"),
+    ("drift.report.max_psi", None, "gauge", "repro_drift_psi_max",
+     "Max per-feature PSI"),
+    ("drift.report.max_ks", None, "gauge", "repro_drift_ks_max",
+     "Max per-feature KS"),
+    ("drift.report.triggered", None, "gauge", "repro_drift_triggered",
+     "1 when drift thresholds are crossed"),
+    ("drift.n_alerts", None, "counter", "repro_drift_alerts_total",
+     "Drift alerts announced"),
+    ("caches.*.hit_rate", "cache", "gauge", "repro_cache_hit_rate",
+     "Cache hit rate"),
+    ("caches.*.entries", "cache", "gauge", "repro_cache_entries",
+     "Cache entry count"),
+    ("backends.*.tasks", "backend", "counter", "repro_parallel_tasks_total",
+     "Engine tasks by backend"),
+    ("backends.*.batches", "backend", "counter", "repro_parallel_batches_total",
+     "Engine batches by backend"),
+    ("resilience.degraded_requests", None, "counter",
+     "repro_serving_degraded_total", "Requests served degraded"),
+    ("resilience.fallback_requests", None, "counter",
+     "repro_serving_fallback_total", "Requests answered by the static fallback"),
+    ("resilience.quarantined_members", None, "gauge",
+     "repro_serving_quarantined_members",
+     "Ensemble members currently quarantined"),
+    ("resilience.process.*", "event", "counter",
+     "repro_resilience_events_total", "Process-wide resilience events"),
+    ("scorecards.per_imputer.*.n", "algorithm", "counter",
+     "repro_serving_imputer_series_total", "Series repaired per imputer"),
+    ("scorecards.per_imputer.*.degraded", "algorithm", "counter",
+     "repro_serving_imputer_degraded_total",
+     "Degraded recommendations per imputer"),
+    ("scorecards.per_imputer.*.mean_confidence", "algorithm", "gauge",
+     "repro_serving_imputer_confidence_mean",
+     "Mean soft-vote confidence per imputer"),
+    ("scorecards.per_cluster.*.n", "cluster", "counter",
+     "repro_serving_cluster_series_total",
+     "Series assigned per fit-time cluster"),
+    ("scorecards.per_cluster.*.degraded", "cluster", "counter",
+     "repro_serving_cluster_degraded_total",
+     "Degraded recommendations per cluster"),
+    ("scorecards.per_cluster.*.mean_ncc", "cluster", "gauge",
+     "repro_serving_cluster_ncc_mean", "Mean NCC to the cluster representative"),
+    ("slo.n_events", None, "counter", "repro_slo_events_total",
+     "Events recorded by the SLO tracker"),
+    ("slo.n_alerts", None, "counter", "repro_slo_alerts_total",
+     "Burn-rate SLO alerts announced"),
+    ("slo.policies.*.fast_burn", "policy", "gauge", "repro_slo_burn_rate_fast",
+     "Fast-window error-budget burn rate per policy"),
+    ("slo.policies.*.slow_burn", "policy", "gauge", "repro_slo_burn_rate_slow",
+     "Slow-window error-budget burn rate per policy"),
+    ("slo.policies.*.budget_remaining", "policy", "gauge",
+     "repro_slo_budget_remaining",
+     "Remaining error-budget fraction per policy (slow window)"),
+    ("slo.policies.*.alerting", "policy", "gauge", "repro_slo_alerting",
+     "1 while the policy's burn-rate alert is active"),
+    ("resources.process.rss_bytes", None, "gauge", "repro_process_rss_bytes",
+     "Resident set size"),
+    ("resources.process.tracked_hwm_bytes", None, "gauge",
+     "repro_process_rss_hwm_bytes", "Resident set high-water mark"),
+    ("resources.accounts.*.bytes", "component", "gauge", "repro_resource_bytes",
+     "Live bytes held per instrumented component"),
+    ("resources.accounts.*.peak_bytes", "component", "gauge",
+     "repro_resource_peak_bytes", "Peak live bytes per instrumented component"),
+    ("resources.accounts.*.items", "component", "gauge", "repro_resource_items",
+     "Live items held per instrumented component"),
+    ("resources.kernels.*.calls", "kernel", "counter", "repro_kernel_calls_total",
+     "Instrumented kernel invocations"),
+    ("resources.kernels.*.bytes_moved", "kernel", "counter",
+     "repro_kernel_bytes_moved_total", "Working-set bytes moved per kernel"),
+    ("resources.kernels.*.chunks", "kernel", "counter",
+     "repro_kernel_chunks_total", "Blockwise chunks executed per kernel"),
+    ("resources.kernels.*.scratch_allocations", "kernel", "counter",
+     "repro_kernel_scratch_allocations_total", "Scratch allocations per kernel"),
+    ("resources.backend_decisions.*", "backend", "counter",
+     "repro_backend_decisions_total", "Executor backend resolutions"),
+)

@@ -3,11 +3,10 @@
 Every served request lands in :class:`SloTracker`; the health document,
 Prometheus export, ``repro top`` and the burn-rate alerts all read it.
 
-* :class:`QuantileSketch` — a mergeable, picklable, fixed-memory
-  KLL-style streaming quantile estimator.  Feeding every observation of
-  a process lifetime costs O(k) memory and gives p50/p99 estimates
-  within a fraction of a percent of the exact batch percentile (the
-  parity contract is tested at n=10k over several distributions).
+* :class:`~repro.observability.metrics.QuantileSketch` (the one
+  quantile implementation, shared with the metrics histograms) backs
+  every lifetime view: O(k) memory, p50/p99 within a fraction of a
+  percent of the exact batch percentile.
 * :class:`Scorecard` — one slice's running fold, shared with
   :func:`~repro.observability.ledger.summarize_ledger`.
 * :class:`SloPolicy` — one objective ("p99 latency <= 50ms", "error
@@ -24,10 +23,9 @@ Prometheus export, ``repro top`` and the burn-rate alerts all read it.
   in two days.  An alert fires when **both** windows burn above their
   thresholds (the standard multi-window guard against one-spike pages)
   and re-arms once the fast window recovers, exactly like
-  :class:`~repro.observability.serving.DriftDetector` alerts.  Alerts
-  are announced through the
-  :class:`~repro.observability.observer.ServingObserver` bus
-  (``on_slo_alert``) and a ``repro_slo_alerts_total`` counter.
+  :class:`~repro.observability.serving.DriftDetector` alerts.  Fired
+  alerts are returned by :meth:`SloTracker.evaluate`, logged, and
+  counted in ``repro_slo_alerts_total``.
 
 **Lifetime views, recent windows.**  The health views (latency,
 confidence, disagreement, slice quantiles) are lifetime sketches, exact
@@ -46,252 +44,10 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.observability.log import get_logger
-from repro.observability.metrics import get_metrics
+from repro.observability.metrics import QuantileSketch, get_metrics
 
 _log = get_logger(__name__)
-
-
-# ---------------------------------------------------------------------------
-# Streaming quantile sketch
-# ---------------------------------------------------------------------------
-class QuantileSketch:
-    """Mergeable KLL-style streaming quantile sketch with fixed memory.
-
-    Observations land in a hierarchy of level buffers; level ``l`` items
-    each represent ``2**l`` original observations.  When the sketch
-    exceeds its memory budget the fullest low level is sorted and every
-    other item (deterministic alternating offset) is promoted one level
-    up — the classic KLL compaction, with REQ-style tail protection (the
-    extreme items of each level never compact) so the upper quantiles an
-    SLO pages on stay near-exact.  Memory stays O(k); rank error shrinks
-    as ``k`` grows (the default ``k=1024`` keeps p50/p95/p99 within 1%
-    relative error at n=10k across normal/lognormal/uniform/exponential
-    streams, which the test suite pins).
-
-    The sketch is:
-
-    * **picklable** — plain lists and ints, no locks in the state
-      (the lock is rebuilt on unpickle);
-    * **mergeable** — :meth:`merge` concatenates level buffers and
-      re-compacts, so merge-of-halves ≈ whole-stream;
-    * **exact below capacity** — until the first compaction the sketch
-      holds the raw sample and :meth:`quantile` equals
-      ``np.percentile`` bit-for-bit.
-    """
-
-    __slots__ = (
-        "k", "_levels", "_count", "_sum", "_min", "_max", "_coin", "_lock",
-    )
-
-    def __init__(self, k: int = 1024):
-        if k < 8:
-            raise ValueError("sketch k must be >= 8")
-        self.k = int(k)
-        self._levels: list[list[float]] = [[]]
-        self._count = 0
-        self._sum = 0.0
-        self._min = float("inf")
-        self._max = float("-inf")
-        # Deterministic compaction coin (xorshift state).  Seeding from k
-        # keeps behaviour reproducible run-to-run without any global RNG.
-        self._coin = (self.k * 2654435761) & 0xFFFFFFFF or 1
-        self._lock = threading.Lock()
-
-    # -- pickling (drop the lock) ---------------------------------------
-    def __getstate__(self) -> dict:
-        with self._lock:
-            return {
-                "k": self.k,
-                "levels": [list(level) for level in self._levels],
-                "count": self._count,
-                "sum": self._sum,
-                "min": self._min,
-                "max": self._max,
-                "coin": self._coin,
-            }
-
-    def __setstate__(self, state: dict) -> None:
-        self.k = state["k"]
-        self._levels = [list(level) for level in state["levels"]]
-        self._count = state["count"]
-        self._sum = state["sum"]
-        self._min = state["min"]
-        self._max = state["max"]
-        self._coin = state["coin"]
-        self._lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return self._count
-
-    @property
-    def count(self) -> int:
-        """Lifetime number of observations folded into the sketch."""
-        return self._count
-
-    @property
-    def mean(self) -> float:
-        """Exact running mean of every observation."""
-        return self._sum / self._count if self._count else 0.0
-
-    def _capacity(self, level: int, n_levels: int) -> int:
-        """Target capacity of ``level`` given ``n_levels`` total levels."""
-        # Higher levels hold more items (they are cheaper per represented
-        # observation); the 2/3 geometric decay is the KLL schedule.
-        cap = int(self.k * (2.0 / 3.0) ** (n_levels - 1 - level))
-        return max(8, cap)
-
-    def _flip(self) -> int:
-        """Deterministic coin: one xorshift32 step, returns 0 or 1."""
-        x = self._coin
-        x ^= (x << 13) & 0xFFFFFFFF
-        x ^= x >> 17
-        x ^= (x << 5) & 0xFFFFFFFF
-        self._coin = x
-        return x & 1
-
-    def _compact_locked(self) -> None:
-        """Compact the fullest over-capacity level (caller holds the lock)."""
-        n_levels = len(self._levels)
-        total_cap = sum(self._capacity(lv, n_levels) for lv in range(n_levels))
-        if sum(len(level) for level in self._levels) <= total_cap:
-            return
-        for lv in range(n_levels):
-            level = self._levels[lv]
-            cap = self._capacity(lv, n_levels)
-            if len(level) > cap:
-                level.sort()
-                # Tail protection (REQ-style): the lowest/highest few
-                # items stay at this level with their exact weight, so
-                # extreme quantiles — the ones SLOs page on — keep
-                # near-exact resolution while the bulk compacts.
-                tail = max(2, cap // 6)
-                promoted = level[tail:-tail][self._flip()::2]
-                if lv + 1 == n_levels:
-                    self._levels.append([])
-                self._levels[lv + 1].extend(promoted)
-                self._levels[lv] = level[:tail] + level[-tail:]
-                return
-
-    def update(self, value: float) -> None:
-        """Fold one observation into the sketch (non-finite are dropped)."""
-        value = float(value)
-        if not np.isfinite(value):
-            return
-        with self._lock:
-            self._levels[0].append(value)
-            self._count += 1
-            self._sum += value
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
-            self._compact_locked()
-
-    def extend(self, values) -> None:
-        """Fold many observations (any array-like)."""
-        for value in np.asarray(values, dtype=float).ravel():
-            self.update(value)
-
-    def merge(self, other: "QuantileSketch") -> "QuantileSketch":
-        """Fold ``other`` into ``self`` (returns ``self``).
-
-        Level buffers concatenate weight-for-weight, then the combined
-        sketch re-compacts down to its own memory budget, so merging N
-        shard sketches costs the same memory as one.
-        """
-        if not isinstance(other, QuantileSketch):
-            raise TypeError("can only merge another QuantileSketch")
-        # Snapshot the other side first: merging a sketch into itself or
-        # concurrent updates must not corrupt the level lists.
-        state = other.__getstate__()
-        with self._lock:
-            for lv, level in enumerate(state["levels"]):
-                while lv >= len(self._levels):
-                    self._levels.append([])
-                self._levels[lv].extend(level)
-            self._count += state["count"]
-            self._sum += state["sum"]
-            self._min = min(self._min, state["min"])
-            self._max = max(self._max, state["max"])
-            for _ in range(len(self._levels) + 8):
-                before = sum(len(level) for level in self._levels)
-                self._compact_locked()
-                if sum(len(level) for level in self._levels) == before:
-                    break
-        return self
-
-    # ------------------------------------------------------------------
-    def _weighted_items(self) -> tuple[np.ndarray, np.ndarray]:
-        """(values, weights) of every stored item, unsorted."""
-        with self._lock:
-            values: list[float] = []
-            weights: list[float] = []
-            for lv, level in enumerate(self._levels):
-                values.extend(level)
-                weights.extend([float(1 << lv)] * len(level))
-        return np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
-
-    def quantile(self, q: float) -> float:
-        """Estimate the ``q``-quantile (0 <= q <= 1).
-
-        Uses the weighted analogue of ``np.percentile``'s linear
-        interpolation: stored item ``i`` (value-sorted) sits at rank
-        position ``cumw_{i-1} + (w_i - 1) / 2`` and the target rank
-        ``q * (count - 1)`` interpolates between its bracketing items.
-        With no compactions (all weights 1) this is exactly
-        ``np.percentile``.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        values, weights = self._weighted_items()
-        if values.size == 0:
-            return 0.0
-        order = np.argsort(values, kind="stable")
-        values = values[order]
-        weights = weights[order]
-        positions = np.cumsum(weights) - (weights + 1.0) / 2.0
-        target = q * (weights.sum() - 1.0)
-        if target <= positions[0]:
-            return float(self._min)
-        if target >= positions[-1]:
-            return float(self._max)
-        idx = int(np.searchsorted(positions, target, side="right"))
-        lo, hi = positions[idx - 1], positions[idx]
-        frac = 0.0 if hi == lo else (target - lo) / (hi - lo)
-        return float(values[idx - 1] + frac * (values[idx] - values[idx - 1]))
-
-    def quantiles(self, qs) -> list[float]:
-        """Estimate several quantiles in one pass."""
-        return [self.quantile(q) for q in qs]
-
-    def summary(self) -> dict:
-        """Health-document payload: count/mean/min/max/p50/p95/p99."""
-        if self._count == 0:
-            return {
-                "count": 0, "mean": 0.0, "min": 0.0, "max": 0.0,
-                "p50": 0.0, "p95": 0.0, "p99": 0.0,
-            }
-        p50, p95, p99 = self.quantiles((0.5, 0.95, 0.99))
-        return {
-            "count": int(self._count),
-            "mean": float(self.mean),
-            "min": float(self._min),
-            "max": float(self._max),
-            "p50": p50,
-            "p95": p95,
-            "p99": p99,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        stored = sum(len(level) for level in self._levels)
-        return (
-            f"QuantileSketch(k={self.k}, count={self._count}, "
-            f"stored={stored}, levels={len(self._levels)})"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -572,17 +328,12 @@ class SloTracker:
         self.mix: dict[str, int] = {}
         self._states = {p.name: _PolicyState(p) for p in self.policies}
         self._slices: dict[str, Scorecard] = {}
-        self._observers: list = []
         self._lock = threading.Lock()
         self.n_requests = 0
         #: Series served (events with a latency).
         self.n_series = 0
         #: Every series event, rejected ones included.
         self.n_events = 0
-
-    def add_observer(self, observer) -> None:
-        """Register a ServingObserver for ``on_slo_alert`` callbacks."""
-        self._observers.append(observer)
 
     # ------------------------------------------------------------------
     def _slice_locked(self, key: str) -> Scorecard:
@@ -755,8 +506,6 @@ class SloTracker:
                 labels={"policy": alert.policy},
             ).inc()
             _log.warning("%s", alert.message)
-            for observer in self._observers:
-                observer.on_slo_alert(alert)
         return fired
 
     # ------------------------------------------------------------------

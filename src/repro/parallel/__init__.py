@@ -36,11 +36,7 @@ from repro.parallel.config import (
     SERIAL,
     available_cpus,
 )
-from repro.parallel.executor import (
-    ExecutionEngine,
-    engine_stats,
-    reset_engine_stats,
-)
+from repro.parallel.executor import ExecutionEngine, engine_stats
 from repro.parallel.shm import (
     SharedArray,
     active_segments,
@@ -70,6 +66,5 @@ __all__ = [
     "engine_stats",
     "hash_array",
     "hash_arrays",
-    "reset_engine_stats",
     "shm_available",
 ]

@@ -23,9 +23,9 @@ the caller unchanged — ModelRace, the main caller, already turns each
 failed evaluation into a scored failure inside the task.
 
 Process-backend caveats: the mapped function and every item must be
-picklable, and child processes see the *default* (no-op) tracer/metrics —
-workers therefore return any timing they measured (e.g.
-``PipelineScore.runtime``) so the parent can record it.  If the process
+picklable; child processes see the default (no-op) tracer and start with
+an empty metrics registry, so workers return any timing they measured
+(e.g. ``PipelineScore.runtime``) for the parent to record.  If the process
 pool cannot be created at all (restricted environments without semaphore
 support), the engine logs a warning and degrades to threads.
 """
@@ -33,14 +33,12 @@ support), the engine logs a warning and degrades to threads.
 from __future__ import annotations
 
 import concurrent.futures as _futures
-import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.observability import get_logger, get_metrics, get_tracer
-from repro.observability.resources import get_accounting
 from repro.parallel.config import AUTO_SERIAL_MAX_TASKS, ParallelConfig
-from repro.resilience.stats import record_demotion, tick
+from repro.resilience.stats import count_event, record_demotion
 
 _log = get_logger(__name__)
 
@@ -48,40 +46,32 @@ _log = get_logger(__name__)
 #: weigh this much).
 COST_EWMA_ALPHA = 0.5
 
-# ---------------------------------------------------------------------------
-# Process-wide backend stats.  The engines themselves are ephemeral (the
-# race and the labeler build one per run), so serving-health documents
-# read the per-backend aggregate here instead of holding engine references.
-# ---------------------------------------------------------------------------
-_STATS_LOCK = threading.Lock()
-_BACKEND_STATS: dict[str, dict[str, float]] = {}
-
-
-def _record_batch(backend: str, n_tasks: int, seconds: float) -> None:
-    with _STATS_LOCK:
-        stats = _BACKEND_STATS.setdefault(
-            backend, {"batches": 0, "tasks": 0, "seconds": 0.0}
-        )
-        stats["batches"] += 1
-        stats["tasks"] += n_tasks
-        stats["seconds"] += seconds
-
-
 def engine_stats() -> dict[str, dict[str, float]]:
-    """Per-backend ``{batches, tasks, seconds}`` since process start.
-
-    A copy; mutating the result does not affect the live counters.
-    """
-    with _STATS_LOCK:
-        return {
-            backend: dict(stats) for backend, stats in _BACKEND_STATS.items()
+    """Per-backend ``{batches, tasks, seconds}`` of every
+    :meth:`ExecutionEngine.map` batch, read from the installed metrics
+    registry.  The engines themselves are ephemeral (the race and the
+    labeler build one per run), so the health document reads these
+    process-wide totals instead of holding engine references."""
+    metrics = get_metrics()
+    tasks = metrics.by_label("repro_parallel_tasks_total", "backend")
+    return {
+        backend: {
+            "batches": int(batches),
+            "tasks": int(tasks.get(backend, 0)),
+            "seconds": _batch_seconds(metrics, backend).sketch.sum,
         }
+        for backend, batches in metrics.by_label(
+            "repro_parallel_batches_total", "backend"
+        ).items()
+    }
 
 
-def reset_engine_stats() -> None:
-    """Zero the process-wide backend stats (tests / fresh monitoring)."""
-    with _STATS_LOCK:
-        _BACKEND_STATS.clear()
+def _batch_seconds(metrics, backend: str):
+    return metrics.histogram(
+        "repro_parallel_batch_seconds",
+        "Wall seconds per ExecutionEngine.map batch",
+        labels={"backend": backend},
+    )
 
 
 def _apply_chunk(fn, chunk):
@@ -171,15 +161,8 @@ class ExecutionEngine:
         pool = self._process_pool() if backend == "process" else None
         if backend == "process" and pool is None:
             backend = "thread"
-        get_accounting().record_backend_decision(backend)
         jobs = min(cfg.effective_jobs, len(items))
         chunk = cfg.resolve_chunk_size(len(items), est)
-        metrics = get_metrics()
-        batch_timer = metrics.histogram(
-            "repro_parallel_batch_seconds",
-            "Wall seconds per ExecutionEngine.map batch",
-            labels={"backend": backend},
-        )
         batch_start = time.perf_counter()
         with get_tracer().span(
             label,
@@ -189,7 +172,7 @@ class ExecutionEngine:
             n_jobs=jobs,
             chunk_size=chunk,
             probed=bool(head),
-        ), batch_timer.time():
+        ):
             if backend == "serial":
                 results = [fn(item) for item in tail]
             elif backend == "thread":
@@ -208,6 +191,7 @@ class ExecutionEngine:
             self._observe_cost(
                 label, (time.perf_counter() - batch_start) / len(tail)
             )
+        metrics = get_metrics()
         metrics.counter(
             "repro_parallel_tasks_total",
             "Tasks executed through ExecutionEngine.map",
@@ -218,7 +202,9 @@ class ExecutionEngine:
             "Batches executed through ExecutionEngine.map",
             labels={"backend": backend},
         ).inc()
-        _record_batch(backend, len(items), time.perf_counter() - batch_start)
+        _batch_seconds(metrics, backend).observe(
+            time.perf_counter() - batch_start
+        )
         return results
 
     # ------------------------------------------------------------------
@@ -301,7 +287,7 @@ class ExecutionEngine:
         The pool is unusable from here on, so it is torn down and marked
         broken; this and every later batch runs on threads.
         """
-        tick("worker_crashes")
+        count_event("worker_crashes", labels={"layer": "parallel"})
         self._process_pool_broken = True
         self._pools.pop("process").shutdown(wait=False, cancel_futures=True)
         self.n_demotions += 1

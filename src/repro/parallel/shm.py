@@ -29,7 +29,7 @@ import threading
 
 import numpy as np
 
-from repro.observability.resources import get_accounting
+from repro.observability.resources import count_kernel, get_accounting
 
 try:  # pragma: no cover - import succeeds on every supported platform
     from multiprocessing import resource_tracker, shared_memory
@@ -96,9 +96,8 @@ class SharedArray:
         view[...] = source
         with _REGISTRY_LOCK:
             _CREATED.add(shm.name)
-        registry = get_accounting()
-        registry.account_add("shared_memory", shm.size)
-        registry.record_kernel("shm_create", bytes_moved=source.nbytes)
+        get_accounting().account_add("shared_memory", shm.size)
+        count_kernel("shm_create", bytes_moved=source.nbytes)
         return cls(shm, view, owner=True)
 
     @property

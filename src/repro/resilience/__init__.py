@@ -16,8 +16,9 @@ serving request.  Four cooperating pieces:
   faults targeted at the :data:`KNOWN_SITES` in ModelRace, the
   imputer registry, the voting ensemble, and the serving shards;
 * process-level context (:func:`use_fault_policy`,
-  :func:`use_fault_injector`) and counters
-  (:func:`resilience_stats`) surfaced by the serving health document.
+  :func:`use_fault_injector`); each fault event is counted once in the
+  process metrics registry, and :func:`resilience_stats` reads the
+  totals the serving health document reports.
 
 Both execution layers follow one crash rule: a crash is a *lost
 worker* (a dead process, a timeout, an injected ``serving.shard``
@@ -53,10 +54,7 @@ from repro.resilience.policy import (
     FaultPolicy,
     call_with_deadline,
 )
-from repro.resilience.stats import (
-    resilience_stats,
-    reset_resilience_stats,
-)
+from repro.resilience.stats import resilience_stats
 
 __all__ = [
     "ALWAYS_FATAL",
@@ -72,7 +70,6 @@ __all__ = [
     "get_fault_injector",
     "get_fault_policy",
     "resilience_stats",
-    "reset_resilience_stats",
     "set_fault_injector",
     "set_fault_policy",
     "use_fault_injector",

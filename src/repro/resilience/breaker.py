@@ -21,8 +21,8 @@ import threading
 import time
 
 from repro.exceptions import ValidationError
-from repro.observability import get_logger, get_metrics
-from repro.resilience.stats import tick
+from repro.observability import get_logger
+from repro.resilience.stats import count_event
 
 _log = get_logger(__name__)
 
@@ -70,12 +70,7 @@ class CircuitBreaker:
             if opened:
                 self._opened_at[key] = time.monotonic()
         if opened:
-            tick("quarantines")
-            get_metrics().counter(
-                "repro_resilience_quarantines_total",
-                "Circuit breakers tripped open",
-                labels={"scope": self.name},
-            ).inc()
+            count_event("quarantines", labels={"scope": self.name})
             _log.warning(
                 "%s: quarantined %r after %d consecutive failures%s",
                 self.name,

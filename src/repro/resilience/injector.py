@@ -50,9 +50,9 @@ import time
 from dataclasses import dataclass, field
 
 from repro.exceptions import InjectedFault, ValidationError, WorkerCrashError
-from repro.observability import get_logger, get_metrics
+from repro.observability import get_logger
 from repro.resilience.policy import _uniform_hash
-from repro.resilience.stats import tick
+from repro.resilience.stats import count_event
 
 _log = get_logger(__name__)
 
@@ -227,12 +227,7 @@ class FaultInjector:
         rule = self._select(site, target, token)
         if rule is None:
             return None
-        tick("faults_injected")
-        get_metrics().counter(
-            "repro_resilience_faults_injected_total",
-            "Fault-plan rules fired",
-            labels={"site": site, "kind": rule.kind},
-        ).inc()
+        count_event("faults_injected", labels={"site": site, "kind": rule.kind})
         _log.info(
             "%s: injecting %s at %s:%s (token=%r)",
             self.name, rule.kind, site, target, token,

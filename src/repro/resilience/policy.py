@@ -37,8 +37,8 @@ from repro.exceptions import (
     TransientError,
     ValidationError,
 )
-from repro.observability import get_logger, get_metrics
-from repro.resilience.stats import tick
+from repro.observability import get_logger
+from repro.resilience.stats import count_event
 
 _log = get_logger(__name__)
 
@@ -89,11 +89,7 @@ def call_with_deadline(fn, seconds: float | None, *, label: str = "call"):
     thread.start()
     thread.join(seconds)
     if thread.is_alive():
-        tick("deadline_hits")
-        get_metrics().counter(
-            "repro_resilience_deadline_hits_total",
-            "Calls abandoned for exceeding their wall-clock deadline",
-        ).inc()
+        count_event("deadline_hits")
         _log.warning("%s exceeded its %.3fs deadline; abandoning", label, seconds)
         raise DeadlineExceededError(
             f"{label} exceeded its {seconds:g}s deadline"
@@ -190,11 +186,7 @@ class FaultPolicy:
                 if self.classify(exc) == "fatal" or attempt >= self.max_retries:
                     raise
                 delay = self.backoff(attempt, label)
-                tick("retries")
-                get_metrics().counter(
-                    "repro_resilience_retries_total",
-                    "Retry sleeps performed by FaultPolicy.run",
-                ).inc()
+                count_event("retries")
                 _log.info(
                     "%s failed (%s: %s); retry %d/%d in %.3fs",
                     label,

@@ -62,7 +62,7 @@ from repro.exceptions import (
     WorkerCrashError,
 )
 from repro.observability import get_logger, get_metrics
-from repro.observability.resources import get_accounting
+from repro.observability.resources import count_kernel
 from repro.parallel.shm import (
     SharedArray,
     attach_cached,
@@ -70,7 +70,7 @@ from repro.parallel.shm import (
     shm_available,
 )
 from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.stats import record_demotion, tick
+from repro.resilience.stats import count_event, record_demotion
 from repro.serving.protocol import (
     STATUS_BAD_REQUEST,
     STATUS_ERROR,
@@ -385,7 +385,9 @@ class _ProcessRunner:
                     )
                 except queue_mod.Empty:
                     if not self._proc.is_alive():
-                        tick("worker_crashes")
+                        count_event(
+                            "worker_crashes", labels={"layer": "serving"}
+                        )
                         raise WorkerCrashError(
                             f"shard {self.shard_id} worker died "
                             f"(exit code {self._proc.exitcode})"
@@ -661,7 +663,7 @@ class ShardPool:
             (r.id, np.asarray(r.values, dtype=float), r.mode, r.name)
             for r in requests
         ]
-        get_accounting().record_kernel(
+        count_kernel(
             "serving_batch",
             bytes_moved=sum(int(v.nbytes) for _, v, _, _ in payload),
             chunks=len(payload),

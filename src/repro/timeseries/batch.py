@@ -37,7 +37,8 @@ import weakref
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.observability.resources import get_accounting
+from repro.observability.metrics import get_metrics
+from repro.observability.resources import count_kernel, get_accounting
 
 #: On-disk bank layout version (``meta.json`` of a memmap bank directory).
 BANK_FORMAT_VERSION = 1
@@ -48,29 +49,24 @@ BANK_FORMAT_VERSION = 1
 #: real cross-correlation); blocks are sized to stay under this cap.
 DEFAULT_BLOCK_BYTES = 64 * 1024 * 1024
 
-#: Process-wide hit/miss counters of every :meth:`SeriesBank.cached`
-#: lookup (rFFT banks, feature-extractor spectra, ...).  Surfaced by
-#: :func:`bank_cache_stats` and the serving health snapshot.
-_BANK_CACHE_STATS = {"hits": 0, "misses": 0}
+#: Registry counters of every :meth:`SeriesBank.cached` lookup (rFFT
+#: banks, feature-extractor spectra, ...), read by :func:`bank_cache_stats`.
+_BANK_HITS = "repro_series_bank_cache_hits_total"
+_BANK_MISSES = "repro_series_bank_cache_misses_total"
 
 
 def bank_cache_stats() -> dict:
     """Process-wide ``{hits, misses, hit_rate}`` of the bank derived-array
     caches (all :class:`SeriesBank` instances combined)."""
-    hits = _BANK_CACHE_STATS["hits"]
-    misses = _BANK_CACHE_STATS["misses"]
+    metrics = get_metrics()
+    hits = int(metrics.total(_BANK_HITS))
+    misses = int(metrics.total(_BANK_MISSES))
     total = hits + misses
     return {
         "hits": hits,
         "misses": misses,
         "hit_rate": hits / total if total else 0.0,
     }
-
-
-def reset_bank_cache_stats() -> None:
-    """Zero the process-wide bank cache counters (tests / fresh monitoring)."""
-    _BANK_CACHE_STATS["hits"] = 0
-    _BANK_CACHE_STATS["misses"] = 0
 
 
 def _release_bank_bytes(holder: list) -> None:
@@ -214,7 +210,7 @@ def ncc_cross(
     np.divide(values, denom, out=values, where=nonzero)
     values[~nonzero] = 0.0
     shifts[~nonzero] = 0
-    get_accounting().record_kernel(
+    count_kernel(
         "ncc_cross",
         bytes_moved=(
             X.nbytes + Y.nbytes + values.nbytes + shifts.nbytes
@@ -451,7 +447,7 @@ class SeriesBank:
         tmp.write_text(json.dumps(meta))
         tmp.replace(path / "meta.json")
         del raw, znorm
-        get_accounting().record_kernel(
+        count_kernel(
             "bank_create",
             bytes_moved=2 * n * L * 8 + norms.nbytes,
             chunks=n_chunks,
@@ -617,13 +613,18 @@ class SeriesBank:
         kernel that re-derives data from the bank (rFFT banks, the
         feature extractor's detrended spectra, ...) routes through here,
         so repeated batched calls over the same corpus share work.
-        Hits/misses feed the process-wide :func:`bank_cache_stats`
-        counters surfaced by the serving health snapshot.
+        Hits/misses are counted in the metrics registry and read back
+        by :func:`bank_cache_stats` for the serving health snapshot.
         """
+        metrics = get_metrics()
         if key in self._derived:
-            _BANK_CACHE_STATS["hits"] += 1
+            metrics.counter(
+                _BANK_HITS, "Series-bank derived-array lookups served"
+            ).inc()
             return self._derived[key]
-        _BANK_CACHE_STATS["misses"] += 1
+        metrics.counter(
+            _BANK_MISSES, "Series-bank derived-array lookups that built"
+        ).inc()
         value = builder()
         self._derived[key] = value
         nbytes = getattr(value, "nbytes", 0)
@@ -727,7 +728,7 @@ class SeriesBank:
             if self.on_disk:
                 self.release_pages()
         out /= L
-        get_accounting().record_kernel(
+        count_kernel(
             "corr_matrix",
             bytes_moved=Z.nbytes + out.nbytes,
             chunks=n_chunks,

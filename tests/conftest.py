@@ -39,6 +39,16 @@ def idle_daemon():
     return make
 
 
+@pytest.fixture
+def fresh_metrics():
+    """A fresh metrics registry installed for one test: the resilience,
+    kernel, backend and series-bank stats all read the installed one."""
+    from repro.observability import MetricsRegistry, use_metrics
+
+    with use_metrics(MetricsRegistry()) as registry:
+        yield registry
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(12345)

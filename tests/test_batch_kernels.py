@@ -516,10 +516,9 @@ class TestCostAwareAutoSelection:
             eng.map(lambda v: v + 1, list(range(8)), label="batch.test")
             assert eng.task_cost_estimate("batch.test") is not None
 
-    def test_engine_keeps_cheap_auto_batches_serial(self):
-        from repro.parallel import engine_stats, reset_engine_stats
+    def test_engine_keeps_cheap_auto_batches_serial(self, fresh_metrics):
+        from repro.parallel import engine_stats
 
-        reset_engine_stats()
         with ExecutionEngine(ParallelConfig(n_jobs=4, backend="auto")) as eng:
             eng.map(lambda v: v, list(range(30)), label="batch.cheap")
         stats = engine_stats()

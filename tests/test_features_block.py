@@ -32,11 +32,7 @@ from repro.features.topological import (
     topological_features_block,
 )
 from repro.parallel import FeatureCache
-from repro.timeseries.batch import (
-    SeriesBank,
-    bank_cache_stats,
-    reset_bank_cache_stats,
-)
+from repro.timeseries.batch import SeriesBank, bank_cache_stats
 from repro.timeseries.patterns import missing_pattern_features
 from repro.timeseries.series import TimeSeries
 from tests.feature_oracles import (
@@ -219,11 +215,10 @@ class TestExtractorBlock:
         assert fingerprint[0] == "fx2"
         assert all("compute_dtype" not in str(part) for part in fingerprint)
 
-    def test_bank_cache_hits_counted_and_surfaced(self):
+    def test_bank_cache_hits_counted_and_surfaced(self, fresh_metrics):
         rng = np.random.default_rng(8)
         bank = SeriesBank(_mixed_matrix(rng, 5, 64))
         fx = FeatureExtractor()
-        reset_bank_cache_stats()
         first = fx.extract_many(bank)
         assert bank_cache_stats()["misses"] >= 1
         second = fx.extract_many(bank)

@@ -1,22 +1,21 @@
 """Unit tests for repro.observability.metrics."""
 
 import json
+import os
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.observability import (
     MetricsRegistry,
-    NULL_METRICS,
     get_metrics,
     set_metrics,
     use_metrics,
 )
-from repro.observability.metrics import (
-    NULL_INSTRUMENT,
-    sanitize_metric_name,
-)
+from repro.observability.metrics import sanitize_metric_name
 
 
 @pytest.fixture(autouse=True)
@@ -102,7 +101,7 @@ class TestHistogram:
     def test_buffer_growth(self):
         registry = MetricsRegistry()
         hist = registry.histogram("repro_big")
-        for i in range(1000):  # crosses several buffer doublings
+        for i in range(1000):  # just below the sketch's k
             hist.observe(float(i))
         assert hist.count == 1000
         assert hist.summary()["max"] == 999.0
@@ -113,7 +112,7 @@ class TestHistogram:
         with hist.time():
             pass
         assert hist.count == 1
-        assert hist.values()[0] >= 0.0
+        assert hist.summary()["min"] >= 0.0
 
     def test_thread_safe_observe(self):
         registry = MetricsRegistry()
@@ -174,26 +173,120 @@ class TestExport:
 
 class TestNullRegistry:
     def test_default_is_null(self):
-        assert get_metrics() is NULL_METRICS
-        assert not get_metrics().enabled
+        # The default is the always-on process registry, not a no-op.
+        process = get_metrics()
+        assert isinstance(process, MetricsRegistry)
+        set_metrics(MetricsRegistry())
+        assert get_metrics() is not process
+        assert set_metrics(None) is process
 
     def test_null_instruments_are_shared_noops(self):
-        c = NULL_METRICS.counter("x")
-        h = NULL_METRICS.histogram("y")
-        assert c is h is NULL_INSTRUMENT
-        c.inc()
-        h.observe(1.0)
-        with h.time():
-            pass
-        assert NULL_METRICS.as_dict() == {}
+        # Instruments are real from import time: counts land in the
+        # process registry and are read back from it.
+        process = get_metrics()
+        before = process.total("repro_test_default_total")
+        process.counter("repro_test_default_total").inc()
+        assert process.total("repro_test_default_total") == before + 1
 
     def test_use_metrics_scopes_installation(self):
+        process = get_metrics()
         registry = MetricsRegistry()
         with use_metrics(registry):
             assert get_metrics() is registry
             get_metrics().counter("repro_in_scope_total").inc()
-        assert get_metrics() is NULL_METRICS
+            with use_metrics(None):
+                assert get_metrics() is process
+            assert get_metrics() is registry
+        assert get_metrics() is process
         assert registry.counter("repro_in_scope_total").value == 1
+        assert process.total("repro_in_scope_total") == 0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_with_empty_registry(self):
+        get_metrics().counter("repro_parent_only_total").inc()
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child: report what it inherited, then exit
+            child = get_metrics()
+            child.counter("repro_child_only_total").inc()
+            os.write(write, json.dumps(sorted(child.as_dict())).encode())
+            os._exit(0)
+        os.close(write)
+        with os.fdopen(read) as fh:
+            inherited = json.loads(fh.read())
+        os.waitpid(pid, 0)
+        assert inherited == ["repro_child_only_total"]
+        assert get_metrics().total("repro_child_only_total") == 0
+        assert get_metrics().total("repro_parent_only_total") >= 1
+
+
+class TestRegistryReads:
+    def test_total_and_by_label(self):
+        registry = MetricsRegistry(max_label_sets=2)
+        for backend, n in (("serial", 2), ("thread", 3), ("process", 4)):
+            registry.counter(
+                "repro_b_total", labels={"backend": backend}
+            ).inc(n)
+        assert registry.total("repro_b_total") == 9
+        assert registry.by_label("repro_b_total", "backend") == {
+            "overflow": 4.0, "serial": 2.0, "thread": 3.0,
+        }
+        assert registry.total("repro_missing_total") == 0
+        assert registry.by_label("repro_missing_total", "backend") == {}
+
+    def test_unsanitized_names_still_resolve(self):
+        registry = MetricsRegistry()
+        a = registry.counter("repro.dotted total")
+        assert registry.counter("repro_dotted_total") is a
+        assert registry.counter("repro.dotted total") is a
+
+
+_FLOATS = st.floats(
+    min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
+)
+
+
+class TestSketchBackedHistogram:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(_FLOATS, min_size=1, max_size=1024))
+    def test_exact_below_k(self, values):
+        hist = MetricsRegistry().histogram("repro_h")
+        for value in values:
+            hist.observe(value)
+        data = np.asarray(values)
+        summary = hist.summary()
+        p50, p95, p99 = np.percentile(data, [50, 95, 99])
+        assert (summary["p50"], summary["p95"], summary["p99"]) == (
+            p50, p95, p99,
+        )
+        assert summary["count"] == len(values)
+        assert summary["min"] == data.min()
+        assert summary["max"] == data.max()
+        assert summary["sum"] == sum(values)
+        edges = (-1e5, -1.0, 0.0, 0.5, 1.0, 1e3, 1e5)
+        ordered = np.sort(data)
+        assert hist.bucket_counts(edges) == [
+            (le, int(np.searchsorted(ordered, le, side="right")))
+            for le in edges
+        ] + [(float("inf"), len(values))]
+
+    def test_memory_stays_o_of_k(self):
+        hist = MetricsRegistry().histogram("repro_big_seconds")
+        rng = np.random.default_rng(11)
+        data = rng.lognormal(0.0, 1.0, size=100_000)
+        for value in data:
+            hist.observe(value)
+        stored = sum(len(level) for level in hist.sketch._levels)
+        assert hist.count == 100_000
+        assert stored <= 4 * hist.sketch.k
+        summary = hist.summary()
+        for key, q in (("p50", 50), ("p99", 99)):
+            exact = float(np.percentile(data, q))
+            assert abs(summary[key] - exact) / exact < 0.01, key
+        buckets = hist.bucket_counts()
+        counts = [count for _, count in buckets]
+        assert counts == sorted(counts)
+        assert buckets[-1] == (float("inf"), 100_000)
 
 
 class TestLabelCardinalityCap:

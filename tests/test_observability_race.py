@@ -196,14 +196,29 @@ class TestNoOpParity:
         )
 
     def test_null_path_emits_nothing(self, race_data):
-        """With nothing installed the defaults stay silent singletons."""
-        from repro.observability import NULL_METRICS, NULL_TRACER, get_metrics
-        from repro.observability import get_tracer
+        """With no tracer installed the default stays a silent singleton;
+        the always-on metrics registry does not change the race."""
+        from repro.observability import NULL_TRACER, get_tracer
 
-        self._run(race_data)
+        plain = self._run(race_data)
         assert get_tracer() is NULL_TRACER
-        assert get_metrics() is NULL_METRICS
         assert NULL_TRACER.finished_spans() == []
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            fresh = self._run(race_data)
+        assert [p.config_key() for p in plain.elite] == [
+            p.config_key() for p in fresh.elite
+        ]
+        assert plain.scores == fresh.scores
+        assert plain.n_evaluations == fresh.n_evaluations
+        assert plain.prune_ratio == fresh.prune_ratio
+        assert [r.n_evaluations for r in plain.iterations] == [
+            r.n_evaluations for r in fresh.iterations
+        ]
+        assert (
+            registry.total("repro_race_evaluations_total")
+            == fresh.n_evaluations
+        )
 
 
 class _CrashingPipeline(Pipeline):

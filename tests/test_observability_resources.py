@@ -7,7 +7,9 @@ import pytest
 
 from repro.observability.resources import (
     AccountingRegistry,
+    count_kernel,
     get_accounting,
+    kernel_stats,
     resource_stamp,
     sample_rss,
 )
@@ -52,25 +54,28 @@ class TestAccountingRegistry:
         assert row["bytes"] == 0 and row["items"] == 0
         assert row["peak_bytes"] == 100  # peaks survive clears
 
-    def test_kernel_counters_accumulate(self):
-        registry = AccountingRegistry()
-        registry.record_kernel("ncc", bytes_moved=100, chunks=2,
-                               scratch_allocations=1)
-        registry.record_kernel("ncc", bytes_moved=50, chunks=1)
-        row = registry.snapshot()["kernels"]["ncc"]
-        assert row["calls"] == 2
-        assert row["bytes_moved"] == 150
-        assert row["chunks"] == 3
-        assert row["scratch_allocations"] == 1
-
-    def test_backend_decisions(self):
-        registry = AccountingRegistry()
-        registry.record_backend_decision("serial")
-        registry.record_backend_decision("process")
-        registry.record_backend_decision("process")
-        assert registry.snapshot()["backend_decisions"] == {
-            "serial": 1, "process": 2,
+    def test_kernel_counters_accumulate(self, fresh_metrics):
+        count_kernel("ncc", bytes_moved=100, chunks=2, scratch_allocations=1)
+        count_kernel("ncc", bytes_moved=50, chunks=1)
+        row = kernel_stats()["ncc"]
+        assert row == {
+            "calls": 2, "bytes_moved": 150, "chunks": 3,
+            "scratch_allocations": 1,
         }
+        assert fresh_metrics.counter(
+            "repro_kernel_calls_total", labels={"kernel": "ncc"}
+        ).value == 2
+
+    def test_backend_decisions(self, fresh_metrics, idle_daemon):
+        from repro.parallel import ParallelConfig
+        from repro.parallel.executor import ExecutionEngine
+
+        ExecutionEngine(ParallelConfig(n_jobs=1)).map(_inc, [1, 2])
+        with ExecutionEngine(ParallelConfig(n_jobs=2, backend="thread")) as e:
+            e.map(_inc, [1, 2])
+            e.map(_inc, [3, 4])
+        resources = idle_daemon().health().resources
+        assert resources["backend_decisions"] == {"serial": 1, "thread": 2}
 
     def test_sample_reports_rss(self):
         registry = AccountingRegistry()
@@ -81,13 +86,10 @@ class TestAccountingRegistry:
     def test_reset(self):
         registry = AccountingRegistry()
         registry.account_add("x", 10)
-        registry.record_kernel("k")
-        registry.record_backend_decision("serial")
         registry.reset()
         snapshot = registry.snapshot()
         assert snapshot["accounts"] == {}
-        assert snapshot["kernels"] == {}
-        assert snapshot["backend_decisions"] == {}
+        assert set(snapshot) == {"process", "accounts"}
 
     def test_sample_rss_positive(self):
         sample = sample_rss()
@@ -211,7 +213,7 @@ class TestComponentInstrumentation:
         memo.clear()
         assert registry.account_bytes("score_memo") == 0
 
-    def test_shared_array_accounts_lifecycle(self):
+    def test_shared_array_accounts_lifecycle(self, fresh_metrics):
         pytest.importorskip("multiprocessing.shared_memory")
         from repro.parallel.shm import SharedArray
 
@@ -219,7 +221,7 @@ class TestComponentInstrumentation:
         arr = SharedArray.create(np.arange(32, dtype=float))
         try:
             assert registry.account_bytes("shared_memory") >= 32 * 8
-            assert "shm_create" in registry.snapshot()["kernels"]
+            assert "shm_create" in kernel_stats()
         finally:
             arr.close()
             arr.unlink()
@@ -229,38 +231,35 @@ class TestComponentInstrumentation:
         arr.unlink()
         assert registry.account_bytes("shared_memory") == 0
 
-    def test_batch_kernels_record_counters(self):
+    def test_batch_kernels_record_counters(self, fresh_metrics):
         from repro.timeseries.batch import SeriesBank, ncc_cross
 
-        registry = get_accounting()
         rng = np.random.default_rng(2)
         bank = SeriesBank(rng.normal(size=(6, 64)))
         bank.corr_matrix()
         ncc_cross(bank.znorm[:3], bank.znorm[3:])
-        kernels = registry.snapshot()["kernels"]
+        kernels = kernel_stats()
         assert kernels["corr_matrix"]["calls"] >= 1
         assert kernels["ncc_cross"]["bytes_moved"] > 0
         assert kernels["ncc_cross"]["chunks"] >= 1
 
-    def test_extractor_block_kernel_recorded(self):
+    def test_extractor_block_kernel_recorded(self, fresh_metrics):
         from repro.features.extractor import FeatureExtractor
         from repro.timeseries.series import TimeSeries
 
-        registry = get_accounting()
         rng = np.random.default_rng(3)
         series = [
             TimeSeries(rng.normal(size=64), name=f"s{i}") for i in range(4)
         ]
         FeatureExtractor().extract_many(series)
-        kernels = registry.snapshot()["kernels"]
+        kernels = kernel_stats()
         assert "extract_block" in kernels
         assert kernels["extract_block"]["bytes_moved"] > 0
 
-    def test_impute_block_kernel_recorded(self):
+    def test_impute_block_kernel_recorded(self, fresh_metrics):
         from repro.imputation import get_imputer
         from repro.timeseries.series import TimeSeries
 
-        registry = get_accounting()
         rng = np.random.default_rng(4)
         series = []
         for i in range(4):
@@ -269,19 +268,19 @@ class TestComponentInstrumentation:
             series.append(TimeSeries(values, name=f"s{i}"))
         imputer = get_imputer("linear")
         imputer.impute_many(series)
-        kernels = registry.snapshot()["kernels"]
+        kernels = kernel_stats()
         names = [k for k in kernels if k.startswith("impute_block.")]
         assert names, f"no impute_block kernel recorded: {sorted(kernels)}"
         assert kernels[names[0]]["chunks"] >= 1
 
-    def test_executor_records_backend_decision(self):
-        from repro.parallel import ParallelConfig
+    def test_executor_records_backend_decision(self, fresh_metrics):
+        from repro.parallel import ParallelConfig, engine_stats
         from repro.parallel.executor import ExecutionEngine
 
-        registry = get_accounting()
         engine = ExecutionEngine(ParallelConfig(n_jobs=1, backend="serial"))
         engine.map(_inc, [1, 2, 3])
-        assert registry.snapshot()["backend_decisions"].get("serial", 0) >= 1
+        assert engine_stats()["serial"]["batches"] == 1
+        assert engine_stats()["serial"]["tasks"] == 3
 
 
 class TestLedgerResourceStamps:

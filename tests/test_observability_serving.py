@@ -12,7 +12,6 @@ from repro.observability import (
     DriftReport,
     FeatureBaseline,
     MetricsRegistry,
-    RecordingServingObserver,
     SloPolicy,
     SloTracker,
     use_metrics,
@@ -240,22 +239,24 @@ class TestDriftDetector:
         assert not report.triggered
         assert detector.n_alerts == 0
 
-    def test_shift_triggers_once_then_rearms(self, baseline, rng):
-        observer = RecordingServingObserver()
+    def test_shift_triggers_once_then_rearms(
+        self, baseline, rng, fresh_metrics
+    ):
         detector = DriftDetector(baseline, window_size=128, min_samples=64)
-        detector.add_observer(observer)
         # Sustained shift: one alert, not one per update.
         for _ in range(5):
             report = detector.update(8.0 + rng.normal(size=(128, 3)))
         assert report.triggered
         assert report.max_psi > detector.psi_threshold
         assert detector.n_alerts == 1
-        assert len(observer.of_type("drift_alert")) == 1
+        assert detector.last_report is report
+        assert fresh_metrics.total("repro_drift_alerts_total") == 1
         # Recovery flushes the window and re-arms the alert.
         recovered = detector.update(rng.normal(size=(128, 3)))
         assert not recovered.triggered
         detector.update(8.0 + rng.normal(size=(128, 3)))
         assert detector.n_alerts == 2
+        assert fresh_metrics.total("repro_drift_alerts_total") == 2
 
     def test_report_shape_and_worst_feature(self, baseline, rng):
         detector = DriftDetector(baseline, window_size=128, min_samples=64)

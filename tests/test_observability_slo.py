@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro import TimeSeries
-from repro.observability import RecordingServingObserver
 from repro.observability.slo import (
     QuantileSketch,
     SloPolicy,
@@ -197,8 +196,6 @@ class TestSloTracker:
 
     def test_burn_rate_alert_fires_and_rearms_deterministically(self):
         tracker, clock = _tracker()
-        observer = RecordingServingObserver()
-        tracker.add_observer(observer)
 
         # Phase 1: sustained badness -> both windows burn -> one alert.
         for _ in range(50):
@@ -207,6 +204,7 @@ class TestSloTracker:
         fired = tracker.evaluate()
         assert [a.policy for a in fired] == ["lat_p99"]
         assert fired[0].fast_burn >= tracker.policies[0].fast_burn
+        assert fired[0].n_events >= tracker.policies[0].min_events
         # Alert latches: continued badness does not re-fire.
         tracker.record_series(0.5, check=False)
         assert tracker.evaluate() == []
@@ -225,10 +223,11 @@ class TestSloTracker:
         for _ in range(50):
             tracker.record_series(0.5, check=False)
             clock.advance(1.0)
-        assert [a.policy for a in tracker.evaluate()] == ["lat_p99"]
+        second = tracker.evaluate()
+        assert [a.policy for a in second] == ["lat_p99"]
+        assert second[0] is not fired[0]
         assert tracker.n_alerts == 2
-        events = [kind for kind, _ in observer.events]
-        assert events.count("slo_alert") == 2
+        assert tracker.status()["policies"][0]["n_alerts"] == 2
 
     def test_min_events_guard(self):
         tracker, clock = _tracker()

@@ -259,3 +259,23 @@ class TestHealthSnapshotExposition:
         ):
             with pytest.raises(ValueError):
                 parse_exposition(bad)
+
+
+class TestHealthSnapshotGolden:
+    def test_fixed_document_renders_golden_text(self, monkeypatch):
+        """A fixed health document (every section, a ``None`` cache, a
+        list-valued section, an active SLO alert) renders byte for byte
+        the text committed next to it."""
+        import json
+        import pathlib
+
+        from repro.observability import metrics
+        from repro.observability.serving import HealthSnapshot
+
+        data = pathlib.Path(__file__).parent / "data"
+        monkeypatch.setattr(
+            metrics, "_BUILD_INFO", {"version": "1.0.0", "git_sha": "0000000"}
+        )
+        doc = json.loads((data / "health_snapshot.json").read_text())
+        golden = (data / "health_snapshot.prom").read_text()
+        assert HealthSnapshot(**doc).to_prometheus() == golden

@@ -39,7 +39,6 @@ from repro.resilience import (
     FaultPolicy,
     FaultRule,
     call_with_deadline,
-    reset_resilience_stats,
     resilience_stats,
     use_fault_injector,
 )
@@ -48,10 +47,10 @@ pytestmark = pytest.mark.chaos
 
 
 @pytest.fixture(autouse=True)
-def _fresh_stats():
-    reset_resilience_stats()
-    yield
-    reset_resilience_stats()
+def _fresh_stats(fresh_metrics):
+    """Every test counts into its own registry (``resilience_stats``
+    reads the installed one)."""
+    yield fresh_metrics
 
 
 @pytest.fixture(scope="module")

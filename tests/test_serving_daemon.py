@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ProtocolError, ValidationError
-from repro.observability.resources import get_accounting
+from repro.observability.resources import get_accounting, kernel_stats
 from repro.observability.slo import QuantileSketch
 from repro.parallel.shm import active_segments, shm_available
 from repro.serving.daemon import MAX_LINE_BYTES
@@ -89,8 +89,17 @@ class TestFourShardAcceptance:
         generator = LoadGenerator(seed=9, length=96)
         requests = generator.requests(self.N_REQUESTS)
 
-        accounting = get_accounting()
-        before_start = accounting.snapshot()
+        def shm_counters():
+            account = get_accounting().snapshot()["accounts"].get(
+                "shared_memory", {}
+            )
+            kernel = kernel_stats().get("shm_create", {})
+            return (
+                account.get("allocations", 0),
+                kernel.get("calls", 0),
+            )
+
+        before_start = shm_counters()
         with ServingDaemon(
             serving_engine,
             n_shards=4,
@@ -98,30 +107,22 @@ class TestFourShardAcceptance:
             max_batch=16,
             max_delay_s=0.002,
         ) as daemon:
-            after_start = accounting.snapshot()
+            after_start = shm_counters()
             client = ServingTestClient(daemon)
             responses = client.send_many(requests, timeout=600.0)
-            after_load = accounting.snapshot()
+            after_load = shm_counters()
             stats = daemon.stats()
-
-        def shm_counters(snapshot):
-            account = snapshot["accounts"].get("shared_memory", {})
-            kernel = snapshot["kernels"].get("shm_create", {})
-            return (
-                account.get("allocations", 0),
-                kernel.get("calls", 0),
-            )
 
         # Startup publishes exactly two segments (engine doc + matrix)...
         start_allocs, start_creates = (
-            np.subtract(shm_counters(after_start), shm_counters(before_start))
+            np.subtract(after_start, before_start)
         )
         assert start_allocs == 2
         assert start_creates == 2
         # ...and 500 requests publish nothing further: the engine is
         # never pickled or re-exported per request.
         load_allocs, load_creates = (
-            np.subtract(shm_counters(after_load), shm_counters(after_start))
+            np.subtract(after_load, after_start)
         )
         assert load_allocs == 0
         assert load_creates == 0

@@ -21,7 +21,6 @@ from repro.pipeline.scoring import ScoreWeights
 from repro.resilience import (
     FaultPlan,
     FaultRule,
-    reset_resilience_stats,
     use_fault_injector,
 )
 from repro.serving import RepairRequest, ServingDaemon
@@ -35,10 +34,10 @@ FAST_CONFIG = ModelRaceConfig(
 
 
 @pytest.fixture(autouse=True)
-def _fresh_stats():
-    reset_resilience_stats()
-    yield
-    reset_resilience_stats()
+def _fresh_stats(fresh_metrics):
+    """Every test counts into its own registry (``resilience_stats``
+    reads the installed one)."""
+    yield fresh_metrics
 
 
 def _make_corpus(rng, n_per_family=12, length=100):
@@ -205,3 +204,93 @@ class TestHealthSnapshotResilience:
         assert snapshot.resilience["degraded_requests"] == 0
         assert snapshot.resilience["fallback_requests"] == 0
         assert snapshot.resilience["quarantined_members"] == []
+
+
+def _counters(registry) -> dict:
+    """Every counter series of ``registry``: ``{(name, labels): value}``."""
+    return {
+        (name, labels): doc["value"]
+        for name, series in registry.as_dict().items()
+        for labels, doc in series.items()
+        if doc["type"] == "counter"
+    }
+
+
+class TestEachEventCountedOnce:
+    def test_fault_events_move_one_counter_each(
+        self, engine_and_series, fresh_metrics
+    ):
+        """One lost shard batch (resubmitted), one failed member vote that
+        quarantines the member and one degraded request: each moves one
+        registry counter by exactly 1, and the health document reads
+        those counts back."""
+        from repro.parallel import ExecutionEngine, ParallelConfig
+        from repro.resilience import CircuitBreaker, resilience_stats
+
+        engine, series = engine_and_series
+        # Quarantine the member on its first failed vote.
+        engine._ensemble.breaker = CircuitBreaker(1, name="ensemble")
+        lost_batch = FaultPlan(
+            [FaultRule(site="serving.shard", match="shard-0", times=1)], seed=0
+        )
+        daemon = ServingDaemon(
+            engine, n_shards=2, shard_backend="inline", max_batch=1,
+            max_delay_s=1.0, injector=lost_batch.injector(),
+        )
+        ExecutionEngine(ParallelConfig(n_jobs=1)).map(abs, [-1, -2, -3])
+        before = _counters(fresh_metrics)
+        with daemon, use_fault_injector(
+            _poison(match="#0", times=1).injector()
+        ):
+            responses = _serve(daemon, series[:1])
+            snapshot = daemon.health()
+        assert [r.status for r in responses] == [200]
+        assert responses[0].degraded
+        after = _counters(fresh_metrics)
+        moved = {
+            key: after[key] - before.get(key, 0.0)
+            for key in after
+            if after[key] != before.get(key, 0.0)
+        }
+        fault_counts = {
+            key: delta for key, delta in moved.items()
+            if key[0].startswith(
+                ("repro_resilience_", "repro_ensemble_", "repro_serving_")
+            ) or key[0] in (
+                "repro_inference_degraded_total",
+                "repro_inference_fallback_total",
+            )
+        }
+        assert fault_counts == {
+            ("repro_resilience_faults_injected_total",
+             '{kind="raise",site="serving.shard"}'): 1.0,
+            ("repro_resilience_faults_injected_total",
+             '{kind="raise",site="ensemble.member"}'): 1.0,
+            ("repro_serving_shard_failures_total", '{shard="0"}'): 1.0,
+            ("repro_ensemble_member_failures_total",
+             '{member="knn"}'): 1.0,
+            ("repro_resilience_quarantines_total",
+             '{scope="ensemble"}'): 1.0,
+            ("repro_inference_degraded_total", "_"): 1.0,
+        }
+        expected = dict.fromkeys(resilience_stats(), 0)
+        expected.update(
+            faults_injected=2, quarantines=1, member_failures=1,
+            degraded_requests=1,
+        )
+        assert snapshot.resilience["process"] == expected
+        assert resilience_stats() == expected
+        assert snapshot.resilience["resubmissions"] == 1
+        assert snapshot.resilience["degraded_requests"] == 1
+        kernels = snapshot.resources["kernels"]
+        assert kernels["serving_batch"] == {
+            "calls": 1, "bytes_moved": series[0].values.nbytes, "chunks": 1,
+            "scratch_allocations": 0,
+        }
+        assert snapshot.backends == {
+            "serial": {
+                "batches": 1, "tasks": 3,
+                "seconds": snapshot.backends["serial"]["seconds"],
+            },
+        }
+        assert snapshot.resources["backend_decisions"] == {"serial": 1}

@@ -26,7 +26,6 @@ from repro import ADarts, ModelRaceConfig, TimeSeries
 from repro.clustering.atlas import ClusterAtlas
 from repro.observability import (
     DriftDetector,
-    RecordingServingObserver,
     RepairLedger,
     Tracer,
     read_ledger,
@@ -130,14 +129,14 @@ def trained_engine():
 
 
 class TestServingEndToEnd:
-    def test_monitor_drift_and_health_document(self, trained_engine, tmp_path):
+    def test_monitor_drift_and_health_document(
+        self, trained_engine, tmp_path, fresh_metrics
+    ):
         engine, corpus = trained_engine
         rng = np.random.default_rng(99)
-        observer = RecordingServingObserver()
         detector = DriftDetector(
             engine.feature_baseline_, window_size=128, min_samples=64
         )
-        detector.add_observer(observer)
         daemon = _daemon(engine, 8, drift_detector=detector).start()
 
         # -- phase 1: >= 200 in-distribution recommendations --------------
@@ -152,7 +151,7 @@ class TestServingEndToEnd:
             f"(max PSI {detector.last_report.max_psi:.3f})"
         )
         assert detector.n_alerts == 0
-        assert observer.of_type("drift_alert") == []
+        assert fresh_metrics.total("repro_drift_alerts_total") == 0
 
         # Confidence/disagreement views carry plausible values.
         confidence = views["confidence"]
@@ -173,9 +172,9 @@ class TestServingEndToEnd:
             f"(max PSI {detector.last_report.max_psi:.3f})"
         )
         assert detector.n_alerts >= 1
-        alerts = observer.of_type("drift_alert")
-        assert len(alerts) == detector.n_alerts
-        assert alerts[0]["report"].max_psi > detector.psi_threshold
+        alerts = fresh_metrics.total("repro_drift_alerts_total")
+        assert alerts == detector.n_alerts
+        assert detector.last_report.max_psi > detector.psi_threshold
 
         # -- phase 3: the health document, both renderings -----------------
         snapshot = daemon.health()

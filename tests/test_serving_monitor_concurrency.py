@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.observability import (
-    RecordingServingObserver,
     RepairLedger,
     read_ledger,
     use_ledger,
@@ -130,7 +129,9 @@ class TestMonitorHammer:
 
 
 class TestOncePerExcursionUnderConcurrency:
-    def test_concurrent_checks_announce_one_alert(self, serving_engine):
+    def test_concurrent_checks_announce_one_alert(
+        self, serving_engine, fresh_metrics
+    ):
         """16 threads racing ``check()`` on a drifted window announce
         the excursion exactly once (the old check-then-act could fire
         an alert per thread)."""
@@ -141,8 +142,6 @@ class TestOncePerExcursionUnderConcurrency:
             psi_threshold=0.1,
             ks_threshold=0.2,
         )
-        observer = RecordingServingObserver()
-        detector.add_observer(observer)
         rng = np.random.default_rng(3)
         # Fill the window with far-out-of-distribution vectors without
         # triggering check() yet: write rows under the detector's lock
@@ -168,7 +167,7 @@ class TestOncePerExcursionUnderConcurrency:
             t.join()
         # Still the same single excursion: no double announcements.
         assert detector.n_alerts == 1
-        assert len(observer.of_type("drift_alert")) == 1
+        assert fresh_metrics.total("repro_drift_alerts_total") == 1
 
     def test_member_quarantine_announced_once(self, serving_engine):
         """Concurrent batches on four shards that all see the same
