@@ -1,7 +1,8 @@
 """Traced training: run A-DARTS with full observability switched on.
 
-Trains a small engine with a tracer, a metrics registry, and a logging
-race observer installed, repairs a faulty series, then exports
+Trains a small engine with a tracer and a metrics registry installed and
+the race's progress logged to stderr, repairs a faulty series, then
+exports
 
 * ``trace.json``    — Chrome ``trace_event`` document; open it in
   ``chrome://tracing`` or https://ui.perfetto.dev to see the nested
@@ -24,7 +25,6 @@ import numpy as np
 from repro import ADarts, ModelRaceConfig, TimeSeries
 from repro.datasets import load_category
 from repro.observability import (
-    LoggingObserver,
     MetricsRegistry,
     Tracer,
     enable_console_logging,
@@ -36,7 +36,7 @@ from repro.timeseries import inject_missing_block
 
 
 def main() -> None:
-    # Narrate race progress to stderr through the stdlib logger.
+    # Narrate race progress to stderr: the repro.core.modelrace logger.
     enable_console_logging(logging.INFO)
 
     tracer = Tracer()
@@ -46,7 +46,6 @@ def main() -> None:
     engine = ADarts(
         config=ModelRaceConfig(n_partial_sets=2, n_folds=2, max_elite=3),
         classifier_names=["knn", "decision_tree", "gaussian_nb"],
-        observer=LoggingObserver(),
     )
 
     t = np.arange(300, dtype=float)

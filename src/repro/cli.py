@@ -70,7 +70,6 @@ from repro.exceptions import ReproError, ServingError, ValidationError
 from repro.imputation import available_imputers
 from repro.observability import (
     DriftDetector,
-    LoggingObserver,
     Tracer,
     enable_console_logging,
     get_metrics,
@@ -187,7 +186,6 @@ def _cmd_train(args) -> int:
             fault_policy=_fault_policy_from_args(args),
         ),
         random_state=args.seed,
-        observer=LoggingObserver() if args.verbose else None,
         parallel=_parallel_from_args(args),
     )
     print(
@@ -543,8 +541,9 @@ def _format_ledger_line(rec: dict) -> str:
 def _cmd_audit(args) -> int:
     import json
 
+    rows = read_ledger(args.ledger)
     records = filter_records(
-        read_ledger(args.ledger),
+        rows,
         kind=args.kind,
         algorithm=args.algorithm,
         cluster=args.cluster,
@@ -554,6 +553,7 @@ def _cmd_audit(args) -> int:
         records = records[-args.tail:]
     if args.summary:
         summary = summarize_ledger(records)
+        summary["truncated_line"] = rows.truncated_line
         print(
             json.dumps(summary, indent=2) if args.json
             else render_summary(summary)

@@ -1,7 +1,7 @@
 """A-DARTS core: ModelRace selection, soft voting, and the public facade."""
 
 from repro.core.config import ModelRaceConfig
-from repro.core.modelrace import ModelRace, RaceResult
+from repro.core.modelrace import IterationRecord, ModelRace, RaceResult
 from repro.core.voting import SoftVotingEnsemble, MajorityVotingEnsemble
 from repro.core.adarts import ADarts, Recommendation
 from repro.core.serialization import (
@@ -15,6 +15,7 @@ __all__ = [
     "ModelRaceConfig",
     "ModelRace",
     "RaceResult",
+    "IterationRecord",
     "SoftVotingEnsemble",
     "MajorityVotingEnsemble",
     "ADarts",

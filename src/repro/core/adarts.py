@@ -33,7 +33,6 @@ from repro.features.extractor import FeatureExtractor
 from repro.imputation.base import get_imputer
 from repro.observability import (
     FeatureBaseline,
-    RaceObserver,
     get_logger,
     get_metrics,
     get_tracer,
@@ -136,9 +135,6 @@ class ADarts:
         Fraction of labeled data held out as the race's internal test set.
     random_state:
         Seed for the internal holdout split.
-    observer:
-        Optional :class:`~repro.observability.RaceObserver` receiving the
-        ModelRace lifecycle events during training.
     parallel:
         Optional :class:`~repro.parallel.ParallelConfig` applied to the
         parallelizable training stages — cluster labeling and the
@@ -159,7 +155,6 @@ class ADarts:
         voting: str = "soft",
         test_ratio: float = 0.25,
         random_state: int | None = 0,
-        observer: RaceObserver | None = None,
         parallel: ParallelConfig | None = None,
         feature_cache: FeatureCache | None = None,
     ):
@@ -181,7 +176,6 @@ class ADarts:
         self.voting = voting
         self.test_ratio = float(test_ratio)
         self.random_state = random_state
-        self.observer = observer
         self._ensemble = None
         self._race_result: RaceResult | None = None
         self._labeled_corpus: LabeledCorpus | None = None
@@ -222,7 +216,7 @@ class ADarts:
                 X, y, test_ratio=self.test_ratio, random_state=self.random_state
             )
             seeds = seed_pipelines or make_seed_pipelines(self.classifier_names)
-            race = ModelRace(self.config, observer=self.observer)
+            race = ModelRace(self.config)
             self._race_result = race.run(seeds, X_train, y_train, X_test, y_test)
             ensemble_cls = (
                 SoftVotingEnsemble if self.voting == "soft" else MajorityVotingEnsemble

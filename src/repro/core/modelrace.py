@@ -22,19 +22,25 @@ classifier family can survive — duplicates are the point (Section VII-D).
 
 Telemetry
 ---------
-The race emits its full lifecycle into a
-:class:`~repro.observability.observer.RaceObserver` (pass one to
-``ModelRace(observer=...)`` or ``run(observer=...)``), opens spans on the
-process tracer (``repro.observability.get_tracer()``), and increments
-counters/histograms on the process metrics registry.  With nothing
-installed every emission is a shared no-op, so the uninstrumented hot
-path is unchanged.
+The race has no callback API of its own; it reports through
+
+* spans on the process tracer (``repro.observability.get_tracer()``):
+  one ``race.run``, one ``race.iteration`` per partial set (tagged with
+  its :meth:`IterationRecord.as_dict`), one ``race.evaluate`` per
+  (pipeline, fold) scored in this process — tagged ``error`` when the
+  score carries one — and one ``race.elite_refit``;
+* counters and histograms on the process metrics registry;
+* narration on the ``repro.core.modelrace`` logger (silent until
+  ``enable_console_logging()``, which ``repro train --verbose`` calls).
+
+:class:`RaceResult` holds the outcome, with one :class:`IterationRecord`
+per partial set.  With no tracer installed every span is a shared no-op.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import stdtr
@@ -42,14 +48,7 @@ from scipy.special import stdtr
 from repro.core.config import ModelRaceConfig
 from repro.datasets.splits import stratified_kfold
 from repro.exceptions import EvaluationError, ValidationError
-from repro.observability import (
-    IterationRecord,
-    NULL_OBSERVER,
-    RaceObserver,
-    get_logger,
-    get_metrics,
-    get_tracer,
-)
+from repro.observability import get_logger, get_metrics, get_tracer
 from repro.observability.ledger import get_ledger, new_id
 from repro.parallel import ExecutionEngine, ScoreMemo, hash_arrays
 from repro.pipeline.pipeline import Pipeline
@@ -124,7 +123,7 @@ def _evaluate_candidate(
         iteration=iteration,
         fold=fold,
         classifier=pipeline.classifier_name,
-    ):
+    ) as span:
         def _attempt() -> PipelineScore:
             if injector is not None:
                 injector.check(
@@ -144,24 +143,83 @@ def _evaluate_candidate(
             )
 
         if policy is None and injector is None:
-            return _attempt()  # historical zero-overhead path
-        try:
-            if policy is None:
-                return _attempt()
-            return policy.run(
-                _attempt,
-                label=f"race.evaluate:{pipeline.classifier_name}",
-            )
-        except Exception as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            _log.warning(
-                "evaluation of %s failed beyond the fault policy: %s",
-                pipeline,
-                error,
-            )
-            return PipelineScore(
-                0.0, 0.0, float("inf"), float("-inf"), error=error
-            )
+            result = _attempt()  # historical zero-overhead path
+        else:
+            try:
+                if policy is None:
+                    result = _attempt()
+                else:
+                    result = policy.run(
+                        _attempt,
+                        label=f"race.evaluate:{pipeline.classifier_name}",
+                    )
+            except Exception as exc:
+                error = f"{type(exc).__name__}: {exc}"
+                _log.warning(
+                    "evaluation of %s failed beyond the fault policy: %s",
+                    pipeline,
+                    error,
+                )
+                result = PipelineScore(
+                    0.0, 0.0, float("inf"), float("-inf"), error=error
+                )
+        if result.error is not None:
+            span.set_tag("error", result.error)
+        return result
+
+
+@dataclass
+class IterationRecord:
+    """Diagnostics of one ModelRace round (one partial set).
+
+    Attributes
+    ----------
+    iteration:
+        0-based index of the partial-set round.
+    subset_size:
+        Number of training samples in this round's partial set.
+    n_candidates:
+        Candidate pipelines entering the round (elite + synthesized).
+    n_folds:
+        Stratified folds evaluated this round.
+    n_evaluations:
+        (pipeline, fold) evaluations actually executed.
+    n_early_terminated:
+        Candidates dropped by phase-1 pruning (fold-margin).
+    n_ttest_pruned:
+        Candidates dropped by phase-2 pruning (t-test redundancy).
+    n_failures:
+        Evaluations that raised inside fit/predict (scored ``-inf``).
+    n_quarantined:
+        Candidates quarantined by the race circuit breaker this round
+        (repeated consecutive failures).
+    n_elite:
+        Survivors after both pruning phases.
+    wall_time:
+        Wall-clock seconds spent on this iteration.
+    """
+
+    iteration: int
+    subset_size: int
+    n_candidates: int
+    n_folds: int = 0
+    n_evaluations: int = 0
+    n_early_terminated: int = 0
+    n_ttest_pruned: int = 0
+    n_failures: int = 0
+    n_quarantined: int = 0
+    n_elite: int = 0
+    wall_time: float = 0.0
+
+    @property
+    def n_potential_evaluations(self) -> int:
+        """Evaluations a pruning-free race would have run this round."""
+        return self.n_candidates * self.n_folds
+
+    def as_dict(self) -> dict:
+        """Plain-dict view: the ledger ``race`` row and the
+        ``race.iteration`` span tags."""
+        return asdict(self)
 
 
 @dataclass
@@ -175,8 +233,7 @@ class RaceResult:
     scores:
         Accumulated fold scores per surviving pipeline config key.
     iterations:
-        Structured per-iteration diagnostics
-        (:class:`~repro.observability.observer.IterationRecord`).
+        One :class:`IterationRecord` per partial-set round.
     runtime:
         Total wall-clock seconds of the race.
     ledger_record_id:
@@ -191,11 +248,6 @@ class RaceResult:
     iterations: list[IterationRecord] = field(default_factory=list)
     runtime: float = 0.0
     ledger_record_id: str | None = None
-
-    @property
-    def history(self) -> list[dict]:
-        """Legacy view: per-iteration records as plain dicts."""
-        return [record.as_dict() for record in self.iterations]
 
     @property
     def n_evaluations(self) -> int:
@@ -247,19 +299,14 @@ class ModelRace:
     ----------
     config:
         :class:`ModelRaceConfig` tuning knobs.
-    observer:
-        Default :class:`RaceObserver` receiving race lifecycle events
-        (may be overridden per :meth:`run` call).
     """
 
     def __init__(
         self,
         config: ModelRaceConfig | None = None,
-        observer: RaceObserver | None = None,
         score_memo: ScoreMemo | None = None,
     ):
         self.config = config or ModelRaceConfig()
-        self.observer = observer
         #: Memo of (pipeline, fold-content) → PipelineScore.  ``None``
         #: creates a fresh per-race memo inside each :meth:`run`; pass a
         #: shared :class:`~repro.parallel.ScoreMemo` to reuse scores
@@ -347,7 +394,6 @@ class ModelRace:
         y: np.ndarray,
         X_test: np.ndarray,
         y_test: np.ndarray,
-        observer: RaceObserver | None = None,
     ) -> RaceResult:
         """Race the pipelines; return the surviving elite fitted on all of X.
 
@@ -359,9 +405,6 @@ class ModelRace:
             Training features/labels (the union of partial sets S).
         X_test, y_test:
             The held-out test set T used for evaluation inside the race.
-        observer:
-            Race event callbacks for this run (overrides the instance
-            default; ``None`` falls back to it, then to a no-op).
         """
         if not seed_pipelines:
             raise ValidationError("seed_pipelines must be non-empty")
@@ -370,7 +413,6 @@ class ModelRace:
         if X.shape[0] != y.shape[0]:
             raise ValidationError("X and y disagree on sample count")
         cfg = self.config
-        obs = observer or self.observer or NULL_OBSERVER
         tracer = get_tracer()
         metrics = get_metrics()
         eval_counter = metrics.counter(
@@ -443,7 +485,11 @@ class ModelRace:
         elite: list[Pipeline] = list(seed_pipelines)
         records: list[IterationRecord] = []
         time_scale = cfg.time_budget  # absolute normalizer for `time`
-        obs.on_race_start(len(seed_pipelines), int(X.shape[0]))
+        _log.info(
+            "race start: %d seed pipelines, %d samples",
+            len(seed_pipelines),
+            X.shape[0],
+        )
         total_timer = Timer()
         # ``engine`` participates in the with-block so its worker pools
         # (reused across folds) are torn down when the race finishes.
@@ -475,8 +521,11 @@ class ModelRace:
                         ]
                         if healthy:
                             candidates = healthy
-                    obs.on_iteration_start(
-                        iteration, int(len(subset)), len(candidates)
+                    _log.info(
+                        "iteration %d: subset=%d candidates=%d",
+                        iteration,
+                        len(subset),
+                        len(candidates),
                     )
                     active = {p.config_key() for p in candidates}
                     n_evals = 0
@@ -559,14 +608,15 @@ class ModelRace:
                                     active.discard(key)
                                     n_quarantined += 1
                                     quarantine_counter.inc()
-                                    obs.on_quarantine(
-                                        iteration, fold_idx, key
+                                    _log.warning(
+                                        "iteration %d fold %d: quarantined "
+                                        "%s (repeated failures)",
+                                        iteration,
+                                        fold_idx,
+                                        key,
                                     )
                             else:
                                 breaker.record_success(key)
-                            obs.on_candidate_scored(
-                                iteration, fold_idx, key, result
-                            )
                             scores.setdefault(key, []).append(result.score)
                         # Phase-1 pruning (lines 11-12) as a deterministic
                         # post-fold barrier: every candidate is judged
@@ -584,8 +634,12 @@ class ModelRace:
                                 active.discard(key)
                                 n_early += 1
                                 early_counter.inc()
-                                obs.on_early_termination(
-                                    iteration, fold_idx, key
+                                _log.debug(
+                                    "iteration %d fold %d: "
+                                    "early-terminated %s",
+                                    iteration,
+                                    fold_idx,
+                                    key,
                                 )
                     survivors = [p for p in candidates if p.config_key() in active]
                     if not survivors:  # safety: never lose everything
@@ -595,7 +649,12 @@ class ModelRace:
                         ] or candidates
                     elite, n_pruned = self._prune_ttest(survivors, scores)
                     ttest_counter.inc(n_pruned)
-                    obs.on_ttest_prune(iteration, n_pruned)
+                    if n_pruned:
+                        _log.info(
+                            "iteration %d: t-test pruned %d",
+                            iteration,
+                            n_pruned,
+                        )
                 record = IterationRecord(
                     iteration=iteration,
                     subset_size=int(len(subset)),
@@ -610,19 +669,19 @@ class ModelRace:
                     wall_time=iteration_timer.elapsed,
                 )
                 iteration_time_hist.observe(record.wall_time)
-                for tag in (
-                    "n_candidates",
-                    "n_folds",
-                    "n_evaluations",
-                    "n_early_terminated",
-                    "n_ttest_pruned",
-                    "n_failures",
-                    "n_quarantined",
-                    "n_elite",
-                ):
-                    iteration_span.set_tag(tag, record[tag])
+                for tag, value in record.as_dict().items():
+                    iteration_span.set_tag(tag, value)
                 records.append(record)
-                obs.on_iteration_end(record)
+                _log.info(
+                    "iteration %d done: evals=%d early=%d pruned=%d "
+                    "elite=%d (%.3fs)",
+                    record.iteration,
+                    record.n_evaluations,
+                    record.n_early_terminated,
+                    record.n_ttest_pruned,
+                    record.n_elite,
+                    record.wall_time,
+                )
             # Final band filter: the vote is only as strong as its weakest
             # member, so keep diversity among *top* performers only.
             means = {
@@ -657,7 +716,7 @@ class ModelRace:
                         )
                         continue
                     fitted.append(fresh)
-            obs.on_elite_refit(len(elite), len(fitted))
+            _log.info("elite refit: %d/%d fitted", len(fitted), len(elite))
             if not fitted:
                 raise ValidationError("no elite pipeline could be fitted")
             race_span.set_tag("n_elite", len(fitted))
@@ -711,7 +770,6 @@ class ModelRace:
                 },
                 record_id=new_id("race"),
             )
-        obs.on_race_end(result)
         return result
 
 

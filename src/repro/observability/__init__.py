@@ -7,9 +7,6 @@ The instrumentation substrate for every performance claim in the repro:
 * :mod:`repro.observability.metrics` — the always-on process registry
   of counters, gauges and sketch-backed histograms (the one
   :class:`QuantileSketch`), with JSON / Prometheus text export;
-* :mod:`repro.observability.observer` — the :class:`RaceObserver`
-  event-callback API that :class:`~repro.core.modelrace.ModelRace`
-  emits into, plus the structured :class:`IterationRecord`;
 * :mod:`repro.observability.log` — stdlib-``logging`` integration,
   silent by default;
 * :mod:`repro.observability.report` — human-readable run summaries
@@ -53,6 +50,12 @@ process one).  A counter costs a dict lookup and a lock and allocates
 nothing.  Tracing stays opt-in, because a span allocates per call: the
 default is the no-op ``NULL_TRACER`` until a :class:`Tracer` is
 installed via :func:`set_tracer` or :class:`use_tracer`.
+
+Race telemetry needs no API of its own: :class:`~repro.core.modelrace.ModelRace`
+reports through ``race.*`` spans (``race.iteration`` tagged with its
+``IterationRecord``, ``race.evaluate`` tagged ``error`` on a failed
+score), the ``repro_race_*`` metrics, the ``repro.core.modelrace``
+logger (``repro train --verbose``) and the returned ``RaceResult``.
 """
 
 from repro.observability.dashboard import (
@@ -96,14 +99,6 @@ from repro.observability.metrics import (
     get_metrics,
     set_metrics,
     use_metrics,
-)
-from repro.observability.observer import (
-    CompositeObserver,
-    IterationRecord,
-    LoggingObserver,
-    NULL_OBSERVER,
-    RaceObserver,
-    RecordingObserver,
 )
 from repro.observability.resources import (
     AccountingRegistry,
@@ -156,13 +151,6 @@ __all__ = [
     "set_metrics",
     "use_metrics",
     "build_info",
-    # observer
-    "RaceObserver",
-    "RecordingObserver",
-    "CompositeObserver",
-    "LoggingObserver",
-    "IterationRecord",
-    "NULL_OBSERVER",
     # serving
     "DriftDetector",
     "DriftReport",

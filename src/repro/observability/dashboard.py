@@ -203,10 +203,11 @@ def render_top(snapshot: dict, *, color: bool = False, width: int = 78) -> str:
                 f"{int(row.get('chunks') or 0):7d} "
                 f"{int(row.get('scratch_allocations') or 0):8d}"
             )
-    decisions = resources.get("backend_decisions") or {}
-    if decisions:
+    backends = snapshot.get("backends") or {}
+    if backends:
         rendered = "  ".join(
-            f"{name}={count}" for name, count in sorted(decisions.items())
+            f"{name}={int(stats.get('batches') or 0)}"
+            for name, stats in sorted(backends.items())
         )
         lines.append(f"  backend decisions: {rendered}")
     lines.append(thin)

@@ -454,23 +454,49 @@ def _masked_moments(values, selected, count):
 # ---------------------------------------------------------------------------
 # Reading, filtering, summarizing
 # ---------------------------------------------------------------------------
-def read_ledger(path) -> list[dict]:
-    """Load and schema-upgrade every record of a JSONL ledger file."""
+class LedgerRecords(list):
+    """The records :func:`read_ledger` returns, in file order.
+
+    ``truncated_line`` is the 1-based number of a final row that a crash
+    cut short and the reader skipped, else ``None``.
+    """
+
+    truncated_line: int | None = None
+
+
+def read_ledger(path) -> LedgerRecords:
+    """Load and schema-upgrade every record of a JSONL ledger file.
+
+    A final line that is not valid JSON and has no trailing newline is a
+    row whose write a crash cut short: it is skipped with a warning and
+    its number kept in ``truncated_line``.  An unparsable line anywhere
+    else raises :class:`ValidationError`.
+    """
     path = pathlib.Path(path)
     if not path.exists():
         raise ValidationError(f"no such ledger file: {path}")
-    records: list[dict] = []
+    records = LedgerRecords()
     with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+        for line_no, raw_line in enumerate(fh, start=1):
+            line = raw_line.strip()
             if not line:
                 continue
             try:
                 raw = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValidationError(
-                    f"{path}:{line_no} is not valid JSON: {exc}"
-                ) from None
+                if raw_line.endswith("\n"):
+                    raise ValidationError(
+                        f"{path}:{line_no} is not valid JSON: {exc}"
+                    ) from None
+                # Only the last line can lack its newline.
+                _log.warning(
+                    "%s:%d: skipped a final row cut short (%s)",
+                    path,
+                    line_no,
+                    exc,
+                )
+                records.truncated_line = line_no
+                break
             records.append(upgrade_record(raw))
     return records
 
@@ -592,6 +618,11 @@ def render_summary(summary: dict) -> str:
         f"runs         : {len(summary['run_ids'])}",
         f"span         : {summary['first_time']} .. {summary['last_time']}",
     ]
+    if summary.get("truncated_line") is not None:
+        lines.append(
+            f"truncated    : line {summary['truncated_line']} "
+            "(a final row cut short, skipped)"
+        )
     repairs = summary["repairs"]
     lines.append(
         f"repairs      : {repairs['n']} "

@@ -34,6 +34,7 @@ registry without bound.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 import pathlib
@@ -220,6 +221,17 @@ class Gauge:
 # ---------------------------------------------------------------------------
 # Streaming quantile sketch
 # ---------------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def _level_capacities(k: int, n_levels: int) -> tuple[int, ...]:
+    """Target capacity of each of ``n_levels`` sketch levels."""
+    # Higher levels hold more items (they are cheaper per represented
+    # observation); the 2/3 geometric decay is the KLL schedule.
+    return tuple(
+        max(8, int(k * (2.0 / 3.0) ** (n_levels - 1 - level)))
+        for level in range(n_levels)
+    )
+
+
 class QuantileSketch:
     """Mergeable KLL-style streaming quantile sketch with fixed memory.
 
@@ -247,6 +259,7 @@ class QuantileSketch:
 
     __slots__ = (
         "k", "_levels", "_count", "_sum", "_min", "_max", "_coin", "_lock",
+        "_stored", "_cap_total",
     )
 
     def __init__(self, k: int = 1024):
@@ -254,6 +267,8 @@ class QuantileSketch:
             raise ValueError("sketch k must be >= 8")
         self.k = int(k)
         self._levels: list[list[float]] = [[]]
+        self._stored = 0  # items held across all levels
+        self._relevel()
         self._count = 0
         self._sum = 0.0
         self._min = float("inf")
@@ -279,6 +294,8 @@ class QuantileSketch:
     def __setstate__(self, state: dict) -> None:
         self.k = state["k"]
         self._levels = [list(level) for level in state["levels"]]
+        self._stored = sum(len(level) for level in self._levels)
+        self._relevel()
         self._count = state["count"]
         self._sum = state["sum"]
         self._min = state["min"]
@@ -305,12 +322,9 @@ class QuantileSketch:
         """Exact running mean of every observation."""
         return self._sum / self._count if self._count else 0.0
 
-    def _capacity(self, level: int, n_levels: int) -> int:
-        """Target capacity of ``level`` given ``n_levels`` total levels."""
-        # Higher levels hold more items (they are cheaper per represented
-        # observation); the 2/3 geometric decay is the KLL schedule.
-        cap = int(self.k * (2.0 / 3.0) ** (n_levels - 1 - level))
-        return max(8, cap)
+    def _relevel(self) -> None:
+        """Refresh the total capacity after the level count changed."""
+        self._cap_total = sum(_level_capacities(self.k, len(self._levels)))
 
     def _flip(self) -> int:
         """Deterministic coin: one xorshift32 step, returns 0 or 1."""
@@ -323,15 +337,11 @@ class QuantileSketch:
 
     def _compact_locked(self) -> None:
         """Compact the fullest over-capacity level (caller holds the lock)."""
-        n_levels = len(self._levels)
-        if n_levels == 1 and len(self._levels[0]) <= self.k:
-            return  # one level holds up to k items (the common case)
-        total_cap = sum(self._capacity(lv, n_levels) for lv in range(n_levels))
-        if sum(len(level) for level in self._levels) <= total_cap:
-            return
-        for lv in range(n_levels):
+        if self._stored <= self._cap_total:
+            return  # within budget: the common case, O(1)
+        caps = _level_capacities(self.k, len(self._levels))
+        for lv, cap in enumerate(caps):
             level = self._levels[lv]
-            cap = self._capacity(lv, n_levels)
             if len(level) > cap:
                 level.sort()
                 # Tail protection (REQ-style): the lowest/highest few
@@ -340,10 +350,12 @@ class QuantileSketch:
                 # near-exact resolution while the bulk compacts.
                 tail = max(2, cap // 6)
                 promoted = level[tail:-tail][self._flip()::2]
-                if lv + 1 == n_levels:
-                    self._levels.append([])
-                self._levels[lv + 1].extend(promoted)
                 self._levels[lv] = level[:tail] + level[-tail:]
+                self._stored -= len(level) - 2 * tail - len(promoted)
+                if lv + 1 == len(self._levels):
+                    self._levels.append([])
+                    self._relevel()
+                self._levels[lv + 1].extend(promoted)
                 return
 
     def update(self, value: float) -> None:
@@ -353,13 +365,15 @@ class QuantileSketch:
             return
         with self._lock:
             self._levels[0].append(value)
+            self._stored += 1
             self._count += 1
             self._sum += value
             if value < self._min:
                 self._min = value
             if value > self._max:
                 self._max = value
-            self._compact_locked()
+            if self._stored > self._cap_total:
+                self._compact_locked()
 
     def extend(self, values) -> None:
         """Fold many observations (any array-like)."""
@@ -383,14 +397,16 @@ class QuantileSketch:
                 while lv >= len(self._levels):
                     self._levels.append([])
                 self._levels[lv].extend(level)
+            self._stored = sum(len(level) for level in self._levels)
+            self._relevel()
             self._count += state["count"]
             self._sum += state["sum"]
             self._min = min(self._min, state["min"])
             self._max = max(self._max, state["max"])
             for _ in range(len(self._levels) + 8):
-                before = sum(len(level) for level in self._levels)
+                before = self._stored
                 self._compact_locked()
-                if sum(len(level) for level in self._levels) == before:
+                if self._stored == before:
                     break
         return self
 
@@ -470,10 +486,9 @@ class QuantileSketch:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        stored = sum(len(level) for level in self._levels)
         return (
             f"QuantileSketch(k={self.k}, count={self._count}, "
-            f"stored={stored}, levels={len(self._levels)})"
+            f"stored={self._stored}, levels={len(self._levels)})"
         )
 
 

@@ -561,10 +561,6 @@ class HealthSnapshot:
             resources={
                 **get_accounting().snapshot(),
                 "kernels": kernel_stats(),
-                "backend_decisions": {
-                    backend: stats["batches"]
-                    for backend, stats in backends.items()
-                },
             },
             build=build_info(),
             **views,
@@ -718,6 +714,4 @@ PROMETHEUS_TABLE = (
      "repro_kernel_chunks_total", "Blockwise chunks executed per kernel"),
     ("resources.kernels.*.scratch_allocations", "kernel", "counter",
      "repro_kernel_scratch_allocations_total", "Scratch allocations per kernel"),
-    ("resources.backend_decisions.*", "backend", "counter",
-     "repro_backend_decisions_total", "Executor backend resolutions"),
 )

@@ -255,6 +255,51 @@ class TestCommands:
         assert "error:" in err
         assert "Traceback" not in err
 
+    @pytest.fixture
+    def train_stderr(self, tmp_path, capsys):
+        """Run ``repro train`` on the tiny corpus; return its stderr.
+
+        ``--verbose`` attaches a console handler to the ``repro`` logger;
+        the handler and the logger level are restored afterwards.
+        """
+        import logging
+
+        root = logging.getLogger("repro")
+        handlers, level = list(root.handlers), root.level
+
+        def run(*extra):
+            code = main([
+                "train", "--categories", "Climate",
+                "--out", str(tmp_path / "engine.json"),
+                "--series-per-dataset", "8", "--datasets-per-category", "1",
+                "--partial-sets", "2", *extra,
+            ])
+            assert code == 0
+            return capsys.readouterr().err
+
+        yield run
+        root.handlers[:] = handlers
+        root.setLevel(level)
+
+    def test_train_verbose_narrates_each_race_iteration(self, train_stderr):
+        err = train_stderr("--verbose")
+        done = [
+            line.split("repro.core.modelrace: ", 1)[1]
+            for line in err.splitlines()
+            if " done: evals=" in line
+        ]
+        assert [line.split(" done:")[0] for line in done] == [
+            "iteration 0", "iteration 1",
+        ]
+        assert "race start: 12 seed pipelines" in err
+        assert "elite refit: " in err
+
+    def test_train_without_verbose_is_quiet(self, train_stderr):
+        err = train_stderr()
+        assert "saved engine to" in err
+        assert "done: evals=" not in err
+        assert "repro.core.modelrace" not in err
+
     def test_train_unknown_category_errors(self, tmp_path, capsys):
         code = main(
             ["train", "--categories", "Bogus", "--out", str(tmp_path / "e.json")]

@@ -52,11 +52,11 @@ class TestRace:
         X_tr, X_te, y_tr, y_te = race_data
         seeds = make_seed_pipelines(["knn", "ridge"])
         result = ModelRace(FAST_CONFIG).run(seeds, X_tr, y_tr, X_te, y_te)
-        assert len(result.history) == FAST_CONFIG.n_partial_sets
+        assert len(result.iterations) == FAST_CONFIG.n_partial_sets
         assert result.n_evaluations > 0
         assert result.runtime > 0
-        for record in result.history:
-            assert record["n_elite"] <= FAST_CONFIG.max_elite
+        for record in result.iterations:
+            assert record.n_elite <= FAST_CONFIG.max_elite
 
     def test_partial_sets_grow(self, race_data):
         X_tr, X_te, y_tr, y_te = race_data
@@ -64,7 +64,7 @@ class TestRace:
         result = ModelRace(
             ModelRaceConfig(n_partial_sets=3, n_folds=2, random_state=0)
         ).run(seeds, X_tr, y_tr, X_te, y_te)
-        sizes = [h["subset_size"] for h in result.history]
+        sizes = [r.subset_size for r in result.iterations]
         assert sizes == sorted(sizes)
         assert sizes[-1] == X_tr.shape[0]
 

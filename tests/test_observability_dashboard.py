@@ -82,7 +82,10 @@ def _snapshot_dict():
                     "chunks": 8, "scratch_allocations": 8,
                 },
             },
-            "backend_decisions": {"serial": 9, "process": 1},
+        },
+        "backends": {
+            "serial": {"batches": 9, "tasks": 40, "seconds": 0.2},
+            "process": {"batches": 1, "tasks": 8, "seconds": 0.1},
         },
         "caches": {
             "feature_cache": {

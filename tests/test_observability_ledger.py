@@ -165,6 +165,55 @@ class TestSchemaUpgrade:
         with pytest.raises(ValidationError, match="no such ledger"):
             read_ledger(tmp_path / "missing.jsonl")
 
+    @staticmethod
+    def _rows(n):
+        return [
+            json.dumps({
+                "schema": 2, "kind": "fit", "id": f"fit_{i}", "run_id": "r",
+                "time": "2026-01-01T00:00:00+00:00", "trace_id": None,
+                "data": {"n_samples": i},
+            })
+            for i in range(n)
+        ]
+
+    def test_row_cut_by_a_crash_is_skipped(self, tmp_path, caplog):
+        rows = self._rows(3)
+        path = tmp_path / "cut.jsonl"
+        # The crash hit mid-row: no closing brace, no trailing newline.
+        path.write_text("\n".join(rows[:2]) + "\n" + rows[2][:25])
+        with caplog.at_level("WARNING", logger="repro.observability.ledger"):
+            records = read_ledger(path)
+        assert [r["id"] for r in records] == ["fit_0", "fit_1"]
+        assert records.truncated_line == 3
+        assert "cut short" in caplog.text
+        intact = tmp_path / "intact.jsonl"
+        intact.write_text("\n".join(rows) + "\n")
+        assert read_ledger(intact).truncated_line is None
+
+    @pytest.mark.parametrize("trailing_newline", [True, False])
+    def test_corrupt_middle_row_raises(self, tmp_path, trailing_newline):
+        rows = self._rows(3)
+        rows[1] = rows[1][:25]
+        path = tmp_path / "corrupt.jsonl"
+        path.write_text("\n".join(rows) + ("\n" if trailing_newline else ""))
+        with pytest.raises(ValidationError, match=r"corrupt.jsonl:2 is not"):
+            read_ledger(path)
+
+    def test_audit_summary_reports_the_cut_row(self, tmp_path, capsys):
+        from repro.cli import main
+
+        rows = self._rows(2)
+        path = tmp_path / "cut.jsonl"
+        path.write_text(rows[0] + "\n" + rows[1][:30])
+        assert main(["audit", "--ledger", str(path), "--summary"]) == 0
+        out = capsys.readouterr().out
+        assert "records      : 1" in out
+        assert "truncated    : line 2" in out
+        assert main(
+            ["audit", "--ledger", str(path), "--summary", "--json"]
+        ) == 0
+        assert json.loads(capsys.readouterr().out)["truncated_line"] == 2
+
 
 class TestQualityStats:
     def test_plausible_fill_scores_low_z(self):

@@ -1,15 +1,13 @@
-"""ModelRace telemetry: observer events, IterationRecord, no-op parity."""
+"""ModelRace telemetry: spans, counters, the race logger, IterationRecord."""
+
+import logging
 
 import pytest
 
-from repro.core import ModelRace, ModelRaceConfig
+from repro.core import IterationRecord, ModelRace, ModelRaceConfig
 from repro.datasets.splits import holdout_split
 from repro.observability import (
-    CompositeObserver,
-    IterationRecord,
     MetricsRegistry,
-    RaceObserver,
-    RecordingObserver,
     Tracer,
     use_metrics,
     use_tracer,
@@ -36,6 +34,10 @@ DETERMINISTIC_CONFIG = ModelRaceConfig(
 )
 
 
+def _spans(tracer, name):
+    return [s for s in tracer.finished_spans() if s.name == name]
+
+
 class TestIterationRecord:
     def test_dict_compat(self):
         record = IterationRecord(
@@ -43,14 +45,11 @@ class TestIterationRecord:
             n_evaluations=8, n_early_terminated=1, n_ttest_pruned=2,
             n_elite=3, wall_time=0.5,
         )
-        assert record["n_elite"] == 3
-        assert record.get("n_folds") == 2
-        assert record.get("nope", 42) == 42
-        with pytest.raises(KeyError):
-            record["does_not_exist"]
         as_dict = record.as_dict()
         assert as_dict["subset_size"] == 10
+        assert as_dict["n_elite"] == 3
         assert as_dict["wall_time"] == 0.5
+        assert IterationRecord(**as_dict) == record
 
     def test_potential_evaluations(self):
         record = IterationRecord(
@@ -60,87 +59,110 @@ class TestIterationRecord:
 
 
 class TestObserverEvents:
+    """The race lifecycle as spans, counters and log lines (serial backend,
+    so every evaluation span lands on the installed tracer)."""
+
     @pytest.fixture(scope="class")
     def observed_run(self, race_data):
         X_tr, X_te, y_tr, y_te = race_data
-        observer = RecordingObserver()
+        tracer = Tracer()
+        registry = MetricsRegistry()
         seeds = make_seed_pipelines(["knn", "decision_tree", "gaussian_nb"])
-        result = ModelRace(FAST_CONFIG, observer=observer).run(
-            seeds, X_tr, y_tr, X_te, y_te
-        )
-        return observer, result
+        with use_tracer(tracer), use_metrics(registry):
+            result = ModelRace(FAST_CONFIG).run(
+                seeds, X_tr, y_tr, X_te, y_te
+            )
+        return tracer, registry, result
 
     def test_lifecycle_events_fired(self, observed_run):
-        observer, result = observed_run
-        names = [name for name, _ in observer.events]
-        assert names[0] == "race_start"
-        assert names[-1] == "race_end"
-        assert names.count("iteration_start") == FAST_CONFIG.n_partial_sets
-        assert names.count("iteration_end") == FAST_CONFIG.n_partial_sets
-        assert names.count("ttest_prune") == FAST_CONFIG.n_partial_sets
-        assert names.count("elite_refit") == 1
+        tracer, _, result = observed_run
+        (run,) = _spans(tracer, "race.run")
+        iterations = _spans(tracer, "race.iteration")
+        (refit,) = _spans(tracer, "race.elite_refit")
+        assert len(iterations) == FAST_CONFIG.n_partial_sets
+        assert all(s.parent_id == run.span_id for s in iterations)
+        assert refit.parent_id == run.span_id
+        assert run.tags["n_elite"] == len(result.elite)
 
     def test_candidate_scored_matches_result(self, observed_run):
-        observer, result = observed_run
-        scored = observer.of_type("candidate_scored")
-        assert len(scored) == result.n_evaluations
-        for payload in scored:
-            assert hasattr(payload["score"], "score")  # PipelineScore
+        tracer, registry, result = observed_run
+        assert (
+            registry.counter("repro_race_evaluations_total").value
+            == result.n_evaluations
+        )
+        # Memo hits are counted but not re-scored, so they open no span.
+        evaluations = _spans(tracer, "race.evaluate")
+        assert 0 < len(evaluations) <= result.n_evaluations
+        assert not any("error" in s.tags for s in evaluations)
 
     def test_iteration_end_carries_records(self, observed_run):
-        observer, result = observed_run
-        records = [p["record"] for p in observer.of_type("iteration_end")]
-        assert records == result.iterations
-        for record in records:
-            assert isinstance(record, IterationRecord)
+        tracer, _, result = observed_run
+        spans = _spans(tracer, "race.iteration")
+        assert len(spans) == len(result.iterations)
+        for span, record in zip(spans, result.iterations):
+            tags = {k: v for k, v in span.tags.items() if k != "subsystem"}
+            assert tags == record.as_dict()
             assert record.wall_time > 0.0
             assert record.n_folds >= 2
             assert record.n_evaluations <= record.n_potential_evaluations
 
     def test_early_termination_consistency(self, observed_run):
-        observer, result = observed_run
-        assert len(observer.of_type("early_termination")) == (
-            result.n_early_terminated
+        _, registry, result = observed_run
+        assert (
+            registry.counter("repro_race_early_terminations_total").value
+            == result.n_early_terminated
+        )
+        assert (
+            registry.counter("repro_race_ttest_pruned_total").value
+            == result.n_ttest_pruned
         )
 
-    def test_run_observer_overrides_instance(self, race_data):
+    def test_logger_narrates_each_event(self, race_data, caplog):
         X_tr, X_te, y_tr, y_te = race_data
-        per_run = RecordingObserver()
-        race = ModelRace(FAST_CONFIG, observer=RecordingObserver())
-        race.run(
-            make_seed_pipelines(["knn"]), X_tr, y_tr, X_te, y_te,
-            observer=per_run,
+        seeds = make_seed_pipelines(["knn", "decision_tree", "gaussian_nb"])
+        with caplog.at_level(logging.DEBUG, logger="repro.core.modelrace"):
+            result = ModelRace(FAST_CONFIG).run(
+                seeds, X_tr, y_tr, X_te, y_te
+            )
+        messages = [
+            (r.levelno, r.getMessage())
+            for r in caplog.records
+            if r.name == "repro.core.modelrace"
+        ]
+        assert messages[0] == (
+            logging.INFO,
+            f"race start: 3 seed pipelines, {X_tr.shape[0]} samples",
         )
-        assert per_run.events  # the per-run observer received the stream
-
-    def test_composite_fans_out(self, race_data):
-        X_tr, X_te, y_tr, y_te = race_data
-        a, b = RecordingObserver(), RecordingObserver()
-        ModelRace(FAST_CONFIG, observer=CompositeObserver([a, b])).run(
-            make_seed_pipelines(["knn"]), X_tr, y_tr, X_te, y_te
+        done = [m for level, m in messages if " done: evals=" in m]
+        assert done == [
+            f"iteration {r.iteration} done: evals={r.n_evaluations} "
+            f"early={r.n_early_terminated} pruned={r.n_ttest_pruned} "
+            f"elite={r.n_elite} ({r.wall_time:.3f}s)"
+            for r in result.iterations
+        ]
+        early = [
+            level for level, m in messages if "early-terminated" in m
+        ]
+        assert early == [logging.DEBUG] * result.n_early_terminated
+        assert messages[-1] == (
+            logging.INFO,
+            f"elite refit: {len(result.elite)}/{len(result.elite)} fitted",
         )
-        assert [n for n, _ in a.events] == [n for n, _ in b.events]
-
-    def test_base_observer_is_noop(self, race_data):
-        X_tr, X_te, y_tr, y_te = race_data
-        result = ModelRace(FAST_CONFIG, observer=RaceObserver()).run(
-            make_seed_pipelines(["knn"]), X_tr, y_tr, X_te, y_te
-        )
-        assert result.elite
 
 
 class TestRaceResultTelemetry:
     def test_history_backward_compatible(self, race_data):
+        """Each record's plain-dict view (the ledger ``race`` row) keeps
+        the historical keys."""
         X_tr, X_te, y_tr, y_te = race_data
         result = ModelRace(FAST_CONFIG).run(
             make_seed_pipelines(["knn", "ridge"]), X_tr, y_tr, X_te, y_te
         )
-        history = result.history
-        assert isinstance(history, list)
-        assert all(isinstance(h, dict) for h in history)
-        for record in history:
-            assert record["n_elite"] <= FAST_CONFIG.max_elite
-            assert record["wall_time"] > 0.0
+        rows = [record.as_dict() for record in result.iterations]
+        assert len(rows) == FAST_CONFIG.n_partial_sets
+        for row in rows:
+            assert row["n_elite"] <= FAST_CONFIG.max_elite
+            assert row["wall_time"] > 0.0
 
     def test_prune_ratio_bounds(self, race_data):
         X_tr, X_te, y_tr, y_te = race_data
@@ -165,12 +187,12 @@ class TestRaceResultTelemetry:
 
 
 class TestNoOpParity:
-    """Observer absent + null tracer ⇒ identical RaceResult to seed path."""
+    """Null tracer ⇒ identical RaceResult to the traced path."""
 
-    def _run(self, race_data, **kwargs):
+    def _run(self, race_data):
         X_tr, X_te, y_tr, y_te = race_data
         seeds = make_seed_pipelines(["knn", "ridge", "gaussian_nb"])
-        return ModelRace(DETERMINISTIC_CONFIG, **kwargs).run(
+        return ModelRace(DETERMINISTIC_CONFIG).run(
             seeds, X_tr, y_tr, X_te, y_te
         )
 
@@ -179,7 +201,7 @@ class TestNoOpParity:
         tracer = Tracer()
         registry = MetricsRegistry()
         with use_tracer(tracer), use_metrics(registry):
-            traced = self._run(race_data, observer=RecordingObserver())
+            traced = self._run(race_data)
         assert [p.config_key() for p in plain.elite] == [
             p.config_key() for p in traced.elite
         ]
@@ -243,24 +265,19 @@ class TestFailureTelemetry:
         bad = _CrashingPipeline("decision_tree")
         good = make_seed_pipelines(["gaussian_nb"])
         registry = MetricsRegistry()
-        observer = RecordingObserver()
-        with use_metrics(registry):
+        tracer = Tracer()
+        with use_metrics(registry), use_tracer(tracer):
             result = ModelRace(
-                ModelRaceConfig(
-                    n_partial_sets=1, n_folds=2, random_state=0
-                ),
-                observer=observer,
+                ModelRaceConfig(n_partial_sets=1, n_folds=2, random_state=0)
             ).run(good + [bad], X_tr, y_tr, X_te, y_te)
         failures = [
-            p
-            for p in observer.of_type("candidate_scored")
-            if p["score"].error is not None
+            s for s in _spans(tracer, "race.evaluate") if "error" in s.tags
         ]
         assert failures, "the crashing pipeline must surface in telemetry"
-        for payload in failures:
-            assert "RuntimeError" in payload["score"].error
-            assert payload["score"].score == float("-inf")
-        assert any(r.n_failures > 0 for r in result.iterations)
+        for span in failures:
+            assert span.tags["classifier"] == "decision_tree"
+            assert "RuntimeError" in span.tags["error"]
+        assert len(failures) == result.n_failures > 0
         assert (
             registry.counter(
                 "repro_pipeline_failures_total",

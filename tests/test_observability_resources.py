@@ -74,8 +74,13 @@ class TestAccountingRegistry:
         with ExecutionEngine(ParallelConfig(n_jobs=2, backend="thread")) as e:
             e.map(_inc, [1, 2])
             e.map(_inc, [3, 4])
-        resources = idle_daemon().health().resources
-        assert resources["backend_decisions"] == {"serial": 1, "thread": 2}
+        snapshot = idle_daemon().health()
+        batches = {
+            name: stats["batches"] for name, stats in snapshot.backends.items()
+        }
+        assert batches == {"serial": 1, "thread": 2}
+        # Reported once: the resources section no longer repeats it.
+        assert "backend_decisions" not in snapshot.resources
 
     def test_sample_reports_rss(self):
         registry = AccountingRegistry()

@@ -1,5 +1,7 @@
 """Tests for the SLO engine: quantile sketch + burn-rate tracker."""
 
+import hashlib
+import json
 import pickle
 
 import numpy as np
@@ -136,6 +138,39 @@ class TestQuantileSketch:
         }
         assert summary["count"] == 3
         assert summary["mean"] == pytest.approx(2.0)
+
+    @staticmethod
+    def _state_digest(sketch):
+        state = json.dumps(sketch.__getstate__(), sort_keys=True)
+        return hashlib.sha256(state.encode()).hexdigest()
+
+    def test_compaction_state_pinned(self):
+        """Every compaction decision is pinned: a fixed 50k stream (integer
+        arithmetic, so identical on every platform) must leave exactly
+        the level buffers and coin state the sketch has always produced,
+        both through ``update`` and through ``merge``."""
+        values = [
+            (((i * 2654435761) % 4294967291) / 4294967291.0) ** 3 * 1e3
+            for i in range(50_000)
+        ]
+        sketch = QuantileSketch()
+        for value in values:
+            sketch.update(value)
+        assert [len(level) for level in sketch._levels] == [
+            212, 148, 177, 150, 627, 1173,
+        ]
+        assert self._state_digest(sketch) == (
+            "f2bccfbe5e614fd5cf91731c3b8abe1b08726c790d1dedf60aab31a4c64f13bb"
+        )
+        left, right = QuantileSketch(k=64), QuantileSketch(k=64)
+        for value in values[:20_000]:
+            left.update(value)
+        for value in values[20_000:]:
+            right.update(value)
+        left.merge(right)
+        assert self._state_digest(left) == (
+            "21dada2f32397f0d701920830cac5c4e94fd471915f5af7698d167d2fe9fe13f"
+        )
 
 
 class TestSloPolicy:

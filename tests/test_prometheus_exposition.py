@@ -202,7 +202,7 @@ class TestHealthSnapshotExposition:
             "repro_slo_alerts_total",
             "repro_kernel_calls_total",
             "repro_kernel_bytes_moved_total",
-            "repro_backend_decisions_total",
+            "repro_parallel_batches_total",
         )
 
         def counters(text):

@@ -29,7 +29,7 @@ from repro.exceptions import (
     WorkerCrashError,
 )
 from repro.imputation import get_imputer
-from repro.observability import RecordingObserver
+from repro.observability import Tracer, use_tracer
 from repro.parallel import ExecutionEngine, ParallelConfig
 from repro.pipeline import ScoreWeights, make_seed_pipelines
 from repro.resilience import (
@@ -295,21 +295,19 @@ class TestRaceChaos:
         )
         cfg = _race_config(fault_injector=plan.injector())
         seeds = make_seed_pipelines(["knn", "decision_tree", "gaussian_nb"])
-        obs = RecordingObserver()
-        result = ModelRace(cfg).run(
-            seeds, X_tr, y_tr, X_te, y_te, observer=obs
-        )
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = ModelRace(cfg).run(seeds, X_tr, y_tr, X_te, y_te)
         assert result.elite
         assert result.n_failures >= 1
         assert all(p.classifier_name != "gaussian_nb" for p in result.elite)
-        # Failures surface as scored events carrying the error string.
+        # Failures surface as evaluation spans tagged with the error.
         failed = [
-            e for e in obs.of_type("candidate_scored")
-            if e["score"].error is not None
+            s for s in tracer.finished_spans()
+            if s.name == "race.evaluate" and "error" in s.tags
         ]
-        assert failed and all(
-            "InjectedFault" in e["score"].error for e in failed
-        )
+        assert len(failed) == result.n_failures
+        assert all("InjectedFault" in s.tags["error"] for s in failed)
 
     def test_quarantine_prunes_failing_pipeline(self, race_data):
         X_tr, X_te, y_tr, y_te = race_data
@@ -321,21 +319,22 @@ class TestRaceChaos:
             fault_injector=plan.injector(),
         )
         seeds = make_seed_pipelines(["knn", "gaussian_nb"])
-        obs = RecordingObserver()
-        result = ModelRace(cfg).run(
-            seeds, X_tr, y_tr, X_te, y_te, observer=obs
-        )
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = ModelRace(cfg).run(seeds, X_tr, y_tr, X_te, y_te)
         assert result.n_quarantined >= 1
-        quarantine_events = obs.of_type("quarantine")
-        assert quarantine_events
-        quarantined_keys = {e["config_key"] for e in quarantine_events}
+        first = min(
+            r.iteration for r in result.iterations if r.n_quarantined > 0
+        )
+        assert first < len(result.iterations) - 1  # a later round exists
         # Quarantined configurations never rejoin a later iteration.
-        later_scored = {
-            e["config_key"]
-            for e in obs.of_type("candidate_scored")
-            if e["iteration"] > min(q["iteration"] for q in quarantine_events)
-        }
-        assert not (quarantined_keys & later_scored)
+        later_scored = [
+            s for s in tracer.finished_spans()
+            if s.name == "race.evaluate"
+            and s.tags["classifier"] == "gaussian_nb"
+            and s.tags["iteration"] > first
+        ]
+        assert not later_scored
         assert all(p.classifier_name != "gaussian_nb" for p in result.elite)
 
     def test_hang_past_deadline_is_abandoned(self, race_data):
