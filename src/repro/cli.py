@@ -85,6 +85,7 @@ from repro.observability.ledger import (
     summarize_ledger,
     use_ledger,
 )
+from repro.observability.log import ROOT_LOGGER_NAME
 from repro.observability.report import load_metrics, load_trace, render_report
 from repro.parallel import BACKENDS, FeatureCache, ParallelConfig
 from repro.resilience import FaultPolicy, use_fault_policy
@@ -746,8 +747,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="micro-batch size bound",
     )
     serve.add_argument(
-        "--max-delay-ms", type=float, default=5.0,
-        help="micro-batch coalescing budget in milliseconds",
+        "--max-delay-ms", type=float, default=0.0,
+        help="how long a lone request is held to coalesce while a shard "
+        "is idle, in milliseconds (0: dispatch at once; while every "
+        "shard is busy, requests collect up to --max-batch)",
     )
     serve.add_argument(
         "--max-pending", type=int, default=1024,
@@ -891,6 +894,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_with_observability(args) -> int:
+    """Execute the subcommand under the observability flags.
+
+    ``--verbose`` logs INFO to stderr for this command only: the
+    ``repro`` logger's handlers and level are restored when it returns,
+    so an in-process caller keeps no handler bound to a stale stream.
+    """
+    if not getattr(args, "verbose", False):
+        return _run_observed(args)
+    root = logging.getLogger(ROOT_LOGGER_NAME)
+    handlers = {handler: handler.level for handler in root.handlers}
+    level = root.level
+    enable_console_logging(logging.INFO)
+    try:
+        return _run_observed(args)
+    finally:
+        root.handlers[:] = handlers
+        for handler, handler_level in handlers.items():
+            handler.setLevel(handler_level)
+        root.setLevel(level)
+
+
+def _run_observed(args) -> int:
     """Execute the subcommand, installing a tracer/ledger when requested.
 
     ``--metrics-out`` exports the process metrics registry, which counts
@@ -902,8 +927,6 @@ def _run_with_observability(args) -> int:
     (race evaluations, imputation calls) without plumbing arguments
     through each code path.
     """
-    if getattr(args, "verbose", False):
-        enable_console_logging(logging.INFO)
     policy = _fault_policy_from_args(args)
     trace_out = getattr(args, "trace_out", None)
     metrics_out = getattr(args, "metrics_out", None)

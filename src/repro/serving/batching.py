@@ -2,21 +2,26 @@
 
 The daemon's dispatcher owns one :class:`MicroBatcher`.  Requests are
 ``offer``-ed as they arrive; a batch is released either the moment it
-reaches ``max_batch`` items (the throughput bound) or when the *oldest*
-pending item has waited ``max_delay_s`` (the latency bound).  The
-coalescing invariant tested property-style in
-``tests/test_serving_batching.py``:
+reaches ``max_batch`` items (the throughput bound) or, on a
+:meth:`~MicroBatcher.poll`, once the *oldest* pending item has waited
+``max_delay_s`` (the latency bound).  The dispatcher polls only while a
+shard is idle, so batching is work-conserving: with the default
+``max_delay_s=0`` a request leaves the moment a shard is free, and
+while every shard is busy requests collect up to ``max_batch`` and
+leave when the first batch finishes.  Batches grow from load, not from
+a timer.  The coalescing invariant tested property-style in
+``tests/test_serving_batching.py`` and ``tests/test_serving_daemon.py``:
 
-    no item sits in the batcher longer than ``max_delay_s`` past its
-    arrival before being released (the driver then adds at most one
-    batch service time before the response resolves).
+    no request waits past ``max_delay_s`` while a shard is idle (the
+    driver then adds at most one batch service time before the
+    response resolves).
 
 The batcher is deliberately a *pure, synchronous* state machine: it
 never sleeps, spawns threads, or reads the wall clock on its own — the
 caller passes ``now`` (or injects ``clock``).  That is what makes the
 coalescing behaviour exactly testable with a fake clock, and it keeps
 the concurrency surface of the daemon in exactly one place (the
-dispatcher loop).
+dispatcher loop, which also owns the idle-shard check).
 """
 
 from __future__ import annotations
@@ -35,8 +40,9 @@ class MicroBatcher:
         Release a batch as soon as it holds this many items
         (``1`` disables coalescing — every offer releases immediately).
     max_delay_s:
-        Maximum time the oldest pending item may wait before the partial
-        batch is released (``0`` releases on the next :meth:`poll`).
+        Time the oldest pending item waits before :meth:`poll` releases
+        the partial batch (``0``, the default, releases on the next
+        :meth:`poll`).
     clock:
         Monotonic-seconds callable used when the caller passes no
         ``now``; inject a fake for deterministic tests.
@@ -48,7 +54,7 @@ class MicroBatcher:
     def __init__(
         self,
         max_batch: int = 16,
-        max_delay_s: float = 0.005,
+        max_delay_s: float = 0.0,
         *,
         clock=time.monotonic,
     ):

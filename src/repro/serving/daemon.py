@@ -10,6 +10,13 @@ Concurrency layout (exactly one lock-free hand-off per request):
   :class:`~repro.serving.batching.MicroBatcher` and launches released
   batches onto a small executor (one slot per shard), so shards serve
   concurrently while coalescing stays single-threaded and deterministic.
+- Dispatch is work-conserving.  The daemon counts its busy slots: the
+  batches launched and not yet finished, under ``_cond``.  A full batch
+  launches at once.  A partial batch launches when a slot is free and
+  its oldest request has waited ``max_delay_s`` (default 0: at once).
+  While every slot is busy, requests collect up to ``max_batch``; a
+  finishing batch frees its slot and wakes the dispatcher, so no timer
+  runs.  ``stop()`` flushes whatever is held.
 - Each batch runs on the :class:`~repro.serving.shards.ShardPool`
   (breaker-gated, resubmitted on crash) and resolves its futures with
   :class:`~repro.serving.protocol.RepairResponse` objects.
@@ -101,7 +108,9 @@ class ServingDaemon:
     shard_backend:
         ``"auto"`` / ``"process"`` / ``"inline"``.
     max_batch / max_delay_s:
-        Micro-batching budget (size bound / latency bound).
+        Micro-batching budget: the size bound, and how long a lone
+        request is held to coalesce while a shard is idle (0: not at
+        all).
     max_pending:
         Admission limit on in-flight requests; beyond it ``submit``
         resolves immediately with a typed 503 shed response.
@@ -124,7 +133,7 @@ class ServingDaemon:
         n_shards: int = 2,
         shard_backend: str = "auto",
         max_batch: int = 16,
-        max_delay_s: float = 0.005,
+        max_delay_s: float = 0.0,
         max_pending: int = 1024,
         breaker=None,
         injector=None,
@@ -137,6 +146,15 @@ class ServingDaemon:
             raise ValidationError("max_pending must be >= 1")
         if not engine.is_fitted:
             raise NotFittedError("ServingDaemon requires a fitted engine")
+        train_X = getattr(engine, "_train_X", None)
+        if train_X is not None and train_X.shape[1] != engine.extractor.n_features:
+            # Every member would fail to vote on the extractor's rows and
+            # each request would get the degraded fallback.
+            raise ValidationError(
+                f"engine extractor makes {engine.extractor.n_features} "
+                f"features but its training matrix has {train_X.shape[1]} "
+                "columns"
+            )
         self.engine = engine
         self.clock = clock
         self.max_pending = int(max_pending)
@@ -161,6 +179,8 @@ class ServingDaemon:
         self._intake: deque[_Entry] = deque()
         self._cond = threading.Condition()
         self._in_flight = 0
+        #: Batches launched and not yet finished (the busy shard slots).
+        self._busy = 0
         self._dispatcher: threading.Thread | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._stopping = False
@@ -281,16 +301,20 @@ class ServingDaemon:
     # Dispatcher
     # ------------------------------------------------------------------
     def _dispatch_loop(self) -> None:
+        n_slots = self.pool.n_shards
         while True:
             with self._cond:
                 while not self._intake and not self._stopping:
-                    deadline = self.batcher.next_deadline
-                    if deadline is None:
+                    if not len(self.batcher) or self._busy >= n_slots:
+                        # Nothing held, or every shard busy: the next
+                        # arrival or finished batch wakes the loop.
                         self._cond.wait()
-                    else:
-                        wait = max(0.0, deadline - float(self.clock()))
-                        self._cond.wait(wait if wait > 0 else 0.0005)
-                        break  # re-check the batcher's delay budget
+                        continue
+                    wait = self.batcher.next_deadline - float(self.clock())
+                    if wait <= 0:
+                        break
+                    self._cond.wait(wait)
+                    break  # re-check the batcher's delay budget
                 if self._stopping and not self._intake and not len(
                     self.batcher
                 ):
@@ -302,20 +326,27 @@ class ServingDaemon:
                 released = self.batcher.offer(entry, now)
                 if released:
                     self._launch(released)
-            released = self.batcher.poll(float(self.clock()))
-            if released:
-                self._launch(released)
             if self._stopping:
                 released = self.batcher.flush()
-                if released:
-                    self._launch(released)
-        # Drain: anything still queued at shutdown resolves as shed.
-        released = self.batcher.flush()
-        if released:
-            self._launch(released)
+            elif self._busy < n_slots:
+                released = self.batcher.poll(float(self.clock()))
+            else:
+                released = None
+            if released:
+                self._launch(released)
 
     def _launch(self, entries: list[_Entry]) -> None:
-        self._executor.submit(self._serve_batch, entries)
+        with self._cond:
+            self._busy += 1
+        self._executor.submit(self._serve_and_release, entries)
+
+    def _serve_and_release(self, entries: list[_Entry]) -> None:
+        try:
+            self._serve_batch(entries)
+        finally:
+            with self._cond:
+                self._busy -= 1
+                self._cond.notify()
 
     # ------------------------------------------------------------------
     # Batch execution
@@ -475,6 +506,7 @@ class ServingDaemon:
                 "degraded": self.n_degraded,
                 "fallback": self.n_fallback,
                 "pending": self._in_flight,
+                "busy": self._busy,
                 "batching": self.batcher.stats(),
                 "pool": self.pool.stats(),
             }

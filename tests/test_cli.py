@@ -257,15 +257,7 @@ class TestCommands:
 
     @pytest.fixture
     def train_stderr(self, tmp_path, capsys):
-        """Run ``repro train`` on the tiny corpus; return its stderr.
-
-        ``--verbose`` attaches a console handler to the ``repro`` logger;
-        the handler and the logger level are restored afterwards.
-        """
-        import logging
-
-        root = logging.getLogger("repro")
-        handlers, level = list(root.handlers), root.level
+        """Run ``repro train`` on the tiny corpus; return its stderr."""
 
         def run(*extra):
             code = main([
@@ -277,9 +269,7 @@ class TestCommands:
             assert code == 0
             return capsys.readouterr().err
 
-        yield run
-        root.handlers[:] = handlers
-        root.setLevel(level)
+        return run
 
     def test_train_verbose_narrates_each_race_iteration(self, train_stderr):
         err = train_stderr("--verbose")
@@ -293,6 +283,16 @@ class TestCommands:
         ]
         assert "race start: 12 seed pipelines" in err
         assert "elite refit: " in err
+
+    def test_verbose_logging_is_undone_after_the_command(self, train_stderr):
+        """``--verbose`` leaves the ``repro`` logger as it found it: no
+        handler bound to this command's stderr, the level unchanged."""
+        import logging
+
+        root = logging.getLogger("repro")
+        before = (list(root.handlers), root.level)
+        train_stderr("--verbose")
+        assert (list(root.handlers), root.level) == before
 
     def test_train_without_verbose_is_quiet(self, train_stderr):
         err = train_stderr()
@@ -659,7 +659,7 @@ class TestServeCommand:
         assert args.shards == 2
         assert args.shard_backend == "auto"
         assert args.max_batch == 16
-        assert args.max_delay_ms == 5.0
+        assert args.max_delay_ms == 0.0
         assert args.max_pending == 1024
         assert args.selfcheck is None
 
@@ -702,6 +702,26 @@ class TestServeCommand:
         assert doc["n_requests"] >= 1
         assert doc["n_series"] == 12
         assert doc["scorecards"]["batching"]["items"] == 12
+
+    def test_serve_refuses_an_extractor_of_the_wrong_width(
+        self, serving_artifacts, tmp_path, capsys
+    ):
+        """An ``extractor`` section that disagrees with the training
+        matrix's width is refused at startup, not served by the fallback."""
+        import json
+
+        engine_path, _ = serving_artifacts
+        document = json.loads(engine_path.read_text())
+        extractor = document["extractor"]
+        extractor["use_statistical"] = not extractor["use_statistical"]
+        doctored = tmp_path / "doctored.json"
+        doctored.write_text(json.dumps(document))
+        code = main(
+            ["serve", "--engine", str(doctored), "--shard-backend", "inline",
+             "--selfcheck", "3"]
+        )
+        assert code == 2
+        assert "error: engine extractor makes" in capsys.readouterr().err
 
     def test_serve_selfcheck_bad_engine_errors(self, tmp_path, capsys):
         code = main(

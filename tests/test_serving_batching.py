@@ -259,7 +259,7 @@ class TestBatchCompositionInvariance:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize(
         "max_batch,max_delay_s",
-        [(1, 0.0), (4, 0.001), (32, 0.01)],
+        [(1, 0.0), (4, 0.001), (16, 0.0), (32, 0.01)],
     )
     def test_ids_ordered_and_repairs_byte_identical(
         self, serving_engine, seed, max_batch, max_delay_s

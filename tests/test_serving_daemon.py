@@ -15,14 +15,16 @@ import json
 import socket as socket_mod
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.exceptions import ProtocolError, ValidationError
+from repro.exceptions import ProtocolError, ShardsExhaustedError, ValidationError
 from repro.observability.resources import get_accounting, kernel_stats
 from repro.observability.slo import QuantileSketch
 from repro.parallel.shm import active_segments, shm_available
+from repro.resilience import FaultInjector
 from repro.serving.daemon import MAX_LINE_BYTES
 from repro.serving import (
     LoadGenerator,
@@ -47,15 +49,17 @@ def library_repairs(engine, requests):
 
 
 class SlowEngine:
-    """Engine stub with a controllable per-batch service time."""
+    """Engine stub with a controllable service time: ``delay_s`` a batch
+    plus ``per_series_s`` a series."""
 
     is_fitted = True
     feature_baseline_ = None
     cluster_atlas_ = None
     quarantined_members = ()
 
-    def __init__(self, delay_s: float = 0.0):
+    def __init__(self, delay_s: float = 0.0, per_series_s: float = 0.0):
         self.delay_s = delay_s
+        self.per_series_s = per_series_s
 
     def recommend_many(self, series_list):
         class Rec:
@@ -67,8 +71,9 @@ class SlowEngine:
             features = None
             cluster = None
 
-        if self.delay_s:
-            time.sleep(self.delay_s)
+        delay = self.delay_s + self.per_series_s * len(series_list)
+        if delay:
+            time.sleep(delay)
         return [Rec() for _ in series_list]
 
     def repair_many(self, series_list, recommendations=None):
@@ -227,6 +232,20 @@ class TestDaemonCore:
         with pytest.raises(ValidationError):
             ServingDaemon(SlowEngine(), shard_backend="quantum")
 
+    def test_extractor_width_must_match_the_training_matrix(
+        self, serving_engine
+    ):
+        """Such an engine imports, but every member would fail to vote:
+        the daemon refuses it with a typed error."""
+        from repro.core.serialization import export_engine, import_engine
+
+        document = export_engine(serving_engine)
+        extractor = document["extractor"]
+        extractor["use_statistical"] = not extractor["use_statistical"]
+        engine = import_engine(document)
+        with pytest.raises(ValidationError, match="training matrix has"):
+            ServingDaemon(engine, shard_backend="inline")
+
     def test_health_snapshot_renders(self, serving_engine):
         with ServingDaemon(
             serving_engine, n_shards=2, shard_backend="inline",
@@ -334,6 +353,180 @@ class TestDaemonCore:
         assert policies["error_rate"]["fast_events"] == 8
         assert policies["error_rate"]["fast_bad_fraction"] == 0.5
         assert document["alerts"]["shed_requests"] == 4
+
+
+# ---------------------------------------------------------------------------
+# Work-conserving dispatch
+# ---------------------------------------------------------------------------
+def stub_request(i: int) -> RepairRequest:
+    return RepairRequest(id=f"r{i}", values=np.ones(8))
+
+
+def wait_for(predicate, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+class TestWorkConservingDispatch:
+    def test_lone_request_needs_no_timer(self):
+        """Under a frozen clock a deadline never passes; with the default
+        delay a lone request still leaves at once for the idle shard."""
+        with ServingDaemon(
+            SlowEngine(), n_shards=1, shard_backend="inline",
+            clock=lambda: 0.0,
+        ) as daemon:
+            response = daemon.submit(stub_request(0)).result(timeout=5)
+        assert response.status == 200
+
+    def test_requests_collect_while_every_shard_is_busy(self):
+        with ServingDaemon(
+            SlowEngine(0.2), n_shards=1, shard_backend="inline", max_batch=16
+        ) as daemon:
+            first = daemon.submit(stub_request(0))
+            wait_for(lambda: daemon.stats()["busy"] == 1)
+            rest = []
+            for i in range(1, 5):
+                # Spaced out, so each would leave alone for an idle shard.
+                time.sleep(0.01)
+                rest.append(daemon.submit(stub_request(i)))
+            responses = [f.result(timeout=10) for f in (first, *rest)]
+            batching = daemon.stats()["batching"]
+        assert [r.status for r in responses] == [200] * 5
+        assert (batching["items"], batching["batches"]) == (5, 2)
+
+    @pytest.mark.parametrize("scenario", ["shed", "error", "resubmit", "stop"])
+    def test_busy_slots_return_to_zero(self, scenario):
+        injector = FaultInjector(
+            [{"site": "serving.shard", "kind": "kill",
+              "match": "shard-0", "times": 1}],
+            seed=0,
+        ) if scenario == "resubmit" else None
+        daemon = ServingDaemon(
+            SlowEngine(0.02), n_shards=2, shard_backend="inline",
+            max_batch=4, injector=injector,
+        )
+        with daemon:
+            if scenario == "shed":
+                breaker = daemon.pool.breaker
+                for shard_id in (0, 1):
+                    while not breaker.is_open(shard_id):
+                        breaker.record_failure(shard_id)
+            elif scenario == "error":
+                def exhausted(requests):
+                    raise ShardsExhaustedError("batch failed on every shard")
+
+                daemon.pool.run_batch = exhausted
+            futures = [daemon.submit(stub_request(i)) for i in range(12)]
+            if scenario == "stop":
+                daemon.stop()
+            responses = [f.result(timeout=30) for f in futures]
+        stats = daemon.stats()
+        expected = {"shed": 503, "error": 500, "resubmit": 200, "stop": 200}
+        assert [r.id for r in responses] == [f"r{i}" for i in range(12)]
+        assert {r.status for r in responses} == {expected[scenario]}
+        assert (stats["busy"], stats["pending"], len(daemon.batcher)) == (0, 0, 0)
+        assert stats["batching"]["items"] == 12
+        if scenario == "resubmit":
+            assert stats["pool"]["resubmissions"] >= 1
+
+    def test_busy_count_survives_concurrent_submitters(self):
+        """More submitters and shards than cores, with a short switch
+        interval: a lost update to the busy count would leave it off 0
+        or strand a held request."""
+        import sys
+
+        n_threads, per_thread = 8, 40
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ServingDaemon(
+                SlowEngine(per_series_s=0.0002), n_shards=4,
+                shard_backend="inline", max_batch=8,
+            ) as daemon:
+                futures = [[] for _ in range(n_threads)]
+
+                def submitter(k):
+                    for i in range(per_thread):
+                        futures[k].append(
+                            daemon.submit(stub_request(k * per_thread + i))
+                        )
+
+                threads = [
+                    threading.Thread(target=submitter, args=(k,))
+                    for k in range(n_threads)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                responses = [
+                    f.result(timeout=30) for fs in futures for f in fs
+                ]
+                wait_for(lambda: daemon.stats()["busy"] == 0)
+                stats = daemon.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(responses) == n_threads * per_thread
+        assert {r.status for r in responses} == {200}
+        assert (stats["pending"], stats["batching"]["items"]) == (
+            0, n_threads * per_thread,
+        )
+
+
+class TestOpenLoopOverload:
+    def test_socket_load_above_capacity_is_bounded_and_answered_once(self):
+        """Poisson arrivals at four times what one shard serves: pending
+        work stays within ``max_pending``, the excess gets typed 503s,
+        every line is answered exactly once, and batches grow."""
+        n, max_pending = 400, 8
+        offsets = LoadGenerator(seed=31).arrival_offsets(
+            n, rate_hz=800.0, burstiness=1.0
+        )
+        lines = [encode_request(stub_request(i)) + b"\n" for i in range(n)]
+        peak = [0]
+        with ServingDaemon(
+            SlowEngine(per_series_s=0.005), n_shards=1, shard_backend="inline",
+            max_pending=max_pending,
+        ) as daemon:
+            sampling = threading.Event()
+
+            def sample():
+                while not sampling.is_set():
+                    peak[0] = max(peak[0], daemon.pending)
+                    time.sleep(0.0005)
+
+            sampler = threading.Thread(target=sample)
+            sampler.start()
+            with SocketServer(daemon, port=0) as server:
+                with socket_mod.create_connection(server.address) as conn:
+                    conn.settimeout(60)
+                    stream = conn.makefile("rwb")
+                    start = time.perf_counter()
+                    for offset, line in zip(offsets, lines):
+                        delay = start + offset - time.perf_counter()
+                        if delay > 0:
+                            time.sleep(delay)
+                        conn.sendall(line)
+                    responses = [decode_response(stream.readline()) for _ in lines]
+                    # Nothing further is queued: the next answer is the
+                    # health line's.
+                    tail = _health_line(stream, b'{"id":"h","mode":"health"}')
+            sampling.set()
+            sampler.join()
+            stats = daemon.stats()
+        assert tail.id == "h"
+        assert Counter(r.id for r in responses) == Counter(
+            f"r{i}" for i in range(n)
+        )
+        assert {r.status for r in responses} == {200, 503}
+        shed = [r for r in responses if r.status == 503]
+        assert all(r.retry_after_ms is not None for r in shed)
+        assert peak[0] <= max_pending
+        assert stats["shed"] == len(shed)
+        assert stats["batching"]["mean_batch"] > 1
 
 
 # ---------------------------------------------------------------------------
