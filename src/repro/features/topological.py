@@ -32,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
+from repro.features.statistical import _moments
 from repro.observability.resources import count_kernel
 
 
@@ -98,12 +99,14 @@ def _sublevel_pairs(values: list, order: list) -> list[tuple[float, float]]:
 
 
 # ---------------------------------------------------------------------------
-# Blockwise kernels over a stacked ``(n_series, length)`` matrix.  The Rips
-# side (delay embedding → pairwise distances → MST) batches fully: Prim's
-# algorithm runs in lockstep over a chunk of distance matrices, so its
-# Python loop runs ``n_points`` times per *chunk* instead of per series.
-# The sublevel sweep runs per row; its diagram statistics run per group of
-# rows with the same pair count.
+# Blockwise kernels over a stacked ``(n_series, length)`` matrix.  The
+# z-normalization takes its moments from one pass (``_moments``, shared
+# with the statistical block).  The Rips side (delay embedding → pairwise
+# distances → MST) batches fully: Prim's algorithm runs in lockstep over a
+# chunk of distance matrices, so its Python loop runs ``n_points`` times
+# per *chunk* instead of per series; a one-row chunk (a lone served
+# series) steps with plain indexing.  The sublevel sweep runs per row; its
+# diagram statistics run per group of rows with the same pair count.
 # ---------------------------------------------------------------------------
 
 #: Cap on the MST scratch of one chunk of rows (bytes): the chunk's
@@ -118,16 +121,31 @@ _DIAGRAM_STAT_KEYS = (
 
 
 def _mst_edge_lengths_block(sq: np.ndarray) -> np.ndarray:
-    """Lockstep Prim over a stack of squared-distance matrices.
+    """Sorted MST edge lengths of a ``(batch, n, n)`` squared-distance stack.
 
-    ``sq`` has shape ``(batch, n, n)``; returns ``(batch, n - 1)`` sorted
-    edge lengths: dense Prim per stack entry, first-index argmin
-    tie-breaking.  ``best`` holds +inf for points already in the tree, so
-    each step is one argmin and one row update per stack entry.
+    Returns ``(batch, n - 1)``; ``sq`` is scratch.  Prim runs in lockstep
+    over the stack: first-index argmin, ``best`` holding +inf for tree
+    members, so each step is one argmin and one row update per entry.  A
+    one-entry stack of finite distances steps with plain indexing,
+    closing each new member's column; every MST has the same sorted edge
+    weights, so the bytes agree.  (NaN distances, from rows whose moments
+    overflow, would break that argument.)
     """
     batch, n = sq.shape[0], sq.shape[1]
     if n < 2:
         return np.empty((batch, 0))
+    if batch == 1 and np.isfinite(sq).all():
+        dist, best = sq[0], sq[0, 0].copy()
+        dist[:, 0] = best[0] = np.inf
+        edges = np.empty((1, n - 1))
+        for k in range(n - 1):
+            j = best.argmin()
+            edges[0, k] = best[j]
+            dist[:, j] = np.inf
+            np.minimum(best, dist[j], out=best)
+            best[j] = np.inf
+        edges.sort(axis=1)
+        return np.sqrt(edges, out=edges)
     rows_of = sq.reshape(batch * n, n)
     base = np.arange(batch) * n
     # +inf for tree members, 0.0 elsewhere: adding it to a distance row
@@ -161,19 +179,21 @@ def _diagram_stats_block(lifetimes: np.ndarray, prefix: str) -> dict[str, np.nda
     n_rows, n_pairs = lifetimes.shape
     if n_pairs == 0:
         return {f"{prefix}_{k}": np.zeros(n_rows) for k in _DIAGRAM_STAT_KEYS}
-    total = lifetimes.sum(axis=1)
+    means, _, var = _moments(lifetimes)
+    total = np.add.reduce(lifetimes, axis=1)
+    life_max = lifetimes.max(axis=1)
     entropy = np.zeros(n_rows)
     top_ratio = np.zeros(n_rows)
     ok = total > 0
     if ok.any():
         p = lifetimes[ok] / total[ok, None]
         entropy[ok] = -(p * np.log(p + 1e-15)).sum(axis=1) / np.log(max(2, n_pairs))
-        top_ratio[ok] = lifetimes[ok].max(axis=1) / total[ok]
+        top_ratio[ok] = life_max[ok] / total[ok]
     return {
         f"{prefix}_count": np.full(n_rows, np.log1p(n_pairs)),
-        f"{prefix}_life_mean": lifetimes.mean(axis=1),
-        f"{prefix}_life_std": lifetimes.std(axis=1),
-        f"{prefix}_life_max": lifetimes.max(axis=1),
+        f"{prefix}_life_mean": means,
+        f"{prefix}_life_std": np.sqrt(var),
+        f"{prefix}_life_max": life_max,
         f"{prefix}_life_sum": np.log1p(total),
         f"{prefix}_life_q75": np.percentile(lifetimes, 75, axis=1),
         f"{prefix}_entropy": entropy,
@@ -236,10 +256,11 @@ def topological_features_block(
             "topological_features_block expects finite rows; interpolate first"
         )
     n_rows, length = X.shape
-    stds = X.std(axis=1)
+    _, centered, var = _moments(X)
+    stds = np.sqrt(var)
     znorm = np.where(
         (stds > 0)[:, None],
-        (X - X.mean(axis=1, keepdims=True)) / np.where(stds > 0, stds, 1.0)[:, None],
+        centered / np.where(stds > 0, stds, 1.0)[:, None],
         X,
     )
     feats = _sublevel_features_block(znorm)

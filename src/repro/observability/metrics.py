@@ -812,6 +812,17 @@ def get_metrics() -> MetricsRegistry:
     return _default_metrics
 
 
+def lookup_stats(prefix: str) -> dict:
+    """Process-wide ``{hits, misses, hit_rate}`` of the lookups counted as
+    ``<prefix>_hits_total`` / ``<prefix>_misses_total`` on the installed
+    registry (all caches of that kind together)."""
+    metrics = get_metrics()
+    hits = int(metrics.total(f"{prefix}_hits_total"))
+    misses = int(metrics.total(f"{prefix}_misses_total"))
+    total = hits + misses
+    return {"hits": hits, "misses": misses, "hit_rate": hits / total if total else 0.0}
+
+
 def set_metrics(registry: MetricsRegistry | None) -> MetricsRegistry:
     """Install ``registry`` as the default; ``None`` restores the
     process registry."""

@@ -1,6 +1,8 @@
 """Content-addressed caches for the feature-extraction and race hot paths.
 
-Two caches, both with hit/miss counters on the process metrics registry:
+Two caches, both counting hits and misses once, on the process metrics
+registry (so ``stats()`` reports the process-wide totals of all instances
+of its class, as :func:`~repro.timeseries.batch.bank_cache_stats` does):
 
 * :class:`FeatureCache` — maps ``sha1(series bytes + extractor
   fingerprint)`` to the extracted feature vector, keeping at most
@@ -32,6 +34,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.observability import get_logger, get_metrics
+from repro.observability.metrics import lookup_stats
 from repro.observability.resources import get_accounting
 
 _log = get_logger(__name__)
@@ -99,8 +102,6 @@ class FeatureCache:
             self.directory.mkdir(parents=True, exist_ok=True)
         self._mem: OrderedDict[str, np.ndarray] = OrderedDict()
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
         #: Live bytes held in ``_mem`` by this instance (accounting).
         self._bytes = 0
 
@@ -142,13 +143,11 @@ class FeatureCache:
                         self._mem.move_to_end(key)
                         self._evict()
         if vector is None:
-            self.misses += 1
             get_metrics().counter(
                 "repro_feature_cache_misses_total",
                 "Feature-cache lookups that required extraction",
             ).inc()
             return None
-        self.hits += 1
         get_metrics().counter(
             "repro_feature_cache_hits_total",
             "Feature-cache lookups served without extraction",
@@ -212,17 +211,15 @@ class FeatureCache:
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 when unused)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        """Process-wide fraction of lookups served (0.0 when unused)."""
+        return lookup_stats("repro_feature_cache")["hit_rate"]
 
     def stats(self) -> dict:
-        """Health-document payload: entries / hits / misses / hit_rate."""
+        """Health-document payload: this cache's entries and bytes, and
+        the process-wide hits / misses / hit_rate."""
         return {
             "entries": len(self),
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
+            **lookup_stats("repro_feature_cache"),
             "persistent": self.directory is not None,
             "bytes": self._bytes,
         }
@@ -236,8 +233,6 @@ class FeatureCache:
         get_accounting().account_sub(
             "feature_cache", dropped_bytes, items=dropped_items
         )
-        self.hits = 0
-        self.misses = 0
         if disk and self.directory is not None:
             for path in self.directory.glob("*.npy"):
                 try:
@@ -247,9 +242,10 @@ class FeatureCache:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = str(self.directory) if self.directory else "memory"
+        stats = self.stats()
         return (
-            f"FeatureCache({where}, entries={len(self)}, "
-            f"hits={self.hits}, misses={self.misses})"
+            f"FeatureCache({where}, entries={stats['entries']}, "
+            f"hits={stats['hits']}, misses={stats['misses']})"
         )
 
 
@@ -265,8 +261,6 @@ class ScoreMemo:
     def __init__(self):
         self._store: dict[tuple, object] = {}
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
         #: Estimated live bytes held by this memo (accounting).
         self._bytes = 0
 
@@ -275,13 +269,11 @@ class ScoreMemo:
         with self._lock:
             result = self._store.get(key)
         if result is None:
-            self.misses += 1
             get_metrics().counter(
                 "repro_race_score_memo_misses_total",
                 "Race evaluations that had to be executed",
             ).inc()
             return None
-        self.hits += 1
         get_metrics().counter(
             "repro_race_score_memo_hits_total",
             "Race evaluations served from the score memo",
@@ -306,18 +298,12 @@ class ScoreMemo:
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of lookups served from the memo (0.0 when unused)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        """Process-wide fraction of lookups served (0.0 when unused)."""
+        return lookup_stats("repro_race_score_memo")["hit_rate"]
 
     def stats(self) -> dict:
-        """Health-document payload: entries / hits / misses / hit_rate."""
-        return {
-            "entries": len(self),
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-        }
+        """This memo's entries and the process-wide hits / misses / hit_rate."""
+        return {"entries": len(self), **lookup_stats("repro_race_score_memo")}
 
     def clear(self) -> None:
         with self._lock:
@@ -328,5 +314,3 @@ class ScoreMemo:
             get_accounting().account_sub(
                 "score_memo", dropped_bytes, items=dropped_items
             )
-        self.hits = 0
-        self.misses = 0

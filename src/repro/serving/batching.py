@@ -71,7 +71,7 @@ class MicroBatcher:
         self.n_items = 0
         self.n_batches = 0
         self.n_full = 0  # released by the size bound
-        self.n_timed = 0  # released by the delay bound
+        self.n_partial = 0  # released by poll or flush before filling
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -108,7 +108,7 @@ class MicroBatcher:
         if now is None:
             now = float(self.clock())
         if now + 1e-12 >= self._deadline:
-            self.n_timed += 1
+            self.n_partial += 1
             return self._take()
         return None
 
@@ -116,7 +116,7 @@ class MicroBatcher:
         """Unconditionally release whatever is pending (shutdown path)."""
         if not self._pending:
             return None
-        self.n_timed += 1
+        self.n_partial += 1
         return self._take()
 
     def stats(self) -> dict:
@@ -126,7 +126,7 @@ class MicroBatcher:
             "items": self.n_items,
             "batches": self.n_batches,
             "full_batches": self.n_full,
-            "timed_batches": self.n_timed,
+            "partial_batches": self.n_partial,
             "pending": len(self._pending),
             "mean_batch": (
                 self.n_items / self.n_batches if self.n_batches else 0.0

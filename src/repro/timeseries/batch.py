@@ -37,7 +37,7 @@ import weakref
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.observability.metrics import get_metrics
+from repro.observability.metrics import get_metrics, lookup_stats
 from repro.observability.resources import count_kernel, get_accounting
 
 #: On-disk bank layout version (``meta.json`` of a memmap bank directory).
@@ -58,15 +58,7 @@ _BANK_MISSES = "repro_series_bank_cache_misses_total"
 def bank_cache_stats() -> dict:
     """Process-wide ``{hits, misses, hit_rate}`` of the bank derived-array
     caches (all :class:`SeriesBank` instances combined)."""
-    metrics = get_metrics()
-    hits = int(metrics.total(_BANK_HITS))
-    misses = int(metrics.total(_BANK_MISSES))
-    total = hits + misses
-    return {
-        "hits": hits,
-        "misses": misses,
-        "hit_rate": hits / total if total else 0.0,
-    }
+    return lookup_stats("repro_series_bank_cache")
 
 
 def _release_bank_bytes(holder: list) -> None:

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.datasets import load_category
 from repro.features import FeatureExtractor
 from repro.timeseries import TimeSeries, TimeSeriesDataset
+
+# ``HYPOTHESIS_PROFILE=deep`` runs about ten times the default examples
+# in every property test that does not fix its own ``max_examples``
+# (CI runs the feature-parity tests this way); tier-1 keeps the default.
+settings.register_profile("deep", max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 class StubEngine:

@@ -11,10 +11,13 @@ code only; nothing under ``src/`` imports them.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 from scipy import stats as sps
 
 from repro.exceptions import ValidationError
+from repro.features.statistical import average_ranks
 from repro.timeseries.series import TimeSeries
 
 
@@ -457,3 +460,373 @@ def topological_features(
         rips = np.empty((0, 2))
     feats.update(_diagram_stats(rips, "topo_rips"))
     return feats
+
+
+# ---------------------------------------------------------------------------
+# Block-kernel oracles: the family kernels of an earlier release, verbatim.
+# Each family recomputed its own row moments, differences and finite-value
+# fixes; the fused kernels in ``repro.features`` must give their bytes.
+# ---------------------------------------------------------------------------
+
+
+def _finite_rows(values: np.ndarray) -> np.ndarray:
+    """NaN/inf from degenerate rows → 0.0, elementwise."""
+    out = np.asarray(values, dtype=np.float64).copy()
+    np.copyto(out, 0.0, where=~np.isfinite(out))
+    return out
+
+
+def _acf_matrix(x0: np.ndarray, denom: np.ndarray, max_lag: int) -> np.ndarray:
+    """ACF of pre-centered rows at lags ``0..max_lag`` (column 0 unused).
+
+    Rows with zero energy (``denom == 0``) and lags ``>= length`` yield 0.0.
+    """
+    n_rows, length = x0.shape
+    acf = np.zeros((n_rows, max_lag + 1), dtype=x0.dtype)
+    safe = denom != 0
+    for lag in range(1, max_lag + 1):
+        if lag >= length:
+            break
+        num = np.einsum("ij,ij->i", x0[:, :-lag], x0[:, lag:])
+        np.divide(num, denom, out=acf[:, lag], where=safe)
+    return acf
+
+
+def _skew_kurtosis(X: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Biased skewness and excess kurtosis per row.
+
+    The same central-moment arithmetic as ``scipy.stats.skew`` /
+    ``scipy.stats.kurtosis`` (m3/m2^1.5 and m4/m2^2 - 3, NaN where m2 is
+    numerically zero), without scipy's per-call array-API dispatch,
+    which cost more than the moments themselves on small blocks.
+    """
+    d = X - means[:, None]
+    d2 = d**2
+    m2 = d2.mean(axis=1)
+    m3 = (d2 * d).mean(axis=1)
+    m4 = (d2**2).mean(axis=1)
+    flat = m2 <= (np.finfo(np.float64).eps * means) ** 2
+    skew = np.where(flat, np.nan, m3 / m2**1.5)
+    kurtosis = np.where(flat, np.nan, m4 / m2**2.0) - 3.0
+    return skew, kurtosis
+
+
+def _canonical_block(X: np.ndarray) -> dict[str, np.ndarray]:
+    n_rows, length = X.shape
+    diffs = np.diff(X, axis=1) if length > 1 else np.zeros((n_rows, 1), dtype=X.dtype)
+    means = X.mean(axis=1)
+    stds = X.std(axis=1)
+    q25, q50, q75 = np.percentile(X, [25, 50, 75], axis=1)
+    if length > 1:
+        centered = X - np.median(X, axis=1, keepdims=True)
+        crossings = np.mean(
+            np.sign(centered[:, :-1]) != np.sign(centered[:, 1:]), axis=1
+        )
+    else:
+        crossings = np.zeros(n_rows)
+    gate = stds > 0
+    skew, kurtosis = _skew_kurtosis(X, means)
+    return {
+        "canon_mean": means,
+        "canon_std": stds,
+        "canon_skew": np.where(gate, skew, 0.0),
+        "canon_kurtosis": np.where(gate, kurtosis, 0.0),
+        "canon_median": q50,
+        "canon_iqr": q75 - q25,
+        "canon_range": X.max(axis=1) - X.min(axis=1),
+        "canon_cv": stds / (np.abs(means) + 1e-12),
+        "canon_above_mean_ratio": (X > means[:, None]).mean(axis=1),
+        "canon_abs_diff_mean": np.abs(diffs).mean(axis=1),
+        "canon_diff_std": diffs.std(axis=1),
+        "canon_median_crossings": crossings,
+        "canon_energy": (X**2).mean(axis=1),
+    }
+
+
+def _rs_block(segment: np.ndarray) -> np.ndarray:
+    """Rescaled range R/S per row (0.0 when too short or constant)."""
+    n_rows, length = segment.shape
+    if length < 4:
+        return np.zeros(n_rows)
+    dev = np.cumsum(segment - segment.mean(axis=1, keepdims=True), axis=1)
+    spread = dev.max(axis=1) - dev.min(axis=1)
+    scale = segment.std(axis=1)
+    return np.divide(
+        spread, scale, out=np.zeros(n_rows, dtype=np.float64), where=scale > 0
+    )
+
+
+def _rs_ratio_block(X: np.ndarray) -> np.ndarray:
+    n_rows, length = X.shape
+    full = _rs_block(X)
+    half = (_rs_block(X[:, : length // 2]) + _rs_block(X[:, length // 2 :])) / 2
+    ok = (full > 0) & (half > 0)
+    ratio = np.ones(n_rows)
+    np.divide(full, half, out=ratio, where=ok)
+    out = np.zeros(n_rows)
+    np.log2(ratio, out=out, where=ok)
+    return out
+
+
+def _dependency_block(X: np.ndarray) -> dict[str, np.ndarray]:
+    n_rows, length = X.shape
+    x0 = X - X.mean(axis=1, keepdims=True)
+    denom = np.einsum("ij,ij->i", x0, x0)
+    fz_max_lag = min(length // 2, 128) if length > 4 else length - 1
+    acf = _acf_matrix(x0, denom, max(20, fz_max_lag - 1))
+
+    feats: dict[str, np.ndarray] = {}
+    lags = (1, 2, 3, 5, 10, 20)
+    for lag in lags:
+        feats[f"dep_acf_lag{lag}"] = acf[:, lag]
+    # First zero crossing: first lag where the ACF drops from >0 to <=0.
+    first_zero = np.zeros(n_rows)
+    if fz_max_lag > 1:
+        cur = acf[:, 1:fz_max_lag]
+        prev = np.concatenate([np.ones((n_rows, 1), dtype=cur.dtype), cur[:, :-1]], axis=1)
+        cond = (prev > 0) & (cur <= 0)
+        hit = cond.any(axis=1)
+        first_zero = np.where(hit, (cond.argmax(axis=1) + 1) / fz_max_lag, 0.0)
+    feats["dep_acf_first_zero"] = first_zero
+    upper = min(11, length)
+    feats["dep_acf_energy10"] = (
+        (acf[:, 1:upper] ** 2).sum(axis=1) if upper > 1 else np.zeros(n_rows)
+    )
+    r1, r2 = acf[:, 1], acf[:, 2]
+    ok = np.abs(r1) < 1
+    safe_denom = np.where(ok, 1 - r1**2, 1.0)
+    feats["dep_pacf_lag2"] = np.where(ok, (r2 - r1**2) / safe_denom, 0.0)
+    # Nonlinear dependence: lag-1 ACF of the squared centered values.
+    sq0 = x0**2
+    sq0 = sq0 - sq0.mean(axis=1, keepdims=True)
+    sq_denom = np.einsum("ij,ij->i", sq0, sq0)
+    if length > 1:
+        sq_num = np.einsum("ij,ij->i", sq0[:, :-1], sq0[:, 1:])
+        feats["dep_acf_sq_lag1"] = np.divide(
+            sq_num, sq_denom, out=np.zeros(n_rows), where=sq_denom != 0
+        )
+    else:
+        feats["dep_acf_sq_lag1"] = np.zeros(n_rows)
+    # Spearman rank ACF: Pearson correlation of the rank transforms.
+    if length > 2:
+        ra = average_ranks(X[:, :-1])
+        rb = average_ranks(X[:, 1:])
+        ra = ra - ra.mean(axis=1, keepdims=True)
+        rb = rb - rb.mean(axis=1, keepdims=True)
+        cov = np.einsum("ij,ij->i", ra, rb)
+        norm = np.sqrt(
+            np.einsum("ij,ij->i", ra, ra) * np.einsum("ij,ij->i", rb, rb)
+        )
+        rho = np.divide(cov, norm, out=np.full(n_rows, np.nan), where=norm != 0)
+        feats["dep_rank_acf_lag1"] = np.where(X.std(axis=1) > 0, rho, 0.0)
+    else:
+        feats["dep_rank_acf_lag1"] = np.zeros(n_rows)
+    diffs = np.diff(X, axis=1) if length > 1 else np.zeros((n_rows, 1), dtype=X.dtype)
+    ti_denom = (diffs**2).mean(axis=1) ** 1.5 + 1e-12
+    feats["dep_time_irreversibility"] = (diffs**3).mean(axis=1) / ti_denom
+    feats["dep_rs_ratio"] = _rs_ratio_block(X)
+    feats["dep_acf_mean_abs"] = np.abs(
+        np.stack([acf[:, lag] for lag in lags], axis=1)
+    ).mean(axis=1)
+    return feats
+
+
+def _seasonality_block(X: np.ndarray) -> np.ndarray:
+    n_rows, length = X.shape
+    var = X.var(axis=1)
+    best = np.zeros(n_rows, dtype=X.dtype)
+    for period in (4, 7, 12, 24, 50, 96):
+        if period * 2 >= length:
+            continue
+        seasonal_diff = X[:, period:] - X[:, :-period]
+        best = np.maximum(best, 1.0 - seasonal_diff.var(axis=1) / (2 * var))
+    return np.where(var > 0, np.clip(best, 0.0, 1.0), 0.0)
+
+
+def _stationarity_block(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n_rows, length = X.shape
+    k = max(2, min(8, length // 16))
+    chunks = np.array_split(X, k, axis=1)
+    means = np.stack([chunk.mean(axis=1) for chunk in chunks], axis=1)
+    variances = np.stack([chunk.var(axis=1) for chunk in chunks], axis=1)
+    scale = X.std(axis=1) + 1e-12
+    return means.std(axis=1) / scale, variances.std(axis=1) / scale**2
+
+
+def _level_shift_block(X: np.ndarray) -> np.ndarray:
+    n_rows, length = X.shape
+    w = max(4, length // 12)
+    if length < 2 * w:
+        return np.zeros(n_rows)
+    starts = list(range(0, length - w, w))
+    if len(starts) < 2:
+        return np.zeros(n_rows)
+    means = np.stack([X[:, i : i + w].mean(axis=1) for i in starts], axis=1)
+    scale = X.std(axis=1) + 1e-12
+    return np.abs(np.diff(means, axis=1)).max(axis=1) / scale
+
+
+def _polyfit_system(t: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """``np.polyfit``'s scaled Vandermonde matrix, column scale and rcond.
+
+    ``np.linalg.lstsq(lhs, y + 0.0, rcond)[0] / scale`` is then exactly
+    ``np.polyfit(t, y, degree)``: the same arithmetic, with the design
+    built once per block instead of once per row.
+    """
+    lhs = np.vander(t, degree + 1)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    return lhs, scale, len(t) * np.finfo(t.dtype).eps
+
+
+def _trend_block(X: np.ndarray, *, cache=None) -> dict[str, np.ndarray]:
+    n_rows, length = X.shape
+    stds = X.std(axis=1)
+    t = np.arange(length, dtype=float)
+    slope = np.zeros(n_rows)
+    r2 = np.zeros(n_rows)
+    resid = X - X.mean(axis=1, keepdims=True)
+    fitted = np.flatnonzero(stds > 0)
+    if length > 2:
+        # Fit per row with a single-RHS lstsq: a multi-RHS lstsq differs
+        # from single-RHS at ~1e-16, which is chaotic on exact-polynomial
+        # rows (argmax over a numerically-zero residual spectrum).
+        lhs, scale, rcond = _polyfit_system(t, 1)
+        for i in fitted:
+            sl, ic = np.linalg.lstsq(lhs, X[i] + 0.0, rcond)[0] / scale
+            resid[i] = X[i] - (sl * t + ic)
+            slope[i] = sl
+            r2[i] = 1.0 - resid[i].var() / X[i].var()
+    feats: dict[str, np.ndarray] = {
+        "trend_slope": slope,
+        "trend_r2": np.maximum(0.0, r2),
+        "trend_resid_std": resid.std(axis=1),
+    }
+    detrended = resid - resid.mean(axis=1, keepdims=True)
+
+    def _spectrum() -> np.ndarray:
+        return np.abs(np.fft.rfft(detrended, axis=1)) ** 2
+
+    key = ("stat_rfft_sq", length)
+    spectrum = cache(key, _spectrum) if cache is not None else _spectrum()
+    spectrum = spectrum[:, 1:]  # drop DC
+    n_bins = spectrum.shape[1]
+    spec_entropy = np.ones(n_rows)
+    peak_freq = np.zeros(n_rows)
+    peak_power = np.zeros(n_rows)
+    centroid = np.zeros(n_rows)
+    low = np.zeros(n_rows)
+    if n_bins:
+        total = spectrum.sum(axis=1)
+        ok = total > 0
+        if ok.any():
+            p = spectrum[ok] / total[ok, None]
+            spec_entropy[ok] = -(p * np.log(p + 1e-15)).sum(axis=1) / np.log(n_bins)
+            peak_idx = np.argmax(spectrum[ok], axis=1)
+            peak_freq[ok] = (peak_idx + 1) / length
+            peak_power[ok] = p[np.arange(p.shape[0]), peak_idx]
+            centroid[ok] = (np.arange(1, n_bins + 1) * p).sum(axis=1) / n_bins
+            low[ok] = p[:, : max(1, n_bins // 10)].sum(axis=1)
+    feats["trend_spectral_entropy"] = spec_entropy
+    feats["trend_peak_freq"] = peak_freq
+    feats["trend_peak_power"] = peak_power
+    feats["trend_spectral_centroid"] = centroid
+    feats["trend_lowfreq_power"] = low
+    feats["trend_seasonality_strength"] = _seasonality_block(X)
+    mean_drift, var_drift = _stationarity_block(X)
+    feats["trend_stat_mean_drift"] = mean_drift
+    feats["trend_stat_var_drift"] = var_drift
+    feats["trend_level_shift"] = _level_shift_block(X)
+    quad = np.zeros(n_rows)
+    if length > 3:
+        lhs, scale, rcond = _polyfit_system(t, 2)
+        for i in fitted:
+            quad[i] = np.linalg.lstsq(lhs, X[i] + 0.0, rcond)[0][0] / scale[0]
+    feats["trend_curvature"] = quad
+    return feats
+
+
+def _mst_edge_lengths_block(sq: np.ndarray) -> np.ndarray:
+    """Lockstep Prim over a stack of squared-distance matrices.
+
+    ``sq`` has shape ``(batch, n, n)``; returns ``(batch, n - 1)`` sorted
+    edge lengths: dense Prim per stack entry, first-index argmin
+    tie-breaking.  ``best`` holds +inf for points already in the tree, so
+    each step is one argmin and one row update per stack entry.
+    """
+    batch, n = sq.shape[0], sq.shape[1]
+    if n < 2:
+        return np.empty((batch, 0))
+    rows_of = sq.reshape(batch * n, n)
+    base = np.arange(batch) * n
+    # +inf for tree members, 0.0 elsewhere: adding it to a distance row
+    # keeps tree members out of the next argmin and leaves the rest exact.
+    penalty = np.zeros((batch, n))
+    penalty_flat = penalty.reshape(-1)
+    penalty_flat[base] = np.inf
+    best = sq[:, 0, :] + penalty
+    best_flat = best.reshape(-1)
+    edges = np.empty((batch, n - 1))
+    for k in range(n - 1):
+        flat = base + best.argmin(axis=1)
+        np.sqrt(best_flat[flat], out=edges[:, k])
+        penalty_flat[flat] = np.inf
+        row = rows_of[flat]
+        row += penalty
+        np.minimum(best, row, out=best)
+        best_flat[flat] = np.inf
+    edges.sort(axis=1)
+    return edges
+
+
+def statistical_block_oracle(matrix) -> dict[str, np.ndarray]:
+    """The family kernels above, assembled as the statistical block was."""
+    X = np.asarray(matrix, dtype=np.float64)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        feats = _canonical_block(X)
+        feats.update(_dependency_block(X))
+        feats.update(_trend_block(X))
+        return {name: _finite_rows(col) for name, col in feats.items()}
+
+
+def topological_block_oracle(
+    matrix, *, dimension: int = 3, delay: int = 2, max_points: int = 128
+) -> dict[str, np.ndarray]:
+    """The topological block built from the exact per-row oracles.
+
+    Z-normalization as the block did it; sublevel pairs from the
+    union-find; Rips edges from the lockstep Prim over one unchunked
+    squared-distance stack; statistics from the one-diagram form.
+    """
+    X = np.asarray(matrix, dtype=np.float64)
+    n_rows, length = X.shape
+    stds = X.std(axis=1)
+    znorm = np.where(
+        (stds > 0)[:, None],
+        (X - X.mean(axis=1, keepdims=True)) / np.where(stds > 0, stds, 1.0)[:, None],
+        X,
+    )
+    rows: list[dict[str, float]] = []
+    for row in znorm:
+        order = np.argsort(row, kind="stable").tolist()
+        pairs = _sublevel_pairs(row.tolist(), order)
+        diagram = np.asarray(pairs, dtype=float) if pairs else np.empty((0, 2))
+        rows.append(_diagram_stats(diagram, "topo_sub"))
+    n_vectors = length - (dimension - 1) * delay
+    if n_vectors < 2:
+        edges = np.empty((n_rows, 0))
+    else:
+        idx = np.arange(n_vectors)[:, None] + delay * np.arange(dimension)[None, :]
+        if n_vectors > max_points:
+            idx = idx[(n_vectors / max_points * np.arange(max_points)).astype(int)]
+        cloud = znorm[:, idx]
+        sq = np.zeros((n_rows, cloud.shape[1], cloud.shape[1]))
+        for k in range(dimension):
+            diff = cloud[:, :, None, k] - cloud[:, None, :, k]
+            sq += diff * diff
+        edges = _mst_edge_lengths_block(sq)
+    for feats, deaths in zip(rows, edges):
+        diagram = np.column_stack([np.zeros_like(deaths), deaths])
+        feats.update(_diagram_stats(diagram, "topo_rips"))
+    return {name: np.array([feats[name] for feats in rows]) for name in rows[0]}

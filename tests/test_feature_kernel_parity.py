@@ -1,18 +1,33 @@
-"""Exact parity of the per-row feature kernels with their scalar oracles.
+"""Exact parity of the feature kernels with their oracles.
 
 The sublevel interval sweep must return the union-find's pair list, the
-grouped diagram statistics the one-diagram statistics' bytes, and the
-hoisted trend fits ``np.polyfit``'s coefficients — equality, not a
-tolerance, so the feature fingerprint stays valid.
+grouped diagram statistics the one-diagram statistics' bytes, the
+hoisted trend fits ``np.polyfit``'s coefficients, and both fused block
+kernels the bytes of the family kernels they replaced (kept in
+``tests/feature_oracles.py``) — equality, not a tolerance, so the
+feature fingerprint stays valid.  Run with ``HYPOTHESIS_PROFILE=deep``
+for about ten times the examples.
 """
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.features.statistical import _trend_block
-from repro.features.topological import _sublevel_features_block, _sublevel_pairs
-from tests.feature_oracles import _diagram_stats
+from repro.features import topological
+from repro.features.statistical import statistical_features_block
+from repro.features.topological import (
+    _mst_edge_lengths_block,
+    _sublevel_features_block,
+    _sublevel_pairs,
+    topological_features_block,
+)
+from tests.feature_oracles import (
+    _diagram_stats,
+    _mst_edge_lengths,
+    statistical_block_oracle,
+    topological_block_oracle,
+)
+from tests.feature_oracles import _mst_edge_lengths_block as _lockstep_prim
 from tests.feature_oracles import _sublevel_pairs as _union_find_pairs
 
 # Few distinct values, so ties, plateaus and constant rows are common.
@@ -126,8 +141,7 @@ class TestTrendFits:
     @pytest.mark.parametrize("length", [3, 4, 5, 17, 96, 256, 300])
     def test_slope_and_curvature_equal_polyfit(self, length):
         X = _trend_rows(length)
-        with np.errstate(all="ignore"):
-            feats = _trend_block(X)
+        feats = statistical_features_block(X)
         t = np.arange(length, dtype=float)
         for i in range(X.shape[0]):
             slope = np.polyfit(t, X[i], 1)[0]
@@ -148,8 +162,7 @@ class TestTrendFits:
     )
     def test_random_rows_equal_polyfit(self, rows):
         X = np.asarray(rows, dtype=float)
-        with np.errstate(all="ignore"):
-            feats = _trend_block(X)
+        feats = statistical_features_block(X)
         t = np.arange(X.shape[1], dtype=float)
         for i in range(X.shape[0]):
             if not X[i].std() > 0:
@@ -159,3 +172,187 @@ class TestTrendFits:
             if X.shape[1] > 3:
                 quad = np.polyfit(t, X[i], 2)[0]
                 assert _bits(feats["trend_curvature"][i]) == _bits(quad)
+
+
+# ---------------------------------------------------------------------------
+# Fused block kernels against the family kernels they replaced
+# ---------------------------------------------------------------------------
+
+_KINDS = (
+    "walk", "noise", "plateau", "tied", "constant", "linear", "quadratic",
+    "extreme", "huge", "tiny",
+)
+
+
+def _kind_row(kind: str, length: int, rng, scale: float) -> np.ndarray:
+    """One row of ``kind``: the shapes every degenerate-input guard meets."""
+    t = np.arange(length, dtype=float)
+    if kind == "walk":
+        return rng.normal(size=length).cumsum() * scale
+    if kind == "noise":
+        return rng.normal(size=length) * scale
+    if kind == "plateau":  # runs of equal values
+        width = int(rng.integers(1, 12))
+        steps = np.round(rng.normal(size=length // width + 1) * scale)
+        return np.repeat(steps, width)[:length]
+    if kind == "tied":
+        return rng.choice([0.0, -0.0, 1.0, -1.0, 2.5, -7.0], size=length)
+    if kind == "constant":
+        return np.full(length, rng.choice([0.0, -0.0, 2.5, -1e100, 1e100]))
+    if kind == "linear":  # exact: the residual spectrum is numerically zero
+        return float(rng.integers(-5, 6)) * t + float(rng.integers(-9, 10))
+    if kind == "quadratic":
+        return 0.25 * float(rng.integers(-4, 5)) * t**2 - 3.0 * t + 7.0
+    if kind == "extreme":
+        return rng.choice([1e100, -1e100, 0.0, -0.0], size=length)
+    if kind == "huge":  # sums overflow: the median of two of these is inf
+        return rng.choice([1.5e308, 1e308, -1e308], size=length)
+    return np.sin(t / 3.0) * 1e-300  # tiny: squares underflow
+
+
+@st.composite
+def _blocks(draw, max_rows: int = 6) -> np.ndarray:
+    length = draw(st.integers(1, 300))
+    kinds = draw(st.lists(st.sampled_from(_KINDS), min_size=1, max_size=max_rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e6]))
+    return np.vstack([_kind_row(kind, length, rng, scale) for kind in kinds])
+
+
+def _sweep_block(length: int) -> np.ndarray:
+    """Every kind at one length, in one block."""
+    rng = np.random.default_rng(length)
+    return np.vstack([_kind_row(kind, length, rng, 1.0) for kind in _KINDS])
+
+
+def _assert_same_bytes(block: dict, oracle: dict) -> None:
+    assert list(block) == list(oracle)
+    for name, column in oracle.items():
+        assert block[name].tobytes() == column.tobytes(), name
+
+
+_EDGE_BLOCKS = [
+    np.array([[5.0]]),
+    np.array([[0.0, -0.0]]),
+    np.array([[1e100, -1e100, 0.0, -0.0, 1e100]]),
+    np.array([[1e308, 1.5e308, 1e308, 1.7e308, 2.0, 1.5e308]]),
+    np.zeros((3, 17)),
+    np.vstack([np.arange(96.0), np.arange(96.0) ** 2, np.full(96, -0.0)]),
+]
+
+
+class TestFusedStatisticalBlock:
+    @settings(deadline=None)
+    @given(_blocks())
+    def test_bytes_match_family_kernels(self, X):
+        block = statistical_features_block(X)
+        _assert_same_bytes(block, statistical_block_oracle(X))
+        alone = statistical_features_block(X[-1:])
+        assert [col[-1] for col in block.values()] == [
+            col[0] for col in alone.values()
+        ]
+
+    @pytest.mark.parametrize("X", _EDGE_BLOCKS, ids=lambda X: f"{X.shape}")
+    def test_edge_blocks(self, X):
+        _assert_same_bytes(statistical_features_block(X), statistical_block_oracle(X))
+
+    def test_every_length_to_300(self):
+        for length in range(1, 301):
+            X = _sweep_block(length)
+            _assert_same_bytes(
+                statistical_features_block(X), statistical_block_oracle(X)
+            )
+
+    def test_bank_periodogram_memo_keeps_bytes(self):
+        X = _sweep_block(96)
+        memo: dict = {}
+
+        def cache(key, build):
+            if key not in memo:
+                memo[key] = build()
+            return memo[key]
+
+        first = statistical_features_block(X, cache=cache)
+        assert list(memo) == [("stat_rfft_sq", 96)]
+        _assert_same_bytes(first, statistical_block_oracle(X))
+        _assert_same_bytes(statistical_features_block(X, cache=cache), first)
+
+
+class TestFusedTopologicalBlock:
+    @settings(deadline=None)
+    @given(_blocks(max_rows=4))
+    def test_bytes_match_oracle(self, X):
+        _assert_same_bytes(topological_features_block(X), topological_block_oracle(X))
+
+    @pytest.mark.parametrize("X", _EDGE_BLOCKS, ids=lambda X: f"{X.shape}")
+    def test_edge_blocks(self, X):
+        _assert_same_bytes(topological_features_block(X), topological_block_oracle(X))
+
+    @pytest.mark.parametrize("length", [1, 4, 5, 6, 7, 40, 96, 131, 132, 133, 300])
+    def test_lengths_around_the_embedding_limits(self, length):
+        X = _sweep_block(length)
+        _assert_same_bytes(topological_features_block(X), topological_block_oracle(X))
+
+    def test_one_row_chunks_equal_multi_row_chunks(self, monkeypatch):
+        X = np.vstack([_sweep_block(96), -_sweep_block(97)[::-1, 1:]])
+        chunked = topological_features_block(X)  # one multi-row chunk
+        monkeypatch.setattr(topological, "_MST_CHUNK_BYTES", 1)
+        stepped = topological_features_block(X)  # one-row chunks
+        _assert_same_bytes(stepped, chunked)
+        _assert_same_bytes(chunked, topological_block_oracle(X))
+
+
+@st.composite
+def _clouds(draw) -> np.ndarray:
+    """Point clouds on a coarse grid: duplicate points (zero distances)
+    and equal distances are common."""
+    batch = draw(st.integers(1, 5))
+    n_points = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 3))
+    coords = draw(
+        st.lists(
+            st.integers(-2, 2), min_size=batch * n_points * dim,
+            max_size=batch * n_points * dim,
+        )
+    )
+    return np.asarray(coords, dtype=float).reshape(batch, n_points, dim) * 0.5
+
+
+def _squared_distances(clouds: np.ndarray) -> np.ndarray:
+    sq = np.zeros((clouds.shape[0], clouds.shape[1], clouds.shape[1]))
+    for k in range(clouds.shape[2]):
+        diff = clouds[:, :, None, k] - clouds[:, None, :, k]
+        sq += diff * diff
+    return sq
+
+
+class TestPrimSteps:
+    @settings(deadline=None)
+    @given(_clouds())
+    @example(np.zeros((2, 6, 3)))  # every point the same
+    @example(np.array([[[0.0], [1.0], [0.0], [1.0], [2.0]]]))
+    def test_one_and_many_row_chunks_give_oracle_edges(self, clouds):
+        sq = _squared_distances(clouds)
+        expected = _lockstep_prim(sq.copy())
+        many = _mst_edge_lengths_block(sq.copy())
+        assert many.tobytes() == expected.tobytes()
+        for i in range(clouds.shape[0]):
+            one = _mst_edge_lengths_block(sq[i : i + 1].copy())
+            assert one.shape == (1, max(0, clouds.shape[1] - 1))
+            assert one[0].tobytes() == expected[i].tobytes()
+            assert one[0].tobytes() == _mst_edge_lengths(clouds[i]).tobytes()
+
+    def test_non_finite_distances_keep_the_lockstep_bytes(self):
+        # NaN distances tie with nothing, so the plain steps would pick a
+        # different vertex order; one-entry stacks with any non-finite
+        # distance take the lockstep steps.
+        sq = np.array([
+            [0.0, 0.0, np.nan, 1.0],
+            [0.0, 0.0, 1.0, 2.0],
+            [np.nan, 1.0, 0.0, 1.0],
+            [1.0, 2.0, 1.0, 0.0],
+        ])[None]
+        expected = _lockstep_prim(sq.copy())
+        with np.errstate(invalid="ignore"):
+            got = _mst_edge_lengths_block(sq.copy())
+        assert got.tobytes() == expected.tobytes()

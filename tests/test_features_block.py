@@ -9,6 +9,8 @@ spectra); and a series' vector does not depend on the batch it is
 extracted in.
 """
 
+import cProfile
+import pstats
 import tracemalloc
 import warnings
 
@@ -20,8 +22,10 @@ from scipy import stats as sps
 
 from repro.exceptions import ValidationError
 from repro.features.extractor import FeatureExtractor
+from repro.observability import use_tracer
 from repro.features.statistical import (
     STATISTICAL_FEATURE_NAMES,
+    _Rows,
     _skew_kurtosis,
     statistical_features_block,
 )
@@ -102,7 +106,7 @@ class TestStatisticalBlock:
         ])
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            skew, kurtosis = _skew_kurtosis(rows, rows.mean(axis=1))
+            skew, kurtosis = _skew_kurtosis(_Rows.of(rows))
             np.testing.assert_allclose(
                 skew, sps.skew(rows, axis=1), rtol=1e-12, atol=1e-12,
                 equal_nan=True,
@@ -234,6 +238,26 @@ class TestExtractorBlock:
             "hits", "misses", "hit_rate",
         }
 
+
+
+class TestExtractorCallBudget:
+    """The fixed cost of one small request, counted in Python calls: a
+    deterministic guard where a timing gate would flake.  One 96-point
+    series with a 14-point gap took 2,792 profiled calls before the block
+    kernels shared their moments pass, and 1,820 after."""
+
+    FUSED_CALLS = 1820
+
+    def test_one_gapped_series(self, fresh_metrics):
+        values = np.random.default_rng(0).normal(size=96).cumsum()
+        values[40:54] = np.nan
+        fx = FeatureExtractor()
+        with use_tracer(None):
+            fx.extract_many([values])  # creates the metric families
+            profiler = cProfile.Profile()
+            profiler.runcall(fx.extract_many, [values])
+        calls = pstats.Stats(profiler).total_calls
+        assert calls <= min(2300, int(self.FUSED_CALLS * 1.05)), calls
 
 def _traced_peak(fn) -> int:
     tracemalloc.start()

@@ -187,7 +187,9 @@ class TestComponentInstrumentation:
         cache.clear()
         assert registry.account_bytes("feature_cache") == 0
 
-    def test_feature_cache_eviction_keeps_disk_entries(self, tmp_path, monkeypatch):
+    def test_feature_cache_eviction_keeps_disk_entries(
+        self, tmp_path, monkeypatch, fresh_metrics
+    ):
         from repro.features import FeatureExtractor
         from repro.parallel import cache as cache_module
 
@@ -203,7 +205,7 @@ class TestComponentInstrumentation:
         assert registry.account_bytes("feature_cache") == 8 * matrix[0].nbytes
         # An evicted vector comes back from disk, byte-identical.
         again = fx.extract_many(series[:1])
-        assert cache.hits == 1
+        assert cache.stats()["hits"] == 1
         assert again.tobytes() == matrix[:1].tobytes()
         assert len(cache) == 8
         assert registry.account_bytes("feature_cache") == 8 * matrix[0].nbytes

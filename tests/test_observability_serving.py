@@ -398,8 +398,9 @@ class TestHealthSnapshot:
         assert json.loads(json_path.read_text())["n_requests"] == 12
         assert "# TYPE" in prom_path.read_text()
 
-    def test_collect_with_explicit_caches(self, served_engine):
-        """The feature-cache section is the engine extractor's cache."""
+    def test_collect_with_explicit_caches(self, served_engine, fresh_metrics):
+        """The feature-cache section is the engine extractor's cache; its
+        hits and misses are the registry's process-wide counts."""
         import copy
 
         from repro.parallel import FeatureCache

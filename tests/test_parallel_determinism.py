@@ -28,6 +28,7 @@ from repro.core.config import ModelRaceConfig
 from repro.core.modelrace import ModelRace
 from repro.datasets import load_category
 from repro.features import FeatureExtractor
+from repro.observability import MetricsRegistry, use_metrics
 from repro.parallel import FeatureCache, ParallelConfig
 from repro.pipeline.pipeline import Pipeline, make_seed_pipelines
 from repro.pipeline.scoring import ScoreWeights
@@ -126,7 +127,7 @@ class TestFeatureDeterminism:
         datasets = load_category("Water", n_series=6, n_datasets=1)
         return [s for d in datasets for s in d.series]
 
-    def test_cache_hit_path_bit_identical(self, series_list):
+    def test_cache_hit_path_bit_identical(self, series_list, fresh_metrics):
         reference = FeatureExtractor().extract_many(series_list)
         cache = FeatureCache()
         extractor = FeatureExtractor(cache=cache)
@@ -134,15 +135,17 @@ class TestFeatureDeterminism:
         warm = extractor.extract_many(series_list)
         assert reference.tobytes() == cold.tobytes()
         assert reference.tobytes() == warm.tobytes()
-        assert cache.hits >= len(series_list)  # second pass fully cached
+        # Second pass fully cached.
+        assert cache.stats()["hits"] >= len(series_list)
 
     def test_disk_cache_roundtrip_bit_identical(self, series_list, tmp_path):
         reference = FeatureExtractor().extract_many(series_list)
         FeatureExtractor(cache=FeatureCache(tmp_path)).extract_many(series_list)
         fresh = FeatureCache(tmp_path)  # simulates a new process
-        warm = FeatureExtractor(cache=fresh).extract_many(series_list)
+        with use_metrics(MetricsRegistry()):
+            warm = FeatureExtractor(cache=fresh).extract_many(series_list)
+            assert fresh.stats()["misses"] == 0
         assert reference.tobytes() == warm.tobytes()
-        assert fresh.misses == 0
 
 
 class TestOrderIndependentPruning:
@@ -290,13 +293,13 @@ class TestScoreMemoInRace:
         first = ModelRace(config, score_memo=memo).run(
             seeds, X_tr, y_tr, X_te, y_te
         )
-        hits_after_first = memo.hits
+        hits_after_first = memo.stats()["hits"]
         second = ModelRace(config, score_memo=memo).run(
             seeds, X_tr, y_tr, X_te, y_te
         )
         # The second identical race is served from the memo wherever the
         # work repeats, and the outcome is unchanged.
-        assert memo.hits > hits_after_first
+        assert memo.stats()["hits"] > hits_after_first
         assert [p.config_key() for p in first.elite] == [
             p.config_key() for p in second.elite
         ]

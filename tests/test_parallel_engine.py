@@ -156,17 +156,21 @@ class TestFeatureCache:
         out[0] = 99.0
         assert cache.get(key)[0] == 1.0
 
-    def test_hit_miss_accounting(self):
+    def test_hit_miss_accounting(self, fresh_metrics):
         cache = FeatureCache()
         key = cache.key(np.ones(3), ("fp",))
         cache.get(key)
         cache.put(key, np.zeros(2))
         cache.get(key)
-        assert cache.hits == 1
-        assert cache.misses == 1
-        assert cache.hit_rate == 0.5
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"]) == (1, 1)
+        assert cache.hit_rate == stats["hit_rate"] == 0.5
+        # Counted once, on the registry: every instance reads the
+        # process-wide totals.
+        assert fresh_metrics.total("repro_feature_cache_hits_total") == 1
+        assert FeatureCache().stats()["hits"] == 1
 
-    def test_disk_persistence(self, tmp_path):
+    def test_disk_persistence(self, tmp_path, fresh_metrics):
         vec = np.array([0.25, -1.75, 3.5])
         key = FeatureCache.key(np.arange(4, dtype=float), ("fp", 3))
         first = FeatureCache(tmp_path)
@@ -176,7 +180,7 @@ class TestFeatureCache:
         out = second.get(key)
         assert out is not None
         assert out.tobytes() == vec.tobytes()
-        assert second.hits == 1
+        assert second.stats()["hits"] == 1
 
     def test_key_depends_on_fingerprint(self):
         values = np.arange(8, dtype=float)
@@ -212,11 +216,14 @@ class TestFeatureCache:
         entry = sorted(tmp_path.glob("*.npy"))[0]
         entry.write_bytes(corrupt(entry.read_bytes()))
         cache = FeatureCache(tmp_path)
-        with caplog.at_level("WARNING", logger="repro"):
+        with caplog.at_level("WARNING", logger="repro"), use_metrics(
+            MetricsRegistry()
+        ):
             warm = FeatureExtractor(cache=cache).extract_many(series)
+            stats = cache.stats()
         assert any("unreadable cache entry" in r.getMessage()
                    for r in caplog.records)
-        assert cache.misses == 1 and cache.hits == 2
+        assert stats["misses"] == 1 and stats["hits"] == 2
         assert warm.tobytes() == cold.tobytes()
 
     def test_metrics_counters_flow(self):
@@ -233,14 +240,18 @@ class TestFeatureCache:
 
 
 class TestScoreMemo:
-    def test_roundtrip_and_accounting(self):
+    def test_roundtrip_and_accounting(self, fresh_metrics):
         memo = ScoreMemo()
         key = (("knn", (), "standard", ()), "foldhash")
         assert memo.get(key) is None
         memo.put(key, "score-object")
         assert memo.get(key) == "score-object"
-        assert memo.hits == 1
-        assert memo.misses == 1
+        assert memo.stats() == {
+            "entries": 1, "hits": 1, "misses": 1, "hit_rate": 0.5,
+        }
         assert memo.hit_rate == 0.5
         memo.clear()
         assert len(memo) == 0
+        # The registry counters are process-wide and monotonic.
+        assert memo.stats()["hits"] == 1
+        assert fresh_metrics.total("repro_race_score_memo_misses_total") == 1

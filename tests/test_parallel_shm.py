@@ -175,14 +175,16 @@ class TestFeatureCacheDurability:
         )
 
     def test_reload_after_put(self, tmp_path):
+        from repro.observability import MetricsRegistry, use_metrics
         from repro.parallel import FeatureCache
 
         FeatureCache(tmp_path).put("vec", np.linspace(0, 1, 5))
         fresh = FeatureCache(tmp_path)  # a new process
-        np.testing.assert_array_equal(
-            fresh.get("vec"), np.linspace(0, 1, 5)
-        )
-        assert fresh.misses == 0
+        with use_metrics(MetricsRegistry()):
+            np.testing.assert_array_equal(
+                fresh.get("vec"), np.linspace(0, 1, 5)
+            )
+            assert fresh.stats()["misses"] == 0
 
 
 class TestSharedEngineLifecycle:

@@ -119,7 +119,7 @@ class TestMicroBatcherProperties:
         # Size bound + counter bookkeeping.
         stats = batcher.stats()
         assert stats["items"] == len(arrivals)
-        assert stats["batches"] == stats["full_batches"] + stats["timed_batches"]
+        assert stats["batches"] == stats["full_batches"] + stats["partial_batches"]
         assert stats["pending"] == 0
 
     def test_full_batch_released_synchronously(self):
