@@ -22,6 +22,8 @@ import numpy as np
 from repro.exceptions import NotFittedError, RegistryError, ValidationError
 from repro.utils.validation import check_2d
 
+_FLOAT_MAX = np.finfo(np.float64).max
+
 
 class BaseClassifier(ABC):
     """Abstract multi-class probabilistic classifier."""
@@ -55,10 +57,16 @@ class BaseClassifier(ABC):
             raise NotFittedError(f"{type(self).__name__} is not fitted")
         X = check_2d(X, name="X", allow_nan=False)
         proba = self._predict_proba(X)
-        proba = np.clip(np.nan_to_num(proba, nan=0.0), 0.0, None)
+        # NaN -> 0, -inf and negatives -> 0, +inf -> the largest float.
+        proba = np.minimum(
+            np.maximum(np.where(np.isnan(proba), 0.0, proba), 0.0), _FLOAT_MAX
+        )
         row_sums = proba.sum(axis=1, keepdims=True)
-        uniform = np.full_like(proba, 1.0 / proba.shape[1])
-        return np.where(row_sums > 0, proba / np.maximum(row_sums, 1e-12), uniform)
+        return np.where(
+            row_sums > 0,
+            proba / np.maximum(row_sums, 1e-12),
+            1.0 / proba.shape[1],
+        )
 
     def predict(self, X) -> np.ndarray:
         """Predicted labels (decoded to the original label space)."""

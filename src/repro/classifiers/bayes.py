@@ -40,16 +40,15 @@ class GaussianNBClassifier(BaseClassifier):
             self._priors[c] = members.shape[0] / X.shape[0]
         eps = self.var_smoothing * float(X.var(axis=0).max() or 1.0) + 1e-12
         self._vars += eps
+        # Prediction-invariant terms of the log joint likelihood.
+        self._log_norm = np.log(2 * np.pi * self._vars)
+        self._log_priors = np.log(self._priors + 1e-12)
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
-        # Log joint likelihood per class, then softmax.
-        log_proba = np.empty((X.shape[0], self.n_classes_))
-        for c in range(self.n_classes_):
-            diff = X - self._means[c]
-            log_like = -0.5 * (
-                np.log(2 * np.pi * self._vars[c]) + diff**2 / self._vars[c]
-            ).sum(axis=1)
-            log_proba[:, c] = np.log(self._priors[c] + 1e-12) + log_like
+        # Log joint likelihood of every (row, class) pair, then softmax.
+        diff = X[:, None, :] - self._means
+        log_like = -0.5 * (self._log_norm + diff**2 / self._vars).sum(axis=2)
+        log_proba = self._log_priors + log_like
         log_proba -= log_proba.max(axis=1, keepdims=True)
         proba = np.exp(log_proba)
         return proba / proba.sum(axis=1, keepdims=True)

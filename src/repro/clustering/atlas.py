@@ -65,51 +65,79 @@ class ClusterAtlas:
         """Nearest-representative assignment of one series.
 
         Returns ``{"cluster", "ncc", "label"}`` or ``None`` for an empty
-        atlas.  NaNs are linearly interpolated first (serving series are
-        faulty by definition; an all-NaN series becomes zeros); both sides are truncated to the common
-        length and z-normalized, matching the labeling-time treatment.
+        atlas or a series shorter than two points; see :meth:`assign_many`.
         """
+        return self.assign_many([values])[0]
+
+    def assign_many(self, rows) -> list[dict | None]:
+        """Nearest-representative assignment of every series in ``rows``.
+
+        One result per row, as :meth:`assign` gives it.  NaNs are linearly
+        interpolated first (serving series are faulty by definition; an
+        all-NaN series becomes zeros); both sides are truncated to the
+        common length and z-normalized, matching the labeling-time
+        treatment.  Rows of one length share one interpolation pass and
+        one ``rfft``/``irfft`` per representative length group; every
+        row gets the bytes a batch of one would give it.
+        """
+        arrays = [np.asarray(values, dtype=float).ravel() for values in rows]
+        out: list[dict | None] = [None] * len(arrays)
         if not self.ids:
-            return None
-        values = np.asarray(values, dtype=float).ravel()
-        series = interpolate_rows_block(values[None, :], np.isnan(values)[None, :])[0]
-        if series.size < 2:
-            return None
-        best_idx, best_ncc = 0, -np.inf
-        for length, indices, conj_fft, norms, size in self._prepare(
-            series.size
-        ):
-            x = _znorm(series[:length])
-            # Shift-maximized NCC against every representative at once
-            # (the ncc_rowwise recipe with the representatives' FFTs and
-            # norms precomputed — this runs once per served series).
-            cc = np.fft.irfft(
-                np.fft.rfft(x, size)[None, :] * conj_fft, size, axis=1
-            )
-            if length > 1:
-                cc = np.concatenate(
-                    (cc[:, -(length - 1):], cc[:, :length]), axis=1
+            return out
+        by_length: dict[int, list[int]] = {}
+        for i, values in enumerate(arrays):
+            if values.size >= 2:
+                by_length.setdefault(values.size, []).append(i)
+        for n, members in by_length.items():
+            # One problem per row: an all-NaN row must not borrow the
+            # batch's mean.
+            block = np.stack([arrays[i] for i in members])[:, None, :]
+            series = interpolate_rows_block(block, np.isnan(block))[:, 0, :]
+            rows_at = np.arange(len(members))
+            best_idx = np.zeros(len(members), dtype=np.intp)
+            best_ncc = np.full(len(members), -np.inf)
+            for length, indices, conj_fft, norms, size in self._prepare(n):
+                x = _znorm(series[:, :length])
+                # Shift-maximized NCC against every representative at once
+                # (the ncc_rowwise recipe with the representatives' FFTs
+                # and norms precomputed).
+                cc = np.fft.irfft(
+                    np.fft.rfft(x, size, axis=1)[:, None, :] * conj_fft,
+                    size,
+                    axis=2,
                 )
-            peaks = cc.max(axis=1)
-            denom = np.linalg.norm(x) * norms
-            nccs = np.divide(
-                peaks, denom, out=np.zeros_like(peaks), where=denom != 0.0
-            )
-            group_best = int(np.argmax(nccs))
-            if nccs[group_best] > best_ncc:
-                best_idx, best_ncc = indices[group_best], float(nccs[group_best])
-        return {
-            "cluster": self.ids[best_idx],
-            "ncc": best_ncc,
-            "label": self.labels[best_idx],
-        }
+                if length > 1:
+                    cc = np.concatenate(
+                        (cc[..., -(length - 1):], cc[..., :length]), axis=2
+                    )
+                peaks = cc.max(axis=2)
+                # Row norms by batched dot products: the bytes of
+                # ``np.linalg.norm`` on each row.
+                x_norms = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+                denom = x_norms[:, None] * norms
+                nccs = np.divide(
+                    peaks, denom, out=np.zeros_like(peaks), where=denom != 0.0
+                )
+                group_best = nccs.argmax(axis=1)
+                value = nccs[rows_at, group_best]
+                better = value > best_ncc  # the first group wins a tie
+                best_idx = np.where(better, indices[group_best], best_idx)
+                best_ncc = np.where(better, value, best_ncc)
+            for i, idx, ncc in zip(members, best_idx.tolist(), best_ncc.tolist()):
+                out[i] = {
+                    "cluster": self.ids[idx],
+                    "ncc": ncc,
+                    "label": self.labels[idx],
+                }
+        return out
 
     def _prepare(self, n: int) -> list:
         """Representatives grouped by common length with ``n``-point series.
 
         Each entry is ``(length, indices, conj_fft, norms, fft_size)``
         with the z-normed, truncated representatives' conjugate FFTs and
-        norms precomputed, so :meth:`assign` only transforms the query.
+        norms precomputed, so :meth:`assign_many` only transforms the
+        queries.
         """
         cached = self._prepared.get(n)
         if cached is None:
@@ -120,14 +148,14 @@ class ClusterAtlas:
                 groups.setdefault(min(n, rep.size), []).append(idx)
             cached = []
             for length, indices in groups.items():
-                matrix = np.vstack(
-                    [_znorm(self.representatives[i][:length]) for i in indices]
+                matrix = _znorm(
+                    np.vstack([self.representatives[i][:length] for i in indices])
                 )
                 size = _fft_size(length)
                 cached.append(
                     (
                         length,
-                        indices,
+                        np.asarray(indices, dtype=np.intp),
                         np.conj(np.fft.rfft(matrix, size, axis=1)),
                         np.linalg.norm(matrix, axis=1),
                         size,
@@ -164,5 +192,9 @@ class ClusterAtlas:
 
 
 def _znorm(values: np.ndarray) -> np.ndarray:
-    std = values.std()
-    return (values - values.mean()) / (std if std > _EPS else 1.0)
+    """Z-normalize a series, or each row of a 2-D block (a constant row
+    is only centred)."""
+    std = values.std(axis=-1, keepdims=True)
+    return (values - values.mean(axis=-1, keepdims=True)) / np.where(
+        std > _EPS, std, 1.0
+    )

@@ -442,12 +442,16 @@ class ADarts:
         # state is request-scoped, and per-row sampling would re-read
         # /proc for every series in a batch.
         resources = resource_stamp()
+        rows = [np.asarray(series.values, dtype=float) for series in series_list]
+        assignments = (
+            atlas.assign_many(rows)
+            if atlas is not None and len(atlas)
+            else [None] * len(rows)
+        )
         out = []
-        for series, rec in zip(series_list, recommendations):
-            values = np.asarray(series.values, dtype=float)
-            assignment = (
-                atlas.assign(values) if atlas is not None and len(atlas) else None
-            )
+        for series, values, assignment, rec in zip(
+            series_list, rows, assignments, recommendations
+        ):
             top = sorted(rec.probabilities.items(), key=lambda kv: -kv[1])[:5]
             repair_id = ledger.record(
                 "repair",

@@ -106,6 +106,11 @@ class _BaseEnsemble:
                 ) from None
             classes.extend(member_classes.tolist())
         self.classes_ = np.array(sorted(set(classes), key=str))
+        #: Union-axis column of each class.
+        self._class_column = {c: j for j, c in enumerate(self.classes_.tolist())}
+        #: Union-axis columns of a member's classes, built once per class
+        #: tuple (so deep copies and unpickled ensembles share the cache).
+        self._columns_of: dict[tuple, np.ndarray] = {}
         #: Stable display names (classifier family + position).
         self.member_names: tuple[str, ...] = tuple(
             f"{p.classifier_name}#{i}" for i, p in enumerate(self.pipelines)
@@ -119,9 +124,12 @@ class _BaseEnsemble:
         """Member probabilities re-indexed onto the union class axis."""
         proba = pipeline.predict_proba(X)
         out = np.zeros((proba.shape[0], len(self.classes_)))
-        col_of = {cls: j for j, cls in enumerate(self.classes_.tolist())}
-        for j, cls in enumerate(pipeline.classes_.tolist()):
-            out[:, col_of[cls]] = proba[:, j]
+        key = tuple(pipeline.classes_.tolist())
+        columns = self._columns_of.get(key)
+        if columns is None:
+            columns = np.array([self._class_column[c] for c in key], dtype=np.intp)
+            self._columns_of[key] = columns
+        out[:, columns] = proba
         return out
 
     def _member_matrix(self, pipeline: Pipeline, X: np.ndarray) -> np.ndarray:
@@ -170,7 +178,7 @@ class _BaseEnsemble:
                 mat = self._member_matrix(pipeline, X)
                 if action == "nan":
                     mat = np.full_like(mat, np.nan)
-                if not np.all(np.isfinite(mat)):
+                if not np.isfinite(mat).all():
                     raise EnsembleError(
                         f"member {name} produced non-finite probabilities"
                     )
@@ -247,7 +255,6 @@ class MajorityVotingEnsemble(_BaseEnsemble):
     def _member_matrix(self, pipeline: Pipeline, X: np.ndarray) -> np.ndarray:
         pred = pipeline.predict(X)
         votes = np.zeros((X.shape[0], len(self.classes_)))
-        col_of = {cls: j for j, cls in enumerate(self.classes_.tolist())}
         for i, label in enumerate(pred):
-            votes[i, col_of[label]] += 1.0
+            votes[i, self._class_column[label]] += 1.0
         return votes

@@ -211,7 +211,13 @@ class FeatureExtractor:
             chunks=len(cols),
             scratch_allocations=1,
         )
-        return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
+        # The statistical block zeroes its own non-finite values; the
+        # columns after it (topological, missing-pattern) may hold NaN/inf.
+        start = len(STATISTICAL_FEATURE_NAMES) if self.use_statistical else 0
+        tail = out[:, start:]
+        if tail.size:
+            np.copyto(tail, 0.0, where=~np.isfinite(tail))
+        return out
 
     def extract_many(self, series_list) -> np.ndarray:
         """Extract a feature matrix (n_series, n_features).

@@ -44,7 +44,7 @@ class BaseScaler(ABC):
             raise NotFittedError(f"{type(self).__name__} is not fitted")
         X = check_2d(X, name="X", allow_nan=False)
         out = self._transform(X)
-        return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
+        return np.where(np.isfinite(out), out, 0.0)
 
     def fit_transform(self, X) -> np.ndarray:
         """Fit then transform in one call."""
@@ -242,14 +242,75 @@ class QuantileScaler(BaseScaler):
         q = np.linspace(0.0, 100.0, min(self.n_quantiles, X.shape[0]))
         self._refs = np.percentile(X, q, axis=0)
         self._levels = q / 100.0
+        self._index_table()
+
+    def _index_table(self) -> None:
+        """Per-column search tables for :meth:`_interp`.
+
+        Column ``c``'s refs sit at ``_table[c * width : c * width + m]``,
+        padded with ``+inf`` to a power-of-two ``width``, so every column
+        is searched at once by a branchless bisection.  Columns whose refs
+        are not finite and non-decreasing (and every column when ``m < 2``)
+        keep ``np.interp``, whose behaviour there is its own.
+        """
+        refs, levels = self._refs, self._levels
+        m, d = refs.shape
+        width = 1 << m.bit_length()
+        table = np.full((d, width), np.inf)
+        table[:, :m] = refs.T
+        slopes = np.zeros((d, width))
+        with np.errstate(all="ignore"):
+            gaps = np.diff(refs, axis=0)
+            # np.interp's slope: (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]).
+            slopes[:, : m - 1] = (np.diff(levels)[:, None] / gaps).T
+        regular = np.isfinite(refs).all(axis=0) & (gaps >= 0).all(axis=0)
+        self._irregular = np.flatnonzero(~regular) if m >= 2 else np.arange(d)
+        self._table = table.ravel()
+        self._slopes = slopes.ravel()
+        starts = np.arange(d) * width
+        self._starts = starts
+        # Bisection steps as (step, table offset of the probed ref).
+        self._probes = [
+            (1 << k, starts + ((1 << k) - 1))
+            for k in reversed(range(m.bit_length()))
+        ]
 
     def _transform(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty_like(X)
-        for j in range(X.shape[1]):
-            refs = self._refs[:, j]
-            out[:, j] = np.interp(X[:, j], refs, self._levels)
+        out = self._interp(X)
         if self.output == "normal":
             out = ndtri(np.clip(out, 1e-6, 1 - 1e-6))
+        return out
+
+    def _interp(self, X: np.ndarray) -> np.ndarray:
+        """``np.interp(X[:, c], refs[:, c], levels)`` for every column ``c``
+        at once, bit for bit: the same bracket (the last ref ``<= x``), the
+        same slope and formula, ``levels[j]`` at an exact ref, the retry
+        from the right end on NaN, and the end levels outside the refs."""
+        levels, m = self._levels, self._levels.size
+        out = np.empty_like(X)
+        if m >= 2:
+            count = np.zeros(X.shape, dtype=np.intp)  # refs <= x, per cell
+            for step, offset in self._probes:
+                hit = self._table.take(count + offset) <= X
+                np.add(count, step, out=count, where=hit)
+            j = count - 1
+            inner = np.minimum(np.maximum(j, 0), m - 2)
+            cell = inner + self._starts
+            lo = self._table.take(cell)
+            slope = self._slopes.take(cell)
+            flo = levels.take(inner)
+            with np.errstate(all="ignore"):
+                np.add(slope * (X - lo), flo, out=out)
+                retry = np.isnan(out)
+                if retry.any():
+                    fhi = levels.take(inner + 1)
+                    right = slope * (X - self._table.take(cell + 1)) + fhi
+                    right = np.where(np.isnan(right) & (flo == fhi), flo, right)
+                    out = np.where(retry, right, out)
+            out = np.where(X == lo, flo, out)
+            out = np.where(j < 0, levels[0], np.where(j >= m - 1, levels[-1], out))
+        for c in self._irregular:
+            out[:, c] = np.interp(X[:, c], self._refs[:, c], levels)
         return out
 
 

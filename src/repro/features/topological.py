@@ -255,54 +255,60 @@ def topological_features_block(
         raise ValidationError(
             "topological_features_block expects finite rows; interpolate first"
         )
-    n_rows, length = X.shape
-    _, centered, var = _moments(X)
-    stds = np.sqrt(var)
-    znorm = np.where(
-        (stds > 0)[:, None],
-        centered / np.where(stds > 0, stds, 1.0)[:, None],
-        X,
-    )
-    feats = _sublevel_features_block(znorm)
-    # Rips diagrams: batched embedding, chunked distance stacks, lockstep MST.
-    n_vectors = length - (dimension - 1) * delay
-    if n_vectors < 2:
-        feats.update(
-            {f"topo_rips_{k}": np.zeros(n_rows) for k in _DIAGRAM_STAT_KEYS}
+    # Overflowing rows (values near the float limit) give NaN/inf
+    # features quietly; the extractor zeroes them.
+    with np.errstate(all="ignore"):
+        n_rows, length = X.shape
+        _, centered, var = _moments(X)
+        stds = np.sqrt(var)
+        znorm = np.where(
+            (stds > 0)[:, None],
+            centered / np.where(stds > 0, stds, 1.0)[:, None],
+            X,
         )
+        feats = _sublevel_features_block(znorm)
+        # Rips diagrams: batched embedding, chunked distance stacks,
+        # lockstep MST.
+        n_vectors = length - (dimension - 1) * delay
+        if n_vectors < 2:
+            feats.update(
+                {f"topo_rips_{k}": np.zeros(n_rows) for k in _DIAGRAM_STAT_KEYS}
+            )
+            return feats
+        embed_idx = (
+            np.arange(n_vectors)[:, None] + delay * np.arange(dimension)[None, :]
+        )
+        if n_vectors > max_points:
+            step = n_vectors / max_points
+            embed_idx = embed_idx[(step * np.arange(max_points)).astype(int)]
+        cloud = znorm[:, embed_idx]
+        n_points = cloud.shape[1]
+        chunk = max(1, _MST_CHUNK_BYTES // (3 * n_points * n_points * 8))
+        edges = np.empty((n_rows, n_points - 1))
+        n_chunks = 0
+        scratch_bytes = 0
+        for start in range(0, n_rows, chunk):
+            part = cloud[start : start + chunk]
+            # Accumulate one embedding coordinate at a time, in coordinate
+            # order, so no (chunk, n, n, dimension) tensor is ever built.
+            sq = np.zeros((part.shape[0], n_points, n_points))
+            diff = np.empty_like(sq)
+            for k in range(dimension):
+                np.subtract(part[:, :, None, k], part[:, None, :, k], out=diff)
+                diff *= diff
+                sq += diff
+            del diff
+            edges[start : start + chunk] = _mst_edge_lengths_block(sq)
+            n_chunks += 1
+            scratch_bytes += sq.nbytes
+        count_kernel(
+            "topological_mst",
+            bytes_moved=cloud.nbytes + edges.nbytes + scratch_bytes,
+            chunks=n_chunks,
+            scratch_allocations=n_chunks,
+        )
+        feats.update(_diagram_stats_block(edges, "topo_rips"))
         return feats
-    embed_idx = np.arange(n_vectors)[:, None] + delay * np.arange(dimension)[None, :]
-    if n_vectors > max_points:
-        step = n_vectors / max_points
-        embed_idx = embed_idx[(step * np.arange(max_points)).astype(int)]
-    cloud = znorm[:, embed_idx]
-    n_points = cloud.shape[1]
-    chunk = max(1, _MST_CHUNK_BYTES // (3 * n_points * n_points * 8))
-    edges = np.empty((n_rows, n_points - 1))
-    n_chunks = 0
-    scratch_bytes = 0
-    for start in range(0, n_rows, chunk):
-        part = cloud[start : start + chunk]
-        # Accumulate one embedding coordinate at a time, in coordinate
-        # order, so no (chunk, n, n, dimension) tensor is ever built.
-        sq = np.zeros((part.shape[0], n_points, n_points))
-        diff = np.empty_like(sq)
-        for k in range(dimension):
-            np.subtract(part[:, :, None, k], part[:, None, :, k], out=diff)
-            diff *= diff
-            sq += diff
-        del diff
-        edges[start : start + chunk] = _mst_edge_lengths_block(sq)
-        n_chunks += 1
-        scratch_bytes += sq.nbytes
-    count_kernel(
-        "topological_mst",
-        bytes_moved=cloud.nbytes + edges.nbytes + scratch_bytes,
-        chunks=n_chunks,
-        scratch_allocations=n_chunks,
-    )
-    feats.update(_diagram_stats_block(edges, "topo_rips"))
-    return feats
 
 
 #: Stable ordering of topological feature names.  The probe row is too

@@ -47,7 +47,6 @@ seeded kill/hang plans reproduce crash and timeout handling exactly.
 from __future__ import annotations
 
 import json
-import queue as queue_mod
 import threading
 import time
 
@@ -227,13 +226,16 @@ def _serve_series(engine, series_list: list, modes: list) -> list[dict]:
             [recommendations[j] for j in repair_positions],
         )
         repaired = dict(zip(repair_positions, fixed))
+    # The ledger annotation, when installed, already assigned them.
+    assignments = [rec.cluster for rec in recommendations]
+    unassigned = [j for j, found in enumerate(assignments) if found is None]
+    if unassigned and atlas is not None:
+        found = atlas.assign_many([series_list[j].values for j in unassigned])
+        for j, assignment in zip(unassigned, found):
+            assignments[j] = assignment
     rows = []
     for j, rec in enumerate(recommendations):
-        # The ledger annotation, when installed, already assigned it.
-        assignment = rec.cluster
-        if assignment is None and atlas is not None:
-            assignment = atlas.assign(series_list[j].values)
-        assignment = assignment or {"cluster": None, "ncc": None}
+        assignment = assignments[j] or {"cluster": None, "ncc": None}
         row = {
             "status": STATUS_OK,
             "algorithm": rec.algorithm,
@@ -305,12 +307,15 @@ def _unpack_payload(body) -> list[tuple]:
 # ---------------------------------------------------------------------------
 # Runners
 # ---------------------------------------------------------------------------
-def _shard_worker_main(shard_id, engine_handle, req_q, resp_q, injector):
+def _shard_worker_main(shard_id, engine_handle, conn, injector):
     """Process-shard entry point: attach the engine, serve batches."""
     engine = attach_shared_engine(engine_handle)
     while True:
-        message = req_q.get()
-        if message is None or message[0] == "stop":
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):  # the parent went away
+            break
+        if message[0] == "stop":
             break
         _, batch_id, body = message
         start = time.perf_counter()
@@ -319,26 +324,29 @@ def _shard_worker_main(shard_id, engine_handle, req_q, resp_q, injector):
                 injector.check(
                     FAULT_SITE, f"shard-{shard_id}", token=("batch", batch_id)
                 )
-            results = serve_payload(engine, _unpack_payload(body))
+            reply = (batch_id, "ok", serve_payload(engine, _unpack_payload(body)))
         except BaseException as exc:  # ship the failure, keep serving
-            try:
-                resp_q.put(
-                    (
-                        batch_id,
-                        "fault" if isinstance(exc, InjectedFault) else "error",
-                        f"{type(exc).__name__}: {exc}",
-                        time.perf_counter() - start,
-                    )
-                )
-            except Exception:  # pragma: no cover - queue already broken
-                break
-            continue
-        resp_q.put((batch_id, "ok", results, time.perf_counter() - start))
+            reply = (
+                batch_id,
+                "fault" if isinstance(exc, InjectedFault) else "error",
+                f"{type(exc).__name__}: {exc}",
+            )
+        try:
+            conn.send(reply + (time.perf_counter() - start,))
+        except (OSError, ValueError):  # the parent went away
+            break
+    conn.close()
     clear_attach_cache()
 
 
 class _ProcessRunner:
-    """One worker process fed through a request/response queue pair."""
+    """One worker process fed through one duplex pipe.
+
+    The pipe is made in :meth:`start`, just before the fork, and the
+    parent closes its copy of the worker's end right after: the worker
+    then holds the only copy, so its death reads as EOF at once (a
+    worker forked later never inherits another shard's worker end).
+    """
 
     backend = "process"
 
@@ -346,19 +354,24 @@ class _ProcessRunner:
         import multiprocessing as mp
 
         self.shard_id = int(shard_id)
-        ctx = mp.get_context()
-        self._req_q = ctx.Queue()
-        self._resp_q = ctx.Queue()
-        self._proc = ctx.Process(
-            target=_shard_worker_main,
-            args=(shard_id, engine_handle, self._req_q, self._resp_q, injector),
-            name=f"repro-shard-{shard_id}",
-            daemon=True,
-        )
+        self._ctx = mp.get_context()
+        self._engine_handle = engine_handle
+        self._injector = injector
+        self._conn = None
+        self._proc = None
         self._seq = 0
 
     def start(self) -> None:
+        conn, worker_end = self._ctx.Pipe(duplex=True)
+        self._proc = self._ctx.Process(
+            target=_shard_worker_main,
+            args=(self.shard_id, self._engine_handle, worker_end, self._injector),
+            name=f"repro-shard-{self.shard_id}",
+            daemon=True,
+        )
         self._proc.start()
+        worker_end.close()
+        self._conn = conn
 
     def run(self, payload: list[tuple], timeout_s: float):
         """Serve one batch; returns ``(results, elapsed_s)``.
@@ -375,57 +388,56 @@ class _ProcessRunner:
             payload, min_shm_bytes=SHM_BATCH_MIN_BYTES
         )
         try:
-            self._req_q.put(("batch", batch_id, body))
             deadline = time.monotonic() + timeout_s
-            while True:
-                remaining = deadline - time.monotonic()
-                try:
-                    message = self._resp_q.get(
-                        timeout=min(0.2, max(0.01, remaining))
-                    )
-                except queue_mod.Empty:
-                    if not self._proc.is_alive():
-                        count_event(
-                            "worker_crashes", labels={"layer": "serving"}
-                        )
-                        raise WorkerCrashError(
-                            f"shard {self.shard_id} worker died "
-                            f"(exit code {self._proc.exitcode})"
-                        ) from None
-                    if remaining <= 0:
-                        raise WorkerCrashError(
-                            f"shard {self.shard_id} timed out after "
-                            f"{timeout_s:.1f}s"
-                        ) from None
-                    continue
-                got_id, kind, data, elapsed = message
-                if got_id != batch_id:  # stale reply from a timed-out batch
-                    continue
-                if kind == "fault":
-                    raise InjectedFault(f"shard {self.shard_id}: {data}")
-                if kind == "error":
-                    raise ServingError(
-                        f"shard {self.shard_id} batch failed: {data}"
-                    )
-                return data, float(elapsed)
+            try:
+                self._conn.send(("batch", batch_id, body))
+                while True:
+                    remaining = deadline - time.monotonic()
+                    # A dead worker reads as EOF at once; the liveness
+                    # check is a backstop for a pipe end held elsewhere.
+                    if not self._conn.poll(min(1.0, max(0.0, remaining))):
+                        if not self._proc.is_alive():
+                            raise EOFError
+                        if remaining <= 0:
+                            raise WorkerCrashError(
+                                f"shard {self.shard_id} timed out after "
+                                f"{timeout_s:.1f}s"
+                            )
+                        continue
+                    got_id, kind, data, elapsed = self._conn.recv()
+                    if got_id == batch_id:
+                        break
+                    # else: a stale reply from a timed-out batch
+            except (EOFError, OSError):
+                self._proc.join(timeout=1.0)
+                count_event("worker_crashes", labels={"layer": "serving"})
+                raise WorkerCrashError(
+                    f"shard {self.shard_id} worker died "
+                    f"(exit code {self._proc.exitcode})"
+                ) from None
+            if kind == "fault":
+                raise InjectedFault(f"shard {self.shard_id}: {data}")
+            if kind == "error":
+                raise ServingError(f"shard {self.shard_id} batch failed: {data}")
+            return data, float(elapsed)
         finally:
             if segment is not None:
                 segment.unlink()
                 segment.close()
 
     def stop(self, force: bool = False) -> None:
+        if self._proc is None:
+            return
         if self._proc.is_alive() and not force:
             try:
-                self._req_q.put(("stop", None, None))
+                self._conn.send(("stop", None, None))
                 self._proc.join(timeout=2.0)
-            except Exception:  # pragma: no cover - broken queue
+            except Exception:  # pragma: no cover - broken pipe
                 pass
         if self._proc.is_alive():
             self._proc.terminate()
             self._proc.join(timeout=2.0)
-        for q in (self._req_q, self._resp_q):
-            q.cancel_join_thread()
-            q.close()
+        self._conn.close()
 
 
 class _InlineRunner:

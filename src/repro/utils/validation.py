@@ -44,10 +44,13 @@ def check_2d(values, name: str = "values", allow_nan: bool = True) -> np.ndarray
         raise ValidationError(f"{name} must be 2-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValidationError(f"{name} must be non-empty")
-    if np.isinf(arr).any():
-        raise ValidationError(f"{name} contains infinite values")
-    if not allow_nan and np.isnan(arr).any():
-        raise ValidationError(f"{name} contains NaN but NaN is not allowed here")
+    if not np.isfinite(arr).all():  # one pass when the input is clean
+        if np.isinf(arr).any():
+            raise ValidationError(f"{name} contains infinite values")
+        if not allow_nan:
+            raise ValidationError(
+                f"{name} contains NaN but NaN is not allowed here"
+            )
     return arr
 
 

@@ -81,3 +81,54 @@ class LegacyRefinementClustering(IncrementalClustering):
         return clusters
 
     _refine_incremental = _refine_legacy
+
+
+def atlas_assign(atlas, values) -> dict | None:
+    """:meth:`ClusterAtlas.assign` one series at a time: the reference
+    for the batched :meth:`ClusterAtlas.assign_many`.
+
+    Interpolates the series as a one-row problem, then for each group of
+    representatives sharing a common length z-normalizes both sides and
+    takes the shift-maximized NCC with one FFT of the query.
+    """
+    import numpy as np
+
+    from repro.imputation.base import interpolate_rows_block
+    from repro.timeseries.batch import _fft_size
+
+    def _znorm(values):
+        std = values.std()
+        return (values - values.mean()) / (std if std > 1e-12 else 1.0)
+
+    if not atlas.ids:
+        return None
+    values = np.asarray(values, dtype=float).ravel()
+    series = interpolate_rows_block(values[None, :], np.isnan(values)[None, :])[0]
+    if series.size < 2:
+        return None
+    groups: dict[int, list[int]] = {}
+    for idx, rep in enumerate(atlas.representatives):
+        groups.setdefault(min(series.size, rep.size), []).append(idx)
+    best_idx, best_ncc = 0, -np.inf
+    for length, indices in groups.items():
+        matrix = np.vstack(
+            [_znorm(atlas.representatives[i][:length]) for i in indices]
+        )
+        size = _fft_size(length)
+        conj_fft = np.conj(np.fft.rfft(matrix, size, axis=1))
+        norms = np.linalg.norm(matrix, axis=1)
+        x = _znorm(series[:length])
+        cc = np.fft.irfft(np.fft.rfft(x, size)[None, :] * conj_fft, size, axis=1)
+        if length > 1:
+            cc = np.concatenate((cc[:, -(length - 1):], cc[:, :length]), axis=1)
+        peaks = cc.max(axis=1)
+        denom = np.linalg.norm(x) * norms
+        nccs = np.divide(peaks, denom, out=np.zeros_like(peaks), where=denom != 0.0)
+        group_best = int(np.argmax(nccs))
+        if nccs[group_best] > best_ncc:
+            best_idx, best_ncc = indices[group_best], float(nccs[group_best])
+    return {
+        "cluster": atlas.ids[best_idx],
+        "ncc": best_ncc,
+        "label": atlas.labels[best_idx],
+    }

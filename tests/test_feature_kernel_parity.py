@@ -293,6 +293,27 @@ class TestFusedTopologicalBlock:
         X = _sweep_block(length)
         _assert_same_bytes(topological_features_block(X), topological_block_oracle(X))
 
+    @pytest.mark.parametrize("length", [2, 7, 96, 300])
+    def test_overflowing_rows_warn_nothing(self, length):
+        """Rows whose moments overflow give NaN/inf features quietly,
+        with the oracle's bytes, and the extractor zeroes them."""
+        import warnings
+
+        from repro.features.extractor import FeatureExtractor
+
+        rng = np.random.default_rng(length)
+        X = np.vstack([_kind_row("huge", length, rng, 1.0) for _ in range(3)])
+        X[1] = _EDGE_BLOCKS[3][0, np.arange(length) % 6]
+        with np.errstate(all="ignore"):
+            oracle = topological_block_oracle(X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = topological_features_block(X)
+        _assert_same_bytes(block, oracle)
+        with np.errstate(all="ignore"):
+            rows = FeatureExtractor().extract_block(X)
+        assert np.isfinite(rows).all()
+
     def test_one_row_chunks_equal_multi_row_chunks(self, monkeypatch):
         X = np.vstack([_sweep_block(96), -_sweep_block(97)[::-1, 1:]])
         chunked = topological_features_block(X)  # one multi-row chunk

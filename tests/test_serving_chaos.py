@@ -124,6 +124,74 @@ class TestWorkerCrash:
         assert active_segments() == ()
 
 
+    def test_sigkill_mid_batch_is_served_by_the_other_shard(
+        self, serving_engine, caplog
+    ):
+        """A worker SIGKILLed while it holds a batch reads as EOF at once:
+        the pool sees a WorkerCrashError well inside the batch timeout,
+        the other shard serves the batch, and ``stop()`` leaves no child
+        process behind."""
+        import multiprocessing as mp
+        import os
+        import signal
+        import threading
+        import time
+
+        hang = FaultInjector(
+            [{"site": "serving.shard", "kind": "hang", "match": "shard-0",
+              "times": 1, "duration": 120.0}],
+            seed=0,
+            name="chaos-hang-then-kill",
+        )
+        requests = LoadGenerator(seed=23, length=96).requests(4)
+        pool = ShardPool(
+            serving_engine, 2, backend="process", injector=hang,
+            timeout_s=120.0,
+        )
+        outcome = {}
+
+        def serve():
+            start = time.monotonic()
+            outcome["result"] = pool.run_batch(requests)
+            outcome["elapsed"] = time.monotonic() - start
+
+        with caplog.at_level(logging.WARNING, logger="repro.serving.shards"):
+            pool.start()
+            try:
+                workers = [shard.runner._proc for shard in pool._shards]
+                thread = threading.Thread(target=serve)
+                thread.start()
+                deadline = time.monotonic() + 60.0
+                while not pool._shards[0].busy.locked():
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                time.sleep(2.0)  # attached and hanging inside the batch
+                assert workers[0].is_alive()
+                os.kill(workers[0].pid, signal.SIGKILL)
+                thread.join(timeout=90.0)
+                assert not thread.is_alive()
+                stats = pool.stats()
+            finally:
+                pool.stop()
+
+        results, shard_id, _ = outcome["result"]
+        assert shard_id == 1
+        assert [r["id"] for r in results] == [r.id for r in requests]
+        assert all(r["status"] == 200 for r in results)
+        assert outcome["elapsed"] < 60.0  # EOF, not the 120 s timeout
+        assert any(
+            "WorkerCrashError" in r.message and "died" in r.message
+            for r in caplog.records
+        )
+        assert stats["demotions"] == 1
+        assert stats["resubmissions"] == 1
+        assert stats["per_shard"]["1"]["batches"] == 1
+        assert not any(worker.is_alive() for worker in workers)
+        live = {child.pid for child in mp.active_children()}
+        assert live.isdisjoint(worker.pid for worker in workers)
+        assert active_segments() == ()
+
+
 class TestQuarantineShedding:
     def test_all_shards_down_sheds_typed_503(self, serving_engine):
         """Permanent crashes: requests get 500/503, never hang or drop."""
